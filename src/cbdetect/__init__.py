@@ -64,6 +64,7 @@ from .backend import (
     TransportError,
     class_name_stub,
     classify,
+    classify_batch,
     constant_stub,
     load_synonym_table,
     make_stub,

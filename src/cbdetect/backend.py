@@ -1,15 +1,20 @@
 """Model inference behind one classification interface.
 
-Three backend kinds share the ``classify`` entry point:
+Three backend kinds share the batch-first ``classify_batch`` entry point
+(``classify`` is its one-prompt form):
 
 * ``stub`` — a deterministic rule table, for desk-scale end-to-end tests.
   Rules match against the post content by default (prompts enumerate every
   class name in their instructions, so scanning the whole prompt would be
   ambiguous).
 * ``live_endpoint`` — a chat-completion-style HTTP endpoint with bounded
-  retries. Credentials come from the environment, never from config files.
+  retries of transient failures, fanned out over up to
+  ``max_parallel_requests`` threads. Credentials come from the
+  environment, never from config files.
 * ``toy_checkpoint`` — a trained toy-network checkpoint evaluated by head
-  argmax, so tuned-model experiments run without accelerators.
+  argmax, so tuned-model experiments run without accelerators. The
+  checkpoint is read once per batch and each task's prompts run as padded
+  multi-row forward passes.
 
 Free-text responses are mapped into a label space by a three-stage cascade:
 exact display-name match, synonym-table match, earliest display-name
@@ -20,10 +25,12 @@ fallback policy.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import os
 import re
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping, Sequence
@@ -231,13 +238,39 @@ def constant_stub(response: str, backend_id: str = "constant-stub") -> BackendDe
     return make_stub([("", response)], backend_id=backend_id)
 
 
-def classify(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
-    """Send one prompt to a backend and return its raw text response."""
+def classify_batch(
+    prompts: Sequence[Prompt], descriptor: BackendDescriptor
+) -> list[RawResponse | TransportError]:
+    """Send prompts to a backend; one outcome per prompt, in input order.
+
+    A per-record transport failure is returned in its slot, never raised,
+    so it cannot disturb neighbouring records. Configuration errors raise:
+    ``BackendError`` for a missing endpoint address, ``TuningError`` for a
+    missing or unreadable checkpoint.
+    """
+    if not prompts:
+        return []
     if descriptor.kind is BackendKind.STUB:
-        return _classify_stub(prompt, descriptor)
+        return [_outcome(_classify_stub, prompt, descriptor) for prompt in prompts]
     if descriptor.kind is BackendKind.TOY_CHECKPOINT:
-        return _classify_toy(prompt, descriptor)
-    return _classify_live(prompt, descriptor)
+        return _classify_toy(prompts, descriptor)
+    return _classify_live(prompts, descriptor)
+
+
+def classify(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
+    """Send one prompt to a backend; a transport failure is raised."""
+    (outcome,) = classify_batch([prompt], descriptor)
+    if isinstance(outcome, TransportError):
+        raise outcome
+    return outcome
+
+
+def _outcome(send, *args) -> RawResponse | TransportError:
+    """Run one send; a transport failure becomes the record's outcome."""
+    try:
+        return send(*args)
+    except TransportError as exc:
+        return exc
 
 
 def _classify_stub(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
@@ -255,37 +288,61 @@ def _classify_stub(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse
     )
 
 
-_TOY_CACHE: dict[str, object] = {}
+def _classify_toy(prompts: Sequence[Prompt], descriptor: BackendDescriptor) -> list[RawResponse]:
+    """Read the checkpoint, then one ``predict_batch`` per task.
 
-
-def _classify_toy(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
+    The checkpoint is read on every call, never cached, so a file rewritten
+    at the same path is always served fresh. A record's latency is its
+    task group's prediction time shared evenly over the group's records.
+    """
     from .tuning import checkpoint as toy_checkpoint
 
-    path = os.path.abspath(descriptor.checkpoint_path)
-    classifier = _TOY_CACHE.get(path)
-    if classifier is None:
-        classifier = toy_checkpoint.load_classifier(path)
-        _TOY_CACHE[path] = classifier
-    task = _task_of_space(prompt.label_space)
-    text = prompt.post_text if descriptor.input_mode == "post_text" else prompt.rendered_text
-    started = time.perf_counter()
-    label = classifier.predict(text, task)
-    return RawResponse(
-        text=label.display_name,
-        latency=time.perf_counter() - started,
-        backend_id=descriptor.backend_id,
-    )
+    classifier = toy_checkpoint.load_classifier(descriptor.checkpoint_path)
+    rows_by_task: dict[Task, list[int]] = {}
+    for row, prompt in enumerate(prompts):
+        rows_by_task.setdefault(_task_of_space(prompt.label_space), []).append(row)
+
+    use_post = descriptor.input_mode == "post_text"
+    responses: dict[int, RawResponse] = {}
+    for task, rows in rows_by_task.items():
+        texts = [prompts[row].post_text if use_post else prompts[row].rendered_text for row in rows]
+        started = time.perf_counter()
+        labels = classifier.predict_batch(texts, task)
+        latency = (time.perf_counter() - started) / len(rows)
+        for row, label in zip(rows, labels):
+            responses[row] = RawResponse(
+                text=label.display_name, latency=latency, backend_id=descriptor.backend_id
+            )
+    return [responses[row] for row in range(len(prompts))]
 
 
 def _post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    """Single HTTP POST; swapped out by tests via monkeypatching."""
+    """Single HTTP POST; swapped out by tests via monkeypatching.
+
+    An error status raises ``requests.HTTPError`` carrying the response, so
+    callers can read its ``status_code``.
+    """
     response = requests.post(url, json=payload, headers=headers, timeout=timeout)
     if response.status_code >= 400:
-        raise requests.HTTPError(f"HTTP {response.status_code}: {response.text[:200]}")
+        raise requests.HTTPError(
+            f"HTTP {response.status_code}: {response.text[:200]}", response=response
+        )
     return response.json()
 
 
-def _classify_live(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
+def _retryable(exc: requests.RequestException) -> bool:
+    """Timeouts, connection errors, 408, 429 and 5xx may succeed on retry."""
+    if isinstance(exc, (requests.Timeout, requests.ConnectionError)):
+        return True
+    status = getattr(exc.response, "status_code", None)
+    return status is not None and (status in (408, 429) or status >= 500)
+
+
+def _classify_live(
+    prompts: Sequence[Prompt], descriptor: BackendDescriptor
+) -> list[RawResponse | TransportError]:
+    """Fan the prompts out over up to ``max_parallel_requests`` threads;
+    ``map`` yields in submission order, so outcomes keep input order."""
     url = descriptor.endpoint_address or os.environ.get(ENDPOINT_ENV_VAR, "")
     if not url:
         raise BackendError(
@@ -296,6 +353,19 @@ def _classify_live(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse
     api_key = os.environ.get(API_KEY_ENV_VAR, "")
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
+
+    def one(prompt: Prompt) -> RawResponse | TransportError:
+        return _outcome(_send_live, url, headers, prompt, descriptor)
+
+    workers = min(descriptor.max_parallel_requests, len(prompts))
+    if workers <= 1:
+        return [one(prompt) for prompt in prompts]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, prompts))
+
+
+def _send_live(url: str, headers: dict, prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
+    """One prompt with bounded retries; non-retryable failures stop at once."""
     payload = {
         "model": descriptor.model_name,
         "messages": [{"role": "user", "content": prompt.rendered_text}],
@@ -313,17 +383,17 @@ def _classify_live(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse
         started = time.perf_counter()
         try:
             body = _post_json(url, payload, headers, descriptor.timeout)
-        except requests.Timeout as exc:
-            last_was_timeout = True
-            attempts.append(
-                AttemptRecord(number=number, error=f"timeout: {exc}", elapsed=time.perf_counter() - started)
-            )
-            continue
         except requests.RequestException as exc:
-            last_was_timeout = False
+            last_was_timeout = isinstance(exc, requests.Timeout)
+            error = f"timeout: {exc}" if last_was_timeout else str(exc)
             attempts.append(
-                AttemptRecord(number=number, error=str(exc), elapsed=time.perf_counter() - started)
+                AttemptRecord(number=number, error=error, elapsed=time.perf_counter() - started)
             )
+            if not _retryable(exc):
+                raise TransportError(
+                    f"backend {descriptor.backend_id!r} failed on a non-retryable error: {error}",
+                    tuple(attempts),
+                ) from None
             continue
         elapsed = time.perf_counter() - started
         try:
@@ -362,6 +432,23 @@ def _task_of_space(space: type) -> Task:
     return Task.AGGRESSION if space.__name__ == "AggressionLabel" else Task.CYBERBULLYING
 
 
+_SynonymMatchers = tuple[tuple[re.Pattern, int, Label], ...]
+
+
+def _synonym_matchers(table: Mapping[str, Label]) -> _SynonymMatchers:
+    """(word-bounded case-insensitive pattern, phrase length, label) per phrase."""
+    return tuple(
+        (re.compile(rf"\b{re.escape(phrase)}\b", re.IGNORECASE), len(phrase), lab)
+        for phrase, lab in table.items()
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _default_synonym_matchers(task: Task) -> _SynonymMatchers:
+    """The shipped table's matchers, built once per task (two entries at most)."""
+    return _synonym_matchers(load_synonym_table(task))
+
+
 def parse_label(
     raw: RawResponse,
     space: type,
@@ -373,7 +460,7 @@ def parse_label(
       1. whole trimmed response equals a display name (case-insensitive);
       2. a synonym phrase occurs in the response (word-boundary,
          case-insensitive; earliest occurrence wins, ties to the longest
-         phrase);
+         phrase, then to the earlier label);
       3. earliest display-name occurrence as a substring.
     """
     members = list(space)
@@ -387,12 +474,14 @@ def parse_label(
             return ParsedLabel(label=lab, match_kind=MatchKind.EXACT, raw=raw)
 
     if synonym_table is None:
-        synonym_table = load_synonym_table(_task_of_space(space))
+        matchers = _default_synonym_matchers(_task_of_space(space))
+    else:
+        matchers = _synonym_matchers(synonym_table)
     hits: list[tuple[int, int, int, Label]] = []
-    for phrase, lab in synonym_table.items():
-        match = re.search(rf"\b{re.escape(phrase)}\b", text, flags=re.IGNORECASE)
+    for pattern, length, lab in matchers:
+        match = pattern.search(text)
         if match:
-            hits.append((match.start(), -len(phrase), int(lab), lab))
+            hits.append((match.start(), -length, int(lab), lab))
     if hits:
         hits.sort()
         return ParsedLabel(label=hits[0][3], match_kind=MatchKind.SYNONYM, raw=raw)

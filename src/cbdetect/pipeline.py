@@ -5,9 +5,11 @@ the three-step enriched flow: predict aggression on the raw post, embed the
 predicted display name into the cyberbullying prompt, classify the enriched
 prompt with the second-stage backend.
 
-Per-record failures (transport or parse) become failure outcomes on that
-record only; they never abort a run or disturb neighbouring records.
-Output order always equals input order, even with a concurrent backend.
+Each stage renders all of its prompts, then sends them to its backend as
+one batch. Per-record failures (transport or parse) become failure
+outcomes on that record only; they never abort a run or disturb
+neighbouring records. Output order always equals input order, even with a
+concurrent backend.
 Every run can be persisted to a content-addressed directory holding the
 manifest, the predictions file, and a raw-response audit log; rerunning
 from the manifest with stub backends reproduces the predictions file byte
@@ -19,7 +21,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
@@ -183,26 +184,15 @@ def _classify_records(
     posts: Sequence[LabeledPost],
     descriptor: BackendDescriptor,
     make_prompt: Callable[[LabeledPost], Prompt],
-) -> list[tuple[Prompt, Union[RawResponse, BaseException]]]:
-    """Render and classify each post, preserving input order.
+) -> list[tuple[Prompt, Union[RawResponse, TransportError]]]:
+    """Render every post, then classify them in one backend batch.
 
-    Work may fan out up to the backend's parallelism limit; results are
-    re-sequenced because map() yields in submission order. Exceptions are
-    captured per record, not raised.
+    Rendering finishes before the first backend call, so a prompt error
+    (e.g. exemplar leakage) fails the run with nothing sent. Outcomes keep
+    input order; transport failures come back per record, not raised.
     """
-
-    def one(post: LabeledPost) -> tuple[Prompt, Union[RawResponse, BaseException]]:
-        prompt = make_prompt(post)
-        try:
-            return prompt, backend_mod.classify(prompt, descriptor)
-        except TransportError as exc:
-            return prompt, exc
-
-    workers = descriptor.max_parallel_requests
-    if workers <= 1 or len(posts) <= 1:
-        return [one(p) for p in posts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, posts))
+    prompts = [make_prompt(post) for post in posts]
+    return list(zip(prompts, backend_mod.classify_batch(prompts, descriptor)))
 
 
 def run_baseline(

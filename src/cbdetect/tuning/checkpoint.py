@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .network import ToyNetConfig, ToyTransformer, last_unmasked_index
 from .training import TaskHead
 
 FORMAT_VERSION = 1
+# Rows per inference forward pass. The pass keeps a backward cache of every
+# layer's activations, so an unbounded batch would grow memory with it.
+PREDICT_CHUNK_ROWS = 32
 
 
 def save_checkpoint(
@@ -117,18 +120,30 @@ class ToyClassifier:
         self.base = ToyTransformer(bundle.model_config)
 
     def predict(self, text: str, task: Task) -> Label:
+        return self.predict_batch([text], task)[0]
+
+    def predict_batch(self, texts: Sequence[str], task: Task) -> list[Label]:
+        """One label per text, in order.
+
+        The adapted weights W + Up @ Down are formed once per call; texts
+        run as right-padded chunks of ``PREDICT_CHUNK_ROWS`` rows.
+        """
         if task not in self.bundle.adapters:
             raise TuningError(
                 f"checkpoint holds no {task.value} adapters (tasks: "
                 f"{[t.value for t in self.bundle.tasks]})"
             )
-        ids, mask = self.base.tokenizer.batch_encode([text], self.base.config.max_len)
-        hidden, _ = self.base.forward(
-            ids, mask, overrides=self.bundle.adapters[task].effective_weights(self.base.params)
-        )
-        pooled = hidden[np.arange(1), last_unmasked_index(mask)]
-        logits = self.bundle.heads[task].logits(pooled)[0]
-        return labels_in_order(task)[int(np.argmax(logits))]
+        weights = self.bundle.adapters[task].effective_weights(self.base.params)
+        head = self.bundle.heads[task]
+        order = labels_in_order(task)
+        labels: list[Label] = []
+        for start in range(0, len(texts), PREDICT_CHUNK_ROWS):
+            chunk = texts[start : start + PREDICT_CHUNK_ROWS]
+            ids, mask = self.base.tokenizer.batch_encode(chunk, self.base.config.max_len)
+            hidden, _ = self.base.forward(ids, mask, overrides=weights)
+            pooled = hidden[np.arange(len(chunk)), last_unmasked_index(mask)]
+            labels.extend(order[int(i)] for i in np.argmax(head.logits(pooled), axis=1))
+        return labels
 
 
 def load_classifier(path: Union[str, Path]) -> ToyClassifier:

@@ -13,6 +13,7 @@ can substitute effective weights without ever touching the base arrays.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -35,6 +36,12 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _word_id(word: str, vocab_size: int) -> int:
+    """sha1-derived id in [2, vocab_size); memoized, posts repeat words."""
+    return 2 + int(hashlib.sha1(word.encode("utf-8")).hexdigest()[:8], 16) % (vocab_size - 2)
+
+
 class ToyTokenizer:
     """Deterministic hashing tokenizer.
 
@@ -55,11 +62,7 @@ class ToyTokenizer:
         words = _WORD_RE.findall(text.lower())
         if not words:
             return [self.UNK]
-        span = self.vocab_size - 2
-        return [
-            2 + int(hashlib.sha1(w.encode("utf-8")).hexdigest()[:8], 16) % span
-            for w in words
-        ]
+        return [_word_id(w, self.vocab_size) for w in words]
 
     def batch_encode(
         self, texts: Sequence[str], max_len: int | None = None

@@ -1,3 +1,10 @@
+import dataclasses
+import math
+import re
+import threading
+import time
+
+import numpy as np
 import pytest
 import requests
 
@@ -17,6 +24,7 @@ from cbdetect import (
     build_confusion,
     class_name_stub,
     classify,
+    classify_batch,
     compute_metrics,
     constant_stub,
     label_space,
@@ -25,8 +33,21 @@ from cbdetect import (
     parse_label,
     render_zero_shot,
     load_template,
+    labels_in_order,
+    synth_fixture,
 )
 import cbdetect.backend as backend_mod
+from cbdetect.tuning import (
+    AdapterState,
+    TaskHead,
+    ToyNetConfig,
+    ToyTransformer,
+    TuneConfig,
+    init_adapter_state,
+    load_classifier,
+    save_checkpoint,
+)
+from cbdetect.tuning.checkpoint import PREDICT_CHUNK_ROWS
 
 
 def raw(text):
@@ -90,6 +111,245 @@ class TestParseCascade:
             parse_label(raw("nonetheless unclear"), CyberbullyingLabel)
         parsed = parse_label(raw("verdict: none"), CyberbullyingLabel)
         assert parsed.label is CyberbullyingLabel.NOT_CYBERBULLYING
+
+
+def reference_parse(text, space, synonym_table=None):
+    """The cascade as first written: the table is re-read and every phrase
+    pattern compiled on each call. Returns (label, match kind) or None."""
+    trimmed = text.strip().lower()
+    for lab in space:
+        if trimmed == lab.display_name.lower():
+            return lab, MatchKind.EXACT
+    if synonym_table is None:
+        task = Task.AGGRESSION if space is AggressionLabel else Task.CYBERBULLYING
+        synonym_table = load_synonym_table(task)
+    hits = []
+    for phrase, lab in synonym_table.items():
+        match = re.search(rf"\b{re.escape(phrase)}\b", text, flags=re.IGNORECASE)
+        if match:
+            hits.append((match.start(), -len(phrase), int(lab), lab))
+    if hits:
+        return sorted(hits)[0][3], MatchKind.SYNONYM
+    positional = sorted(
+        (text.lower().find(lab.display_name.lower()), int(lab), lab)
+        for lab in space
+        if lab.display_name.lower() in text.lower()
+    )
+    if positional:
+        return positional[0][2], MatchKind.SUBSTRING_FIRST
+    return None
+
+
+OVERLAPPING_RESPONSES = {
+    AggressionLabel: [
+        "not aggressive, maybe passive aggressive",
+        "passive-aggressive or passive aggressive",
+        "non-aggressive, non aggressive, no aggression",
+        "NEUTRAL tone but overt aggression later",
+        "openly aggressive; covert aggression too",
+        "covertly-aggressive and overtly-aggressive",
+        "Overtly Aggressive? or Covertly Aggressive",
+        "neutralized",
+        "it is Not-Aggressive mostly",
+        "%%%",
+    ],
+    CyberbullyingLabel: [
+        "not cyberbullying; none",
+        "racist, sexist and religious",
+        "no cyberbullying at all, harmless",
+        "not bullying, none of it",
+        "faith-based racial gender abuse",
+        "sexual orientation and gender",
+        "Religion, then Gender/Sexual",
+        "nonetheless unclear",
+        "verdict: None",
+        "racist-ish misogyny",
+    ],
+}
+
+
+class TestParseCaching:
+    def test_matches_reference_on_overlapping_phrases(self):
+        for space, responses in OVERLAPPING_RESPONSES.items():
+            for text in responses:
+                try:
+                    parsed = parse_label(raw(text), space)
+                    got = (parsed.label, parsed.match_kind)
+                except ParseFailure:
+                    got = None
+                assert got == reference_parse(text, space), text
+
+    def test_custom_table_tie_rules(self):
+        # same start: the longest phrase wins; same start and length: the
+        # earlier label wins, whatever the table order
+        table = {
+            "HATE": CyberbullyingLabel.NOT_CYBERBULLYING,
+            "hate": CyberbullyingLabel.RELIGION,
+            "hate speech": CyberbullyingLabel.GENDER_SEXUAL,
+            "speech": CyberbullyingLabel.ETHNICITY_RACE,
+        }
+        expected = {
+            "pure hate speech": CyberbullyingLabel.GENDER_SEXUAL,
+            "pure hate": CyberbullyingLabel.RELIGION,
+            "speech of hate": CyberbullyingLabel.ETHNICITY_RACE,
+        }
+        for text, label in expected.items():
+            parsed = parse_label(raw(text), CyberbullyingLabel, synonym_table=table)
+            assert parsed.label is label
+            assert reference_parse(text, CyberbullyingLabel, table) == (label, MatchKind.SYNONYM)
+
+    def test_default_table_is_not_reread_per_parse(self, monkeypatch):
+        parse_label(raw("this is not aggressive"), AggressionLabel)
+        parse_label(raw("racist"), CyberbullyingLabel)
+        calls = []
+        original = backend_mod.load_synonym_table
+        monkeypatch.setattr(
+            backend_mod, "load_synonym_table", lambda task: calls.append(task) or original(task)
+        )
+        for _ in range(20):
+            parse_label(raw("this is not aggressive"), AggressionLabel)
+            parse_label(raw("racist"), CyberbullyingLabel)
+        assert calls == []
+
+    def test_load_synonym_table_returns_a_fresh_dict(self):
+        table = load_synonym_table(Task.AGGRESSION)
+        table.clear()
+        assert load_synonym_table(Task.AGGRESSION)["not aggressive"] is AggressionLabel.NAG
+
+
+class TestClassifyBatch:
+    def test_order_and_length(self, cyberbullying_fixture):
+        stub = class_name_stub(Task.CYBERBULLYING)
+        template = load_template("zero_shot_v1", Task.CYBERBULLYING)
+        prompts = [render_zero_shot(post, template) for post in reversed(cyberbullying_fixture)]
+        outcomes = classify_batch(prompts, stub)
+        assert [o.text for o in outcomes] == [
+            post.label.display_name for post in reversed(cyberbullying_fixture)
+        ]
+
+    def test_transport_error_returned_in_place(self, cyberbullying_fixture):
+        target = cyberbullying_fixture[5]
+        stub = make_stub([("", "Religion")], fail_patterns=[target.text])
+        template = load_template("zero_shot_v1", Task.CYBERBULLYING)
+        outcomes = classify_batch(
+            [render_zero_shot(post, template) for post in cyberbullying_fixture], stub
+        )
+        assert len(outcomes) == len(cyberbullying_fixture)
+        for i, outcome in enumerate(outcomes):
+            if i == 5:
+                assert isinstance(outcome, TransportError)
+            else:
+                assert isinstance(outcome, RawResponse) and outcome.text == "Religion"
+
+    def test_empty_prompt_list(self, tmp_path):
+        assert classify_batch([], class_name_stub(Task.CYBERBULLYING)) == []
+        # an empty batch does no backend work, not even a checkpoint read
+        missing = BackendDescriptor(
+            backend_id="toy", kind=BackendKind.TOY_CHECKPOINT,
+            checkpoint_path=str(tmp_path / "absent.npz"),
+        )
+        assert classify_batch([], missing) == []
+
+
+TOY_NET = ToyNetConfig(seed=0)
+
+
+def save_toy(path, tasks, seed=0, head_bias_class=None):
+    """A checkpoint with random adapters and heads; with
+    ``head_bias_class`` the head answers that class index for every input."""
+    base = ToyTransformer(TOY_NET)
+    tune = TuneConfig(seed=seed)
+    rng = np.random.default_rng(seed)
+    adapters, heads = {}, {}
+    for offset, task in enumerate(tasks):
+        state = init_adapter_state(base, tune, seed_offset=offset)
+        for factors in state.factors.values():
+            factors.up[...] = rng.normal(0.0, 0.3, factors.up.shape)
+        n = len(labels_in_order(task))
+        if head_bias_class is None:
+            head = TaskHead(task, rng.normal(0.0, 1.0, (n, TOY_NET.d_model)), np.zeros(n))
+        else:
+            head = TaskHead(task, np.zeros((n, TOY_NET.d_model)), np.eye(n)[head_bias_class] * 10.0)
+        adapters[task], heads[task] = state, head
+    return save_checkpoint(path, TOY_NET, tune, adapters, heads)
+
+
+def toy_descriptor(path):
+    return BackendDescriptor(
+        backend_id="toy", kind=BackendKind.TOY_CHECKPOINT, model_name="toy-net",
+        checkpoint_path=str(path), input_mode="post_text",
+    )
+
+
+def varied_prompts(task, n, seed=0):
+    """n zero-shot prompts over texts of mixed length, including texts
+    longer than the network's max_len and emoji-only texts."""
+    posts = synth_fixture(math.ceil(n / len(labels_in_order(task))), task, seed=seed)
+    template = load_template("zero_shot_v1", task)
+    extras = [
+        " ".join(f"word{i}" for i in range(TOY_NET.max_len + 9)),
+        "\U0001f600\U0001f621\U0001f600",
+        "ok",
+        "Ünïcödé wörds ça 日本語 and more words here",
+    ]
+    prompts = []
+    for i, post in enumerate(posts[:n]):
+        if i % 5 == 0:
+            post = dataclasses.replace(post, text=extras[(i // 5) % len(extras)])
+        prompts.append(render_zero_shot(post, template))
+    return prompts
+
+
+class TestToyBackend:
+    def test_batched_labels_equal_one_by_one(self, tmp_path):
+        path = save_toy(tmp_path / "cb.npz", [Task.CYBERBULLYING])
+        prompts = varied_prompts(Task.CYBERBULLYING, 2 * PREDICT_CHUNK_ROWS + 11)
+        assert len(prompts) % PREDICT_CHUNK_ROWS
+        assert any(len(p.post_text.split()) > TOY_NET.max_len for p in prompts)
+        classifier = load_classifier(path)
+        expected = [classifier.predict(p.post_text, Task.CYBERBULLYING).display_name for p in prompts]
+        got = [o.text for o in classify_batch(prompts, toy_descriptor(path))]
+        assert got == expected
+        assert len(set(got)) > 1  # the check is not vacuous
+
+    def test_one_forward_per_chunk_per_task(self, tmp_path, monkeypatch):
+        path = save_toy(tmp_path / "mtl.npz", [Task.AGGRESSION, Task.CYBERBULLYING])
+        agg = [(Task.AGGRESSION, p) for p in varied_prompts(Task.AGGRESSION, 40, seed=1)]
+        cb = [(Task.CYBERBULLYING, p) for p in varied_prompts(Task.CYBERBULLYING, 70, seed=2)]
+        tagged = [p for pair in zip(agg, cb) for p in pair] + cb[len(agg):]
+        prompts = [prompt for _, prompt in tagged]
+        classifier = load_classifier(path)
+        expected = [classifier.predict(p.post_text, task).display_name for task, p in tagged]
+
+        calls = {"forward": 0, "effective_weights": 0}
+        forward, effective = ToyTransformer.forward, AdapterState.effective_weights
+
+        def counting_forward(self, *args, **kwargs):
+            calls["forward"] += 1
+            return forward(self, *args, **kwargs)
+
+        def counting_effective(self, *args, **kwargs):
+            calls["effective_weights"] += 1
+            return effective(self, *args, **kwargs)
+
+        monkeypatch.setattr(ToyTransformer, "forward", counting_forward)
+        monkeypatch.setattr(AdapterState, "effective_weights", counting_effective)
+        got = [o.text for o in classify_batch(prompts, toy_descriptor(path))]
+        assert got == expected
+        assert calls == {
+            "forward": math.ceil(40 / PREDICT_CHUNK_ROWS) + math.ceil(70 / PREDICT_CHUNK_ROWS),
+            "effective_weights": 2,
+        }
+
+    def test_rewritten_checkpoint_serves_new_weights(self, tmp_path):
+        path = tmp_path / "cb.npz"
+        descriptor = toy_descriptor(path)
+        prompt = varied_prompts(Task.CYBERBULLYING, 1)[0]
+        order = labels_in_order(Task.CYBERBULLYING)
+        save_toy(path, [Task.CYBERBULLYING], head_bias_class=0)
+        assert classify(prompt, descriptor).text == order[0].display_name
+        save_toy(path, [Task.CYBERBULLYING], head_bias_class=2)
+        assert classify(prompt, descriptor).text == order[2].display_name
 
 
 class TestStub:
@@ -219,6 +479,83 @@ class TestLiveClient:
         assert seen["messages"] == [{"role": "user", "content": prompt.rendered_text}]
         assert seen["temperature"] == 0.0
         assert response.truncated
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_non_retryable_status_fails_fast(self, monkeypatch, cyberbullying_fixture, status):
+        calls = []
+
+        def rejecting(url, payload, headers, timeout):
+            calls.append(url)
+            response = requests.Response()
+            response.status_code = status
+            raise requests.HTTPError(f"HTTP {status}", response=response)
+
+        monkeypatch.setattr(backend_mod, "_post_json", rejecting)
+        with pytest.raises(TransportError) as info:
+            classify(self._prompt(cyberbullying_fixture), self._descriptor())
+        assert len(calls) == 1
+        assert len(info.value.attempts) == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_retryable_status_is_retried(self, monkeypatch, cyberbullying_fixture, status):
+        calls = []
+
+        def overloaded(url, payload, headers, timeout):
+            calls.append(url)
+            response = requests.Response()
+            response.status_code = status
+            raise requests.HTTPError(f"HTTP {status}", response=response)
+
+        monkeypatch.setattr(backend_mod, "_post_json", overloaded)
+        with pytest.raises(TransportError) as info:
+            classify(self._prompt(cyberbullying_fixture), self._descriptor())
+        assert len(calls) == 3
+        assert len(info.value.attempts) == 3
+
+    def test_post_json_error_carries_status_code(self, monkeypatch):
+        def post(url, json, headers, timeout):
+            response = requests.Response()
+            response.status_code = 401
+            response._content = b'{"error": "invalid api key"}'
+            return response
+
+        monkeypatch.setattr(requests, "post", post)
+        with pytest.raises(requests.HTTPError) as info:
+            backend_mod._post_json("http://example.invalid/v1/chat", {}, {}, 1.0)
+        assert info.value.response.status_code == 401
+
+    def test_batch_fans_out_and_keeps_order(self, monkeypatch, cyberbullying_fixture):
+        template = load_template("zero_shot_v1", Task.CYBERBULLYING)
+        prompts = [render_zero_shot(post, template) for post in cyberbullying_fixture[:6]]
+        position = {p.rendered_text: i for i, p in enumerate(prompts)}
+        lock = threading.Lock()
+        active, peak = [0], [0]
+
+        def echo(url, payload, headers, timeout):
+            content = payload["messages"][0]["content"]
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            # earlier prompts answer later, so completion order is reversed
+            time.sleep(0.005 * (len(prompts) - position[content]))
+            with lock:
+                active[0] -= 1
+            if position[content] == 2:
+                response = requests.Response()
+                response.status_code = 401
+                raise requests.HTTPError("HTTP 401", response=response)
+            return {"choices": [{"message": {"content": content[-12:]}, "finish_reason": "stop"}]}
+
+        monkeypatch.setattr(backend_mod, "_post_json", echo)
+        descriptor = dataclasses.replace(self._descriptor(), max_parallel_requests=3)
+        outcomes = classify_batch(prompts, descriptor)
+        assert len(outcomes) == len(prompts)
+        for i, (prompt, outcome) in enumerate(zip(prompts, outcomes)):
+            if i == 2:
+                assert isinstance(outcome, TransportError) and len(outcome.attempts) == 1
+            else:
+                assert outcome.text == prompt.rendered_text[-12:]
+        assert peak[0] > 1
 
     def test_missing_endpoint_is_an_error(self, monkeypatch, cyberbullying_fixture):
         monkeypatch.delenv(backend_mod.ENDPOINT_ENV_VAR, raising=False)

@@ -114,6 +114,44 @@ class TestRunBaseline:
             backend_mod._classify_stub = original
         assert calls == []
 
+    def test_exemplar_leakage_fails_before_any_backend_call(
+        self, cyberbullying_fixture, monkeypatch
+    ):
+        # the last eval post is one of only three pool records of its class,
+        # so k=3 must pick it: its prompt leaks, after eleven clean ones
+        leaked = cyberbullying_fixture[-1]
+        others = [p for p in synth_fixture(3, Task.CYBERBULLYING, seed=99) if p.label is not leaked.label]
+        same_class = [p for p in synth_fixture(3, Task.CYBERBULLYING, seed=99) if p.label is leaked.label]
+        pool = others + same_class[:2] + [leaked]
+        import cbdetect.backend as backend_mod
+
+        calls = []
+        original = backend_mod._classify_stub
+        monkeypatch.setattr(
+            backend_mod,
+            "_classify_stub",
+            lambda prompt, descriptor: calls.append(prompt) or original(prompt, descriptor),
+        )
+        with pytest.raises(PromptError, match="exemplar leakage"):
+            run_baseline(cyberbullying_fixture, cb_spec(method=Method.FEW_SHOT), train_posts=pool)
+        assert calls == []
+
+    def test_one_backend_batch_per_stage(self, cyberbullying_fixture, monkeypatch):
+        import cbdetect.backend as backend_mod
+
+        batches = []
+        original = backend_mod.classify_batch
+        monkeypatch.setattr(
+            backend_mod,
+            "classify_batch",
+            lambda prompts, descriptor: batches.append(len(prompts)) or original(prompts, descriptor),
+        )
+        run_baseline(cyberbullying_fixture, cb_spec())
+        assert batches == [12]
+        batches.clear()
+        run_epp(cyberbullying_fixture, epp_spec())
+        assert batches == [12, 12]
+
     def test_few_shot_runs_with_adequate_pool(self, cyberbullying_fixture):
         pool = synth_fixture(4, Task.CYBERBULLYING, seed=99)
         result = run_baseline(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -44,6 +45,16 @@ class TestTokenizer:
     def test_stable_across_instances(self):
         a, b = ToyTokenizer(128), ToyTokenizer(128)
         assert a.encode("Covertly Aggressive post") == b.encode("covertly aggressive POST")
+
+    def test_ids_follow_the_sha1_formula(self):
+        words = ["covertly", "don't", "post42", "über", "naïve", "ça", "日本語", "ελληνικά"]
+        for vocab_size in (128, 32):
+            expected = [
+                2 + int(hashlib.sha1(w.encode("utf-8")).hexdigest()[:8], 16) % (vocab_size - 2)
+                for w in words
+            ]
+            for _ in range(2):  # memoized ids equal freshly hashed ones
+                assert ToyTokenizer(vocab_size).encode(" ".join(words)) == expected
 
     def test_empty_text_maps_to_unk(self):
         assert ToyTokenizer(128).encode("\U0001f600\U0001f600") == [ToyTokenizer.UNK]
