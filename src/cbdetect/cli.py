@@ -26,7 +26,13 @@ from .corpus import (
     save_rejects,
     split_corpus,
 )
-from .evalkit import ParseFailurePolicy, build_confusion, compute_metrics, render_grid
+from .evalkit import (
+    EvalError,
+    ParseFailurePolicy,
+    build_confusion,
+    compute_metrics,
+    render_grid,
+)
 from .labels import Task, label_space
 from .pipeline import (
     ExperimentSpec,
@@ -321,14 +327,24 @@ def cmd_report(run_dirs: tuple[str, ...], out_path: str, csv_path: str | None, p
     """Aggregate persisted runs into a method-by-task comparison grid."""
     policy_enum = ParseFailurePolicy(policy)
     reports = {}
+    sources: dict[tuple[str, str, str], Path] = {}
     for run_dir in _discover_run_dirs(run_dirs):
         manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
         task = Task(manifest["task"])
-        predictions = load_predictions(run_dir / "predictions.jsonl", task)
-        cm = build_confusion(predictions, label_space(task))
-        report = compute_metrics(cm, policy=policy_enum, run_id=manifest["run_id"])
         model = manifest["backends"][-1].get("model_name") or manifest["backends"][-1]["backend_id"]
-        reports[(model, manifest["method"], task.value)] = report
+        key = (model, manifest["method"], task.value)
+        if key in sources:
+            raise click.ClickException(
+                f"runs {sources[key]} and {run_dir} both report model {model!r}, "
+                f"method {key[1]}, task {key[2]}; pass only one of them"
+            )
+        sources[key] = run_dir
+        predictions = load_predictions(run_dir / "predictions.jsonl", task)
+        try:
+            cm = build_confusion(predictions, label_space(task))
+            reports[key] = compute_metrics(cm, policy=policy_enum, run_id=manifest["run_id"])
+        except EvalError as exc:
+            raise click.ClickException(f"cannot score run {run_dir}: {exc}") from exc
 
     if not reports:
         raise click.ClickException("no runs found under the given directories")

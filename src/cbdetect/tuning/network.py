@@ -17,7 +17,7 @@ import functools
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -28,12 +28,14 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x). GELU is x * Phi(x), its derivative Phi(x) + x * phi(x)."""
+    return 0.5 * (1.0 + erf(x / _SQRT2))
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over batch and position of a[..., p] * b[..., q], as one matmul."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -135,10 +137,6 @@ class ToyTransformer:
         self.tokenizer = ToyTokenizer(config.vocab_size)
 
     @property
-    def weight_names(self) -> list[str]:
-        return list(self.params)
-
-    @property
     def attachable_names(self) -> list[str]:
         """Weight matrices that can host a low-rank adapter."""
         return [n for n in self.params if n != "embed"]
@@ -165,7 +163,6 @@ class ToyTransformer:
 
         x = weight("embed")[ids]
         layer_caches = []
-        used: dict[str, np.ndarray] = {"embed": weight("embed")}
         for i in range(self.config.n_layers):
             names = {
                 "wq": f"layers.{i}.attn.wq",
@@ -176,7 +173,6 @@ class ToyTransformer:
                 "w2": f"layers.{i}.mlp.w2",
             }
             w = {k: weight(n) for k, n in names.items()}
-            used.update({n: w[k] for k, n in names.items()})
 
             q = x @ w["wq"].T
             k = x @ w["wk"].T
@@ -188,39 +184,59 @@ class ToyTransformer:
             x_attn = x + mixed @ w["wo"].T
 
             h_pre = x_attn @ w["w1"].T
-            h = _gelu(h_pre)
+            cdf = _normal_cdf(h_pre)
+            h = h_pre * cdf
             x_out = x_attn + h @ w["w2"].T
 
             layer_caches.append(
                 {"x": x, "q": q, "k": k, "v": v, "attn": attn, "mixed": mixed,
-                 "x_attn": x_attn, "h_pre": h_pre, "h": h, "names": names, "w": w}
+                 "x_attn": x_attn, "h_pre": h_pre, "cdf": cdf, "h": h, "names": names, "w": w}
             )
             x = x_out
 
-        cache = {"ids": ids, "layers": layer_caches, "used": used, "scale": scale}
+        cache = {"layers": layer_caches, "scale": scale}
         return x, cache
 
-    def backward(self, cache: dict, d_hidden: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. every (effective) weight matrix.
+    def backward(
+        self, cache: dict, d_hidden: np.ndarray, targets: Collection[str]
+    ) -> dict[str, np.ndarray]:
+        """Gradients of a scalar loss w.r.t. the (effective) weights in ``targets``.
 
         Uses the weights recorded in the cache, so adapted forward passes
         backpropagate through their effective weights, not the base ones.
+        Weights outside ``targets`` get no gradient, and the pass stops at
+        the lowest layer that holds a target.
         """
+        layers = cache["layers"]
+        lowest = next(
+            (i for i, layer in enumerate(layers)
+             if any(name in targets for name in layer["names"].values())),
+            None,
+        )
+        if lowest is None:
+            return {}
         scale = cache["scale"]
         dx = d_hidden
         grads: dict[str, np.ndarray] = {}
-        for layer in reversed(cache["layers"]):
+
+        def grad(name: str, d_out: np.ndarray, x_in: np.ndarray) -> None:
+            if name in targets:
+                grads[name] = _outer_sum(d_out, x_in)
+
+        for i in range(len(layers) - 1, lowest - 1, -1):
+            layer = layers[i]
             w, names = layer["w"], layer["names"]
             # MLP: x_out = x_attn + gelu(x_attn @ w1.T) @ w2.T
             dh = dx @ w["w2"]
-            grads[names["w2"]] = np.einsum("btd,btf->df", dx, layer["h"])
-            dh_pre = dh * _gelu_grad(layer["h_pre"])
-            grads[names["w1"]] = np.einsum("btf,btd->fd", dh_pre, layer["x_attn"])
+            grad(names["w2"], dx, layer["h"])
+            h_pre = layer["h_pre"]
+            dh_pre = dh * (layer["cdf"] + h_pre * np.exp(-0.5 * h_pre * h_pre) * _INV_SQRT_2PI)
+            grad(names["w1"], dh_pre, layer["x_attn"])
             dx_attn = dx + dh_pre @ w["w1"]
 
             # attention: x_attn = x + (softmax(qk^T * scale) @ v) @ wo.T
             d_mixed = dx_attn @ w["wo"]
-            grads[names["wo"]] = np.einsum("btp,btq->pq", dx_attn, layer["mixed"])
+            grad(names["wo"], dx_attn, layer["mixed"])
             attn = layer["attn"]
             d_attn = d_mixed @ layer["v"].transpose(0, 2, 1)
             dv = attn.transpose(0, 2, 1) @ d_mixed
@@ -230,14 +246,11 @@ class ToyTransformer:
             dk = d_scores.transpose(0, 2, 1) @ layer["q"]
 
             x_in = layer["x"]
-            grads[names["wq"]] = np.einsum("btp,btq->pq", dq, x_in)
-            grads[names["wk"]] = np.einsum("btp,btq->pq", dk, x_in)
-            grads[names["wv"]] = np.einsum("btp,btq->pq", dv, x_in)
-            dx = dx_attn + dq @ w["wq"] + dk @ w["wk"] + dv @ w["wv"]
-
-        d_embed = np.zeros_like(cache["used"]["embed"])
-        np.add.at(d_embed, cache["ids"], dx)
-        grads["embed"] = d_embed
+            grad(names["wq"], dq, x_in)
+            grad(names["wk"], dk, x_in)
+            grad(names["wv"], dv, x_in)
+            if i > lowest:
+                dx = dx_attn + dq @ w["wq"] + dk @ w["wk"] + dv @ w["wv"]
         return grads
 
 

@@ -79,7 +79,12 @@ def mtl_joint_loss(
 
 
 class Adam:
-    """Plain adaptive-moment optimizer over a named array dict (in place)."""
+    """Plain adaptive-moment optimizer over a named array dict (in place).
+
+    The moments live in one flat vector each, so a step runs the moment
+    update once over every parameter instead of once per array. ``step``
+    needs a gradient for every parameter.
+    """
 
     def __init__(
         self,
@@ -92,22 +97,25 @@ class Adam:
         self.params = dict(params)
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        # each array's [start, stop) in the flat vectors, in params order
+        self._bounds = np.cumsum([0] + [p.size for p in self.params.values()])
+        self.m = np.zeros(self._bounds[-1])
+        self.v = np.zeros(self._bounds[-1])
         self.t = 0
 
     def step(self, grads: Mapping[str, np.ndarray]) -> None:
         self.t += 1
-        for key, grad in grads.items():
-            m = self.m[key]
-            v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grad = np.concatenate([grads[key].ravel() for key in self.params])
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        m_hat = m / (1.0 - self.beta1**self.t)
+        v_hat = v / (1.0 - self.beta2**self.t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for param, start, stop in zip(self.params.values(), self._bounds, self._bounds[1:]):
+            param -= update[start:stop].reshape(param.shape)
 
 
 def pairs_from_posts(posts: Sequence[LabeledPost], task: Task) -> list[Pair]:
@@ -149,7 +157,7 @@ def _branch(
     }
     d_hidden = np.zeros_like(hidden)
     d_hidden[rows, pool_idx] = d_logits @ head.weight
-    weight_grads = base.backward(cache, d_hidden)
+    weight_grads = base.backward(cache, d_hidden, adapters.factors)
     grads.update(adapters.factor_grads(weight_grads, prefix=prefix))
     return loss, grads
 
@@ -188,9 +196,6 @@ class SftTrainer:
         loss, grads = self.loss_and_grads(pairs)
         self.optimizer.step(grads)
         return loss
-
-    def step_posts(self, posts: Sequence[LabeledPost]) -> float:
-        return self.step(pairs_from_posts(posts, self.task))
 
     def train(self, posts: Sequence[LabeledPost], epochs: int | None = None) -> list[dict]:
         """Epoch loop with seeded shuffling; one metrics record per step."""

@@ -211,7 +211,7 @@ class TestRun:
 
 
 class TestReport:
-    def _make_run(self, runner, tmp_path, name):
+    def _make_run(self, runner, tmp_path, name, n_per_class=2, backend=None):
         config = write_json(
             tmp_path / f"{name}.json",
             {
@@ -220,17 +220,18 @@ class TestReport:
                 "corpus": {
                     "eval": str(
                         save_records(
-                            synth_fixture(2, Task.CYBERBULLYING, seed=5),
+                            synth_fixture(n_per_class, Task.CYBERBULLYING, seed=5),
                             tmp_path / f"{name}_eval.jsonl",
                         )
                     )
                 },
-                "backends": [stub_backend_dict(Task.CYBERBULLYING)],
+                "backends": [backend or stub_backend_dict(Task.CYBERBULLYING)],
                 "out_dir": str(tmp_path / "runs"),
             },
         )
         result = runner.invoke(main, ["run", "--config", str(config)])
         assert result.exit_code == 0, result.output
+        return tmp_path / "runs" / result.output.split("run_id: ")[1].split()[0]
 
     def test_grid_from_runs(self, runner, tmp_path):
         self._make_run(runner, tmp_path, "a")
@@ -252,3 +253,30 @@ class TestReport:
         )
         assert result.exit_code == 1
         assert "no runs found" in result.output
+
+    def test_run_with_every_response_unparseable_fails_cleanly(self, runner, tmp_path):
+        from cbdetect import constant_stub
+
+        run_dir = self._make_run(
+            runner, tmp_path, "a", backend=constant_stub("no idea").to_dict()
+        )
+        result = runner.invoke(
+            main, ["report", "--runs", str(run_dir), "--out", str(tmp_path / "grid.txt")]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert str(run_dir) in result.output
+        assert "empty confusion matrix" in result.output
+        assert not (tmp_path / "grid.txt").exists()
+
+    def test_duplicate_model_method_task_is_refused(self, runner, tmp_path):
+        first = self._make_run(runner, tmp_path, "a", n_per_class=2)
+        second = self._make_run(runner, tmp_path, "b", n_per_class=3)
+        assert first != second
+        result = runner.invoke(
+            main, ["report", "--runs", str(tmp_path / "runs"), "--out", str(tmp_path / "grid.txt")]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert str(first) in result.output and str(second) in result.output
+        assert not (tmp_path / "grid.txt").exists()

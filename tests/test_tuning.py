@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from cbdetect import Task, synth_fixture
 from cbdetect.tuning import (
+    Adam,
     MtlTrainer,
     SftTrainer,
     ToyNetConfig,
@@ -22,6 +24,7 @@ from cbdetect.tuning import (
     save_checkpoint,
     write_metrics_log,
 )
+from cbdetect.tuning import training
 
 SMALL = ToyNetConfig(vocab_size=32, d_model=8, n_layers=1, d_ff=16, seed=11)
 
@@ -249,35 +252,194 @@ class TestMtlStep:
             trainer.step(agg_pairs, [])
 
 
+def _worst_gradient_error(net_config: ToyNetConfig, tune_config: TuneConfig) -> float:
+    """Worst relative gap between analytic and central-difference gradients
+    of the joint MTL loss, over every trainable parameter."""
+    base = ToyTransformer(net_config)
+    trainer = MtlTrainer(base, tune_config)
+    rng = np.random.default_rng(99)
+    for arr in trainer.optimizer.params.values():
+        arr += rng.normal(0, 0.05, arr.shape)
+
+    pairs_a = pairs_from_posts(synth_fixture(2, Task.AGGRESSION, seed=1), Task.AGGRESSION)
+    pairs_c = pairs_from_posts(
+        synth_fixture(2, Task.CYBERBULLYING, seed=2), Task.CYBERBULLYING
+    )
+    _, _, _, grads = trainer.joint_loss_and_grads(pairs_a, pairs_c)
+
+    step = 1e-5
+    worst = 0.0
+    for key, arr in trainer.optimizer.params.items():
+        for idx in np.ndindex(arr.shape):
+            original = arr[idx]
+            arr[idx] = original + step
+            plus = trainer.joint_loss_and_grads(pairs_a, pairs_c)[0]
+            arr[idx] = original - step
+            minus = trainer.joint_loss_and_grads(pairs_a, pairs_c)[0]
+            arr[idx] = original
+            finite = (plus - minus) / (2 * step)
+            analytic = grads[key][idx]
+            rel = abs(analytic - finite) / max(abs(analytic), abs(finite), 1e-8)
+            worst = max(worst, rel)
+    return worst
+
+
 class TestGradientCheck:
     def test_analytic_matches_central_differences(self):
-        base = ToyTransformer(SMALL)
-        trainer = MtlTrainer(base, TuneConfig(rank_r=2, learning_rate=1e-3, seed=7))
-        rng = np.random.default_rng(99)
-        for arr in trainer.optimizer.params.values():
-            arr += rng.normal(0, 0.05, arr.shape)
+        tune = TuneConfig(rank_r=2, learning_rate=1e-3, seed=7)
+        assert _worst_gradient_error(SMALL, tune) <= 1e-4
 
-        pairs_a = pairs_from_posts(synth_fixture(2, Task.AGGRESSION, seed=1), Task.AGGRESSION)
-        pairs_c = pairs_from_posts(
-            synth_fixture(2, Task.CYBERBULLYING, seed=2), Task.CYBERBULLYING
-        )
-        _, _, _, grads = trainer.joint_loss_and_grads(pairs_a, pairs_c)
+    # Two layers, so gradients cross a layer boundary. "layers." matches every
+    # attachable weight. On the one-layer net that selector meets a 4e-8
+    # gradient whose central difference is 5e-4 off, relative, from round-off
+    # alone: the einsum reference backward scores the same there.
+    @pytest.mark.parametrize("selector", ["mlp", "layers."])
+    def test_targeted_weights_match_central_differences(self, selector):
+        net = ToyNetConfig(vocab_size=32, d_model=8, n_layers=2, d_ff=16, seed=11)
+        tune = TuneConfig(rank_r=2, learning_rate=1e-3, target_layers=selector, seed=7)
+        assert _worst_gradient_error(net, tune) <= 1e-4
 
-        step = 1e-5
-        worst = 0.0
-        for key, arr in trainer.optimizer.params.items():
-            for idx in np.ndindex(arr.shape):
-                original = arr[idx]
-                arr[idx] = original + step
-                plus = trainer.joint_loss_and_grads(pairs_a, pairs_c)[0]
-                arr[idx] = original - step
-                minus = trainer.joint_loss_and_grads(pairs_a, pairs_c)[0]
-                arr[idx] = original
-                finite = (plus - minus) / (2 * step)
-                analytic = grads[key][idx]
-                rel = abs(analytic - finite) / max(abs(analytic), abs(finite), 1e-8)
-                worst = max(worst, rel)
-        assert worst <= 1e-4
+    @pytest.mark.parametrize("selector", ["attn", "mlp", "layers.1.", "layers.0.attn.wv"])
+    def test_backward_returns_only_targeted_gradients(self, base, agg_pairs, selector):
+        _, state = attach_adapters(base, TuneConfig(target_layers=selector))
+        rng = np.random.default_rng(1)
+        for f in state.factors.values():
+            f.up[:] = rng.normal(0.0, 0.1, f.up.shape)  # a non-zero delta
+        ids, mask = base.tokenizer.batch_encode([text for text, _ in agg_pairs])
+        hidden, cache = base.forward(ids, mask, overrides=state.effective_weights(base.params))
+        d_hidden = np.random.default_rng(2).normal(size=hidden.shape)
+        grads = base.backward(cache, d_hidden, state.factors)
+        assert sorted(grads) == sorted(state.targets)
+        reference = _reference_backward(base, cache, d_hidden)
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, reference[name], rtol=1e-10, atol=1e-14)
+        assert base.backward(cache, d_hidden, ()) == {}
+
+
+# The optimizer step as it was before the flat-buffer Adam, the target-only
+# backward and the cached GELU CDF, kept to pin the current step against it.
+class _ReferenceAdam:
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = dict(params)
+        self.lr = learning_rate
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        for key, grad in grads.items():
+            m = self.m[key]
+            v = self.v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            m_hat = m / (1.0 - self.beta1**self.t)
+            v_hat = v / (1.0 - self.beta2**self.t)
+            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _reference_gelu_grad(x):
+    inv_sqrt_2pi = 1.0 / np.sqrt(2.0 * np.pi)
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) * inv_sqrt_2pi
+
+
+def _reference_backward(self, cache, d_hidden, targets=None):
+    """Every weight's gradient through einsum contractions. The ``embed``
+    gradient it also built is left out: the cache no longer holds the token
+    ids, and ``embed`` never hosts an adapter, so no update ever read it."""
+    scale = cache["scale"]
+    dx = d_hidden
+    grads = {}
+    for layer in reversed(cache["layers"]):
+        w, names = layer["w"], layer["names"]
+        dh = dx @ w["w2"]
+        grads[names["w2"]] = np.einsum("btd,btf->df", dx, layer["h"])
+        dh_pre = dh * _reference_gelu_grad(layer["h_pre"])
+        grads[names["w1"]] = np.einsum("btf,btd->fd", dh_pre, layer["x_attn"])
+        dx_attn = dx + dh_pre @ w["w1"]
+
+        d_mixed = dx_attn @ w["wo"]
+        grads[names["wo"]] = np.einsum("btp,btq->pq", dx_attn, layer["mixed"])
+        attn = layer["attn"]
+        d_attn = d_mixed @ layer["v"].transpose(0, 2, 1)
+        dv = attn.transpose(0, 2, 1) @ d_mixed
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_scores = d_scores * scale
+        dq = d_scores @ layer["k"]
+        dk = d_scores.transpose(0, 2, 1) @ layer["q"]
+
+        x_in = layer["x"]
+        grads[names["wq"]] = np.einsum("btp,btq->pq", dq, x_in)
+        grads[names["wk"]] = np.einsum("btp,btq->pq", dk, x_in)
+        grads[names["wv"]] = np.einsum("btp,btq->pq", dv, x_in)
+        dx = dx_attn + dq @ w["wq"] + dk @ w["wk"] + dv @ w["wv"]
+    return grads
+
+
+class TestStepMatchesReference:
+    def test_flat_adam_is_bitwise_equal_to_per_array_adam(self):
+        rng = np.random.default_rng(4)
+        shapes = {
+            "vector": (3,), "matrix": (4, 5), "cube": (2, 3, 2), "scalar": (), "wide": (16, 8),
+        }
+        flat_params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+        ref_params = {key: value.copy() for key, value in flat_params.items()}
+        flat = Adam(flat_params, 1e-2)
+        ref = _ReferenceAdam(ref_params, 1e-2)
+        for _ in range(60):
+            # gradients named in another order than the parameters
+            grads = {key: rng.normal(size=shapes[key]) for key in reversed(shapes)}
+            flat.step(grads)
+            ref.step(grads)
+        for key in shapes:
+            assert np.array_equal(flat_params[key], ref_params[key])
+
+    def test_gelu_from_cached_cdf_is_bitwise_the_erf_formula(self, base):
+        ids, mask = base.tokenizer.batch_encode(["several words in here", "tiny", "x " * 40])
+        _, cache = base.forward(ids, mask)
+        for layer in cache["layers"]:
+            x = layer["h_pre"]
+            assert np.array_equal(layer["h"], 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+
+    def test_sft_and_mtl_training_match_reference(self, monkeypatch):
+        base = ToyTransformer(ToyNetConfig(seed=0))
+        config = TuneConfig(learning_rate=1e-2, epochs=3, seed=3)
+        agg = synth_fixture(6, Task.AGGRESSION, seed=1)
+        cb = synth_fixture(5, Task.CYBERBULLYING, seed=2)
+        texts = [post.text for post in agg + cb]
+
+        def train():
+            sft = SftTrainer(base, Task.CYBERBULLYING, config)
+            mtl = MtlTrainer(base, config)
+            return sft, sft.train(cb), mtl, mtl.train(agg, cb)
+
+        sft, sft_log, mtl, mtl_log = train()
+        with monkeypatch.context() as patch:
+            patch.setattr(ToyTransformer, "backward", _reference_backward)
+            patch.setattr(training, "Adam", _ReferenceAdam)
+            ref_sft, ref_sft_log, ref_mtl, ref_mtl_log = train()
+        assert isinstance(ref_sft.optimizer, _ReferenceAdam)
+        assert len(sft_log) == len(mtl_log) == 9
+
+        for new, ref in ((sft, ref_sft), (mtl, ref_mtl)):
+            assert list(new.optimizer.params) == list(ref.optimizer.params)
+            for key, value in new.optimizer.params.items():
+                np.testing.assert_allclose(value, ref.optimizer.params[key], rtol=1e-10, atol=0)
+        for new_log, ref_log in ((sft_log, ref_sft_log), (mtl_log, ref_mtl_log)):
+            for new_record, ref_record in zip(new_log, ref_log, strict=True):
+                for key, value in new_record.items():
+                    assert value == pytest.approx(ref_record[key], rel=1e-10)
+
+        new_logits = [sft.predict_logits(texts)] + [mtl.predict_logits(texts, t) for t in Task]
+        ref_logits = [ref_sft.predict_logits(texts)] + [
+            ref_mtl.predict_logits(texts, t) for t in Task
+        ]
+        for new, ref in zip(new_logits, ref_logits, strict=True):
+            np.testing.assert_allclose(new, ref, rtol=1e-10, atol=0)
+            assert np.array_equal(new.argmax(axis=1), ref.argmax(axis=1))
 
 
 class TestCheckpoint:
