@@ -12,7 +12,6 @@ from .labels import (
     CyberbullyingLabel,
     Task,
     display_names,
-    label_from_display,
     label_from_name,
     label_space,
     label_to_name,

@@ -273,15 +273,25 @@ def _outcome(send, *args) -> RawResponse | TransportError:
         return exc
 
 
+@functools.lru_cache(maxsize=16)
+def _stub_tables(
+    descriptor: BackendDescriptor,
+) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """The fail patterns and rule patterns, lower-cased once per descriptor."""
+    fails = tuple(pattern.lower() for pattern in descriptor.fail_patterns)
+    return fails, tuple((pattern.lower(), response) for pattern, response in descriptor.stub_rules)
+
+
 def _classify_stub(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
+    fail_patterns, rules = _stub_tables(descriptor)
     target = prompt.post_text if descriptor.match_on == "post_text" else prompt.rendered_text
     lowered = target.lower()
-    for pattern in descriptor.fail_patterns:
-        if pattern.lower() in lowered:
-            attempt = AttemptRecord(number=1, error=f"injected failure on {pattern!r}", elapsed=0.0)
+    for pattern, original in zip(fail_patterns, descriptor.fail_patterns):
+        if pattern in lowered:
+            attempt = AttemptRecord(number=1, error=f"injected failure on {original!r}", elapsed=0.0)
             raise TransportError("stub injected transport failure", (attempt,))
-    for pattern, response in descriptor.stub_rules:
-        if pattern.lower() in lowered:
+    for pattern, response in rules:
+        if pattern in lowered:
             return RawResponse(text=response, latency=0.0, backend_id=descriptor.backend_id)
     return RawResponse(
         text=descriptor.default_response, latency=0.0, backend_id=descriptor.backend_id
@@ -400,10 +410,9 @@ def _send_live(url: str, headers: dict, prompt: Prompt, descriptor: BackendDescr
             choice = body["choices"][0]
             text = choice["message"]["content"]
         except (KeyError, IndexError, TypeError):
-            raise TransportError(
-                f"malformed endpoint response: {json.dumps(body)[:200]}",
-                tuple(attempts),
-            ) from None
+            error = f"malformed endpoint response: {json.dumps(body)[:200]}"
+            attempts.append(AttemptRecord(number=number, error=error, elapsed=elapsed))
+            raise TransportError(error, tuple(attempts)) from None
         truncated = choice.get("finish_reason") == "length"
         return RawResponse(
             text=text, latency=elapsed, backend_id=descriptor.backend_id, truncated=truncated
@@ -432,21 +441,28 @@ def _task_of_space(space: type) -> Task:
     return Task.AGGRESSION if space.__name__ == "AggressionLabel" else Task.CYBERBULLYING
 
 
-_SynonymMatchers = tuple[tuple[re.Pattern, int, Label], ...]
+@functools.lru_cache(maxsize=16)
+def _display_index(space: type) -> dict[str, Label]:
+    """Lower-cased display name -> label; on a clash the earlier member wins."""
+    return {lab.display_name.lower(): lab for lab in reversed(space)}
 
 
-def _synonym_matchers(table: Mapping[str, Label]) -> _SynonymMatchers:
-    """(word-bounded case-insensitive pattern, phrase length, label) per phrase."""
-    return tuple(
-        (re.compile(rf"\b{re.escape(phrase)}\b", re.IGNORECASE), len(phrase), lab)
-        for phrase, lab in table.items()
-    )
+def _synonym_matcher(table: Mapping[str, Label]) -> tuple[re.Pattern, tuple[Label, ...]]:
+    """One case-insensitive word-bounded alternation, and each group's label.
+
+    At the leftmost position where any phrase matches, the regex takes
+    the first alternative that fits; ordering the phrases by (-length,
+    label code) makes that the longest phrase, then the earlier label."""
+    ordered = sorted(table.items(), key=lambda item: (-len(item[0]), int(item[1])))
+    alternation = "|".join(f"({re.escape(phrase)})" for phrase, _ in ordered) or "(?!)"
+    pattern = re.compile(rf"\b(?:{alternation})\b", re.IGNORECASE)
+    return pattern, tuple(lab for _, lab in ordered)
 
 
 @functools.lru_cache(maxsize=None)
-def _default_synonym_matchers(task: Task) -> _SynonymMatchers:
-    """The shipped table's matchers, built once per task (two entries at most)."""
-    return _synonym_matchers(load_synonym_table(task))
+def _default_synonym_matcher(task: Task) -> tuple[re.Pattern, tuple[Label, ...]]:
+    """The shipped table's matcher, built once per task (two entries at most)."""
+    return _synonym_matcher(load_synonym_table(task))
 
 
 def parse_label(
@@ -463,37 +479,27 @@ def parse_label(
          phrase, then to the earlier label);
       3. earliest display-name occurrence as a substring.
     """
-    members = list(space)
-    if not members:
+    names = _display_index(space)
+    if not names:
         raise BackendError("empty label space")
     text = raw.text
-    trimmed = text.strip().lower()
-
-    for lab in members:
-        if trimmed == lab.display_name.lower():
-            return ParsedLabel(label=lab, match_kind=MatchKind.EXACT, raw=raw)
+    exact = names.get(text.strip().lower())
+    if exact is not None:
+        return ParsedLabel(label=exact, match_kind=MatchKind.EXACT, raw=raw)
 
     if synonym_table is None:
-        matchers = _default_synonym_matchers(_task_of_space(space))
+        pattern, group_labels = _default_synonym_matcher(_task_of_space(space))
     else:
-        matchers = _synonym_matchers(synonym_table)
-    hits: list[tuple[int, int, int, Label]] = []
-    for pattern, length, lab in matchers:
-        match = pattern.search(text)
-        if match:
-            hits.append((match.start(), -length, int(lab), lab))
-    if hits:
-        hits.sort()
-        return ParsedLabel(label=hits[0][3], match_kind=MatchKind.SYNONYM, raw=raw)
+        pattern, group_labels = _synonym_matcher(synonym_table)
+    match = pattern.search(text)
+    if match:
+        # by group index: a case-folded match text need not equal its phrase
+        label = group_labels[match.lastindex - 1]
+        return ParsedLabel(label=label, match_kind=MatchKind.SYNONYM, raw=raw)
 
     lowered = text.lower()
-    positional: list[tuple[int, int, Label]] = []
-    for lab in members:
-        pos = lowered.find(lab.display_name.lower())
-        if pos >= 0:
-            positional.append((pos, int(lab), lab))
-    if positional:
-        positional.sort()
-        return ParsedLabel(label=positional[0][2], match_kind=MatchKind.SUBSTRING_FIRST, raw=raw)
+    hits = [(lowered.find(name), int(lab), lab) for name, lab in names.items() if name in lowered]
+    if hits:
+        return ParsedLabel(label=min(hits)[2], match_kind=MatchKind.SUBSTRING_FIRST, raw=raw)
 
     raise ParseFailure(text, space.__name__)

@@ -154,10 +154,6 @@ def load_schema(schema_id: Union[DatasetId, str]) -> SchemaConfig:
     return SchemaConfig.from_dict(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def list_schemas() -> list[SchemaConfig]:
-    return [load_schema(d) for d in DatasetId]
-
-
 def load_dataset(path: Union[str, Path], schema_id: Union[DatasetId, str]) -> LoadResult:
     """Read a raw CSV dump and normalize every row.
 

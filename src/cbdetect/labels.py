@@ -100,10 +100,3 @@ def label_from_name(task: Task, name: str) -> Label:
     except KeyError:
         raise ValueError(f"unknown {task.value} label name: {name!r}") from None
 
-
-def label_from_display(task: Task, display: str) -> Label:
-    """Resolve a Table-style display name, case-insensitively."""
-    for lab in labels_in_order(task):
-        if lab.display_name.lower() == display.strip().lower():
-            return lab
-    raise ValueError(f"unknown {task.value} display name: {display!r}")

@@ -23,11 +23,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from . import backend as backend_mod
 from .backend import (
     BackendDescriptor,
+    ParsedLabel,
     ParseFailure,
     RawResponse,
     TransportError,
@@ -148,8 +149,11 @@ class RunResult:
         return self.manifest["run_id"]
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def _canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _CANONICAL.encode(data)
 
 
 def _manifest_for(
@@ -180,19 +184,52 @@ def _manifest_for(
     return manifest
 
 
-def _classify_records(
-    posts: Sequence[LabeledPost],
-    descriptor: BackendDescriptor,
-    make_prompt: Callable[[LabeledPost], Prompt],
-) -> list[tuple[Prompt, Union[RawResponse, TransportError]]]:
-    """Render every post, then classify them in one backend batch.
+def _read_outcome(
+    prompt: Prompt, outcome: Union[RawResponse, TransportError]
+) -> tuple[ParsedLabel | None, str | None, str | None]:
+    """(parsed label, response text, failure) of one record's outcome: a
+    transport error, a parsed label or a parse failure."""
+    if isinstance(outcome, BaseException):
+        return None, None, f"transport_error: {outcome}"
+    try:
+        return parse_label(outcome, prompt.label_space), outcome.text, None
+    except ParseFailure:
+        return None, outcome.text, "parse_failure"
 
-    Rendering finishes before the first backend call, so a prompt error
-    (e.g. exemplar leakage) fails the run with nothing sent. Outcomes keep
-    input order; transport failures come back per record, not raised.
-    """
-    prompts = [make_prompt(post) for post in posts]
-    return list(zip(prompts, backend_mod.classify_batch(prompts, descriptor)))
+
+def _prediction(
+    post: LabeledPost,
+    prompt: Prompt,
+    outcome: Union[RawResponse, TransportError],
+    provenance: dict,
+    **fields,
+) -> Prediction:
+    """One record's ``Prediction``; ``fields`` are the stage-specific fields."""
+    parsed, response_text, failure = _read_outcome(prompt, outcome)
+    if parsed is not None:
+        provenance = {**provenance, "match_kind": parsed.match_kind.value}
+    return Prediction(
+        post_id=post.id,
+        gold=post.label,
+        predicted=None if parsed is None else parsed.label,
+        failure=failure,
+        provenance=provenance,
+        response_text=response_text,
+        **fields,
+    )
+
+
+def _audit_entry(
+    post_id: str, stage: str, prompt: Prompt, outcome: Union[RawResponse, BaseException]
+) -> dict:
+    entry = {"post_id": post_id, "stage": stage, "rendered_text": prompt.rendered_text}
+    if isinstance(outcome, BaseException):
+        entry["response_text"] = None
+        entry["failure"] = str(outcome)
+    else:
+        entry["response_text"] = outcome.text
+        entry["failure"] = None
+    return entry
 
 
 def run_baseline(
@@ -204,7 +241,9 @@ def run_baseline(
     """One prediction per input record, in input order.
 
     Few-shot runs select exemplars from ``train_posts`` before any backend
-    call, so an undersized exemplar class fails the run up front.
+    call, so an undersized exemplar class fails the run up front. Every
+    prompt is rendered before the one backend batch, so a prompt error
+    (e.g. exemplar leakage) fails the run with nothing sent.
     """
     if spec.method is Method.EPP:
         raise PipelineError("use run_epp for the enriched pipeline")
@@ -221,73 +260,25 @@ def run_baseline(
         if not train_posts:
             raise PipelineError("few_shot requires a training pool for exemplar selection")
         exemplars = select_exemplars(train_posts, spec.exemplar_k, spec.seed)
-
-    def make_prompt(post: LabeledPost) -> Prompt:
-        if spec.method is Method.FEW_SHOT:
-            return render_few_shot(post, template, exemplars)
-        return render_zero_shot(post, template)
+        prompts = [render_few_shot(post, template, exemplars) for post in posts]
+    else:
+        prompts = [render_zero_shot(post, template) for post in posts]
 
     descriptor = spec.backends[0]
-    outcomes = _classify_records(posts, descriptor, make_prompt)
-
+    outcomes = backend_mod.classify_batch(prompts, descriptor)
     predictions = []
     audit = []
-    for post, (prompt, outcome) in zip(posts, outcomes):
+    for post, prompt, outcome in zip(posts, prompts, outcomes):
+        audit.append(_audit_entry(post.id, "main", prompt, outcome))
         provenance = prompt.provenance.to_dict()
         provenance["backend_id"] = descriptor.backend_id
-        audit.append(_audit_entry(post.id, "main", prompt, outcome))
-        if isinstance(outcome, BaseException):
-            predictions.append(
-                Prediction(
-                    post_id=post.id,
-                    gold=post.label,
-                    predicted=None,
-                    failure=f"transport_error: {outcome}",
-                    provenance=provenance,
-                )
-            )
-            continue
-        try:
-            parsed = parse_label(outcome, prompt.label_space)
-            predictions.append(
-                Prediction(
-                    post_id=post.id,
-                    gold=post.label,
-                    predicted=parsed.label,
-                    provenance={**provenance, "match_kind": parsed.match_kind.value},
-                    response_text=outcome.text,
-                )
-            )
-        except ParseFailure:
-            predictions.append(
-                Prediction(
-                    post_id=post.id,
-                    gold=post.label,
-                    predicted=None,
-                    failure="parse_failure",
-                    provenance=provenance,
-                    response_text=outcome.text,
-                )
-            )
+        predictions.append(_prediction(post, prompt, outcome, provenance))
 
     manifest = _manifest_for(spec, templates_meta, exemplars, len(posts))
     result = RunResult(spec=spec, predictions=predictions, manifest=manifest, audit=audit)
     if out_dir is not None:
         persist_run(result, out_dir)
     return result
-
-
-def _audit_entry(
-    post_id: str, stage: str, prompt: Prompt, outcome: Union[RawResponse, BaseException]
-) -> dict:
-    entry = {"post_id": post_id, "stage": stage, "rendered_text": prompt.rendered_text}
-    if isinstance(outcome, BaseException):
-        entry["response_text"] = None
-        entry["failure"] = str(outcome)
-    else:
-        entry["response_text"] = outcome.text
-        entry["failure"] = None
-    return entry
 
 
 def run_epp(
@@ -336,31 +327,18 @@ def run_epp(
     stage1_backend, stage2_backend = spec.backends
 
     # Stage 1: aggression cues for every record not covered by an override.
-    agg_view = [
-        LabeledPost(
-            id=post.id,
-            text=post.text,
-            task=Task.AGGRESSION,
-            label=AggressionLabel.NAG,  # placeholder, never read downstream
-            dataset_id=post.dataset_id,
-            split=post.split,
-            language_tag=post.language_tag,
-        )
+    stage1_prompts = [
+        render_zero_shot(post, stage1_template, Task.AGGRESSION)
         for post in posts
         if post.id not in overrides
     ]
-    outcomes_by_id = {
-        prompt.provenance.post_id: (prompt, outcome)
-        for prompt, outcome in _classify_records(
-            agg_view, stage1_backend, lambda p: render_zero_shot(p, stage1_template)
-        )
-    }
+    stage1_outcomes = iter(
+        zip(stage1_prompts, backend_mod.classify_batch(stage1_prompts, stage1_backend))
+    )
 
     audit = []
-    stage1_labels: list[AggressionLabel] = []
-    stage1_fallbacks: list[bool] = []
-    stage1_texts: list[str | None] = []
-    stage1_modes: list[str] = []
+    # per record: (aggression label, fallback flag, stage-1 response, stage-1 mode)
+    cues: list[tuple[AggressionLabel, bool, str | None, str]] = []
     for post in posts:
         if post.id in overrides:
             audit.append(
@@ -373,84 +351,41 @@ def run_epp(
                     "gold_override": overrides[post.id].name,
                 }
             )
-            stage1_labels.append(overrides[post.id])
-            stage1_fallbacks.append(False)
-            stage1_texts.append(None)
-            stage1_modes.append("gold_override")
+            cues.append((overrides[post.id], False, None, "gold_override"))
             continue
-        prompt, outcome = outcomes_by_id[post.id]
+        prompt, outcome = next(stage1_outcomes)
         audit.append(_audit_entry(post.id, "stage1", prompt, outcome))
-        stage1_modes.append("predicted")
-        if isinstance(outcome, BaseException):
-            stage1_labels.append(STAGE1_FALLBACK_LABEL)
-            stage1_fallbacks.append(True)
-            stage1_texts.append(None)
-            continue
-        try:
-            parsed = parse_label(outcome, prompt.label_space)
-            stage1_labels.append(parsed.label)
-            stage1_fallbacks.append(False)
-        except ParseFailure:
-            stage1_labels.append(STAGE1_FALLBACK_LABEL)
-            stage1_fallbacks.append(True)
-        stage1_texts.append(outcome.text)
+        parsed, response_text, _ = _read_outcome(prompt, outcome)
+        label = STAGE1_FALLBACK_LABEL if parsed is None else parsed.label
+        cues.append((label, parsed is None, response_text, "predicted"))
 
     # Stages 2 and 3: enrich with the predicted cue, then classify.
-    enriched_by_id = {
-        post.id: render_enriched(post, label, enriched_template)
-        for post, label in zip(posts, stage1_labels)
+    prompts = [
+        render_enriched(post, cue[0], enriched_template) for post, cue in zip(posts, cues)
+    ]
+    outcomes = backend_mod.classify_batch(prompts, stage2_backend)
+    stage_meta = {
+        "backend_id": stage2_backend.backend_id,
+        "stage1_backend_id": stage1_backend.backend_id,
+        "stage1_template_id": stage1_template.template_id,
     }
-    stage2_outcomes = _classify_records(
-        posts, stage2_backend, lambda p: enriched_by_id[p.id]
-    )
-
     predictions = []
-    for post, agg_label, fallback, stage1_text, stage1_mode, (prompt, outcome) in zip(
-        posts, stage1_labels, stage1_fallbacks, stage1_texts, stage1_modes, stage2_outcomes
+    for post, (agg_label, fallback, stage1_text, stage1_mode), prompt, outcome in zip(
+        posts, cues, prompts, outcomes
     ):
         audit.append(_audit_entry(post.id, "stage2", prompt, outcome))
-        provenance = prompt.provenance.to_dict()
-        provenance["backend_id"] = stage2_backend.backend_id
-        provenance["stage1_backend_id"] = stage1_backend.backend_id
-        provenance["stage1_template_id"] = stage1_template.template_id
-        provenance["stage1_mode"] = stage1_mode
-        common = dict(
-            post_id=post.id,
-            gold=post.label,
-            aggression_annotation=agg_label,
-            stage1_fallback=fallback,
-            stage1_response_text=stage1_text,
+        provenance = {**prompt.provenance.to_dict(), **stage_meta, "stage1_mode": stage1_mode}
+        predictions.append(
+            _prediction(
+                post,
+                prompt,
+                outcome,
+                provenance,
+                aggression_annotation=agg_label,
+                stage1_fallback=fallback,
+                stage1_response_text=stage1_text,
+            )
         )
-        if isinstance(outcome, BaseException):
-            predictions.append(
-                Prediction(
-                    predicted=None,
-                    failure=f"transport_error: {outcome}",
-                    provenance=provenance,
-                    **common,
-                )
-            )
-            continue
-        try:
-            parsed = parse_label(outcome, prompt.label_space)
-            predictions.append(
-                Prediction(
-                    predicted=parsed.label,
-                    provenance={**provenance, "match_kind": parsed.match_kind.value},
-                    response_text=outcome.text,
-                    **common,
-                )
-            )
-        except ParseFailure:
-            predictions.append(
-                Prediction(
-                    predicted=None,
-                    failure="parse_failure",
-                    provenance=provenance,
-                    response_text=outcome.text,
-                    **common,
-                )
-            )
 
     manifest = _manifest_for(
         spec,

@@ -9,6 +9,7 @@ versioned files under ``cbdetect/templates/``, not in code.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -45,14 +46,24 @@ DEFAULT_TEMPLATE_IDS = {
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
+@functools.lru_cache(maxsize=64)
+def _template_pieces(template_text: str) -> tuple[tuple[str, ...], frozenset[str]]:
+    """Literal text at even indices and placeholder names at odd ones, plus
+    the placeholder set; scanned once per template text."""
+    pieces = tuple(_PLACEHOLDER_RE.split(template_text))
+    return pieces, frozenset(pieces[1::2])
+
+
 def _substitute(template_text: str, values: dict[str, str]) -> str:
     # Single pass: substituted values are never re-scanned, so braces inside
     # post text cannot trigger another substitution round.
-    names = set(_PLACEHOLDER_RE.findall(template_text))
-    missing = names - values.keys()
+    pieces, names = _template_pieces(template_text)
+    missing = names.difference(values)
     if missing:
         raise PromptError(f"unbound template placeholders: {sorted(missing)}")
-    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template_text)
+    out = list(pieces)
+    out[1::2] = [values[name] for name in pieces[1::2]]
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -61,9 +72,6 @@ class PromptTemplate:
     instruction_text: str
     label_space: type
     version: int
-
-    def placeholders(self) -> set[str]:
-        return set(_PLACEHOLDER_RE.findall(self.instruction_text))
 
 
 def load_template(template_id: str, task: Task) -> PromptTemplate:
@@ -147,6 +155,12 @@ class ExemplarSet:
             if per_class.get(lab, 0) != self.k:
                 raise PromptError(f"class {lab.display_name!r} has {per_class.get(lab, 0)} exemplars, expected {self.k}")
 
+    @functools.cached_property
+    def block(self) -> str:
+        """One 'Post:/Label:' pair per exemplar, blank line between pairs;
+        built once per set."""
+        return "\n\n".join(f"Post: {text}\nLabel: {lab.display_name}" for text, lab in self.exemplars)
+
 
 def select_exemplars(train: Sequence[LabeledPost], k: int, seed: int) -> ExemplarSet:
     """Sample k exemplars per class from a training pool.
@@ -190,24 +204,32 @@ def select_exemplars(train: Sequence[LabeledPost], k: int, seed: int) -> Exempla
     )
 
 
-def _check_template_task(template: PromptTemplate, post: LabeledPost) -> None:
-    if template.label_space is not label_space(post.task):
+def _check_template_task(template: PromptTemplate, task: Task) -> None:
+    if template.label_space is not label_space(task):
         raise PromptError(
             f"template {template.template_id!r} is bound to "
-            f"{template.label_space.__name__}, post task is {post.task.value}"
+            f"{template.label_space.__name__}, post task is {task.value}"
         )
 
 
+@functools.lru_cache(maxsize=None)
 def _class_list(task: Task) -> str:
     return ", ".join(display_names(task))
 
 
-def render_zero_shot(post: LabeledPost, template: PromptTemplate) -> Prompt:
-    """Instruction + enumerated class list + the post, no examples."""
-    _check_template_task(template, post)
+def render_zero_shot(
+    post: LabeledPost, template: PromptTemplate, task: Task | None = None
+) -> Prompt:
+    """Instruction + enumerated class list + the post, no examples.
+
+    ``task`` is what the post is classified for, its own task by default;
+    the enriched pipeline's first stage asks for aggression on a
+    cyberbullying post.
+    """
+    task = post.task if task is None else task
+    _check_template_task(template, task)
     rendered = _substitute(
-        template.instruction_text,
-        {"class_list": _class_list(post.task), "post_text": post.text},
+        template.instruction_text, {"class_list": _class_list(task), "post_text": post.text}
     )
     return Prompt(
         rendered_text=rendered,
@@ -222,19 +244,11 @@ def render_zero_shot(post: LabeledPost, template: PromptTemplate) -> Prompt:
     )
 
 
-def format_exemplar_block(exemplars: ExemplarSet) -> str:
-    """One 'Post:/Label:' pair per exemplar, blank line between pairs."""
-    blocks = [
-        f"Post: {text}\nLabel: {lab.display_name}" for text, lab in exemplars.exemplars
-    ]
-    return "\n\n".join(blocks)
-
-
 def render_few_shot(
     post: LabeledPost, template: PromptTemplate, exemplars: ExemplarSet
 ) -> Prompt:
     """Class-interleaved labelled examples followed by the unlabeled query."""
-    _check_template_task(template, post)
+    _check_template_task(template, post.task)
     if exemplars.task is not post.task:
         raise PromptError("exemplar set task does not match the post task")
     if post.id in exemplars.source_ids:
@@ -243,7 +257,7 @@ def render_few_shot(
         template.instruction_text,
         {
             "class_list": _class_list(post.task),
-            "exemplars": format_exemplar_block(exemplars),
+            "exemplars": exemplars.block,
             "post_text": post.text,
         },
     )
@@ -274,7 +288,7 @@ def render_enriched(
         raise PromptError("enriched prompts are only defined for the cyberbullying task")
     if not isinstance(predicted, AggressionLabel):
         raise PromptError(f"predicted must be an aggression label, got {predicted!r}")
-    _check_template_task(template, post)
+    _check_template_task(template, post.task)
     rendered = _substitute(
         template.instruction_text,
         {

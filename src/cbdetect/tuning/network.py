@@ -73,13 +73,18 @@ class ToyTokenizer:
         encoded = [self.encode(t) for t in texts]
         if max_len is not None:
             encoded = [e[:max_len] for e in encoded]
-        width = max(len(e) for e in encoded)
-        ids = np.zeros((len(encoded), width), dtype=np.int64)
-        mask = np.zeros((len(encoded), width), dtype=bool)
-        for row, e in enumerate(encoded):
-            ids[row, : len(e)] = e
-            mask[row, : len(e)] = True
-        return ids, mask
+        return pad_ids(encoded)
+
+
+def pad_ids(encoded: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-padded id matrix of encoded rows plus its boolean attention mask."""
+    width = max(len(e) for e in encoded)
+    ids = np.zeros((len(encoded), width), dtype=np.int64)
+    mask = np.zeros((len(encoded), width), dtype=bool)
+    for row, e in enumerate(encoded):
+        ids[row, : len(e)] = e
+        mask[row, : len(e)] = True
+    return ids, mask
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,11 @@ import numpy as np
 from ..corpus import LabeledPost
 from ..labels import Task, labels_in_order
 from .lora import AdapterState, TuneConfig, TuningError, attach_adapters
-from .network import ToyTransformer, last_unmasked_index
+from .network import ToyTransformer, last_unmasked_index, pad_ids
 
 Pair = tuple[str, int]
+# (token ids cut to the network's max_len, class index)
+EncodedPair = tuple[list[int], int]
 
 
 @dataclass
@@ -130,19 +132,24 @@ def pairs_from_posts(posts: Sequence[LabeledPost], task: Task) -> list[Pair]:
     return pairs
 
 
+def _encode_pairs(base: ToyTransformer, pairs: Sequence[Pair]) -> list[EncodedPair]:
+    """Tokenize each pair's text once, cut to the network's ``max_len``."""
+    max_len = base.config.max_len
+    return [(base.tokenizer.encode(text)[:max_len], y) for text, y in pairs]
+
+
 def _branch(
     base: ToyTransformer,
     adapters: AdapterState,
     head: TaskHead,
-    pairs: Sequence[Pair],
+    batch: Sequence[EncodedPair],
     prefix: str,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and trainable-parameter gradients for one task branch."""
-    if not pairs:
+    if not batch:
         raise TuningError("empty batch")
-    texts = [text for text, _ in pairs]
-    targets = np.array([y for _, y in pairs], dtype=int)
-    ids, mask = base.tokenizer.batch_encode(texts, base.config.max_len)
+    ids, mask = pad_ids([encoded for encoded, _ in batch])
+    targets = np.array([y for _, y in batch], dtype=int)
 
     hidden, cache = base.forward(ids, mask, overrides=adapters.effective_weights(base.params))
     pool_idx = last_unmasked_index(mask)
@@ -190,7 +197,8 @@ class SftTrainer:
         self.optimizer = Adam(trainable, config.learning_rate)
 
     def loss_and_grads(self, pairs: Sequence[Pair]) -> tuple[float, dict[str, np.ndarray]]:
-        return _branch(self.base, self.adapters, self.head, pairs, self._prefix)
+        batch = _encode_pairs(self.base, pairs)
+        return _branch(self.base, self.adapters, self.head, batch, self._prefix)
 
     def step(self, pairs: Sequence[Pair]) -> float:
         loss, grads = self.loss_and_grads(pairs)
@@ -198,8 +206,9 @@ class SftTrainer:
         return loss
 
     def train(self, posts: Sequence[LabeledPost], epochs: int | None = None) -> list[dict]:
-        """Epoch loop with seeded shuffling; one metrics record per step."""
-        pairs = pairs_from_posts(posts, self.task)
+        """Epoch loop with seeded shuffling; one metrics record per step.
+        Each post is tokenized once per call."""
+        pairs = _encode_pairs(self.base, pairs_from_posts(posts, self.task))
         epochs = self.config.epochs if epochs is None else epochs
         rng = random.Random(self.config.seed)
         records = []
@@ -209,7 +218,8 @@ class SftTrainer:
             rng.shuffle(order)
             for start in range(0, len(order), self.config.batch_size):
                 batch = order[start : start + self.config.batch_size]
-                loss = self.step(batch)
+                loss, grads = _branch(self.base, self.adapters, self.head, batch, self._prefix)
+                self.optimizer.step(grads)
                 step += 1
                 records.append(
                     {"step": step, "epoch": epoch + 1, "task": self.task.value, "loss": loss}
@@ -263,18 +273,23 @@ class MtlTrainer:
     def joint_loss_and_grads(
         self, pairs_agg: Sequence[Pair], pairs_cb: Sequence[Pair]
     ) -> tuple[float, float, float, dict[str, np.ndarray]]:
+        return self._joint(_encode_pairs(self.base, pairs_agg), _encode_pairs(self.base, pairs_cb))
+
+    def _joint(
+        self, batch_agg: Sequence[EncodedPair], batch_cb: Sequence[EncodedPair]
+    ) -> tuple[float, float, float, dict[str, np.ndarray]]:
         loss_agg, grads_agg = _branch(
             self.base,
             self.adapters[Task.AGGRESSION],
             self.heads[Task.AGGRESSION],
-            pairs_agg,
+            batch_agg,
             f"adapter.{Task.AGGRESSION.value}",
         )
         loss_cb, grads_cb = _branch(
             self.base,
             self.adapters[Task.CYBERBULLYING],
             self.heads[Task.CYBERBULLYING],
-            pairs_cb,
+            batch_cb,
             f"adapter.{Task.CYBERBULLYING.value}",
         )
         grads = dict(grads_agg)
@@ -294,9 +309,10 @@ class MtlTrainer:
         posts_cb: Sequence[LabeledPost],
         epochs: int | None = None,
     ) -> list[dict]:
-        """Alternating per-task mini-batches summed inside every step."""
-        pairs_agg = pairs_from_posts(posts_agg, Task.AGGRESSION)
-        pairs_cb = pairs_from_posts(posts_cb, Task.CYBERBULLYING)
+        """Alternating per-task mini-batches summed inside every step. Each
+        post is tokenized once per call."""
+        pairs_agg = _encode_pairs(self.base, pairs_from_posts(posts_agg, Task.AGGRESSION))
+        pairs_cb = _encode_pairs(self.base, pairs_from_posts(posts_cb, Task.CYBERBULLYING))
         epochs = self.config.epochs if epochs is None else epochs
         rng = random.Random(self.config.seed)
         records = []
@@ -313,7 +329,8 @@ class MtlTrainer:
             for b in range(n_batches):
                 batch_agg = _wrap_slice(order_agg, b * size, size)
                 batch_cb = _wrap_slice(order_cb, b * size, size)
-                joint, loss_agg, loss_cb = self.step(batch_agg, batch_cb)
+                joint, loss_agg, loss_cb, grads = self._joint(batch_agg, batch_cb)
+                self.optimizer.step(grads)
                 step += 1
                 records.append(
                     {

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 import threading
 import time
@@ -215,6 +216,78 @@ class TestParseCaching:
         table = load_synonym_table(Task.AGGRESSION)
         table.clear()
         assert load_synonym_table(Task.AGGRESSION)["not aggressive"] is AggressionLabel.NAG
+
+
+def _parse_or_none(text, space, table=None):
+    try:
+        parsed = parse_label(raw(text), space, synonym_table=table)
+    except ParseFailure:
+        return None
+    return parsed.label, parsed.match_kind
+
+
+class TestAlternationParse:
+    def test_metacharacter_and_non_ascii_phrases(self):
+        table = {
+            "c++": CyberbullyingLabel.RELIGION,
+            "a.b": CyberbullyingLabel.GENDER_SEXUAL,
+            "Straße": CyberbullyingLabel.ETHNICITY_RACE,
+            "İstanbul": CyberbullyingLabel.NOT_CYBERBULLYING,
+            "(x|y)": CyberbullyingLabel.RELIGION,
+        }
+        responses = [
+            "c++ code", "I like c++", "acb is not a.b", "a.b.c", "axb",
+            "STRASSE", "straße!", "die STRAßE", "istanbul", "İSTANBUL", "i̇stanbul trip",
+            "x|y or (x|y)", "(X|Y)", "none of these", "Religion",
+        ]
+        for text in responses:
+            expected = reference_parse(text, CyberbullyingLabel, table)
+            assert _parse_or_none(text, CyberbullyingLabel, table) == expected, text
+        # a metacharacter is literal: "a.b" does not match "axb"
+        assert _parse_or_none("axb", CyberbullyingLabel, table) is None
+
+    def test_shorter_phrase_where_the_longer_fails_its_trailing_boundary(self):
+        table = {
+            "hate": CyberbullyingLabel.NOT_CYBERBULLYING,
+            "hate s": CyberbullyingLabel.RELIGION,
+            "hate speech": CyberbullyingLabel.GENDER_SEXUAL,
+        }
+        expected = {
+            "hate speechless": CyberbullyingLabel.NOT_CYBERBULLYING,
+            "hate s": CyberbullyingLabel.RELIGION,
+            "hate speech!": CyberbullyingLabel.GENDER_SEXUAL,
+        }
+        for text, label in expected.items():
+            assert reference_parse(text, CyberbullyingLabel, table) == (label, MatchKind.SYNONYM)
+            assert _parse_or_none(text, CyberbullyingLabel, table) == (label, MatchKind.SYNONYM)
+
+    def test_empty_custom_table_falls_through_to_substring(self):
+        text = "maybe Religion"
+        assert _parse_or_none(text, CyberbullyingLabel, {}) == reference_parse(
+            text, CyberbullyingLabel, {}
+        )
+
+    @pytest.mark.parametrize("space", [AggressionLabel, CyberbullyingLabel])
+    def test_random_responses_match_reference(self, space):
+        task = Task.AGGRESSION if space is AggressionLabel else Task.CYBERBULLYING
+        phrases = list(load_synonym_table(task))
+        names = [lab.display_name for lab in space]
+        filler = ["the", "post", "is", "maybe", "not", "non", "none", "-", ",", "ok.", "ish"]
+        rng = random.Random(7)
+        kinds = {}
+        for _ in range(500):
+            words = [
+                rng.choice((phrases, names, filler)[rng.randrange(3)])
+                for _ in range(rng.randint(1, 6))
+            ]
+            words = [w.upper() if rng.random() < 0.2 else w for w in words]
+            text = rng.choice((" ", "", "-")).join(words)
+            expected = reference_parse(text, space)
+            assert _parse_or_none(text, space) == expected, text
+            kind = expected[1] if expected else None
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # the mix reaches every stage of the cascade and the failure case
+        assert set(kinds) == {MatchKind.EXACT, MatchKind.SYNONYM, MatchKind.SUBSTRING_FIRST, None}
 
 
 class TestClassifyBatch:
@@ -562,3 +635,21 @@ class TestLiveClient:
         descriptor = BackendDescriptor(backend_id="live", kind=BackendKind.LIVE_ENDPOINT)
         with pytest.raises(BackendError, match="no endpoint address"):
             classify(self._prompt(cyberbullying_fixture), descriptor)
+
+    def test_malformed_body_is_in_the_attempt_log(self, monkeypatch, cyberbullying_fixture):
+        state = {"calls": 0}
+
+        def blip_then_malformed(url, payload, headers, timeout):
+            state["calls"] += 1
+            if state["calls"] == 1 and state["blip"]:
+                raise requests.ConnectionError("blip")
+            return {"error": "no choices here"}
+
+        monkeypatch.setattr(backend_mod, "_post_json", blip_then_malformed)
+        for blip, numbers in ((False, [1]), (True, [1, 2])):
+            state.update(calls=0, blip=blip)
+            with pytest.raises(TransportError, match="malformed endpoint response") as info:
+                classify(self._prompt(cyberbullying_fixture), self._descriptor())
+            assert [a.number for a in info.value.attempts] == numbers
+            assert "malformed endpoint response" in info.value.attempts[-1].error
+            assert state["calls"] == len(numbers)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -328,3 +329,76 @@ class TestReproducibility:
         assert (first.run_dir / "predictions.jsonl").read_bytes() == (
             second.run_dir / "predictions.jsonl"
         ).read_bytes()
+
+
+# Stubs that reach every parse stage, both failure kinds and a non-ASCII
+# response, so the pinned files cover each outcome branch of the pipeline.
+PIN_STAGE1 = make_stub(
+    [
+        ("Ethnicity/Race", "Overtly Aggressive"),
+        ("Religion", "Sounds passive aggressive to me."),
+        ("Gender/Sexual", "%%%"),
+        ("", "Answer: not-aggressive, mostly"),
+    ],
+    backend_id="pin-agg",
+    fail_patterns=["#1"],
+)
+PIN_STAGE2 = make_stub(
+    [
+        ("Ethnicity/Race", "Ethnicity/Race"),
+        ("Religion", "This reads as religious, not gender-based."),
+        ("Gender/Sexual", "Leaning Not Cyberbullyingish"),
+        ("", "Keine Angabe — Straße"),
+    ],
+    backend_id="pin-cb",
+    fail_patterns=["#2"],
+)
+# sha256 of (predictions.jsonl, responses.jsonl, manifest.json) per run, as
+# written before the per-run caching of parse, render and persist pieces
+PINNED_RUN_DIGESTS = {
+    "zero_shot": (
+        "cdc9fecbca61bc93b98b3eb2f5e173aab7afa96f032778e1b3820d6d9a93d5fc",
+        "6e6de7986cb8559e8df8e6be0633f6ecac37482f3154b6c05cec4c01930749ec",
+        "3509b780fe27bfd79413f99bc45fce39497a8a464ad35eb4941b6a6b30d2db2d",
+    ),
+    "few_shot": (
+        "c7f5e85ccdd04851e8da2ec50195d3687d315cd211adcf4f8617e281f82006bd",
+        "273eec364042c2dc83b37bf4e82208d5b69f6b5c1edd2811d6f40343b6cdc29f",
+        "24d6e229110b7731600eb40d91c96e3f66a9ab378f2f47a8e49e288c29b07ffe",
+    ),
+    "epp": (
+        "759e54d85bb745c146c3f583e40d632f58c6a1b8b83b0420e4d714fe5a6d9bc7",
+        "637614da71e8f9e0f9ae904913c9e809e16f174f3e20cab80050731306095675",
+        "7d522ed433aca0ad9fa8f64a3d8571af6c672aac2369ae409c887c788fd82f70",
+    ),
+    "epp_override": (
+        "126df97cb73668afef0845324ab60a295c9adf159fff444e97361ba1131082ef",
+        "15e94b0b303bfd482ea77b892e24138e9fbba50cf20fe945b7c52f1fbb78a06a",
+        "bd3e68c6c11b3e3a355ac37eff14b97ebda4b3fd188eeb550ec8bc9a1d45fd3e",
+    ),
+}
+
+
+def _pinned_run(name, out_dir):
+    posts = synth_fixture(3, Task.CYBERBULLYING, seed=1)
+    if name == "zero_shot":
+        return run_baseline(posts, cb_spec(backends=(PIN_STAGE2,)), out_dir=out_dir)
+    if name == "few_shot":
+        spec = cb_spec(method=Method.FEW_SHOT, backends=(PIN_STAGE2,), seed=5)
+        pool = synth_fixture(4, Task.CYBERBULLYING, seed=99)
+        return run_baseline(posts, spec, train_posts=pool, out_dir=out_dir)
+    overrides = {posts[4].id: AggressionLabel.OAG} if name == "epp_override" else None
+    return run_epp(
+        posts, epp_spec(PIN_STAGE1, PIN_STAGE2), out_dir=out_dir, aggression_overrides=overrides
+    )
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    def test_run_files_match_pinned_digests(self, tmp_path, name):
+        run_dir = _pinned_run(name, tmp_path).run_dir
+        digests = tuple(
+            hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
+            for f in ("predictions.jsonl", "responses.jsonl", "manifest.json")
+        )
+        assert digests == PINNED_RUN_DIGESTS[name]

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -224,13 +226,13 @@ class TestMtlStep:
             trainer.step(agg_pairs, cb_pairs)
         _, _, _, joint_grads = trainer.joint_loss_and_grads(agg_pairs, cb_pairs)
 
-        from cbdetect.tuning.training import _branch
+        from cbdetect.tuning.training import _branch, _encode_pairs
 
         _, solo = _branch(
             base,
             trainer.adapters[Task.AGGRESSION],
             trainer.heads[Task.AGGRESSION],
-            agg_pairs,
+            _encode_pairs(base, agg_pairs),
             "adapter.aggression",
         )
         key = "head.aggression.weight"
@@ -478,3 +480,69 @@ class TestCheckpoint:
         records = trainer.train(posts)
         path = write_metrics_log(records, tmp_path / "metrics.jsonl")
         assert len(path.read_text().splitlines()) == len(records) == 9
+
+
+def _varied_posts(task, n_per_class, seed):
+    """Fixture posts padded to varied lengths, some beyond max_len."""
+    return [
+        dataclasses.replace(post, text=post.text + " filler" * (i * 7 % 41))
+        for i, post in enumerate(synth_fixture(n_per_class, task, seed=seed))
+    ]
+
+
+class TestTokenizeOnce:
+    def test_one_encode_per_post_per_train_call(self, monkeypatch):
+        agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
+        cb = _varied_posts(Task.CYBERBULLYING, 2, seed=2)
+        base = ToyTransformer(ToyNetConfig(seed=0))
+        config = TuneConfig(batch_size=4, epochs=3, seed=3)
+        encoded = []
+        original = ToyTokenizer.encode
+        monkeypatch.setattr(
+            ToyTokenizer, "encode", lambda self, text: encoded.append(text) or original(self, text)
+        )
+        SftTrainer(base, Task.CYBERBULLYING, config).train(cb)
+        assert sorted(encoded) == sorted(post.text for post in cb)
+        encoded.clear()
+        MtlTrainer(base, config).train(agg, cb)
+        assert sorted(encoded) == sorted(post.text for post in agg + cb)
+
+    def test_train_equals_a_loop_of_text_steps(self):
+        agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
+        cb = _varied_posts(Task.CYBERBULLYING, 3, seed=2)
+        base = ToyTransformer(ToyNetConfig(seed=0))
+        config = TuneConfig(learning_rate=1e-2, batch_size=4, epochs=2, seed=3)
+        size = config.batch_size
+
+        sft, ref_sft = (SftTrainer(base, Task.CYBERBULLYING, config) for _ in range(2))
+        losses = [record["loss"] for record in sft.train(cb)]
+        rng = random.Random(config.seed)
+        ref_losses = []
+        for _ in range(config.epochs):
+            order = pairs_from_posts(cb, Task.CYBERBULLYING)
+            rng.shuffle(order)
+            for start in range(0, len(order), size):
+                ref_losses.append(ref_sft.step(order[start : start + size]))
+        assert losses == ref_losses
+
+        mtl, ref_mtl = (MtlTrainer(base, config) for _ in range(2))
+        joints = [record["joint_loss"] for record in mtl.train(agg, cb)]
+        rng = random.Random(config.seed)
+        ref_joints = []
+        for _ in range(config.epochs):
+            order_agg = pairs_from_posts(agg, Task.AGGRESSION)
+            order_cb = pairs_from_posts(cb, Task.CYBERBULLYING)
+            rng.shuffle(order_agg)
+            rng.shuffle(order_cb)
+            for b in range(max(-(-len(order_agg) // size), -(-len(order_cb) // size))):
+                ref_joints.append(
+                    ref_mtl.step(
+                        training._wrap_slice(order_agg, b * size, size),
+                        training._wrap_slice(order_cb, b * size, size),
+                    )[0]
+                )
+        assert joints == ref_joints
+
+        for new, ref in ((sft, ref_sft), (mtl, ref_mtl)):
+            for key, value in new.optimizer.params.items():
+                assert np.array_equal(value, ref.optimizer.params[key]), key
