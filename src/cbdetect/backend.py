@@ -348,6 +348,19 @@ def _retryable(exc: requests.RequestException) -> bool:
     return status is not None and (status in (408, 429) or status >= 500)
 
 
+def _retry_after(exc: requests.RequestException, cap: float) -> float:
+    """The wait a 429 or 503 response asks for in its ``Retry-After``
+    header, capped at ``cap``; 0 when there is none. Only the delta-seconds
+    form counts: an HTTP-date is ignored."""
+    response = exc.response
+    if response is None or response.status_code not in (429, 503):
+        return 0.0
+    value = response.headers.get("Retry-After", "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return 0.0
+    return min(float(value), cap)
+
+
 def _classify_live(
     prompts: Sequence[Prompt], descriptor: BackendDescriptor
 ) -> list[RawResponse | TransportError]:
@@ -386,8 +399,9 @@ def _send_live(url: str, headers: dict, prompt: Prompt, descriptor: BackendDescr
     attempts: list[AttemptRecord] = []
     policy = descriptor.retry_policy
     last_was_timeout = False
+    server_wait = 0.0  # the last failure's Retry-After: a floor on the next delay
     for number in range(1, policy.max_attempts + 1):
-        delay = policy.delay_before(number)
+        delay = max(policy.delay_before(number), server_wait)
         if delay:
             time.sleep(delay)
         started = time.perf_counter()
@@ -404,6 +418,7 @@ def _send_live(url: str, headers: dict, prompt: Prompt, descriptor: BackendDescr
                     f"backend {descriptor.backend_id!r} failed on a non-retryable error: {error}",
                     tuple(attempts),
                 ) from None
+            server_wait = _retry_after(exc, descriptor.timeout)
             continue
         elapsed = time.perf_counter() - started
         try:

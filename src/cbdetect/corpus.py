@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import operator
 import random
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -48,6 +50,33 @@ class CorpusError(ValueError):
     """Invalid record, schema, or split configuration."""
 
 
+# value -> member tables for reading records; a value they lack goes to the
+# enum call (or label_from_name), which resolves it or raises its own error
+_TASKS = {task.value: task for task in Task}
+_DATASETS = {dataset_id.value: dataset_id for dataset_id in DatasetId}
+_SPLITS = {split.value: split for split in Split}
+_LABEL_NAMES = {
+    task: {label_to_name(lab): lab for lab in labels_in_order(task)} for task in Task
+}
+
+# The record format: one JSON object per line, exactly as
+# json.dumps(record, sort_keys=True, ensure_ascii=False) writes it. The keys
+# are fixed, so they are written out in sorted order, and every string goes
+# through the C encoder json.dumps uses for ensure_ascii=False.
+_encode = json.encoder.encode_basestring
+_RECORD_LINE = (
+    '{"dataset_id": %s, "id": %s, "label": %s, "language_tag": %s, '
+    '"split": %s, "task": %s, "text": %s}\n'
+)
+_ENCODED = {
+    member: _encode(member.value) for enum_cls in (Task, DatasetId, Split) for member in enum_cls
+}
+# per task: the two label spaces' integer codes compare equal across tasks
+_ENCODED_LABELS = {
+    task: {lab: _encode(label_to_name(lab)) for lab in labels_in_order(task)} for task in Task
+}
+
+
 @dataclass(frozen=True)
 class LabeledPost:
     """One normalized text record."""
@@ -68,29 +97,60 @@ class LabeledPost:
                 f"post {self.id!r}: label {self.label!r} does not belong to task {self.task.value}"
             )
 
-    def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "task": self.task.value,
-            "label": label_to_name(self.label),
-            "dataset_id": self.dataset_id.value,
-            "split": self.split.value,
-            "language_tag": self.language_tag,
-        }
+    def to_record_line(self) -> str:
+        """The post as one line of a record file, newline included."""
+        return _RECORD_LINE % (
+            _ENCODED[self.dataset_id],
+            _encode(self.id),
+            _ENCODED_LABELS[self.task][self.label],
+            _encode(self.language_tag),
+            _ENCODED[self.split],
+            _ENCODED[self.task],
+            _encode(self.text),
+        )
 
     @classmethod
     def from_record(cls, record: dict) -> "LabeledPost":
-        task = Task(record["task"])
+        # fields are read in the order the checked path reads them, so a
+        # record with several faults raises the same one either way
+        try:
+            task = _TASKS[record["task"]]
+            post_id, text = record["id"], record["text"]
+            label = _LABEL_NAMES[task][record["label"]]
+            dataset_id = _DATASETS[record["dataset_id"]]
+            split = _SPLITS[record["split"]]
+        except (KeyError, TypeError):
+            task = Task(record["task"])
+            post_id, text = record["id"], record["text"]
+            label = label_from_name(task, record["label"])
+            dataset_id = DatasetId(record["dataset_id"])
+            split = Split(record["split"])
         return cls(
-            id=record["id"],
-            text=record["text"],
+            id=post_id,
+            text=text,
             task=task,
-            label=label_from_name(task, record["label"]),
-            dataset_id=DatasetId(record["dataset_id"]),
-            split=Split(record["split"]),
+            label=label,
+            dataset_id=dataset_id,
+            split=split,
             language_tag=record["language_tag"],
         )
+
+    def _retagged(self, split: Split) -> "LabeledPost":
+        """``dataclasses.replace(self, split=split)`` without re-running the
+        validation this post passed when it was built.
+
+        Fields are set one by one, as the generated ``__init__`` sets them:
+        reading or writing ``__dict__`` would give each post a separate dict
+        object for the garbage collector to track.
+        """
+        post = object.__new__(type(self))
+        for name in _FIELD_NAMES:
+            object.__setattr__(post, name, getattr(self, name))
+        object.__setattr__(post, "split", split)
+        return post
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(LabeledPost) if f.name != "split")
 
 
 @dataclass(frozen=True)
@@ -154,12 +214,17 @@ def load_schema(schema_id: Union[DatasetId, str]) -> SchemaConfig:
     return SchemaConfig.from_dict(json.loads(ref.read_text(encoding="utf-8")))
 
 
+_ABSENT = sys.maxsize  # the column index of a field the header does not name
+
+
 def load_dataset(path: Union[str, Path], schema_id: Union[DatasetId, str]) -> LoadResult:
     """Read a raw CSV dump and normalize every row.
 
     Rows with an empty text, an unmapped label value, a missing field, or a
     duplicate id are routed to the rejects list with a reason; they never
-    abort the load. accepted + rejected always equals rows read.
+    abort the load. accepted + rejected always equals rows read. A UTF-8
+    byte order mark at the start of the file is skipped; blank lines are
+    not rows and take no row number.
     """
     schema = load_schema(schema_id)
     path = Path(path)
@@ -170,34 +235,55 @@ def load_dataset(path: Union[str, Path], schema_id: Union[DatasetId, str]) -> Lo
     rejects: list[RejectedRow] = []
     seen_ids: set[str] = set()
 
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for row_number, row in enumerate(reader, start=1):
+    label_map = schema.label_map
+    id_prefix = schema.schema_id.value.lower()
+
+    # utf-8-sig: a byte order mark must not become part of the first column name
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        # as in csv.DictReader, the last of two same-named columns wins; a
+        # column the header lacks lies past the end of every row
+        column = {name: i for i, name in enumerate(header)}
+        text_at = column.get(schema.text_column, _ABSENT)
+        label_at = column.get(schema.label_column, _ABSENT)
+        id_at = column.get(schema.id_column, _ABSENT)
+        row_number = 0
+        for row in reader:
+            if not row:  # a blank line is no row and takes no number
+                continue
+            row_number += 1
+            width = len(row)
+            text = row[text_at] if text_at < width else None
+            raw_label = row[label_at] if label_at < width else None
             reason = None
-            text = (row.get(schema.text_column) or "").strip("﻿")
-            raw_label = row.get(schema.label_column)
-            if schema.text_column not in row or row[schema.text_column] is None:
+            if text is None:
                 reason = f"missing_field:{schema.text_column}"
             elif raw_label is None:
                 reason = f"missing_field:{schema.label_column}"
-            elif not text.strip():
-                reason = "empty_text"
-            elif raw_label.strip() not in schema.label_map:
-                reason = f"unmappable_label:{raw_label.strip()}"
+            else:
+                text = text.strip("\ufeff")
+                raw_label = raw_label.strip()
+                if not text.strip():
+                    reason = "empty_text"
+                elif raw_label not in label_map:
+                    reason = f"unmappable_label:{raw_label}"
 
             if reason is None:
                 if schema.id_column:
-                    post_id = (row.get(schema.id_column) or "").strip()
+                    post_id = (row[id_at] if id_at < width else "").strip()
                     if not post_id:
                         reason = f"missing_field:{schema.id_column}"
                 else:
-                    post_id = f"{schema.schema_id.value.lower()}-{row_number:06d}"
+                    post_id = f"{id_prefix}-{row_number:06d}"
 
             if reason is None and post_id in seen_ids:
                 reason = f"duplicate_id:{post_id}"
 
             if reason is not None:
-                rejects.append(RejectedRow(row_number=row_number, reason=reason, raw=dict(row)))
+                rejects.append(
+                    RejectedRow(row_number=row_number, reason=reason, raw=_raw_row(header, row))
+                )
                 continue
 
             seen_ids.add(post_id)
@@ -206,7 +292,7 @@ def load_dataset(path: Union[str, Path], schema_id: Union[DatasetId, str]) -> Lo
                     id=post_id,
                     text=text,
                     task=schema.task,
-                    label=schema.label_map[raw_label.strip()],
+                    label=label_map[raw_label],
                     dataset_id=schema.schema_id,
                     split=Split.TRAIN,
                     language_tag=schema.language_tag,
@@ -214,6 +300,18 @@ def load_dataset(path: Union[str, Path], schema_id: Union[DatasetId, str]) -> Lo
             )
 
     return LoadResult(accepted=tuple(accepted), rejects=tuple(rejects))
+
+
+def _raw_row(header: list[str], row: list[str]) -> dict:
+    """A source row keyed as csv.DictReader keys it: a short row's missing
+    columns map to None, a long row's extra values sit under the key None."""
+    raw = dict(zip(header, row))
+    if len(row) > len(header):
+        raw[None] = row[len(header) :]
+    else:
+        for name in header[len(row) :]:
+            raw[name] = None
+    return raw
 
 
 @dataclass(frozen=True)
@@ -284,7 +382,7 @@ def split_corpus(
         raise CorpusError("cannot split an empty corpus")
     n_train, n_val, n_test = split_sizes(spec, len(posts))
 
-    ordered = sorted(posts, key=lambda p: p.id)
+    ordered = sorted(posts, key=operator.attrgetter("id"))
     rng = random.Random(spec.seed)
     rng.shuffle(ordered)
 
@@ -294,7 +392,7 @@ def split_corpus(
         Split.TEST: ordered[n_train + n_val :],
     }
     return {
-        split: tuple(replace(post, split=split) for post in chunk)
+        split: tuple(post._retagged(split) for post in chunk)
         for split, chunk in sections.items()
     }
 
@@ -380,9 +478,7 @@ def save_records(posts: Iterable[LabeledPost], path: Union[str, Path]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        for post in posts:
-            handle.write(json.dumps(post.to_record(), sort_keys=True, ensure_ascii=False))
-            handle.write("\n")
+        handle.writelines(post.to_record_line() for post in posts)
     return path
 
 

@@ -68,12 +68,15 @@ def label_space(task: Task) -> type:
     return _TASK_LABELS[task]
 
 
+_SPACE_TASKS = {space: task for task, space in _TASK_LABELS.items()}
+
+
 def task_of_label(label: Label) -> Task:
-    if isinstance(label, AggressionLabel):
-        return Task.AGGRESSION
-    if isinstance(label, CyberbullyingLabel):
-        return Task.CYBERBULLYING
-    raise TypeError(f"not a task label: {label!r}")
+    # an enum with members cannot be subclassed, so the exact type decides
+    try:
+        return _SPACE_TASKS[type(label)]
+    except KeyError:
+        raise TypeError(f"not a task label: {label!r}") from None
 
 
 def labels_in_order(task: Task) -> list[Label]:

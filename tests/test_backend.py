@@ -585,6 +585,61 @@ class TestLiveClient:
         assert len(calls) == 3
         assert len(info.value.attempts) == 3
 
+    def _throttled(self, monkeypatch, status, retry_after, succeed_on=None):
+        """_post_json answers ``status`` with the given Retry-After header
+        (until call ``succeed_on``); returns the list of sleeps."""
+        calls, sleeps = [], []
+
+        def throttled(url, payload, headers, timeout):
+            calls.append(url)
+            if len(calls) == succeed_on:
+                return {"choices": [{"message": {"content": "Religion"}, "finish_reason": "stop"}]}
+            response = requests.Response()
+            response.status_code = status
+            if retry_after is not None:
+                response.headers["Retry-After"] = retry_after
+            raise requests.HTTPError(f"HTTP {status}", response=response)
+
+        monkeypatch.setattr(backend_mod, "_post_json", throttled)
+        monkeypatch.setattr(backend_mod.time, "sleep", sleeps.append)
+        return sleeps
+
+    def _paced(self, backoff, timeout=30.0):
+        return dataclasses.replace(
+            self._descriptor(), timeout=timeout, retry_policy=RetryPolicy(3, backoff)
+        )
+
+    @pytest.mark.parametrize(
+        "status, retry_after, backoff, timeout, expected",
+        [
+            (429, "2", (0.5, 1.0), 30.0, [2.0, 2.0]),
+            (503, " 1 ", (0.5, 3.0), 30.0, [1.0, 3.0]),  # the longer of the two
+            (429, "120", (0.5, 1.0), 5.0, [5.0, 5.0]),  # capped at the timeout
+            (429, "0", (0.5, 1.0), 30.0, [0.5, 1.0]),
+            (429, "Wed, 21 Oct 2015 07:28:00 GMT", (0.5, 1.0), 30.0, [0.5, 1.0]),
+            (429, "1.5", (0.5, 1.0), 30.0, [0.5, 1.0]),  # not delta-seconds
+            (429, "-3", (0.5, 1.0), 30.0, [0.5, 1.0]),
+            (429, "\u0663", (0.5, 1.0), 30.0, [0.5, 1.0]),  # a non-ASCII digit
+            (429, None, (0.5, 1.0), 30.0, [0.5, 1.0]),
+            (500, "9", (0.5, 1.0), 30.0, [0.5, 1.0]),  # only 429 and 503 ask to wait
+            (408, "9", (0.5, 1.0), 30.0, [0.5, 1.0]),
+        ],
+    )
+    def test_retry_after_floors_the_next_delay(
+        self, monkeypatch, cyberbullying_fixture, status, retry_after, backoff, timeout, expected
+    ):
+        sleeps = self._throttled(monkeypatch, status, retry_after)
+        with pytest.raises(TransportError) as info:
+            classify(self._prompt(cyberbullying_fixture), self._paced(backoff, timeout))
+        assert len(info.value.attempts) == 3
+        assert sleeps == expected
+
+    def test_retry_after_then_success(self, monkeypatch, cyberbullying_fixture):
+        sleeps = self._throttled(monkeypatch, 503, "4", succeed_on=2)
+        response = classify(self._prompt(cyberbullying_fixture), self._paced((0.0, 0.0)))
+        assert response.text == "Religion"
+        assert sleeps == [4.0]
+
     def test_post_json_error_carries_status_code(self, monkeypatch):
         def post(url, json, headers, timeout):
             response = requests.Response()

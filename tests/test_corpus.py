@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -8,6 +11,8 @@ from cbdetect import (
     CyberbullyingLabel,
     DatasetId,
     LabeledPost,
+    LoadResult,
+    RejectedRow,
     Split,
     SplitSpec,
     Task,
@@ -17,10 +22,12 @@ from cbdetect import (
     load_schema,
     merge_corpora,
     save_records,
+    save_rejects,
     split_corpus,
     split_sizes,
     synth_fixture,
 )
+from cbdetect.labels import task_of_label
 
 
 class TestLabels:
@@ -135,6 +142,22 @@ class TestLoadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read"):
             load_dataset(tmp_path / "nope.csv", "D1")
+
+    def test_bom_prefixed_file(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte order mark; it
+        # must not become part of the first column's name
+        path = tmp_path / "d6_bom.csv"
+        path.write_bytes(
+            "\ufefftweet_text,cyberbullying_type\r\n"
+            "first,religion\r\n\ufeff,religion\r\nthird,gender\r\nfourth,age\r\n".encode("utf-8")
+        )
+        result = load_dataset(path, "D6")
+        assert [p.text for p in result.accepted] == ["first", "third"]
+        assert [(r.row_number, r.reason) for r in result.rejects] == [
+            (2, "empty_text"),
+            (4, "unmappable_label:age"),
+        ]
+        assert list(result.rejects[0].raw) == ["tweet_text", "cyberbullying_type"]
 
     def test_duplicate_ids_rejected(self, write_csv):
         rows = [
@@ -263,3 +286,303 @@ class TestRoundTrip:
         a = synth_fixture(1, Task.AGGRESSION, seed=0)
         b = synth_fixture(1, Task.CYBERBULLYING, seed=0)
         assert len(merge_corpora(a, b)) == len(a) + len(b)
+
+
+# --- pinned record bytes and the DictReader reference ----------------------
+
+
+def _pin_posts():
+    """Posts whose texts exercise every escaping rule of the record writer."""
+    texts = [
+        "café naïve — “curly” ¿qué? नमस्ते",
+        "emoji \U0001f600\U0001f525 zwj \U0001f469\u200d\U0001f469\u200d\U0001f467"
+        " flag \U0001f1ee\U0001f1f3",
+        "line one\nline two\r\nline three\rend",
+        'he said "stop" and \'left\'',
+        "back\\slash C:\\Users\\x and a literal \\n",
+        "ctl \x00\x01\x07\x08\t\x0b\x0c\x1b\x1f\x7f \x85 \u2028 \u2029 end",
+        "\ufeffBOM-led text",
+        "  padded both sides  ",
+        "</script> & <b>tags</b> / slash",
+    ]
+    posts = []
+    for i, text in enumerate(texts):
+        task = Task.AGGRESSION if i % 2 == 0 else Task.CYBERBULLYING
+        space = AggressionLabel if task is Task.AGGRESSION else CyberbullyingLabel
+        posts.append(
+            LabeledPost(
+                id=f'id-{i} "q" \\ ü',
+                text=text,
+                task=task,
+                label=list(space)[i % len(space)],
+                dataset_id=list(DatasetId)[i % len(DatasetId)],
+                split=list(Split)[i % len(Split)],
+                language_tag="hi-en" if i % 3 else "en",
+            )
+        )
+    return tuple(posts)
+
+
+def _pin_rejects():
+    return (
+        RejectedRow(1, "empty_text", {"tweet_text": "\ufeff", "cyberbullying_type": "religion"}),
+        RejectedRow(
+            2,
+            "missing_field:cyberbullying_type",
+            {"tweet_text": "só \"x\"\n\U0001f600", "cyberbullying_type": None},
+        ),
+        RejectedRow(
+            7,
+            "unmappable_label:age",
+            {"tweet_text": "ctl \x00\x1f \\", "cyberbullying_type": " age "},
+        ),
+        RejectedRow(9, "duplicate_id:a", {"id": "a", "text": "two", "label": "1"}),
+    )
+
+
+# sha256 of the files the dict-and-json.dumps writers produced
+PINNED_RECORDS_SHA256 = "f5b01fb4b4cbe299de67a316675741a7a867ddccf99e74fa94d4f0175738656a"
+PINNED_REJECTS_SHA256 = "fa201bfdaef92d330205ee310b47ff1d8186ebce644d631a6bf3e4ca2e5d255f"
+
+
+class TestPinnedRecordBytes:
+    def test_save_records_bytes(self, tmp_path):
+        path = save_records(_pin_posts(), tmp_path / "records.jsonl")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_RECORDS_SHA256
+
+    def test_save_rejects_bytes(self, tmp_path):
+        path = save_rejects(_pin_rejects(), tmp_path / "rejects.jsonl")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_REJECTS_SHA256
+
+    def test_pinned_records_round_trip(self, tmp_path):
+        posts = _pin_posts()
+        assert load_records(save_records(posts, tmp_path / "records.jsonl")) == posts
+
+
+def _dictreader_load(path, schema_id):
+    """The csv.DictReader loop load_dataset used before it read rows with
+    csv.reader; the reference its results are compared with. It opens files
+    as utf-8, as that loop did, so no fixture below starts with a byte
+    order mark (test_bom_prefixed_file covers that)."""
+    schema = load_schema(schema_id)
+    accepted, rejects, seen_ids = [], [], set()
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        for row_number, row in enumerate(reader, start=1):
+            reason = None
+            text = (row.get(schema.text_column) or "").strip("\ufeff")
+            raw_label = row.get(schema.label_column)
+            if schema.text_column not in row or row[schema.text_column] is None:
+                reason = f"missing_field:{schema.text_column}"
+            elif raw_label is None:
+                reason = f"missing_field:{schema.label_column}"
+            elif not text.strip():
+                reason = "empty_text"
+            elif raw_label.strip() not in schema.label_map:
+                reason = f"unmappable_label:{raw_label.strip()}"
+
+            if reason is None:
+                if schema.id_column:
+                    post_id = (row.get(schema.id_column) or "").strip()
+                    if not post_id:
+                        reason = f"missing_field:{schema.id_column}"
+                else:
+                    post_id = f"{schema.schema_id.value.lower()}-{row_number:06d}"
+
+            if reason is None and post_id in seen_ids:
+                reason = f"duplicate_id:{post_id}"
+
+            if reason is not None:
+                rejects.append(RejectedRow(row_number=row_number, reason=reason, raw=dict(row)))
+                continue
+
+            seen_ids.add(post_id)
+            accepted.append(
+                LabeledPost(
+                    id=post_id,
+                    text=text,
+                    task=schema.task,
+                    label=schema.label_map[raw_label.strip()],
+                    dataset_id=schema.schema_id,
+                    split=Split.TRAIN,
+                    language_tag=schema.language_tag,
+                )
+            )
+    return LoadResult(accepted=tuple(accepted), rejects=tuple(rejects))
+
+
+def _write_rows(path, rows):
+    """Raw CSV rows; an empty list writes a blank line."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        for row in rows:
+            writer.writerow(row)
+    return path
+
+
+PARITY_CASES = {
+    "d2_ragged": ("D2", [
+        ["id", "text", "label"],
+        ["a", "first post", "0"],
+        [],
+        ["b", "second, with comma", " 2 "],
+        ["a", "duplicate id", "1"],
+        ["c", "long row", "1", "extra", "more"],
+        ["d", "short row"],
+        ["e"],
+        [],
+        [],
+        ["  ", "blank id", "0"],
+        ["f", "\ufeff", "1"],
+        ["g", "\ufeff  \ufeff", "1"],
+        ["h", "\ufeffbom-led text\ufeff", "\t1\n"],
+        ["i", "multi\nline\r\ntext", "2"],
+        ["j", "bad label", "3"],
+        ["k", "   ", "0"],
+        [""],
+        [" b ", "padded duplicate id", "0"],
+        ["l", 'quote " and \\ backslash', "0"],
+        ["m", "", ""],
+    ]),
+    "d6_ragged": ("D6", [
+        ["tweet_text", "cyberbullying_type"],
+        ["plain", "religion"],
+        ["padded label", "  gender  "],
+        ["short"],
+        [],
+        ["long", "ethnicity", "x", "y"],
+        ["\ufeff", "religion"],
+        ["", "religion"],
+        ["age row", "age"],
+        ["upper label", "Religion"],
+        ["same text", "not_cyberbullying"],
+        ["same text", "not_cyberbullying"],
+        [],
+    ]),
+    "d6_columns_swapped_and_extra": ("D6", [
+        ["cyberbullying_type", "note", "tweet_text"],
+        ["religion", "n1", "text last"],
+        ["gender", "n2"],
+        ["ethnicity"],
+        ["not_cyberbullying", "n4", "t4", "overflow"],
+    ]),
+    "d6_duplicate_header": ("D6", [
+        ["tweet_text", "cyberbullying_type", "tweet_text"],
+        ["first copy", "religion", "second copy"],
+        ["only first", "religion"],
+        ["a", "gender", ""],
+    ]),
+    "d6_missing_label_column": ("D6", [
+        ["tweet_text", "label"],
+        ["no label column", "religion"],
+        ["short"],
+    ]),
+    "d2_missing_id_column": ("D2", [
+        ["text", "label"],
+        ["no id column", "0"],
+    ]),
+    "d6_blank_header_line": ("D6", [
+        [],
+        ["tweet_text", "cyberbullying_type"],
+        ["after a blank first line", "religion"],
+    ]),
+    "d6_header_only": ("D6", [["tweet_text", "cyberbullying_type"]]),
+    "d6_empty_file": ("D6", []),
+}
+
+
+class TestLoadDatasetParity:
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_matches_dictreader_reference(self, tmp_path, case):
+        schema_id, rows = PARITY_CASES[case]
+        path = _write_rows(tmp_path / f"{case}.csv", rows)
+        got = load_dataset(path, schema_id)
+        want = _dictreader_load(path, schema_id)
+        assert got == want
+        # dict equality ignores key order; the rejects report does not
+        assert [list(r.raw.items()) for r in got.rejects] == [
+            list(r.raw.items()) for r in want.rejects
+        ]
+
+
+class TestRecordValidation:
+    """load_records reads files from outside the program, so every field is
+    still checked on the way in."""
+
+    GOOD = (
+        '{"dataset_id": "D1", "id": "x", "label": "NAG", "language_tag": "en", '
+        '"split": "train", "task": "aggression", "text": "fine"}'
+    )
+
+    def _load(self, tmp_path, **fields):
+        line = json.dumps({**json.loads(self.GOOD), **fields})
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text(self.GOOD + "\n" + line + "\n", encoding="utf-8")
+        return load_records(path)
+
+    def test_good_line_loads(self, tmp_path):
+        assert len(self._load(tmp_path)) == 2
+
+    def test_lower_case_label_name_still_resolves(self, tmp_path):
+        assert self._load(tmp_path, label="cag")[1].label is AggressionLabel.CAG
+
+    def test_empty_text(self, tmp_path):
+        with pytest.raises(CorpusError, match="empty text"):
+            self._load(tmp_path, text=" \n ")
+
+    def test_label_from_the_other_task(self, tmp_path):
+        # the name is looked up in the record's own task, so it is unknown there
+        with pytest.raises(ValueError, match="unknown aggression label name: 'religion'"):
+            self._load(tmp_path, label="religion")
+
+    def test_label_of_the_other_task_on_a_post(self):
+        # NAG and ETHNICITY_RACE are both code 0 and compare equal as ints
+        with pytest.raises(CorpusError, match="does not belong to task cyberbullying"):
+            LabeledPost(
+                id="x", text="hi", task=Task.CYBERBULLYING, label=AggressionLabel.NAG,
+                dataset_id=DatasetId.D6, split=Split.TRAIN, language_tag="en",
+            )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("task", "harassment", "'harassment' is not a valid Task"),
+            ("split", "dev", "'dev' is not a valid Split"),
+            ("dataset_id", "D9", "'D9' is not a valid DatasetId"),
+            ("dataset_id", "d1", "'d1' is not a valid DatasetId"),
+        ],
+    )
+    def test_unknown_enum_value(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            self._load(tmp_path, **{field: value})
+
+    def test_unhashable_enum_value(self, tmp_path):
+        with pytest.raises(ValueError, match="is not a valid Split"):
+            self._load(tmp_path, split=["train"])
+
+    def test_task_of_a_non_label(self):
+        with pytest.raises(TypeError, match="not a task label: 3"):
+            task_of_label(3)
+
+    def test_task_of_every_label(self):
+        assert {task_of_label(lab) for lab in AggressionLabel} == {Task.AGGRESSION}
+        assert {task_of_label(lab) for lab in CyberbullyingLabel} == {Task.CYBERBULLYING}
+
+
+class TestSplitRetag:
+    def test_equals_dataclasses_replace(self):
+        posts = synth_fixture(10, Task.CYBERBULLYING, seed=4)
+        for split, chunk in split_corpus(posts, SplitSpec(0.8, 0.1, 0.1, seed=2)).items():
+            for post in chunk:
+                original = next(p for p in posts if p.id == post.id)
+                expected = dataclasses.replace(original, split=split)
+                assert dataclasses.astuple(post) == dataclasses.astuple(expected)
+                assert post == expected and hash(post) == hash(expected)
+                assert type(post) is LabeledPost
+
+    def test_retagged_post_stays_frozen(self):
+        post = split_corpus(synth_fixture(1, Task.AGGRESSION), SplitSpec(0.5, 0.25, 0.25))[
+            Split.TRAIN
+        ][0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            post.split = Split.TEST
