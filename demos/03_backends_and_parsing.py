@@ -4,6 +4,8 @@ and how a live endpoint would be declared.
 Run from the repository root:  python demos/03_backends_and_parsing.py
 """
 
+import dataclasses
+
 from cbdetect import (
     BackendDescriptor,
     BackendKind,
@@ -13,7 +15,7 @@ from cbdetect import (
     RetryPolicy,
     Task,
     class_name_stub,
-    classify,
+    classify_batch,
     load_template,
     parse_label,
     render_zero_shot,
@@ -21,15 +23,22 @@ from cbdetect import (
 )
 
 # --- 1. the rule-based stub ------------------------------------------------
-# Stub rules match against the post content (prompt instructions enumerate
-# every class name, so scanning the whole prompt would be ambiguous).
+# classify_batch sends a list of prompts and returns one outcome per prompt,
+# in order. Stub rules match against the descriptor's input_mode text: the
+# post content by default. In "rendered_text" mode they scan the whole
+# prompt, whose instructions enumerate every class name, so the first rule
+# wins everywhere.
 posts = synth_fixture(1, Task.CYBERBULLYING, seed=2)
 stub = class_name_stub(Task.CYBERBULLYING)
+whole_prompt = dataclasses.replace(stub, input_mode="rendered_text")
 template = load_template("zero_shot_v1", Task.CYBERBULLYING)
-print("stub responses on the synthetic fixture:")
-for post in posts:
-    response = classify(render_zero_shot(post, template), stub)
-    print(f"  gold={post.label.display_name:<17} response={response.text!r}")
+prompts = [render_zero_shot(post, template) for post in posts]
+print("stub responses on the synthetic fixture (post_text | rendered_text):")
+for post, on_post, on_prompt in zip(
+    posts, classify_batch(prompts, stub), classify_batch(prompts, whole_prompt)
+):
+    print(f"  gold={post.label.display_name:<17} "
+          f"response={on_post.text!r:<19} | {on_prompt.text!r}")
 
 # --- 2. the parsing cascade -------------------------------------------------
 # 1) exact display name, 2) synonym table, 3) earliest display-name

@@ -19,6 +19,7 @@ from cbdetect.tuning import (
     ToyTransformer,
     TuneConfig,
     load_classifier,
+    predict_logits,
     save_checkpoint,
 )
 
@@ -42,7 +43,7 @@ print(f"single-task tuning: {len(records)} steps")
 print(f"  step   1 loss {records[0]['loss']:.4f}   (ln 3 = {math.log(3):.4f})")
 print(f"  step {records[-1]['step']:>3} loss {records[-1]['loss']:.4f}")
 
-logits = trainer.predict_logits([p.text for p in test])
+logits = predict_logits(trainer.base, trainer.adapters, trainer.head, [p.text for p in test])
 accuracy = (logits.argmax(axis=1) == np.array([int(p.label) for p in test])).mean()
 print(f"  held-out accuracy: {accuracy:.2f} over {len(test)} records")
 print(f"  base frozen bit-exactly: "
@@ -76,5 +77,6 @@ path = save_checkpoint(
 classifier = load_classifier(path)
 sample = test[0]
 print(f"\ncheckpoint {path.name} reloaded; "
-      f"prediction for one held-out post: {classifier.predict(sample.text, Task.AGGRESSION).display_name} "
+      f"prediction for one held-out post: "
+      f"{classifier.predict_batch([sample.text], Task.AGGRESSION)[0].display_name} "
       f"(gold {sample.label.display_name})")

@@ -4,17 +4,17 @@ Three backend kinds share the batch-first ``classify_batch`` entry point
 (``classify`` is its one-prompt form):
 
 * ``stub`` — a deterministic rule table, for desk-scale end-to-end tests.
-  Rules match against the post content by default (prompts enumerate every
-  class name in their instructions, so scanning the whole prompt would be
-  ambiguous).
+  Rules match against the descriptor's ``input_mode`` text, the post
+  content by default (prompts enumerate every class name in their
+  instructions, so scanning the whole prompt would be ambiguous).
 * ``live_endpoint`` — a chat-completion-style HTTP endpoint with bounded
   retries of transient failures, fanned out over up to
   ``max_parallel_requests`` threads. Credentials come from the
   environment, never from config files.
 * ``toy_checkpoint`` — a trained toy-network checkpoint evaluated by head
-  argmax, so tuned-model experiments run without accelerators. The
-  checkpoint is read once per batch and each task's prompts run as padded
-  multi-row forward passes.
+  argmax on the ``input_mode`` text, so tuned-model experiments run
+  without accelerators. The checkpoint is read once per batch and each
+  task's prompts run as padded multi-row forward passes.
 
 Free-text responses are mapped into a label space by a three-stage cascade:
 exact display-name match, synonym-table match, earliest display-name
@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import operator
 import os
 import re
 import time
@@ -37,7 +38,7 @@ from typing import Mapping, Sequence
 
 import requests
 
-from .labels import Label, Task, label_space, labels_in_order
+from .labels import _SPACE_TASKS, Label, Task, label_space, labels_in_order
 from .prompting import Prompt
 
 ENDPOINT_ENV_VAR = "CBDETECT_ENDPOINT"
@@ -93,6 +94,13 @@ class RetryPolicy:
         return self.backoff[min(attempt_number - 2, len(self.backoff) - 1)]
 
 
+# The Prompt text each input mode hands a stub or toy model.
+_INPUT_TEXT = {
+    "post_text": operator.attrgetter("post_text"),
+    "rendered_text": operator.attrgetter("rendered_text"),
+}
+
+
 @dataclass(frozen=True)
 class BackendDescriptor:
     backend_id: str
@@ -108,10 +116,13 @@ class BackendDescriptor:
     stub_rules: tuple[tuple[str, str], ...] = ()
     default_response: str = ""
     fail_patterns: tuple[str, ...] = ()
-    match_on: str = "post_text"  # or "rendered_text"
     # toy_checkpoint-only
     checkpoint_path: str = ""
-    input_mode: str = "post_text"  # or "rendered_text"
+    # The Prompt text the model is given: "post_text" or "rendered_text".
+    # Serialized as "match_on" for stubs, "input_mode" for toys. A live
+    # endpoint always receives rendered_text: the field is set so for it,
+    # and not serialized.
+    input_mode: str = "post_text"
 
     def __post_init__(self) -> None:
         if self.max_parallel_requests < 1:
@@ -120,10 +131,10 @@ class BackendDescriptor:
             raise BackendError("timeout must be > 0")
         if self.kind is BackendKind.STUB and not self.stub_rules:
             raise BackendError("stub backend needs a non-empty rule table")
-        if self.match_on not in ("post_text", "rendered_text"):
-            raise BackendError(f"bad match_on: {self.match_on!r}")
-        if self.input_mode not in ("post_text", "rendered_text"):
+        if self.input_mode not in _INPUT_TEXT:
             raise BackendError(f"bad input_mode: {self.input_mode!r}")
+        if self.kind is BackendKind.LIVE_ENDPOINT:
+            object.__setattr__(self, "input_mode", "rendered_text")
 
     def to_dict(self) -> dict:
         out = {
@@ -145,7 +156,7 @@ class BackendDescriptor:
             out["stub_rules"] = [list(rule) for rule in self.stub_rules]
             out["default_response"] = self.default_response
             out["fail_patterns"] = list(self.fail_patterns)
-            out["match_on"] = self.match_on
+            out["match_on"] = self.input_mode
         if self.kind is BackendKind.TOY_CHECKPOINT:
             out["checkpoint_path"] = self.checkpoint_path
             out["input_mode"] = self.input_mode
@@ -154,9 +165,10 @@ class BackendDescriptor:
     @classmethod
     def from_dict(cls, data: Mapping) -> "BackendDescriptor":
         retry = data.get("retry_policy", {})
+        kind = BackendKind(data["kind"])
         return cls(
             backend_id=data["backend_id"],
-            kind=BackendKind(data["kind"]),
+            kind=kind,
             model_name=data.get("model_name", ""),
             endpoint_address=data.get("endpoint_address", ""),
             max_parallel_requests=int(data.get("max_parallel_requests", 1)),
@@ -170,9 +182,10 @@ class BackendDescriptor:
             stub_rules=tuple((p, r) for p, r in data.get("stub_rules", ())),
             default_response=data.get("default_response", ""),
             fail_patterns=tuple(data.get("fail_patterns", ())),
-            match_on=data.get("match_on", "post_text"),
             checkpoint_path=data.get("checkpoint_path", ""),
-            input_mode=data.get("input_mode", "post_text"),
+            input_mode=data.get(
+                "match_on" if kind is BackendKind.STUB else "input_mode", "post_text"
+            ),
         )
 
 
@@ -203,13 +216,13 @@ def make_stub(
     model_name: str = "rule-stub",
     default_response: str = "",
     fail_patterns: Sequence[str] = (),
-    match_on: str = "post_text",
     max_parallel_requests: int = 1,
 ) -> BackendDescriptor:
     """Build a deterministic rule-based backend.
 
     Rules are priority-ordered: the first pattern found (case-insensitive
-    substring) in the match target wins. An empty pattern matches anything.
+    substring) in the descriptor's ``input_mode`` text (the post text by
+    default) wins. An empty pattern matches anything.
     """
     if isinstance(rule_table, Mapping):
         rules = tuple(rule_table.items())
@@ -222,7 +235,6 @@ def make_stub(
         stub_rules=rules,
         default_response=default_response,
         fail_patterns=tuple(fail_patterns),
-        match_on=match_on,
         max_parallel_requests=max_parallel_requests,
     )
 
@@ -251,7 +263,8 @@ def classify_batch(
     if not prompts:
         return []
     if descriptor.kind is BackendKind.STUB:
-        return [_outcome(_classify_stub, prompt, descriptor) for prompt in prompts]
+        text_of = _INPUT_TEXT[descriptor.input_mode]
+        return [_outcome(_classify_stub, text_of(prompt), descriptor) for prompt in prompts]
     if descriptor.kind is BackendKind.TOY_CHECKPOINT:
         return _classify_toy(prompts, descriptor)
     return _classify_live(prompts, descriptor)
@@ -282,10 +295,9 @@ def _stub_tables(
     return fails, tuple((pattern.lower(), response) for pattern, response in descriptor.stub_rules)
 
 
-def _classify_stub(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
+def _classify_stub(text: str, descriptor: BackendDescriptor) -> RawResponse:
     fail_patterns, rules = _stub_tables(descriptor)
-    target = prompt.post_text if descriptor.match_on == "post_text" else prompt.rendered_text
-    lowered = target.lower()
+    lowered = text.lower()
     for pattern, original in zip(fail_patterns, descriptor.fail_patterns):
         if pattern in lowered:
             attempt = AttemptRecord(number=1, error=f"injected failure on {original!r}", elapsed=0.0)
@@ -312,10 +324,10 @@ def _classify_toy(prompts: Sequence[Prompt], descriptor: BackendDescriptor) -> l
     for row, prompt in enumerate(prompts):
         rows_by_task.setdefault(_task_of_space(prompt.label_space), []).append(row)
 
-    use_post = descriptor.input_mode == "post_text"
+    text_of = _INPUT_TEXT[descriptor.input_mode]
     responses: dict[int, RawResponse] = {}
     for task, rows in rows_by_task.items():
-        texts = [prompts[row].post_text if use_post else prompts[row].rendered_text for row in rows]
+        texts = [text_of(prompts[row]) for row in rows]
         started = time.perf_counter()
         labels = classifier.predict_batch(texts, task)
         latency = (time.perf_counter() - started) / len(rows)
@@ -453,7 +465,10 @@ def load_synonym_table(task: Task) -> dict[str, Label]:
 
 
 def _task_of_space(space: type) -> Task:
-    return Task.AGGRESSION if space.__name__ == "AggressionLabel" else Task.CYBERBULLYING
+    try:
+        return _SPACE_TASKS[space]
+    except KeyError:
+        raise BackendError(f"not a task label space: {space.__name__}") from None
 
 
 @functools.lru_cache(maxsize=16)

@@ -495,12 +495,17 @@ def load_records(path: Union[str, Path]) -> tuple[LabeledPost, ...]:
 
 
 def save_rejects(rejects: Iterable[RejectedRow], path: Union[str, Path]) -> Path:
-    """Write a rejects report next to a normalized corpus."""
+    """Write a rejects report next to a normalized corpus.
+
+    A row longer than its header keeps its extra values, a list, under the
+    ``None`` key of ``raw``; the report writes them under ``"__extra__"``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         for reject in rejects:
-            record = {"row_number": reject.row_number, "reason": reject.reason, "raw": reject.raw}
+            raw = {"__extra__" if key is None else key: value for key, value in reject.raw.items()}
+            record = {"row_number": reject.row_number, "reason": reject.reason, "raw": raw}
             handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
             handle.write("\n")
     return path

@@ -8,12 +8,10 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .lora import (
-    AdaptedToyModel,
     AdapterState,
     LoraFactors,
     TuneConfig,
     TuningError,
-    attach_adapters,
     init_adapter_state,
     resolve_targets,
 )
@@ -32,11 +30,11 @@ from .training import (
     cross_entropy,
     mtl_joint_loss,
     pairs_from_posts,
+    predict_logits,
     write_metrics_log,
 )
 
 __all__ = [
-    "AdaptedToyModel",
     "Adam",
     "AdapterState",
     "CheckpointBundle",
@@ -50,7 +48,6 @@ __all__ = [
     "ToyTransformer",
     "TuneConfig",
     "TuningError",
-    "attach_adapters",
     "cross_entropy",
     "init_adapter_state",
     "last_unmasked_index",
@@ -59,6 +56,7 @@ __all__ = [
     "mtl_joint_loss",
     "pairs_from_posts",
     "pool_embedding",
+    "predict_logits",
     "resolve_targets",
     "save_checkpoint",
     "write_metrics_log",

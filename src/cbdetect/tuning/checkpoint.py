@@ -22,13 +22,10 @@ import numpy as np
 
 from ..labels import Label, Task, labels_in_order
 from .lora import AdapterState, LoraFactors, TuneConfig, TuningError
-from .network import ToyNetConfig, ToyTransformer, last_unmasked_index
-from .training import TaskHead
+from .network import ToyNetConfig, ToyTransformer
+from .training import TaskHead, predict_logits
 
 FORMAT_VERSION = 1
-# Rows per inference forward pass. The pass keeps a backward cache of every
-# layer's activations, so an unbounded batch would grow memory with it.
-PREDICT_CHUNK_ROWS = 32
 
 
 def save_checkpoint(
@@ -123,27 +120,17 @@ class ToyClassifier:
         return self.predict_batch([text], task)[0]
 
     def predict_batch(self, texts: Sequence[str], task: Task) -> list[Label]:
-        """One label per text, in order.
-
-        The adapted weights W + Up @ Down are formed once per call; texts
-        run as right-padded chunks of ``PREDICT_CHUNK_ROWS`` rows.
-        """
+        """One label per text, in order: the argmax of ``predict_logits``."""
         if task not in self.bundle.adapters:
             raise TuningError(
                 f"checkpoint holds no {task.value} adapters (tasks: "
                 f"{[t.value for t in self.bundle.tasks]})"
             )
-        weights = self.bundle.adapters[task].effective_weights(self.base.params)
-        head = self.bundle.heads[task]
+        logits = predict_logits(
+            self.base, self.bundle.adapters[task], self.bundle.heads[task], texts
+        )
         order = labels_in_order(task)
-        labels: list[Label] = []
-        for start in range(0, len(texts), PREDICT_CHUNK_ROWS):
-            chunk = texts[start : start + PREDICT_CHUNK_ROWS]
-            ids, mask = self.base.tokenizer.batch_encode(chunk, self.base.config.max_len)
-            hidden, _ = self.base.forward(ids, mask, overrides=weights)
-            pooled = hidden[np.arange(len(chunk)), last_unmasked_index(mask)]
-            labels.extend(order[int(i)] for i in np.argmax(head.logits(pooled), axis=1))
-        return labels
+        return [order[i] for i in logits.argmax(axis=1).tolist()]
 
 
 def load_classifier(path: Union[str, Path]) -> ToyClassifier:

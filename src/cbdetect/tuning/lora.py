@@ -141,7 +141,8 @@ def resolve_targets(base: ToyTransformer, selector: str) -> list[str]:
 
 
 def init_adapter_state(base: ToyTransformer, config: TuneConfig, seed_offset: int = 0) -> AdapterState:
-    """Seeded factors: Down small random, Up exactly zero."""
+    """Seeded factors: Down small random, Up exactly zero, so the adapted
+    forward pass starts bit-identical to the base one."""
     rng = np.random.default_rng(config.seed + seed_offset)
     factors = {}
     for name in resolve_targets(base, config.target_layers):
@@ -151,29 +152,3 @@ def init_adapter_state(base: ToyTransformer, config: TuneConfig, seed_offset: in
             up=np.zeros((d_out, config.rank_r)),
         )
     return AdapterState(config=config, factors=factors)
-
-
-class AdaptedToyModel:
-    """Base network plus one adapter set; the adapted forward pass."""
-
-    def __init__(self, base: ToyTransformer, adapters: AdapterState):
-        self.base = base
-        self.adapters = adapters
-
-    def effective_weights(self) -> dict[str, np.ndarray]:
-        return self.adapters.effective_weights(self.base.params)
-
-    def forward(self, ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, dict]:
-        return self.base.forward(ids, mask, overrides=self.effective_weights())
-
-
-def attach_adapters(
-    base: ToyTransformer, config: TuneConfig, seed_offset: int = 0
-) -> tuple[AdaptedToyModel, AdapterState]:
-    """Wrap a base network with freshly initialized adapters.
-
-    Immediately after attachment the adapted forward pass is bit-identical
-    to the base forward pass (Up = 0 forces a zero delta).
-    """
-    state = init_adapter_state(base, config, seed_offset=seed_offset)
-    return AdaptedToyModel(base, state), state

@@ -268,17 +268,8 @@ def last_unmasked_index(mask: np.ndarray) -> np.ndarray:
 
 
 def pool_embedding(hidden_states: np.ndarray, attention_mask: np.ndarray) -> np.ndarray:
-    """Final-layer hidden vector of the last unmasked token.
-
-    Accepts a single sequence (T, d) with mask (T,) or a batch (B, T, d)
-    with mask (B, T).
-    """
-    hidden = np.asarray(hidden_states)
-    mask = np.asarray(attention_mask, dtype=bool)
-    if hidden.ndim == 2:
-        idx = last_unmasked_index(mask[None, :])[0]
-        return hidden[idx]
-    if hidden.ndim == 3:
-        idx = last_unmasked_index(mask)
-        return hidden[np.arange(hidden.shape[0]), idx]
-    raise ValueError("hidden_states must be (T, d) or (B, T, d)")
+    """Each row's final-layer hidden vector at its last unmasked token:
+    (B, T, d) with mask (B, T) gives (B, d)."""
+    if hidden_states.ndim != 3:
+        raise ValueError("hidden_states must be (batch, seq, d_model)")
+    return hidden_states[np.arange(hidden_states.shape[0]), last_unmasked_index(attention_mask)]

@@ -19,12 +19,15 @@ import numpy as np
 
 from ..corpus import LabeledPost
 from ..labels import Task, labels_in_order
-from .lora import AdapterState, TuneConfig, TuningError, attach_adapters
-from .network import ToyTransformer, last_unmasked_index, pad_ids
+from .lora import AdapterState, TuneConfig, TuningError, init_adapter_state
+from .network import ToyTransformer, last_unmasked_index, pad_ids, pool_embedding
 
 Pair = tuple[str, int]
 # (token ids cut to the network's max_len, class index)
 EncodedPair = tuple[list[int], int]
+# Rows per inference forward pass. The pass keeps a backward cache of every
+# layer's activations, so an unbounded batch would grow memory with it.
+PREDICT_CHUNK_ROWS = 32
 
 
 @dataclass
@@ -152,9 +155,7 @@ def _branch(
     targets = np.array([y for _, y in batch], dtype=int)
 
     hidden, cache = base.forward(ids, mask, overrides=adapters.effective_weights(base.params))
-    pool_idx = last_unmasked_index(mask)
-    rows = np.arange(hidden.shape[0])
-    pooled = hidden[rows, pool_idx]
+    pooled = pool_embedding(hidden, mask)
     logits = head.logits(pooled)
     loss, d_logits = cross_entropy(logits, targets)
 
@@ -162,11 +163,29 @@ def _branch(
         f"head.{head.task.value}.weight": d_logits.T @ pooled,
         f"head.{head.task.value}.bias": d_logits.sum(axis=0),
     }
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[rows, pool_idx] = d_logits @ head.weight
+    d_hidden = np.zeros_like(hidden)  # the pooling's adjoint: scatter back to the pooled tokens
+    d_hidden[np.arange(len(batch)), last_unmasked_index(mask)] = d_logits @ head.weight
     weight_grads = base.backward(cache, d_hidden, adapters.factors)
     grads.update(adapters.factor_grads(weight_grads, prefix=prefix))
     return loss, grads
+
+
+def predict_logits(
+    base: ToyTransformer, adapters: AdapterState, head: TaskHead, texts: Sequence[str]
+) -> np.ndarray:
+    """Head logits (len(texts), n_classes) of the adapted network.
+
+    The adapted weights W + Up @ Down are formed once per call; texts run
+    as right-padded chunks of ``PREDICT_CHUNK_ROWS`` rows.
+    """
+    weights = adapters.effective_weights(base.params)
+    logits = np.empty((len(texts), head.bias.size))
+    for start in range(0, len(texts), PREDICT_CHUNK_ROWS):
+        chunk = texts[start : start + PREDICT_CHUNK_ROWS]
+        ids, mask = base.tokenizer.batch_encode(chunk, base.config.max_len)
+        hidden, _ = base.forward(ids, mask, overrides=weights)
+        logits[start : start + len(chunk)] = head.logits(pool_embedding(hidden, mask))
+    return logits
 
 
 class SftTrainer:
@@ -188,7 +207,7 @@ class SftTrainer:
         self.task = task
         self.config = config
         if adapters is None:
-            _, adapters = attach_adapters(base, config)
+            adapters = init_adapter_state(base, config)
         self.adapters = adapters
         self.head = head if head is not None else TaskHead.zeros(task, base.config.d_model)
         self._prefix = f"adapter.{task.value}"
@@ -226,14 +245,6 @@ class SftTrainer:
                 )
         return records
 
-    def predict_logits(self, texts: Sequence[str]) -> np.ndarray:
-        ids, mask = self.base.tokenizer.batch_encode(texts, self.base.config.max_len)
-        hidden, _ = self.base.forward(
-            ids, mask, overrides=self.adapters.effective_weights(self.base.params)
-        )
-        pooled = hidden[np.arange(hidden.shape[0]), last_unmasked_index(mask)]
-        return self.head.logits(pooled)
-
 
 class MtlTrainer:
     """Joint tuning: one optimizer step on the summed per-task losses.
@@ -254,8 +265,8 @@ class MtlTrainer:
         if adapters is None:
             adapters = {
                 # distinct seeds so the two Down inits differ
-                Task.AGGRESSION: attach_adapters(base, config, seed_offset=0)[1],
-                Task.CYBERBULLYING: attach_adapters(base, config, seed_offset=1)[1],
+                Task.AGGRESSION: init_adapter_state(base, config, seed_offset=0),
+                Task.CYBERBULLYING: init_adapter_state(base, config, seed_offset=1),
             }
         self.adapters = dict(adapters)
         if heads is None:
@@ -342,14 +353,6 @@ class MtlTrainer:
                     }
                 )
         return records
-
-    def predict_logits(self, texts: Sequence[str], task: Task) -> np.ndarray:
-        ids, mask = self.base.tokenizer.batch_encode(texts, self.base.config.max_len)
-        hidden, _ = self.base.forward(
-            ids, mask, overrides=self.adapters[task].effective_weights(self.base.params)
-        )
-        pooled = hidden[np.arange(hidden.shape[0]), last_unmasked_index(mask)]
-        return self.heads[task].logits(pooled)
 
 
 def _wrap_slice(items: list, start: int, size: int) -> list:

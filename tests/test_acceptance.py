@@ -48,8 +48,8 @@ from cbdetect.tuning import (
     ToyNetConfig,
     ToyTransformer,
     TuneConfig,
-    attach_adapters,
     cross_entropy,
+    init_adapter_state,
     mtl_joint_loss,
     pairs_from_posts,
 )
@@ -243,8 +243,8 @@ def test_criterion_4_tuning_invariants():
         ["a post with a number of tokens", "short one", "and a third"]
     )
     before, _ = base.forward(ids, mask)
-    adapted, state = attach_adapters(base, TuneConfig(rank_r=8, seed=5))
-    after, _ = adapted.forward(ids, mask)
+    state = init_adapter_state(base, TuneConfig(rank_r=8, seed=5))
+    after, _ = base.forward(ids, mask, overrides=state.effective_weights(base.params))
     identity_dev = float(np.abs(after - before).max())
     assert identity_dev <= 1e-6
 

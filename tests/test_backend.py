@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import math
 import random
 import re
@@ -48,7 +49,7 @@ from cbdetect.tuning import (
     load_classifier,
     save_checkpoint,
 )
-from cbdetect.tuning.checkpoint import PREDICT_CHUNK_ROWS
+from cbdetect.tuning.training import PREDICT_CHUNK_ROWS
 
 
 def raw(text):
@@ -112,6 +113,22 @@ class TestParseCascade:
             parse_label(raw("nonetheless unclear"), CyberbullyingLabel)
         parsed = parse_label(raw("verdict: none"), CyberbullyingLabel)
         assert parsed.label is CyberbullyingLabel.NOT_CYBERBULLYING
+
+    def test_foreign_space_has_no_shipped_synonym_table(self):
+        class MailLabel(enum.IntEnum):
+            HAM = 0
+            SPAM = 1
+
+            @property
+            def display_name(self):
+                return self.name.title()
+
+        # "religious" is a shipped cyberbullying synonym; it must not leak in
+        with pytest.raises(BackendError, match="not a task label space"):
+            parse_label(raw("religious spam"), MailLabel)
+        assert parse_label(raw("spam"), MailLabel).label is MailLabel.SPAM
+        parsed = parse_label(raw("junk mail"), MailLabel, {"junk": MailLabel.SPAM})
+        assert parsed.label is MailLabel.SPAM
 
 
 def reference_parse(text, space, synonym_table=None):
@@ -424,6 +441,16 @@ class TestToyBackend:
         save_toy(path, [Task.CYBERBULLYING], head_bias_class=2)
         assert classify(prompt, descriptor).text == order[2].display_name
 
+    def test_rendered_text_mode_classifies_the_whole_prompt(self, tmp_path):
+        path = save_toy(tmp_path / "cb.npz", [Task.CYBERBULLYING])
+        prompts = varied_prompts(Task.CYBERBULLYING, 20)
+        descriptor = dataclasses.replace(toy_descriptor(path), input_mode="rendered_text")
+        texts = [p.rendered_text for p in prompts]
+        expected = load_classifier(path).predict_batch(texts, Task.CYBERBULLYING)
+        got = [o.text for o in classify_batch(prompts, descriptor)]
+        assert got == [label.display_name for label in expected]
+        assert got != [o.text for o in classify_batch(prompts, toy_descriptor(path))]
+
 
 class TestStub:
     def test_class_name_rule_hits_fixture(self, cyberbullying_fixture):
@@ -464,6 +491,15 @@ class TestStub:
         # 3 of 12 correct, recall 1 for religion, precision 1/4: F1 = 0.4; others 0
         assert abs(report.macro_f1 - 0.1) < 1e-12
 
+    def test_rendered_text_mode_matches_instruction_text(self, cyberbullying_fixture):
+        stub = make_stub([("content-safety classifier", "Religion")], default_response="none")
+        template = load_template("zero_shot_v1", Task.CYBERBULLYING)
+        prompt = render_zero_shot(cyberbullying_fixture[0], template)
+        assert "content-safety classifier" not in prompt.post_text
+        assert classify(prompt, stub).text == "none"
+        whole = dataclasses.replace(stub, input_mode="rendered_text")
+        assert classify(prompt, whole).text == "Religion"
+
     def test_fail_pattern_raises_transport_error(self, cyberbullying_fixture):
         post = cyberbullying_fixture[0]
         stub = make_stub([("", "Religion")], fail_patterns=[post.text])
@@ -484,6 +520,39 @@ class TestDescriptor:
     def test_round_trip_through_dict(self):
         stub = make_stub([("a", "b")], default_response="d", fail_patterns=["f"])
         assert BackendDescriptor.from_dict(stub.to_dict()) == stub
+
+    def test_input_mode_validated(self):
+        with pytest.raises(BackendError, match="bad input_mode"):
+            BackendDescriptor(backend_id="x", kind=BackendKind.TOY_CHECKPOINT, input_mode="post")
+
+    DESCRIPTORS = {
+        BackendKind.STUB: make_stub([("a", "b")]),
+        BackendKind.TOY_CHECKPOINT: BackendDescriptor(
+            backend_id="toy", kind=BackendKind.TOY_CHECKPOINT, checkpoint_path="c.npz"
+        ),
+        BackendKind.LIVE_ENDPOINT: BackendDescriptor(
+            backend_id="live", kind=BackendKind.LIVE_ENDPOINT, endpoint_address="http://h/v1"
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["post_text", "rendered_text"])
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            (BackendKind.STUB, "match_on"),
+            (BackendKind.TOY_CHECKPOINT, "input_mode"),
+            (BackendKind.LIVE_ENDPOINT, None),
+        ],
+    )
+    def test_input_mode_serialized_per_kind(self, kind, key, mode):
+        descriptor = dataclasses.replace(self.DESCRIPTORS[kind], input_mode=mode)
+        data = descriptor.to_dict()
+        assert {"match_on", "input_mode"} & set(data) == ({key} if key else set())
+        if key:
+            assert data[key] == mode
+        else:  # a live endpoint always receives the rendered prompt
+            assert descriptor.input_mode == "rendered_text"
+        assert BackendDescriptor.from_dict(data) == descriptor
 
 
 class TestLiveClient:

@@ -64,6 +64,31 @@ class TestPrepareData:
         assert len(rejects) == 1
         assert "unmappable_label" in rejects[0]
 
+    def test_long_row_extra_values_reach_the_rejects_report(self, runner, tmp_path):
+        src = tmp_path / "raw.csv"
+        src.write_text(
+            "tweet_text,cyberbullying_type\n"
+            "first post here,religion\n"
+            "second post here,gender\n"
+            "long,age,extra\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            [
+                "prepare-data", "--input", str(src), "--schema", "D6",
+                "--out", str(out), "--split-spec", "0.5/0.5/0",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        (line,) = (out / "d6_rejects.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(line)
+        assert record["row_number"] == 3
+        assert record["raw"] == {
+            "tweet_text": "long", "cyberbullying_type": "age", "__extra__": ["extra"]
+        }
+
     def test_input_file_is_never_mutated(self, runner, tmp_path):
         rows = [(f"record number {i} with words", i % 3) for i in range(20)]
         src = write_d1_csv(tmp_path / "raw.csv", rows)

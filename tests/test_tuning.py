@@ -17,12 +17,13 @@ from cbdetect.tuning import (
     ToyTransformer,
     TuneConfig,
     TuningError,
-    attach_adapters,
     cross_entropy,
+    init_adapter_state,
     load_checkpoint,
     mtl_joint_loss,
     pairs_from_posts,
     pool_embedding,
+    predict_logits,
     save_checkpoint,
     write_metrics_log,
 )
@@ -75,8 +76,8 @@ class TestAdapters:
     def test_zero_init_identity(self, base):
         ids, mask = base.tokenizer.batch_encode(["several words in here", "tiny"])
         before, _ = base.forward(ids, mask)
-        adapted, _ = attach_adapters(base, TuneConfig(rank_r=8, seed=5))
-        after, _ = adapted.forward(ids, mask)
+        state = init_adapter_state(base, TuneConfig(rank_r=8, seed=5))
+        after, _ = base.forward(ids, mask, overrides=state.effective_weights(base.params))
         assert np.abs(after - before).max() <= 1e-6
 
     def test_rank_bound_after_training(self, base, agg_pairs):
@@ -94,14 +95,14 @@ class TestAdapters:
     def test_parameter_count_single_target(self):
         base = ToyTransformer(SMALL)
         config = TuneConfig(rank_r=2, target_layers="layers.0.attn.wq", seed=0)
-        _, state = attach_adapters(base, config)
+        state = init_adapter_state(base, config)
         d_out, d_in = base.params["layers.0.attn.wq"].shape
         assert state.targets == ["layers.0.attn.wq"]
         assert state.parameter_count() == config.rank_r * (d_in + d_out)
 
     def test_selector_matching_nothing(self, base):
         with pytest.raises(TuningError, match="matches no attachable weight"):
-            attach_adapters(base, TuneConfig(target_layers="conv"))
+            init_adapter_state(base, TuneConfig(target_layers="conv"))
 
     def test_frozen_base_bitwise_after_100_steps(self, base, agg_pairs):
         snapshot = {k: v.copy() for k, v in base.params.items()}
@@ -120,10 +121,10 @@ class TestPooling:
         mask = np.array([[True, True, True, False]])
         assert np.array_equal(pool_embedding(hidden, mask)[0], hidden[0, 2])
 
-    def test_single_sequence_signature(self):
-        hidden = np.arange(12, dtype=float).reshape(4, 3)
-        mask = np.array([True, True, False, False])
-        assert np.array_equal(pool_embedding(hidden, mask), hidden[1])
+    def test_unbatched_input_is_an_error(self):
+        # a (T, d) sequence with a (T,) mask would otherwise index rows silently
+        with pytest.raises(ValueError, match="batch, seq, d_model"):
+            pool_embedding(np.zeros((4, 3)), np.array([True, True, False, False]))
 
     def test_fully_masked_is_an_error(self):
         hidden = np.zeros((1, 3, 2))
@@ -303,7 +304,7 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("selector", ["attn", "mlp", "layers.1.", "layers.0.attn.wv"])
     def test_backward_returns_only_targeted_gradients(self, base, agg_pairs, selector):
-        _, state = attach_adapters(base, TuneConfig(target_layers=selector))
+        state = init_adapter_state(base, TuneConfig(target_layers=selector))
         rng = np.random.default_rng(1)
         for f in state.factors.values():
             f.up[:] = rng.normal(0.0, 0.1, f.up.shape)  # a non-zero delta
@@ -435,10 +436,12 @@ class TestStepMatchesReference:
                 for key, value in new_record.items():
                     assert value == pytest.approx(ref_record[key], rel=1e-10)
 
-        new_logits = [sft.predict_logits(texts)] + [mtl.predict_logits(texts, t) for t in Task]
-        ref_logits = [ref_sft.predict_logits(texts)] + [
-            ref_mtl.predict_logits(texts, t) for t in Task
-        ]
+        def logits(sft, mtl):
+            return [predict_logits(sft.base, sft.adapters, sft.head, texts)] + [
+                predict_logits(mtl.base, mtl.adapters[t], mtl.heads[t], texts) for t in Task
+            ]
+
+        new_logits, ref_logits = logits(sft, mtl), logits(ref_sft, ref_mtl)
         for new, ref in zip(new_logits, ref_logits, strict=True):
             np.testing.assert_allclose(new, ref, rtol=1e-10, atol=0)
             assert np.array_equal(new.argmax(axis=1), ref.argmax(axis=1))
