@@ -207,7 +207,6 @@ class MatchKind(enum.Enum):
 class ParsedLabel:
     label: Label
     match_kind: MatchKind
-    raw: RawResponse
 
 
 def make_stub(
@@ -515,7 +514,7 @@ def parse_label(
     text = raw.text
     exact = names.get(text.strip().lower())
     if exact is not None:
-        return ParsedLabel(label=exact, match_kind=MatchKind.EXACT, raw=raw)
+        return ParsedLabel(label=exact, match_kind=MatchKind.EXACT)
 
     if synonym_table is None:
         pattern, group_labels = _default_synonym_matcher(_task_of_space(space))
@@ -525,11 +524,11 @@ def parse_label(
     if match:
         # by group index: a case-folded match text need not equal its phrase
         label = group_labels[match.lastindex - 1]
-        return ParsedLabel(label=label, match_kind=MatchKind.SYNONYM, raw=raw)
+        return ParsedLabel(label=label, match_kind=MatchKind.SYNONYM)
 
     lowered = text.lower()
     hits = [(lowered.find(name), int(lab), lab) for name, lab in names.items() if name in lowered]
     if hits:
-        return ParsedLabel(label=min(hits)[2], match_kind=MatchKind.SUBSTRING_FIRST, raw=raw)
+        return ParsedLabel(label=min(hits)[2], match_kind=MatchKind.SUBSTRING_FIRST)
 
     raise ParseFailure(text, space.__name__)

@@ -1,9 +1,10 @@
 """Command-line surface: data preparation, training, runs, and reports.
 
-All commands are driven by declarative JSON configs so that run manifests
-double as configs. Exit codes: 0 success, 1 runtime failure, 2 usage or
-config error. Configs are validated fully (with key paths in the message)
-before any side effect.
+All commands are driven by declarative JSON configs. A persisted run
+manifest is not a ``run`` config; it reruns through
+``pipeline.run_from_manifest``. Exit codes: 0 success, 1 runtime failure,
+2 usage or config error. Configs are validated fully (with key paths in
+the message) before any side effect.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .pipeline import (
     load_predictions,
     run_experiment,
 )
+from .prompting import PromptError
 from .tuning import (
     MtlTrainer,
     SftTrainer,
@@ -283,20 +285,17 @@ def cmd_run(config_path: str) -> None:
     eval_path = _require(corpus_cfg, "eval", str, path="corpus")
     out_dir = _require(config, "out_dir", str)
 
-    train_posts = None
+    train_path = None
     if spec.method is Method.FEW_SHOT:
         train_path = _require(corpus_cfg, "train", str, path="corpus")
-        try:
-            train_posts = load_records(train_path)
-        except FileNotFoundError as exc:
-            raise click.ClickException(str(exc))
 
     try:
+        train_posts = None if train_path is None else load_records(train_path)
         posts = load_records(eval_path)
         result = run_experiment(posts, spec, train_posts=train_posts, out_dir=out_dir)
-    except FileNotFoundError as exc:
-        raise click.ClickException(str(exc))
-    except (PipelineError, CorpusError, BackendError, TuningError) as exc:
+    except (
+        FileNotFoundError, PipelineError, PromptError, CorpusError, BackendError, TuningError
+    ) as exc:
         raise click.ClickException(str(exc))
 
     n_failures = sum(1 for p in result.predictions if p.failure)

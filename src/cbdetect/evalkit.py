@@ -68,22 +68,6 @@ class ConfusionMatrix:
     def n_records(self) -> int:
         return int(self.counts.sum()) + self.n_parse_failures
 
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Sequence[tuple[Label, Label | None]],
-        space: type,
-    ) -> "ConfusionMatrix":
-        n = len(list(space))
-        counts = np.zeros((n, n), dtype=int)
-        failures = np.zeros(n, dtype=int)
-        for gold, predicted in pairs:
-            if predicted is None:
-                failures[int(gold)] += 1
-            else:
-                counts[int(gold), int(predicted)] += 1
-        return cls(label_space=space, counts=counts, failures_by_gold=failures)
-
 
 def build_confusion(predictions: Sequence, space: type) -> ConfusionMatrix:
     """Tally predictions into a confusion matrix.
@@ -92,7 +76,9 @@ def build_confusion(predictions: Sequence, space: type) -> ConfusionMatrix:
     attributes) or plain (gold, predicted) pairs; ``predicted=None`` marks
     an unscored record. All golds must belong to the one label space.
     """
-    pairs: list[tuple[Label, Label | None]] = []
+    n = len(list(space))
+    counts = np.zeros((n, n), dtype=int)
+    failures = np.zeros(n, dtype=int)
     for item in predictions:
         if isinstance(item, tuple):
             gold, predicted = item
@@ -103,10 +89,13 @@ def build_confusion(predictions: Sequence, space: type) -> ConfusionMatrix:
                 f"gold label {gold!r} is not a {space.__name__}; "
                 "predictions must share one task"
             )
-        if predicted is not None and not isinstance(predicted, space):
+        if predicted is None:
+            failures[int(gold)] += 1
+        elif isinstance(predicted, space):
+            counts[int(gold), int(predicted)] += 1
+        else:
             raise EvalError(f"predicted label {predicted!r} is not a {space.__name__}")
-        pairs.append((gold, predicted))
-    return ConfusionMatrix.from_pairs(pairs, space)
+    return ConfusionMatrix(label_space=space, counts=counts, failures_by_gold=failures)
 
 
 @dataclass(frozen=True)

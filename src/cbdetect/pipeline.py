@@ -22,6 +22,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -41,6 +42,7 @@ from .prompting import (
     ExemplarSet,
     Prompt,
     PromptMode,
+    PromptTemplate,
     load_template,
     render_enriched,
     render_few_shot,
@@ -156,21 +158,94 @@ def _canonical_json(data) -> str:
     return _CANONICAL.encode(data)
 
 
-def _manifest_for(
+def _read_outcome(
+    post_id: str, stage: str, prompt: Prompt, outcome: Union[RawResponse, TransportError]
+) -> tuple[ParsedLabel | None, str | None, str | None, dict]:
+    """(parsed label, response text, failure, audit entry) of one record's
+    outcome: a transport error, a parsed label or a parse failure."""
+    failed = isinstance(outcome, BaseException)
+    entry = {
+        "post_id": post_id,
+        "stage": stage,
+        "rendered_text": prompt.rendered_text,
+        "response_text": None if failed else outcome.text,
+        "failure": str(outcome) if failed else None,
+    }
+    if failed:
+        return None, None, f"transport_error: {outcome}", entry
+    try:
+        return parse_label(outcome, prompt.label_space), outcome.text, None, entry
+    except ParseFailure:
+        return None, outcome.text, "parse_failure", entry
+
+
+# a baseline record's stage-1 cue: no annotation, no fallback, no response, no mode
+_NO_CUE = (None, False, None, None)
+
+
+def _run_stage(
+    stage: str,
+    posts: Sequence[LabeledPost],
+    prompts: list[Prompt],
+    descriptor: BackendDescriptor,
+    meta: dict,
+    audit: list[dict],
+    cues: Sequence[tuple] | None = None,
+) -> list[Prediction]:
+    """Classify a stage's prompts in one batch: one ``Prediction`` per record,
+    its audit entry appended to ``audit``. ``meta`` joins every record's
+    provenance; ``cues`` are EPP stage 2's per-record stage-1 cues."""
+    outcomes = backend_mod.classify_batch(prompts, descriptor)
+    predictions = []
+    for post, prompt, outcome, (annotation, fallback, stage1_text, stage1_mode) in zip(
+        posts, prompts, outcomes, cues or repeat(_NO_CUE)
+    ):
+        parsed, response_text, failure, entry = _read_outcome(post.id, stage, prompt, outcome)
+        audit.append(entry)
+        provenance = prompt.provenance.to_dict()
+        provenance.update(meta)
+        if stage1_mode is not None:
+            provenance["stage1_mode"] = stage1_mode
+        if parsed is not None:
+            provenance["match_kind"] = parsed.match_kind.value
+        predictions.append(
+            Prediction(
+                post_id=post.id,
+                gold=post.label,
+                predicted=None if parsed is None else parsed.label,
+                failure=failure,
+                aggression_annotation=annotation,
+                stage1_fallback=fallback,
+                provenance=provenance,
+                response_text=response_text,
+                stage1_response_text=stage1_text,
+            )
+        )
+    return predictions
+
+
+def _finish_run(
     spec: ExperimentSpec,
-    templates: dict[str, dict],
-    exemplars: ExemplarSet | None,
-    n_records: int,
-    aggression_overrides: dict[str, str] | None = None,
-) -> dict:
+    templates: Mapping[str, PromptTemplate],
+    predictions: list[Prediction],
+    audit: list[dict],
+    out_dir: Union[str, Path, None],
+    exemplars: ExemplarSet | None = None,
+    aggression_overrides: Mapping[str, AggressionLabel] | None = None,
+) -> RunResult:
+    """Build the run's manifest and result; persist it when ``out_dir`` is
+    given. The run id hashes the manifest."""
     manifest = {
         "method": spec.method.value,
         "task": spec.task.value,
         "seed": spec.seed,
-        "templates": templates,
+        "templates": {
+            role: {"template_id": template.template_id, "version": template.version}
+            for role, template in templates.items()
+        },
         "backends": [b.to_dict() for b in spec.backends],
         "checkpoints": list(spec.checkpoints),
-        "n_records": n_records,
+        "n_records": len(predictions),
     }
     if exemplars is not None:
         manifest["exemplars"] = {
@@ -179,57 +254,14 @@ def _manifest_for(
             "source_ids": list(exemplars.source_ids),
         }
     if aggression_overrides:
-        manifest["aggression_overrides"] = dict(sorted(aggression_overrides.items()))
+        manifest["aggression_overrides"] = dict(
+            sorted((post_id, label.name) for post_id, label in aggression_overrides.items())
+        )
     manifest["run_id"] = hashlib.sha256(_canonical_json(manifest).encode("utf-8")).hexdigest()[:12]
-    return manifest
-
-
-def _read_outcome(
-    prompt: Prompt, outcome: Union[RawResponse, TransportError]
-) -> tuple[ParsedLabel | None, str | None, str | None]:
-    """(parsed label, response text, failure) of one record's outcome: a
-    transport error, a parsed label or a parse failure."""
-    if isinstance(outcome, BaseException):
-        return None, None, f"transport_error: {outcome}"
-    try:
-        return parse_label(outcome, prompt.label_space), outcome.text, None
-    except ParseFailure:
-        return None, outcome.text, "parse_failure"
-
-
-def _prediction(
-    post: LabeledPost,
-    prompt: Prompt,
-    outcome: Union[RawResponse, TransportError],
-    provenance: dict,
-    **fields,
-) -> Prediction:
-    """One record's ``Prediction``; ``fields`` are the stage-specific fields."""
-    parsed, response_text, failure = _read_outcome(prompt, outcome)
-    if parsed is not None:
-        provenance = {**provenance, "match_kind": parsed.match_kind.value}
-    return Prediction(
-        post_id=post.id,
-        gold=post.label,
-        predicted=None if parsed is None else parsed.label,
-        failure=failure,
-        provenance=provenance,
-        response_text=response_text,
-        **fields,
-    )
-
-
-def _audit_entry(
-    post_id: str, stage: str, prompt: Prompt, outcome: Union[RawResponse, BaseException]
-) -> dict:
-    entry = {"post_id": post_id, "stage": stage, "rendered_text": prompt.rendered_text}
-    if isinstance(outcome, BaseException):
-        entry["response_text"] = None
-        entry["failure"] = str(outcome)
-    else:
-        entry["response_text"] = outcome.text
-        entry["failure"] = None
-    return entry
+    result = RunResult(spec=spec, predictions=predictions, manifest=manifest, audit=audit)
+    if out_dir is not None:
+        persist_run(result, out_dir)
+    return result
 
 
 def run_baseline(
@@ -251,10 +283,6 @@ def run_baseline(
         raise PipelineError("empty evaluation split")
 
     template = load_template(spec.template_id("main"), spec.task)
-    templates_meta = {
-        "main": {"template_id": template.template_id, "version": template.version}
-    }
-
     exemplars: ExemplarSet | None = None
     if spec.method is Method.FEW_SHOT:
         if not train_posts:
@@ -265,20 +293,11 @@ def run_baseline(
         prompts = [render_zero_shot(post, template) for post in posts]
 
     descriptor = spec.backends[0]
-    outcomes = backend_mod.classify_batch(prompts, descriptor)
-    predictions = []
-    audit = []
-    for post, prompt, outcome in zip(posts, prompts, outcomes):
-        audit.append(_audit_entry(post.id, "main", prompt, outcome))
-        provenance = prompt.provenance.to_dict()
-        provenance["backend_id"] = descriptor.backend_id
-        predictions.append(_prediction(post, prompt, outcome, provenance))
-
-    manifest = _manifest_for(spec, templates_meta, exemplars, len(posts))
-    result = RunResult(spec=spec, predictions=predictions, manifest=manifest, audit=audit)
-    if out_dir is not None:
-        persist_run(result, out_dir)
-    return result
+    audit: list[dict] = []
+    predictions = _run_stage(
+        "main", posts, prompts, descriptor, {"backend_id": descriptor.backend_id}, audit
+    )
+    return _finish_run(spec, {"main": template}, predictions, audit, out_dir, exemplars)
 
 
 def run_epp(
@@ -314,16 +333,6 @@ def run_epp(
 
     stage1_template = load_template(spec.template_id("stage1"), Task.AGGRESSION)
     enriched_template = load_template(spec.template_id("enriched"), Task.CYBERBULLYING)
-    templates_meta = {
-        "stage1": {
-            "template_id": stage1_template.template_id,
-            "version": stage1_template.version,
-        },
-        "enriched": {
-            "template_id": enriched_template.template_id,
-            "version": enriched_template.version,
-        },
-    }
     stage1_backend, stage2_backend = spec.backends
 
     # Stage 1: aggression cues for every record not covered by an override.
@@ -354,8 +363,8 @@ def run_epp(
             cues.append((overrides[post.id], False, None, "gold_override"))
             continue
         prompt, outcome = next(stage1_outcomes)
-        audit.append(_audit_entry(post.id, "stage1", prompt, outcome))
-        parsed, response_text, _ = _read_outcome(prompt, outcome)
+        parsed, response_text, _, entry = _read_outcome(post.id, "stage1", prompt, outcome)
+        audit.append(entry)
         label = STAGE1_FALLBACK_LABEL if parsed is None else parsed.label
         cues.append((label, parsed is None, response_text, "predicted"))
 
@@ -363,41 +372,16 @@ def run_epp(
     prompts = [
         render_enriched(post, cue[0], enriched_template) for post, cue in zip(posts, cues)
     ]
-    outcomes = backend_mod.classify_batch(prompts, stage2_backend)
     stage_meta = {
         "backend_id": stage2_backend.backend_id,
         "stage1_backend_id": stage1_backend.backend_id,
         "stage1_template_id": stage1_template.template_id,
     }
-    predictions = []
-    for post, (agg_label, fallback, stage1_text, stage1_mode), prompt, outcome in zip(
-        posts, cues, prompts, outcomes
-    ):
-        audit.append(_audit_entry(post.id, "stage2", prompt, outcome))
-        provenance = {**prompt.provenance.to_dict(), **stage_meta, "stage1_mode": stage1_mode}
-        predictions.append(
-            _prediction(
-                post,
-                prompt,
-                outcome,
-                provenance,
-                aggression_annotation=agg_label,
-                stage1_fallback=fallback,
-                stage1_response_text=stage1_text,
-            )
-        )
-
-    manifest = _manifest_for(
-        spec,
-        templates_meta,
-        None,
-        len(posts),
-        aggression_overrides={pid: lab.name for pid, lab in overrides.items()},
+    predictions = _run_stage("stage2", posts, prompts, stage2_backend, stage_meta, audit, cues)
+    templates = {"stage1": stage1_template, "enriched": enriched_template}
+    return _finish_run(
+        spec, templates, predictions, audit, out_dir, aggression_overrides=overrides
     )
-    result = RunResult(spec=spec, predictions=predictions, manifest=manifest, audit=audit)
-    if out_dir is not None:
-        persist_run(result, out_dir)
-    return result
 
 
 def run_experiment(

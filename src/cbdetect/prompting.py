@@ -217,6 +217,34 @@ def _class_list(task: Task) -> str:
     return ", ".join(display_names(task))
 
 
+def _render(
+    post: LabeledPost,
+    template: PromptTemplate,
+    task: Task,
+    mode: PromptMode,
+    values: dict[str, str],
+    **provenance,
+) -> Prompt:
+    """Fill ``template`` with ``task``'s class list, the post text and
+    ``values``; ``provenance`` holds the mode-specific provenance fields."""
+    rendered = _substitute(
+        template.instruction_text,
+        {"class_list": _class_list(task), "post_text": post.text, **values},
+    )
+    return Prompt(
+        rendered_text=rendered,
+        label_space=template.label_space,
+        post_text=post.text,
+        provenance=PromptProvenance(
+            template_id=template.template_id,
+            template_version=template.version,
+            mode=mode,
+            post_id=post.id,
+            **provenance,
+        ),
+    )
+
+
 def render_zero_shot(
     post: LabeledPost, template: PromptTemplate, task: Task | None = None
 ) -> Prompt:
@@ -228,20 +256,7 @@ def render_zero_shot(
     """
     task = post.task if task is None else task
     _check_template_task(template, task)
-    rendered = _substitute(
-        template.instruction_text, {"class_list": _class_list(task), "post_text": post.text}
-    )
-    return Prompt(
-        rendered_text=rendered,
-        label_space=template.label_space,
-        post_text=post.text,
-        provenance=PromptProvenance(
-            template_id=template.template_id,
-            template_version=template.version,
-            mode=PromptMode.ZERO_SHOT,
-            post_id=post.id,
-        ),
-    )
+    return _render(post, template, task, PromptMode.ZERO_SHOT, {})
 
 
 def render_few_shot(
@@ -253,25 +268,13 @@ def render_few_shot(
         raise PromptError("exemplar set task does not match the post task")
     if post.id in exemplars.source_ids:
         raise PromptError(f"exemplar leakage: post {post.id!r} is in the exemplar set")
-    rendered = _substitute(
-        template.instruction_text,
-        {
-            "class_list": _class_list(post.task),
-            "exemplars": exemplars.block,
-            "post_text": post.text,
-        },
-    )
-    return Prompt(
-        rendered_text=rendered,
-        label_space=template.label_space,
-        post_text=post.text,
-        provenance=PromptProvenance(
-            template_id=template.template_id,
-            template_version=template.version,
-            mode=PromptMode.FEW_SHOT,
-            post_id=post.id,
-            exemplar_source_ids=exemplars.source_ids,
-        ),
+    return _render(
+        post,
+        template,
+        post.task,
+        PromptMode.FEW_SHOT,
+        {"exemplars": exemplars.block},
+        exemplar_source_ids=exemplars.source_ids,
     )
 
 
@@ -289,24 +292,12 @@ def render_enriched(
     if not isinstance(predicted, AggressionLabel):
         raise PromptError(f"predicted must be an aggression label, got {predicted!r}")
     _check_template_task(template, post.task)
-    rendered = _substitute(
-        template.instruction_text,
-        {
-            "aggression_label": predicted.display_name,
-            "post_text": post.text,
-            "class_list": _class_list(post.task),
-        },
-    )
-    return Prompt(
-        rendered_text=rendered,
-        label_space=template.label_space,
-        post_text=post.text,
-        provenance=PromptProvenance(
-            template_id=template.template_id,
-            template_version=template.version,
-            mode=PromptMode.ENRICHED,
-            post_id=post.id,
-            aggression_label=predicted,
-            enrichment_order="enrichment_first",
-        ),
+    return _render(
+        post,
+        template,
+        post.task,
+        PromptMode.ENRICHED,
+        {"aggression_label": predicted.display_name},
+        aggression_label=predicted,
+        enrichment_order="enrichment_first",
     )

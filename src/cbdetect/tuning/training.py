@@ -201,15 +201,12 @@ class SftTrainer:
         task: Task,
         config: TuneConfig,
         adapters: AdapterState | None = None,
-        head: TaskHead | None = None,
     ):
         self.base = base
         self.task = task
         self.config = config
-        if adapters is None:
-            adapters = init_adapter_state(base, config)
-        self.adapters = adapters
-        self.head = head if head is not None else TaskHead.zeros(task, base.config.d_model)
+        self.adapters = init_adapter_state(base, config) if adapters is None else adapters
+        self.head = TaskHead.zeros(task, base.config.d_model)
         self._prefix = f"adapter.{task.value}"
         trainable = dict(self.adapters.trainable_arrays(prefix=self._prefix))
         trainable.update(self.head.trainable_arrays())
@@ -224,15 +221,14 @@ class SftTrainer:
         self.optimizer.step(grads)
         return loss
 
-    def train(self, posts: Sequence[LabeledPost], epochs: int | None = None) -> list[dict]:
+    def train(self, posts: Sequence[LabeledPost]) -> list[dict]:
         """Epoch loop with seeded shuffling; one metrics record per step.
         Each post is tokenized once per call."""
         pairs = _encode_pairs(self.base, pairs_from_posts(posts, self.task))
-        epochs = self.config.epochs if epochs is None else epochs
         rng = random.Random(self.config.seed)
         records = []
         step = 0
-        for epoch in range(epochs):
+        for epoch in range(self.config.epochs):
             order = list(pairs)
             rng.shuffle(order)
             for start in range(0, len(order), self.config.batch_size):
@@ -253,28 +249,18 @@ class MtlTrainer:
     of the joint loss updates both sets and both heads in a single step.
     """
 
-    def __init__(
-        self,
-        base: ToyTransformer,
-        config: TuneConfig,
-        adapters: Mapping[Task, AdapterState] | None = None,
-        heads: Mapping[Task, TaskHead] | None = None,
-    ):
+    def __init__(self, base: ToyTransformer, config: TuneConfig):
         self.base = base
         self.config = config
-        if adapters is None:
-            adapters = {
-                # distinct seeds so the two Down inits differ
-                Task.AGGRESSION: init_adapter_state(base, config, seed_offset=0),
-                Task.CYBERBULLYING: init_adapter_state(base, config, seed_offset=1),
-            }
-        self.adapters = dict(adapters)
-        if heads is None:
-            heads = {
-                task: TaskHead.zeros(task, base.config.d_model)
-                for task in (Task.AGGRESSION, Task.CYBERBULLYING)
-            }
-        self.heads = dict(heads)
+        self.adapters = {
+            # distinct seeds so the two Down inits differ
+            Task.AGGRESSION: init_adapter_state(base, config, seed_offset=0),
+            Task.CYBERBULLYING: init_adapter_state(base, config, seed_offset=1),
+        }
+        self.heads = {
+            task: TaskHead.zeros(task, base.config.d_model)
+            for task in (Task.AGGRESSION, Task.CYBERBULLYING)
+        }
         trainable: dict[str, np.ndarray] = {}
         for task in (Task.AGGRESSION, Task.CYBERBULLYING):
             trainable.update(self.adapters[task].trainable_arrays(prefix=f"adapter.{task.value}"))
@@ -315,21 +301,17 @@ class MtlTrainer:
         return joint, loss_agg, loss_cb
 
     def train(
-        self,
-        posts_agg: Sequence[LabeledPost],
-        posts_cb: Sequence[LabeledPost],
-        epochs: int | None = None,
+        self, posts_agg: Sequence[LabeledPost], posts_cb: Sequence[LabeledPost]
     ) -> list[dict]:
         """Alternating per-task mini-batches summed inside every step. Each
         post is tokenized once per call."""
         pairs_agg = _encode_pairs(self.base, pairs_from_posts(posts_agg, Task.AGGRESSION))
         pairs_cb = _encode_pairs(self.base, pairs_from_posts(posts_cb, Task.CYBERBULLYING))
-        epochs = self.config.epochs if epochs is None else epochs
         rng = random.Random(self.config.seed)
         records = []
         step = 0
         size = self.config.batch_size
-        for epoch in range(epochs):
+        for epoch in range(self.config.epochs):
             order_agg = list(pairs_agg)
             order_cb = list(pairs_cb)
             rng.shuffle(order_agg)

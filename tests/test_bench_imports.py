@@ -1,7 +1,9 @@
 """The benchmark harness under bench/ still imports against the package.
 
 Tier-1 does not collect bench/, so without this check an API removal that
-breaks the harness would surface only when the benchmark runs.
+breaks the harness would surface only when the benchmark runs. The same
+subprocess installs the harness's tracer, so a renamed or deleted function
+that the tracer patches fails here too.
 """
 
 import subprocess
@@ -17,7 +19,9 @@ def test_bench_modules_import():
     code = (
         "import sys; "
         f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'bench')!r}]; "
-        "import inputs, tracing, workloads"
+        "import inputs, tracing, workloads; "
+        "tracer = tracing.Tracer(); tracer.install(); tracer.remove(); "
+        "sys.exit('absent tracer targets: %s' % tracer.absent if tracer.absent else 0)"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120

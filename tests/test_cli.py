@@ -223,6 +223,28 @@ class TestRun:
         assert result.exit_code == 2
         assert not (tmp_path / "runs").exists()
 
+    def test_undersized_exemplar_pool_fails_cleanly(self, runner, tmp_path):
+        config_path = self._run_config(tmp_path, method="few_shot")
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        pool = synth_fixture(1, Task.CYBERBULLYING, seed=6)
+        config["corpus"]["train"] = str(save_records(pool, tmp_path / "train.jsonl"))
+        config["exemplar_k"] = 3
+        write_json(config_path, config)
+        result = runner.invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert "has only 1 training records, cannot select k=3" in result.output
+
+    def test_unknown_template_id_fails_cleanly(self, runner, tmp_path):
+        config_path = self._run_config(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["templates"] = {"main": "nope_v1"}
+        write_json(config_path, config)
+        result = runner.invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "unknown template id: 'nope_v1'" in result.output
+
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         config = self._run_config(tmp_path)
         first = runner.invoke(main, ["run", "--config", str(config)])

@@ -107,6 +107,13 @@ class TestFewShot:
         with pytest.raises(PromptError, match="leakage"):
             render_few_shot(victim, few_shot_template(Task.CYBERBULLYING), exemplars)
 
+    def test_template_check_precedes_leakage_check(self, cyberbullying_fixture):
+        exemplars = select_exemplars(cyberbullying_fixture, k=3, seed=1)
+        victim = cyberbullying_fixture[0]
+        assert victim.id in exemplars.source_ids
+        with pytest.raises(PromptError, match="is bound to AggressionLabel"):
+            render_few_shot(victim, few_shot_template(Task.AGGRESSION), exemplars)
+
     def test_identical_prefix_up_to_query(self):
         pool = synth_fixture(4, Task.CYBERBULLYING, seed=42)
         queries = synth_fixture(1, Task.CYBERBULLYING, seed=43)
@@ -183,6 +190,14 @@ class TestEnriched:
     def test_wrong_task(self, aggression_fixture):
         with pytest.raises(PromptError, match="cyberbullying task"):
             render_enriched(aggression_fixture[0], AggressionLabel.NAG, enriched_template())
+
+    def test_task_check_precedes_cue_check(self, aggression_fixture):
+        from cbdetect import CyberbullyingLabel
+
+        with pytest.raises(PromptError, match="cyberbullying task"):
+            render_enriched(
+                aggression_fixture[0], list(CyberbullyingLabel)[0], enriched_template()
+            )
 
 
 class TestTemplates:
