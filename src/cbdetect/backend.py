@@ -38,6 +38,7 @@ from typing import Mapping, Sequence
 
 import requests
 
+from ._config import from_fields
 from .labels import _SPACE_TASKS, Label, Task, label_space, labels_in_order
 from .prompting import Prompt
 
@@ -164,28 +165,18 @@ class BackendDescriptor:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BackendDescriptor":
-        retry = data.get("retry_policy", {})
+        if not isinstance(data, Mapping):
+            raise BackendError(f"expected a JSON object, got {type(data).__name__}")
         kind = BackendKind(data["kind"])
-        return cls(
-            backend_id=data["backend_id"],
+        fields = dict(data)
+        if kind is BackendKind.STUB and "match_on" in fields:
+            fields["input_mode"] = fields.pop("match_on")
+        return from_fields(
+            cls,
+            fields,
             kind=kind,
-            model_name=data.get("model_name", ""),
-            endpoint_address=data.get("endpoint_address", ""),
-            max_parallel_requests=int(data.get("max_parallel_requests", 1)),
-            timeout=float(data.get("timeout", 30.0)),
-            retry_policy=RetryPolicy(
-                max_attempts=int(retry.get("max_attempts", 3)),
-                backoff=tuple(retry.get("backoff", (0.5, 1.0, 2.0))),
-            ),
-            temperature=float(data.get("temperature", 0.0)),
-            max_output_tokens=int(data.get("max_output_tokens", 64)),
+            retry_policy=from_fields(RetryPolicy, data.get("retry_policy", {})),
             stub_rules=tuple((p, r) for p, r in data.get("stub_rules", ())),
-            default_response=data.get("default_response", ""),
-            fail_patterns=tuple(data.get("fail_patterns", ())),
-            checkpoint_path=data.get("checkpoint_path", ""),
-            input_mode=data.get(
-                "match_on" if kind is BackendKind.STUB else "input_mode", "post_text"
-            ),
         )
 
 

@@ -84,11 +84,14 @@ def _parse_split_spec(text: str, seed: int) -> SplitSpec:
 
 def _read_config(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise click.UsageError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"config is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        raise click.UsageError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _require(config: dict, key: str, kind: type, path: str = "") -> object:
@@ -101,7 +104,29 @@ def _require(config: dict, key: str, kind: type, path: str = "") -> object:
     return value
 
 
-@click.group()
+def _decode(where: str, build, *args, **kwargs):
+    """Call a config decoder; a malformed value becomes a usage error (exit 2)."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError, KeyError, BackendError) as exc:
+        raise click.UsageError(f"{where}: {exc}") from None
+
+
+# Library and I/O failures of a command; each exits 1 with its message.
+_FAILURES = (OSError, CorpusError, PromptError, BackendError, PipelineError, TuningError)
+
+
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _FAILURES as exc:
+            if isinstance(exc, BrokenPipeError):
+                raise  # click's own handler exits quietly when stdout closes
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Aggression-conditioned cyberbullying detection toolkit."""
 
@@ -121,18 +146,11 @@ def cmd_prepare_data(input_path: str, schema: str, out_dir: str, split_text: str
     """Normalize a raw dataset into per-split record files plus a rejects report."""
     schema = schema.upper()
     spec = _parse_split_spec(split_text or _DEFAULT_SPLITS[schema], seed)
-    try:
-        result = load_dataset(input_path, schema)
-    except CorpusError as exc:
-        raise click.ClickException(str(exc))
+    result = load_dataset(input_path, schema)
     if not result.accepted:
         raise click.ClickException(f"no usable rows in {input_path} ({len(result.rejects)} rejected)")
 
-    try:
-        splits = split_corpus(result.accepted, spec)
-    except CorpusError as exc:
-        raise click.ClickException(str(exc))
-
+    splits = split_corpus(result.accepted, spec)
     out = Path(out_dir)
     prefix = schema.lower()
     for split in (Split.TRAIN, Split.VALIDATION, Split.TEST):
@@ -140,26 +158,6 @@ def cmd_prepare_data(input_path: str, schema: str, out_dir: str, split_text: str
         click.echo(f"{split.value}: {len(splits[split])} records -> {path}")
     rejects_path = save_rejects(result.rejects, out / f"{prefix}_rejects.jsonl")
     click.echo(f"rejected: {len(result.rejects)} rows -> {rejects_path}")
-
-
-def _tune_config_from(config: dict) -> TuneConfig:
-    tune = config.get("tune", {})
-    if not isinstance(tune, dict):
-        raise click.UsageError("tune: expected an object")
-    try:
-        return TuneConfig.from_dict(tune)
-    except (TuningError, ValueError) as exc:
-        raise click.UsageError(f"tune: {exc}")
-
-
-def _model_config_from(config: dict) -> ToyNetConfig:
-    model = config.get("model", {})
-    if not isinstance(model, dict):
-        raise click.UsageError("model: expected an object")
-    try:
-        return ToyNetConfig.from_dict({**ToyNetConfig().to_dict(), **model})
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"model: {exc}")
 
 
 @main.command("train")
@@ -172,8 +170,8 @@ def cmd_train(config_path: str) -> None:
         raise click.UsageError(f"method: must be lora_sft or mtl, got {method!r}")
     corpus_cfg = _require(config, "corpus", dict)
     out_dir = Path(_require(config, "out_dir", str))
-    tune_config = _tune_config_from(config)
-    model_config = _model_config_from(config)
+    tune_config = _decode("tune", TuneConfig.from_dict, config.get("tune", {}))
+    model_config = _decode("model", ToyNetConfig.from_dict, config.get("model", {}))
 
     epochs_warning = False
     if method == "mtl":
@@ -196,29 +194,26 @@ def cmd_train(config_path: str) -> None:
         "corpus": corpus_cfg,
     }
 
-    try:
-        if method == "lora_sft":
-            task = Task(_require(config, "task", str))
-            train_path = _require(corpus_cfg, "train", str, path="corpus")
-            posts = load_records(train_path)
-            trainer = SftTrainer(base, task, tune_config)
-            records = trainer.train(posts)
-            adapters = {task: trainer.adapters}
-            heads = {task: trainer.head}
-            manifest["task"] = task.value
-        else:
-            agg_path = _require(corpus_cfg, "aggression_train", str, path="corpus")
-            cb_path = _require(corpus_cfg, "cyberbullying_train", str, path="corpus")
-            posts_agg = load_records(agg_path)
-            posts_cb = load_records(cb_path)
-            trainer = MtlTrainer(base, tune_config)
-            records = trainer.train(posts_agg, posts_cb)
-            adapters = trainer.adapters
-            heads = trainer.heads
-            manifest["tasks"] = [Task.AGGRESSION.value, Task.CYBERBULLYING.value]
-            manifest["epochs_warning"] = epochs_warning
-    except (CorpusError, TuningError, FileNotFoundError) as exc:
-        raise click.ClickException(str(exc))
+    if method == "lora_sft":
+        task = _decode("task", Task, _require(config, "task", str))
+        train_path = _require(corpus_cfg, "train", str, path="corpus")
+        posts = load_records(train_path)
+        trainer = SftTrainer(base, task, tune_config)
+        records = trainer.train(posts)
+        adapters = {task: trainer.adapters}
+        heads = {task: trainer.head}
+        manifest["task"] = task.value
+    else:
+        agg_path = _require(corpus_cfg, "aggression_train", str, path="corpus")
+        cb_path = _require(corpus_cfg, "cyberbullying_train", str, path="corpus")
+        posts_agg = load_records(agg_path)
+        posts_cb = load_records(cb_path)
+        trainer = MtlTrainer(base, tune_config)
+        records = trainer.train(posts_agg, posts_cb)
+        adapters = trainer.adapters
+        heads = trainer.heads
+        manifest["tasks"] = [Task.AGGRESSION.value, Task.CYBERBULLYING.value]
+        manifest["epochs_warning"] = epochs_warning
 
     checkpoint_path = save_checkpoint(
         out_dir / "checkpoint.npz", model_config, tune_config, adapters, heads
@@ -234,45 +229,21 @@ def cmd_train(config_path: str) -> None:
 
 
 def _experiment_spec_from(config: dict) -> ExperimentSpec:
-    method_text = _require(config, "method", str)
-    try:
-        method = Method(method_text)
-    except ValueError:
-        raise click.UsageError(
-            f"method: {method_text!r} is not one of "
-            f"{[m.value for m in Method]}"
+    method = _decode("method", Method, _require(config, "method", str))
+    task = _decode("task", Task, _require(config, "task", str))
+    backends = tuple(
+        _decode(f"backends[{i}]", BackendDescriptor.from_dict, entry)
+        for i, entry in enumerate(_require(config, "backends", list))
+    )
+    optional = {
+        key: cast(_require(config, key, kind))
+        for key, kind, cast in (
+            ("templates", dict, dict), ("exemplar_k", int, int), ("seed", int, int),
+            ("checkpoints", list, tuple),
         )
-    task_text = _require(config, "task", str)
-    try:
-        task = Task(task_text)
-    except ValueError:
-        raise click.UsageError(f"task: {task_text!r} is not one of {[t.value for t in Task]}")
-
-    backends_cfg = _require(config, "backends", list)
-    backends = []
-    for i, entry in enumerate(backends_cfg):
-        if not isinstance(entry, dict):
-            raise click.UsageError(f"backends[{i}]: expected an object")
-        try:
-            backends.append(BackendDescriptor.from_dict(entry))
-        except (BackendError, KeyError, ValueError) as exc:
-            raise click.UsageError(f"backends[{i}]: {exc}")
-
-    templates = config.get("templates", {})
-    if not isinstance(templates, dict):
-        raise click.UsageError("templates: expected an object")
-    try:
-        return ExperimentSpec(
-            method=method,
-            task=task,
-            backends=tuple(backends),
-            templates=dict(templates),
-            exemplar_k=int(config.get("exemplar_k", 3)),
-            seed=int(config.get("seed", 0)),
-            checkpoints=tuple(config.get("checkpoints", ())),
-        )
-    except PipelineError as exc:
-        raise click.UsageError(str(exc))
+        if key in config
+    }
+    return _decode("config", ExperimentSpec, method, task, backends, **optional)
 
 
 @main.command("run")
@@ -289,14 +260,9 @@ def cmd_run(config_path: str) -> None:
     if spec.method is Method.FEW_SHOT:
         train_path = _require(corpus_cfg, "train", str, path="corpus")
 
-    try:
-        train_posts = None if train_path is None else load_records(train_path)
-        posts = load_records(eval_path)
-        result = run_experiment(posts, spec, train_posts=train_posts, out_dir=out_dir)
-    except (
-        FileNotFoundError, PipelineError, PromptError, CorpusError, BackendError, TuningError
-    ) as exc:
-        raise click.ClickException(str(exc))
+    train_posts = None if train_path is None else load_records(train_path)
+    posts = load_records(eval_path)
+    result = run_experiment(posts, spec, train_posts=train_posts, out_dir=out_dir)
 
     n_failures = sum(1 for p in result.predictions if p.failure)
     click.echo(f"run_id: {result.run_id}")

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from . import backend as backend_mod
 from .backend import (
@@ -395,12 +395,6 @@ def run_experiment(
     return run_baseline(posts, spec, train_posts=train_posts, out_dir=out_dir)
 
 
-def predictions_jsonl(predictions: Sequence[Prediction]) -> str:
-    """Deterministic line-delimited serialization (no timings, no clocks)."""
-    lines = [_canonical_json(p.to_record()) for p in predictions]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
     """Write manifest, predictions, and the raw-response audit log.
 
@@ -413,15 +407,18 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
         json.dumps(result.manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
     )
-    (run_dir / "predictions.jsonl").write_text(
-        predictions_jsonl(result.predictions), encoding="utf-8"
-    )
-    with (run_dir / "responses.jsonl").open("w", encoding="utf-8") as handle:
-        for entry in result.audit:
-            handle.write(_canonical_json(entry))
-            handle.write("\n")
+    _write_lines(run_dir / "predictions.jsonl", (p.to_record() for p in result.predictions))
+    _write_lines(run_dir / "responses.jsonl", result.audit)
     result.run_dir = run_dir
     return run_dir
+
+
+def _write_lines(path: Path, records: Iterable[dict]) -> None:
+    """Write one canonical JSON object per line, as each is encoded."""
+    with path.open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(_canonical_json(record))
+            handle.write("\n")
 
 
 def spec_from_manifest(manifest: dict) -> ExperimentSpec:
@@ -429,15 +426,15 @@ def spec_from_manifest(manifest: dict) -> ExperimentSpec:
     templates = {}
     for role, meta in manifest.get("templates", {}).items():
         templates[role] = meta["template_id"]
-    exemplar_meta = manifest.get("exemplars", {})
+    exemplar_k = {"exemplar_k": manifest["exemplars"]["k"]} if "exemplars" in manifest else {}
     return ExperimentSpec(
         method=Method(manifest["method"]),
         task=Task(manifest["task"]),
         backends=tuple(BackendDescriptor.from_dict(d) for d in manifest["backends"]),
         templates=templates,
-        exemplar_k=exemplar_meta.get("k", 3),
         seed=manifest["seed"],
         checkpoints=tuple(manifest.get("checkpoints", ())),
+        **exemplar_k,
     )
 
 

@@ -9,11 +9,12 @@ never written; the optimizer sees only factors and heads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
 
+from .._config import from_fields
 from .network import ToyTransformer
 
 
@@ -50,25 +51,11 @@ class TuneConfig:
             raise TuningError("epochs must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "rank_r": self.rank_r,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "target_layers": self.target_layers,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TuneConfig":
-        return cls(
-            rank_r=int(data.get("rank_r", 8)),
-            learning_rate=float(data.get("learning_rate", 1e-4)),
-            batch_size=int(data.get("batch_size", 8)),
-            epochs=int(data.get("epochs", 1)),
-            target_layers=str(data.get("target_layers", "attn")),
-            seed=int(data.get("seed", 0)),
-        )
+        return from_fields(cls, data)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
 from scipy.special import erf
+
+from .._config import from_fields
 
 _WORD_RE = re.compile(r"[\w']+", re.UNICODE)
 
@@ -98,19 +100,19 @@ class ToyNetConfig:
     max_len: int = 32
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.vocab_size < 3:
+            raise ValueError("vocab_size must be >= 3")
+        for name in ("d_model", "n_layers", "d_ff", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ToyNetConfig":
-        return cls(**{k: int(v) for k, v in data.items()})
+        return from_fields(cls, data)
 
 
 def _masked_softmax(scores: np.ndarray) -> np.ndarray:

@@ -327,3 +327,102 @@ class TestReport:
         assert isinstance(result.exception, SystemExit)
         assert str(first) in result.output and str(second) in result.output
         assert not (tmp_path / "grid.txt").exists()
+
+
+def _valid_config(command, tmp_path):
+    if command == "train":
+        posts = synth_fixture(2, Task.AGGRESSION, seed=1)
+        return {
+            "method": "lora_sft",
+            "task": "aggression",
+            "corpus": {"train": str(save_records(posts, tmp_path / "train.jsonl"))},
+            "tune": {"seed": 3},
+            "model": {"d_model": 8, "n_layers": 1, "d_ff": 16},
+            "out_dir": str(tmp_path / "artifacts"),
+        }
+    posts = synth_fixture(2, Task.CYBERBULLYING, seed=5)
+    return {
+        "method": "zero_shot",
+        "task": "cyberbullying",
+        "corpus": {"eval": str(save_records(posts, tmp_path / "eval.jsonl"))},
+        "backends": [stub_backend_dict(Task.CYBERBULLYING)],
+        "out_dir": str(tmp_path / "runs"),
+    }
+
+
+def _put(*keys, value):
+    """Config edit setting the value at a key path; ints index lists."""
+
+    def edit(config, tmp_path):
+        target = config
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return config
+
+    return edit
+
+
+def _below_file(*keys):
+    """Config edit pointing a path key below a regular file."""
+
+    def edit(config, tmp_path):
+        return _put(*keys, value=str(tmp_path / "blocker" / "below"))(config, tmp_path)
+
+    return edit
+
+
+# (command, config edit, exit code, text the message must hold)
+MALFORMED = {
+    "run-exemplar_k": ("run", _put("exemplar_k", value="x"), 2, "exemplar_k"),
+    "run-seed": ("run", _put("seed", value="abc"), 2, "seed"),
+    "run-checkpoints": ("run", _put("checkpoints", value=5), 2, "checkpoints"),
+    "run-stub_rules": ("run", _put("backends", 0, "stub_rules", value=5), 2, "backends[0]"),
+    "run-retry_policy": (
+        "run", _put("backends", 0, "retry_policy", value="x"), 2, "backends[0]: RetryPolicy"
+    ),
+    "run-timeout": ("run", _put("backends", 0, "timeout", value=None), 2, "backends[0]: timeout"),
+    "run-unknown-key": ("run", _put("backends", 0, "timeoutt", value=1.0), 2, "timeoutt"),
+    "run-not-object": ("run", lambda config, tmp_path: 5, 2, "JSON object"),
+    "run-array": ("run", lambda config, tmp_path: [], 2, "JSON object"),
+    "run-out_dir": ("run", _below_file("out_dir"), 1, "Not a directory"),
+    "train-rank_r": ("train", _put("tune", "rank_r", value=None), 2, "tune: rank_r"),
+    "train-unknown-key": ("train", _put("tune", "learning_rte", value=0.1), 2, "learning_rte"),
+    "train-vocab_size": ("train", _put("model", "vocab_size", value=2), 2, "model: vocab_size"),
+    "train-d_model": ("train", _put("model", "d_model", value=0), 2, "model: d_model"),
+    "train-task": ("train", _put("task", value="nope"), 2, "task: 'nope'"),
+    "train-not-object": ("train", lambda config, tmp_path: 5, 2, "JSON object"),
+    "train-out_dir": ("train", _below_file("out_dir"), 1, "Not a directory"),
+    "train-corpus-dir": ("train", _put("corpus", "train", value="."), 1, "Is a directory"),
+}
+
+
+class TestMalformedInput:
+    """Config faults exit 2 naming the key; I/O faults exit 1 with the OS
+    message. Neither ends in a traceback."""
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_clean_exit(self, runner, tmp_path, monkeypatch, case):
+        command, edit, code, message = MALFORMED[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("", encoding="utf-8")
+        config = edit(_valid_config(command, tmp_path), tmp_path)
+        path = write_json(tmp_path / "config.json", config)
+        result = runner.invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    def test_prepare_data_out_below_a_file(self, runner, tmp_path):
+        src = write_d1_csv(tmp_path / "raw.csv", [(f"record {i} words", i % 3) for i in range(9)])
+        (tmp_path / "blocker").write_text("", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            [
+                "prepare-data", "--input", str(src), "--schema", "D1",
+                "--out", str(tmp_path / "blocker" / "out"),
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Not a directory" in result.output

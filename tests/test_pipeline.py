@@ -24,7 +24,6 @@ from cbdetect import (
     run_from_manifest,
     synth_fixture,
 )
-from cbdetect.pipeline import predictions_jsonl
 
 
 def cb_spec(method=Method.ZERO_SHOT, **kwargs):
@@ -316,7 +315,9 @@ class TestReproducibility:
         first = run_epp(cyberbullying_fixture, epp_spec(), out_dir=tmp_path / "a")
         manifest = json.loads((first.run_dir / "manifest.json").read_text())
         second = run_from_manifest(manifest, cyberbullying_fixture, out_dir=tmp_path / "b")
-        assert predictions_jsonl(first.predictions) == predictions_jsonl(second.predictions)
+        assert (first.run_dir / "predictions.jsonl").read_bytes() == (
+            second.run_dir / "predictions.jsonl"
+        ).read_bytes()
 
     def test_few_shot_rerun_matches(self, tmp_path, cyberbullying_fixture):
         pool = synth_fixture(4, Task.CYBERBULLYING, seed=99)

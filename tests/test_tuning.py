@@ -470,6 +470,37 @@ class TestCheckpoint:
             assert np.array_equal(loaded.factors[name].up, factors.up)
         assert np.array_equal(bundle.heads[Task.AGGRESSION].weight, trainer.head.weight)
 
+    def test_config_dicts_round_trip(self):
+        tune = TuneConfig(
+            rank_r=3, learning_rate=0.25, batch_size=5, epochs=4,
+            target_layers="layers.0.attn.wq", seed=9,
+        )
+        model = ToyNetConfig(vocab_size=40, d_model=6, n_layers=3, d_ff=12, max_len=20, seed=7)
+        assert TuneConfig.from_dict(tune.to_dict()) == tune
+        assert ToyNetConfig.from_dict(model.to_dict()) == model
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("vocab_size", 2), ("d_model", 0), ("n_layers", 0), ("d_ff", 0), ("max_len", 0)],
+    )
+    def test_net_config_rejects_degenerate_sizes(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            ToyNetConfig(**{field: value})
+        ToyNetConfig(**{field: value + 1})  # the bound itself is valid
+
+    def test_checkpoint_header_bytes(self, tmp_path):
+        tune = TuneConfig(rank_r=2, learning_rate=0.5, batch_size=3, epochs=4, seed=6)
+        state = init_adapter_state(ToyTransformer(SMALL), tune)
+        path = save_checkpoint(tmp_path / "c.npz", SMALL, tune, {Task.AGGRESSION: state}, {})
+        with np.load(path) as archive:
+            meta = str(archive["__meta__"])
+        assert meta == (
+            '{"format_version": 1, "model": {"d_ff": 16, "d_model": 8, "max_len": 32, '
+            '"n_layers": 1, "seed": 11, "vocab_size": 32}, "tasks": ["aggression"], '
+            '"tune": {"batch_size": 3, "epochs": 4, "learning_rate": 0.5, "rank_r": 2, '
+            '"seed": 6, "target_layers": "attn"}}'
+        )
+
     def test_rebuilt_base_matches(self, tmp_path, base):
         rebuilt = ToyTransformer(base.config)
         for key, value in base.params.items():
