@@ -1,9 +1,14 @@
-"""Decode JSON config objects into dataclasses; the dataclass is the schema."""
+"""JSON between cbdetect's files and its types: a config object decodes into
+a dataclass, its schema; line-delimited files have one writer and one reader,
+and a bad line (or file) raises the caller's error as ``<path>:<line>: <message>``.
+"""
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping
+import json
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping
 
 # Casts by declared field type (annotations are strings under postponed
 # evaluation); a tuple field of any element type takes ``tuple``.
@@ -32,3 +37,39 @@ def from_fields(cls: type, data: Mapping, **converted: object):
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name}: {exc}") from None
     return cls(**values)
+
+
+def write_lines(path, items: Iterable, encode: Callable[..., str]) -> Path:
+    """Stream ``encode(item)``, a line with its newline, per item to ``path`` (UTF-8)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(map(encode, items))
+    return path
+
+
+def read_lines(path, build: Callable[[dict], object], error: type[Exception]) -> Iterator:
+    """``build`` the JSON object of each line that is not blank; only ``\\n``
+    ends a line. A line that fails UTF-8, JSON or ``build`` raises ``error``."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.isspace():
+                yield _built(build, line, error, path, number)
+
+
+def read_json(path, build: Callable[[dict], object], error: type[Exception]):
+    """``build`` the JSON object a whole file holds; a failure raises ``error``."""
+    return _built(build, Path(path).read_bytes(), error, path)
+
+
+def _built(build, data: bytes, error, path, line=None):
+    """``build`` the JSON object in ``data``; a failure raises ``error`` at ``path:line``."""
+    try:
+        record = json.loads(data.decode("utf-8"))
+        if type(record) is not dict:
+            raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+        return build(record)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        where = path if line is None else f"{path}:{line}"
+        reason = f"missing key {exc}" if type(exc) is KeyError else exc
+        raise error(f"{where}: {reason}") from None

@@ -203,10 +203,8 @@ class ParsedLabel:
 def make_stub(
     rule_table: Mapping[str, str] | Sequence[tuple[str, str]],
     backend_id: str = "stub",
-    model_name: str = "rule-stub",
     default_response: str = "",
     fail_patterns: Sequence[str] = (),
-    max_parallel_requests: int = 1,
 ) -> BackendDescriptor:
     """Build a deterministic rule-based backend.
 
@@ -214,18 +212,13 @@ def make_stub(
     substring) in the descriptor's ``input_mode`` text (the post text by
     default) wins. An empty pattern matches anything.
     """
-    if isinstance(rule_table, Mapping):
-        rules = tuple(rule_table.items())
-    else:
-        rules = tuple(rule_table)
     return BackendDescriptor(
         backend_id=backend_id,
         kind=BackendKind.STUB,
-        model_name=model_name,
-        stub_rules=rules,
+        model_name="rule-stub",
+        stub_rules=tuple(rule_table.items() if isinstance(rule_table, Mapping) else rule_table),
         default_response=default_response,
         fail_patterns=tuple(fail_patterns),
-        max_parallel_requests=max_parallel_requests,
     )
 
 

@@ -4,7 +4,8 @@ All commands are driven by declarative JSON configs. A persisted run
 manifest is not a ``run`` config; it reruns through
 ``pipeline.run_from_manifest``. Exit codes: 0 success, 1 runtime failure,
 2 usage or config error. Configs are validated fully (with key paths in
-the message) before any side effect.
+the message) before any side effect; a record, predictions or manifest
+file that does not decode exits 1, naming the file and line.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import click
 
+from ._config import read_json
 from .backend import BackendDescriptor, BackendError
 from .corpus import (
     CorpusError,
@@ -39,6 +41,7 @@ from .pipeline import (
     ExperimentSpec,
     Method,
     PipelineError,
+    load_manifest,
     load_predictions,
     run_experiment,
 )
@@ -84,14 +87,9 @@ def _parse_split_spec(text: str, seed: int) -> SplitSpec:
 
 def _read_config(path: str) -> dict:
     try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
+        return read_json(path, lambda config: config, click.UsageError)
     except FileNotFoundError:
-        raise click.UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"config is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        raise click.UsageError(f"config must be a JSON object, got {type(config).__name__}")
-    return config
+        raise click.UsageError(f"config file not found: {path}") from None
 
 
 def _require(config: dict, key: str, kind: type, path: str = "") -> object:
@@ -294,20 +292,19 @@ def cmd_report(run_dirs: tuple[str, ...], out_path: str, csv_path: str | None, p
     reports = {}
     sources: dict[tuple[str, str, str], Path] = {}
     for run_dir in _discover_run_dirs(run_dirs):
-        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-        task = Task(manifest["task"])
-        model = manifest["backends"][-1].get("model_name") or manifest["backends"][-1]["backend_id"]
-        key = (model, manifest["method"], task.value)
+        spec, run_id = load_manifest(run_dir / "manifest.json")
+        model = spec.backends[-1].model_name or spec.backends[-1].backend_id
+        key = (model, spec.method.value, spec.task.value)
         if key in sources:
             raise click.ClickException(
                 f"runs {sources[key]} and {run_dir} both report model {model!r}, "
                 f"method {key[1]}, task {key[2]}; pass only one of them"
             )
         sources[key] = run_dir
-        predictions = load_predictions(run_dir / "predictions.jsonl", task)
+        predictions = load_predictions(run_dir / "predictions.jsonl", spec.task)
         try:
-            cm = build_confusion(predictions, label_space(task))
-            reports[key] = compute_metrics(cm, policy=policy_enum, run_id=manifest["run_id"])
+            cm = build_confusion(predictions, label_space(spec.task))
+            reports[key] = compute_metrics(cm, policy=policy_enum, run_id=run_id)
         except EvalError as exc:
             raise click.ClickException(f"cannot score run {run_dir}: {exc}") from exc
 

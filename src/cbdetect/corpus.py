@@ -21,6 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
+from ._config import read_lines, write_lines
 from .labels import (
     Label,
     Task,
@@ -475,23 +476,12 @@ def merge_corpora(*groups: Sequence[LabeledPost]) -> tuple[LabeledPost, ...]:
 
 def save_records(posts: Iterable[LabeledPost], path: Union[str, Path]) -> Path:
     """Write posts as line-delimited records (UTF-8, sorted keys)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.writelines(post.to_record_line() for post in posts)
-    return path
+    return write_lines(path, posts, LabeledPost.to_record_line)
 
 
 def load_records(path: Union[str, Path]) -> tuple[LabeledPost, ...]:
-    """Inverse of save_records; round-trips exactly."""
-    path = Path(path)
-    posts = []
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                posts.append(LabeledPost.from_record(json.loads(line)))
-    return tuple(posts)
+    """Inverse of save_records; round-trips exactly. A bad line is a CorpusError."""
+    return tuple(read_lines(path, LabeledPost.from_record, CorpusError))
 
 
 def save_rejects(rejects: Iterable[RejectedRow], path: Union[str, Path]) -> Path:
@@ -500,12 +490,10 @@ def save_rejects(rejects: Iterable[RejectedRow], path: Union[str, Path]) -> Path
     A row longer than its header keeps its extra values, a list, under the
     ``None`` key of ``raw``; the report writes them under ``"__extra__"``.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for reject in rejects:
-            raw = {"__extra__" if key is None else key: value for key, value in reject.raw.items()}
-            record = {"row_number": reject.row_number, "reason": reject.reason, "raw": raw}
-            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
-            handle.write("\n")
-    return path
+    return write_lines(path, rejects, _reject_line)
+
+
+def _reject_line(reject: RejectedRow) -> str:
+    raw = {"__extra__" if key is None else key: value for key, value in reject.raw.items()}
+    record = {"row_number": reject.row_number, "reason": reject.reason, "raw": raw}
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"

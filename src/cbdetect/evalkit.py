@@ -117,9 +117,7 @@ class EvalReport:
     run_id: str | None = None
 
     @classmethod
-    def from_macro_f1(
-        cls, macro_f1: float, run_id: str | None = None
-    ) -> "EvalReport":
+    def from_macro_f1(cls, macro_f1: float) -> "EvalReport":
         """Fixture report carrying only a headline score (for grids)."""
         return cls(
             per_class={},
@@ -128,7 +126,6 @@ class EvalReport:
             macro_recall=float("nan"),
             macro_f1=macro_f1,
             parse_failure_policy=ParseFailurePolicy.EXCLUDE_AND_REPORT,
-            run_id=run_id,
         )
 
 

@@ -61,6 +61,7 @@ _TASK_LABELS = {
     Task.AGGRESSION: AggressionLabel,
     Task.CYBERBULLYING: CyberbullyingLabel,
 }
+_MEMBERS = {task: dict(space.__members__) for task, space in _TASK_LABELS.items()}
 
 
 def label_space(task: Task) -> type:
@@ -97,9 +98,8 @@ def label_to_name(label: Label) -> str:
 
 def label_from_name(task: Task, name: str) -> Label:
     """Resolve a serialized label name for a task (inverse of label_to_name)."""
-    space = label_space(task)
     try:
-        return space[name.upper()]
+        return _MEMBERS[task][name.upper()]
     except KeyError:
         raise ValueError(f"unknown {task.value} label name: {name!r}") from None
 

@@ -24,9 +24,10 @@ import json
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from . import backend as backend_mod
+from ._config import read_json, read_lines, write_lines
 from .backend import (
     BackendDescriptor,
     ParsedLabel,
@@ -154,8 +155,8 @@ class RunResult:
 _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def _canonical_json(data) -> str:
-    return _CANONICAL.encode(data)
+def _canonical_line(record: dict) -> str:
+    return _CANONICAL.encode(record) + "\n"
 
 
 def _read_outcome(
@@ -257,7 +258,7 @@ def _finish_run(
         manifest["aggression_overrides"] = dict(
             sorted((post_id, label.name) for post_id, label in aggression_overrides.items())
         )
-    manifest["run_id"] = hashlib.sha256(_canonical_json(manifest).encode("utf-8")).hexdigest()[:12]
+    manifest["run_id"] = hashlib.sha256(_CANONICAL.encode(manifest).encode("utf-8")).hexdigest()[:12]
     result = RunResult(spec=spec, predictions=predictions, manifest=manifest, audit=audit)
     if out_dir is not None:
         persist_run(result, out_dir)
@@ -389,9 +390,14 @@ def run_experiment(
     spec: ExperimentSpec,
     train_posts: Sequence[LabeledPost] | None = None,
     out_dir: Union[str, Path, None] = None,
+    aggression_overrides: Mapping[str, AggressionLabel] | None = None,
 ) -> RunResult:
+    """Run ``spec`` through ``run_epp`` or ``run_baseline`` by its method;
+    ``aggression_overrides`` apply only to the enriched pipeline."""
     if spec.method is Method.EPP:
-        return run_epp(posts, spec, out_dir=out_dir)
+        return run_epp(posts, spec, out_dir=out_dir, aggression_overrides=aggression_overrides)
+    if aggression_overrides:
+        raise PipelineError("aggression overrides apply only to an epp experiment spec")
     return run_baseline(posts, spec, train_posts=train_posts, out_dir=out_dir)
 
 
@@ -407,25 +413,16 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
         json.dumps(result.manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
     )
-    _write_lines(run_dir / "predictions.jsonl", (p.to_record() for p in result.predictions))
-    _write_lines(run_dir / "responses.jsonl", result.audit)
+    predictions = (p.to_record() for p in result.predictions)
+    write_lines(run_dir / "predictions.jsonl", predictions, _canonical_line)
+    write_lines(run_dir / "responses.jsonl", result.audit, _canonical_line)
     result.run_dir = run_dir
     return run_dir
 
 
-def _write_lines(path: Path, records: Iterable[dict]) -> None:
-    """Write one canonical JSON object per line, as each is encoded."""
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(_canonical_json(record))
-            handle.write("\n")
-
-
 def spec_from_manifest(manifest: dict) -> ExperimentSpec:
     """Rebuild an experiment spec from a persisted manifest."""
-    templates = {}
-    for role, meta in manifest.get("templates", {}).items():
-        templates[role] = meta["template_id"]
+    templates = {role: meta["template_id"] for role, meta in manifest.get("templates", {}).items()}
     exemplar_k = {"exemplar_k": manifest["exemplars"]["k"]} if "exemplars" in manifest else {}
     return ExperimentSpec(
         method=Method(manifest["method"]),
@@ -446,39 +443,29 @@ def run_from_manifest(
 ) -> RunResult:
     """Re-execute a persisted run; with stub backends the predictions file
     is byte-identical to the original."""
-    spec = spec_from_manifest(manifest)
-    if spec.method is Method.EPP:
-        overrides = {
-            post_id: AggressionLabel[name]
-            for post_id, name in manifest.get("aggression_overrides", {}).items()
-        }
-        return run_epp(posts, spec, out_dir=out_dir, aggression_overrides=overrides or None)
-    return run_baseline(posts, spec, train_posts=train_posts, out_dir=out_dir)
+    overrides = {
+        post_id: AggressionLabel[name]
+        for post_id, name in manifest.get("aggression_overrides", {}).items()
+    }
+    return run_experiment(posts, spec_from_manifest(manifest), train_posts, out_dir, overrides)
+
+
+def load_manifest(path: Union[str, Path]) -> tuple[ExperimentSpec, str]:
+    """The spec and run id of a persisted manifest; PipelineError names a bad one's path."""
+    return read_json(path, lambda m: (spec_from_manifest(m), str(m["run_id"])), PipelineError)
 
 
 def load_predictions(path: Union[str, Path], task: Task) -> list[Prediction]:
-    """Read a persisted predictions file back into Prediction objects."""
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        agg = record.get("aggression_annotation")
-        out.append(
-            Prediction(
-                post_id=record["post_id"],
-                gold=label_from_name(task, record["gold"]),
-                predicted=(
-                    None
-                    if record["predicted"] is None
-                    else label_from_name(task, record["predicted"])
-                ),
-                failure=record.get("failure"),
-                aggression_annotation=None if agg is None else AggressionLabel[agg],
-                stage1_fallback=record.get("stage1_fallback", False),
-                provenance=record.get("provenance", {}),
-                response_text=record.get("response_text"),
-                stage1_response_text=record.get("stage1_response_text"),
-            )
-        )
-    return out
+    """Read a persisted predictions file back; a bad line is a PipelineError."""
+    return list(read_lines(path, lambda record: _prediction_from(task, record), PipelineError))
+
+
+def _prediction_from(task: Task, record: dict) -> Prediction:
+    """Inverse of ``Prediction.to_record``, whose keys are the field names."""
+    record["gold"] = label_from_name(task, record["gold"])
+    if record.get("predicted") is not None:
+        record["predicted"] = label_from_name(task, record["predicted"])
+    if record.get("aggression_annotation") is not None:
+        agg = record["aggression_annotation"]
+        record["aggression_annotation"] = label_from_name(Task.AGGRESSION, agg)
+    return Prediction(**record)

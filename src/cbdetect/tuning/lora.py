@@ -90,7 +90,7 @@ class AdapterState:
             name: base_params[name] + f.up @ f.down for name, f in self.factors.items()
         }
 
-    def trainable_arrays(self, prefix: str = "adapter") -> dict[str, np.ndarray]:
+    def trainable_arrays(self, prefix: str) -> dict[str, np.ndarray]:
         out = {}
         for name, f in self.factors.items():
             out[f"{prefix}.{name}.down"] = f.down
@@ -98,7 +98,7 @@ class AdapterState:
         return out
 
     def factor_grads(
-        self, weight_grads: Mapping[str, np.ndarray], prefix: str = "adapter"
+        self, weight_grads: Mapping[str, np.ndarray], prefix: str
     ) -> dict[str, np.ndarray]:
         """Chain effective-weight gradients into factor gradients.
 

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from .._config import write_lines
 from ..corpus import LabeledPost
 from ..labels import Task, labels_in_order
 from .lora import AdapterState, TuneConfig, TuningError, init_adapter_state
@@ -347,10 +348,4 @@ def _wrap_slice(items: list, start: int, size: int) -> list:
 
 def write_metrics_log(records: Iterable[dict], path: Union[str, Path]) -> Path:
     """Line-delimited training metrics."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-    return path
+    return write_lines(path, records, lambda record: json.dumps(record, sort_keys=True) + "\n")

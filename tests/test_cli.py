@@ -328,6 +328,28 @@ class TestReport:
         assert str(first) in result.output and str(second) in result.output
         assert not (tmp_path / "grid.txt").exists()
 
+    @pytest.mark.parametrize(
+        "name, corrupt, where",
+        [
+            ("manifest.json", lambda lines: ["{"], ""),
+            ("manifest.json", lambda lines: ['{"task": "cyberbullying"}'], ""),
+            ("predictions.jsonl", lambda lines: lines[:2] + ["{"] + lines[3:], ":3"),
+        ],
+        ids=["manifest-not-json", "manifest-no-method", "predictions-line"],
+    )
+    def test_corrupt_run_file_fails_cleanly(self, runner, tmp_path, name, corrupt, where):
+        run_dir = self._make_run(runner, tmp_path, "a")
+        path = run_dir / name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        path.write_text("\n".join(corrupt(lines)), encoding="utf-8")
+        result = runner.invoke(
+            main, ["report", "--runs", str(run_dir), "--out", str(tmp_path / "grid.txt")]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {path}{where}: " in result.output
+        assert not (tmp_path / "grid.txt").exists()
+
 
 def _valid_config(command, tmp_path):
     if command == "train":
@@ -372,6 +394,32 @@ def _below_file(*keys):
     return edit
 
 
+_RECORD = {
+    "dataset_id": "D1", "id": "p1", "label": "NAG", "language_tag": "en",
+    "split": "train", "task": "aggression", "text": "a post",
+}
+# prepared-record lines that do not decode or do not build a post
+_BAD_RECORD_LINES = {
+    "not-json": "{not json",
+    "missing-key": '{"id": "x"}',
+    "text": json.dumps({**_RECORD, "text": 5}),
+    "label": json.dumps({**_RECORD, "label": 7}),
+    "array": '["x"]',
+}
+
+
+def _bad_records(key, line):
+    """Config edit pointing ``corpus.<key>`` at a record file whose second
+    line is ``line``; the path is relative, so the message shows it as is."""
+
+    def edit(config, tmp_path):
+        text = json.dumps(_RECORD) + "\n" + line + "\n"
+        (tmp_path / "records.jsonl").write_text(text, encoding="utf-8")
+        return _put("corpus", key, value="records.jsonl")(config, tmp_path)
+
+    return edit
+
+
 # (command, config edit, exit code, text the message must hold)
 MALFORMED = {
     "run-exemplar_k": ("run", _put("exemplar_k", value="x"), 2, "exemplar_k"),
@@ -394,12 +442,20 @@ MALFORMED = {
     "train-not-object": ("train", lambda config, tmp_path: 5, 2, "JSON object"),
     "train-out_dir": ("train", _below_file("out_dir"), 1, "Not a directory"),
     "train-corpus-dir": ("train", _put("corpus", "train", value="."), 1, "Is a directory"),
+    **{
+        f"{command}-record-{fault}": (
+            command, _bad_records(key, line), 1, "Error: records.jsonl:2: "
+        )
+        for command, key in (("run", "eval"), ("train", "train"))
+        for fault, line in _BAD_RECORD_LINES.items()
+    },
 }
 
 
 class TestMalformedInput:
     """Config faults exit 2 naming the key; I/O faults exit 1 with the OS
-    message. Neither ends in a traceback."""
+    message; a prepared-record line that does not decode or build exits 1
+    naming its file and line. None ends in a traceback."""
 
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_clean_exit(self, runner, tmp_path, monkeypatch, case):
@@ -412,6 +468,20 @@ class TestMalformedInput:
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b'{"method": "\xff"}', "'utf-8' codec"), (b"{", "Expecting")],
+        ids=["bad-utf8", "bad-json"],
+    )
+    def test_config_that_does_not_decode(self, runner, tmp_path, command, data, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        result = runner.invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {path}: {message}" in result.output
 
     def test_prepare_data_out_below_a_file(self, runner, tmp_path):
         src = write_d1_csv(tmp_path / "raw.csv", [(f"record {i} words", i % 3) for i in range(9)])

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -522,6 +523,13 @@ class TestRecordValidation:
 
     def test_good_line_loads(self, tmp_path):
         assert len(self._load(tmp_path)) == 2
+
+    def test_undecodable_line_names_its_line(self, tmp_path):
+        # blank lines are skipped but keep their line numbers
+        path = tmp_path / "corrupt.jsonl"
+        path.write_bytes(self.GOOD.encode() + b"\n\n" + b'{"id": "\xff"}\n')
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:3: 'utf-8' codec can't decode")):
+            load_records(path)
 
     def test_lower_case_label_name_still_resolves(self, tmp_path):
         assert self._load(tmp_path, label="cag")[1].label is AggressionLabel.CAG

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -21,9 +22,11 @@ from cbdetect import (
     render_enriched,
     run_baseline,
     run_epp,
+    run_experiment,
     run_from_manifest,
     synth_fixture,
 )
+from cbdetect.pipeline import load_predictions
 
 
 def cb_spec(method=Method.ZERO_SHOT, **kwargs):
@@ -97,9 +100,9 @@ class TestRunBaseline:
 
         original = backend_mod._classify_stub
 
-        def counting(prompt, descriptor):
-            calls.append(prompt.provenance.post_id)
-            return original(prompt, descriptor)
+        def counting(text, descriptor):
+            calls.append(text)
+            return original(text, descriptor)
 
         backend_mod._classify_stub = counting
         try:
@@ -286,6 +289,13 @@ class TestGoldOverrideDiagnostics:
         assert stage2[target.id].startswith("This post was predicted as Overtly Aggressive.")
         assert result.manifest["aggression_overrides"] == {target.id: "OAG"}
 
+    def test_run_experiment_passes_overrides_to_epp_only(self, cyberbullying_fixture):
+        overrides = {cyberbullying_fixture[0].id: AggressionLabel.OAG}
+        result = run_experiment(cyberbullying_fixture, epp_spec(), aggression_overrides=overrides)
+        assert result.manifest["aggression_overrides"] == {cyberbullying_fixture[0].id: "OAG"}
+        with pytest.raises(PipelineError, match="only to an epp experiment spec"):
+            run_experiment(cyberbullying_fixture, cb_spec(), aggression_overrides=overrides)
+
     def test_override_runs_reproduce_from_manifest(self, tmp_path, cyberbullying_fixture):
         overrides = {cyberbullying_fixture[0].id: AggressionLabel.NAG}
         first = run_epp(
@@ -403,3 +413,30 @@ class TestPinnedBytes:
             for f in ("predictions.jsonl", "responses.jsonl", "manifest.json")
         )
         assert digests == PINNED_RUN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    def test_predictions_read_back_field_for_field(self, tmp_path, name):
+        result = _pinned_run(name, tmp_path)
+        path = result.run_dir / "predictions.jsonl"
+        assert load_predictions(path, result.spec.task) == result.predictions
+
+    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    def test_unknown_prediction_key_names_its_line(self, tmp_path, name):
+        path = _pinned_run(name, tmp_path).run_dir / "predictions.jsonl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[1] = json.dumps({**json.loads(lines[1]), "surprise": 1})
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"{path}:2: ")):
+            load_predictions(path, Task.CYBERBULLYING)
+
+
+class TestPredictionsFile:
+    def test_line_separators_in_a_response_read_back(self, tmp_path):
+        # written unescaped, U+2028 and U+0085 end a line for str.splitlines
+        # but not for a file read line by line
+        stub = constant_stub("Religion\u2028or\x85not")
+        posts = synth_fixture(1, Task.CYBERBULLYING)
+        result = run_baseline(posts, cb_spec(backends=(stub,)), out_dir=tmp_path)
+        path = result.run_dir / "predictions.jsonl"
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        assert load_predictions(path, Task.CYBERBULLYING) == result.predictions
