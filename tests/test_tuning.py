@@ -501,6 +501,41 @@ class TestCheckpoint:
             '"seed": 6, "target_layers": "attn"}}'
         )
 
+    def test_trained_checkpoint_contents(self, tmp_path):
+        """Pins what a fixed SFT run and a fixed MTL run write: the header,
+        then each array's name, dtype, shape and bytes in file order. The
+        zip container itself is not hashed, so numpy's writer can change."""
+        base = ToyTransformer(SMALL)
+        config = TuneConfig(rank_r=2, learning_rate=1e-2, batch_size=3, epochs=2, seed=4)
+        agg = synth_fixture(2, Task.AGGRESSION, seed=1)
+        cb = synth_fixture(2, Task.CYBERBULLYING, seed=2)
+        sft = SftTrainer(base, Task.CYBERBULLYING, config)
+        sft.train(cb)
+        mtl = MtlTrainer(base, config)
+        mtl.train(agg, cb)
+        paths = {
+            "sft": save_checkpoint(
+                tmp_path / "sft.npz", SMALL, config,
+                {Task.CYBERBULLYING: sft.adapters}, {Task.CYBERBULLYING: sft.head},
+            ),
+            "mtl": save_checkpoint(tmp_path / "mtl.npz", SMALL, config, mtl.adapters, mtl.heads),
+        }
+        digests = {}
+        for run, path in paths.items():
+            digest = hashlib.sha256()
+            with np.load(path) as archive:
+                digest.update(str(archive["__meta__"]).encode("utf-8"))
+                for name in archive.files[1:]:
+                    array = archive[name]
+                    digest.update(f"\n{name} {array.dtype.str} {array.shape}\n".encode("ascii"))
+                    digest.update(array.tobytes())
+                assert archive.files[0] == "__meta__"
+            digests[run] = digest.hexdigest()
+        assert digests == {
+            "sft": "79ccd58fb5771f190f05b04231a76854cefaa8569b4078e9b1f5c4a51c866311",
+            "mtl": "ebd0070ad57b95eac0e44c12bc13b3239f00fe9ed29d23bc9dd1366a9af985e8",
+        }
+
     def test_rebuilt_base_matches(self, tmp_path, base):
         rebuilt = ToyTransformer(base.config)
         for key, value in base.params.items():
