@@ -1,6 +1,7 @@
 """JSON between cbdetect's files and its types: a config object decodes into
 a dataclass, its schema; line-delimited files have one writer and one reader,
-and a bad line (or file) raises the caller's error as ``<path>:<line>: <message>``.
+and a bad line (or file, or JSON held inside one) raises the caller's error as
+``<path>:<line>: <message>``.
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ def read_lines(path, build: Callable[[dict], object], error: type[Exception]) ->
     with open(path, "rb") as handle:
         for number, line in enumerate(handle, 1):
             if not line.isspace():
-                yield _built(build, line, error, path, number)
+                yield decode_json(build, line, error, path, number)
 
 
 def read_json(path, build: Callable[[dict], object], error: type[Exception]):
     """``build`` the JSON object a whole file holds; a failure raises ``error``."""
-    return _built(build, Path(path).read_bytes(), error, path)
+    return decode_json(build, Path(path).read_bytes(), error, path)
 
 
-def _built(build, data: bytes, error, path, line=None):
+def decode_json(build, data: bytes, error, path, line=None):
     """``build`` the JSON object in ``data``; a failure raises ``error`` at ``path:line``."""
     try:
         record = json.loads(data.decode("utf-8"))

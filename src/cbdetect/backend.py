@@ -46,7 +46,7 @@ ENDPOINT_ENV_VAR = "CBDETECT_ENDPOINT"
 API_KEY_ENV_VAR = "CBDETECT_API_KEY"
 
 
-class BackendError(RuntimeError):
+class BackendError(ValueError):
     pass
 
 

@@ -81,7 +81,7 @@ def _parse_split_spec(text: str, seed: int) -> SplitSpec:
         validation = int(parts[1]) if "." not in parts[1] else float(parts[1])
         test = float(parts[2])
         return SplitSpec(train_fraction=train, validation=validation, test_fraction=test, seed=seed)
-    except (ValueError, CorpusError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"invalid --split-spec {text!r}: {exc}") from None
 
 
@@ -106,7 +106,7 @@ def _decode(where: str, build, *args, **kwargs):
     """Call a config decoder; a malformed value becomes a usage error (exit 2)."""
     try:
         return build(*args, **kwargs)
-    except (ValueError, TypeError, KeyError, BackendError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise click.UsageError(f"{where}: {exc}") from None
 
 

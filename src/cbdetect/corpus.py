@@ -126,6 +126,10 @@ class LabeledPost:
             label = label_from_name(task, record["label"])
             dataset_id = DatasetId(record["dataset_id"])
             split = Split(record["split"])
+        language_tag = record["language_tag"]
+        if not (type(post_id) is str and type(text) is str and type(language_tag) is str):
+            name = next(k for k in ("id", "text", "language_tag") if type(record[k]) is not str)
+            raise CorpusError(f"{name}: expected a string, got {type(record[name]).__name__}")
         return cls(
             id=post_id,
             text=text,
@@ -133,7 +137,7 @@ class LabeledPost:
             label=label,
             dataset_id=dataset_id,
             split=split,
-            language_tag=record["language_tag"],
+            language_tag=language_tag,
         )
 
     def _retagged(self, split: Split) -> "LabeledPost":

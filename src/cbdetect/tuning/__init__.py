@@ -1,12 +1,6 @@
 """Parameter-efficient tuning contracts on a desk-scale network."""
 
-from .checkpoint import (
-    CheckpointBundle,
-    ToyClassifier,
-    load_checkpoint,
-    load_classifier,
-    save_checkpoint,
-)
+from .checkpoint import ToyClassifier, load_classifier, save_checkpoint
 from .lora import (
     AdapterState,
     LoraFactors,
@@ -37,7 +31,6 @@ from .training import (
 __all__ = [
     "Adam",
     "AdapterState",
-    "CheckpointBundle",
     "LoraFactors",
     "MtlTrainer",
     "SftTrainer",
@@ -51,7 +44,6 @@ __all__ = [
     "cross_entropy",
     "init_adapter_state",
     "last_unmasked_index",
-    "load_checkpoint",
     "load_classifier",
     "mtl_joint_loss",
     "pairs_from_posts",

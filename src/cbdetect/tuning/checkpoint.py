@@ -2,28 +2,33 @@
 
 Layout: one ``.npz`` archive holding a JSON header under ``__meta__``
 (format version, network config, tuning config, task list) followed by the
-named factor and head tensors:
+tuned arrays under their ``training.tuned_arrays`` names:
 
     adapter.<task>.<target>.down / .up
     head.<task>.weight / .bias
 
 The frozen base network is not stored; it is rebuilt exactly from the
-network config's seed.
+network config's seed. ``load_classifier`` is the one loader: it rebuilds
+the adapters and heads the header describes and fills each array by its
+name, so a file that is not an npz archive, lacks the header or lacks a
+listed task's arrays raises ``TuningError("<path>: <reason>")``.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from .._config import decode_json
 from ..labels import Label, Task, labels_in_order
-from .lora import AdapterState, LoraFactors, TuneConfig, TuningError
+from .lora import AdapterState, TuneConfig, TuningError, init_adapter_state
 from .network import ToyNetConfig, ToyTransformer
-from .training import TaskHead, predict_logits
+from .training import TaskHead, predict_logits, tuned_arrays
 
 FORMAT_VERSION = 1
 
@@ -43,95 +48,80 @@ def save_checkpoint(
         "tune": tune_config.to_dict(),
         "tasks": sorted(task.value for task in adapters),
     }
-    arrays: dict[str, np.ndarray] = {"__meta__": np.array(json.dumps(meta, sort_keys=True))}
-    for task, state in adapters.items():
-        for name, factors in state.factors.items():
-            arrays[f"adapter.{task.value}.{name}.down"] = factors.down
-            arrays[f"adapter.{task.value}.{name}.up"] = factors.up
-    for task, head in heads.items():
-        arrays[f"head.{task.value}.weight"] = head.weight
-        arrays[f"head.{task.value}.bias"] = head.bias
+    header = np.array(json.dumps(meta, sort_keys=True))
     with path.open("wb") as handle:
-        np.savez(handle, **arrays)
+        np.savez(handle, __meta__=header, **tuned_arrays(adapters, heads))
     return path
 
 
 @dataclass
-class CheckpointBundle:
-    model_config: ToyNetConfig
-    tune_config: TuneConfig
-    tasks: list[Task]
-    adapters: dict[Task, AdapterState]
-    heads: dict[Task, TaskHead]
-
-
-def load_checkpoint(path: Union[str, Path]) -> CheckpointBundle:
-    path = Path(path)
-    if not path.is_file():
-        raise TuningError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["__meta__"]))
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise TuningError(f"unsupported checkpoint format: {meta.get('format_version')}")
-        model_config = ToyNetConfig.from_dict(meta["model"])
-        tune_config = TuneConfig.from_dict(meta["tune"])
-        tasks = [Task(v) for v in meta["tasks"]]
-
-        adapters: dict[Task, AdapterState] = {}
-        heads: dict[Task, TaskHead] = {}
-        for task in tasks:
-            prefix = f"adapter.{task.value}."
-            factors: dict[str, LoraFactors] = {}
-            targets = sorted(
-                {k[len(prefix) : k.rfind(".")] for k in archive.files if k.startswith(prefix)}
-            )
-            for target in targets:
-                factors[target] = LoraFactors(
-                    down=archive[f"{prefix}{target}.down"],
-                    up=archive[f"{prefix}{target}.up"],
-                )
-            adapters[task] = AdapterState(config=tune_config, factors=factors)
-            heads[task] = TaskHead(
-                task=task,
-                weight=archive[f"head.{task.value}.weight"],
-                bias=archive[f"head.{task.value}.bias"],
-            )
-    return CheckpointBundle(
-        model_config=model_config,
-        tune_config=tune_config,
-        tasks=tasks,
-        adapters=adapters,
-        heads=heads,
-    )
-
-
 class ToyClassifier:
-    """Inference wrapper: rebuilt base + checkpointed adapters and heads.
+    """A loaded checkpoint: its tuning config, tasks, adapters and heads over
+    the base network rebuilt from the network config.
 
     Classification is head-logit argmax over the pooled final-layer
     embedding.
     """
 
-    def __init__(self, bundle: CheckpointBundle):
-        self.bundle = bundle
-        self.base = ToyTransformer(bundle.model_config)
+    base: ToyTransformer
+    tune_config: TuneConfig
+    tasks: list[Task]
+    adapters: dict[Task, AdapterState]
+    heads: dict[Task, TaskHead]
+
+    @property
+    def model_config(self) -> ToyNetConfig:
+        return self.base.config
 
     def predict(self, text: str, task: Task) -> Label:
         return self.predict_batch([text], task)[0]
 
     def predict_batch(self, texts: Sequence[str], task: Task) -> list[Label]:
         """One label per text, in order: the argmax of ``predict_logits``."""
-        if task not in self.bundle.adapters:
+        if task not in self.adapters:
             raise TuningError(
                 f"checkpoint holds no {task.value} adapters (tasks: "
-                f"{[t.value for t in self.bundle.tasks]})"
+                f"{[t.value for t in self.tasks]})"
             )
-        logits = predict_logits(
-            self.base, self.bundle.adapters[task], self.bundle.heads[task], texts
-        )
+        logits = predict_logits(self.base, self.adapters[task], self.heads[task], texts)
         order = labels_in_order(task)
         return [order[i] for i in logits.argmax(axis=1).tolist()]
 
 
 def load_classifier(path: Union[str, Path]) -> ToyClassifier:
-    return ToyClassifier(load_checkpoint(path))
+    path = Path(path)
+    if not path.is_file():
+        raise TuningError(f"checkpoint not found: {path}")
+    if not zipfile.is_zipfile(path):
+        raise TuningError(f"{path}: not an npz archive")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise TuningError(f"{path}: {exc}") from None
+    if "__meta__" not in arrays:
+        raise TuningError(f"{path}: no __meta__ header")
+    header = str(arrays.pop("__meta__")).encode("utf-8")
+    return decode_json(lambda meta: _classifier(meta, arrays), header, TuningError, path)
+
+
+def _classifier(meta: dict, arrays: Mapping[str, np.ndarray]) -> ToyClassifier:
+    """The classifier a checkpoint header describes, each of its tuned
+    arrays filled from ``arrays`` by name."""
+    if meta.get("format_version") != FORMAT_VERSION:
+        raise TuningError(f"unsupported checkpoint format: {meta.get('format_version')}")
+    base = ToyTransformer(ToyNetConfig.from_dict(meta["model"]))
+    tune_config = TuneConfig.from_dict(meta["tune"])
+    tasks = [Task(value) for value in meta["tasks"]]
+    adapters = {task: init_adapter_state(base, tune_config) for task in tasks}
+    heads = {task: TaskHead.zeros(task, base.config.d_model) for task in tasks}
+    named = tuned_arrays(adapters, heads)
+    unexpected = sorted(set(arrays) - set(named))
+    if unexpected:
+        raise TuningError(f"arrays the header does not describe: {unexpected}")
+    for name, array in named.items():
+        stored = arrays[name]
+        if stored.shape != array.shape:
+            raise TuningError(f"{name}: shape {stored.shape}, expected {array.shape}")
+        array[...] = stored
+    return ToyClassifier(base, tune_config, tasks, adapters, heads)

@@ -9,7 +9,7 @@ never written; the optimizer sees only factors and heads.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -71,8 +71,7 @@ class LoraFactors:
 class AdapterState:
     """Factor pairs for every targeted weight matrix."""
 
-    config: TuneConfig
-    factors: dict[str, LoraFactors] = field(default_factory=dict)
+    factors: dict[str, LoraFactors]
 
     @property
     def targets(self) -> list[str]:
@@ -90,25 +89,16 @@ class AdapterState:
             name: base_params[name] + f.up @ f.down for name, f in self.factors.items()
         }
 
-    def trainable_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {}
-        for name, f in self.factors.items():
-            out[f"{prefix}.{name}.down"] = f.down
-            out[f"{prefix}.{name}.up"] = f.up
-        return out
-
-    def factor_grads(
-        self, weight_grads: Mapping[str, np.ndarray], prefix: str
-    ) -> dict[str, np.ndarray]:
-        """Chain effective-weight gradients into factor gradients.
+    def factor_grads(self, weight_grads: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+        """Chain effective-weight gradients into factor gradients: Down's,
+        then Up's, for each target in order.
 
         With Weff = W + Up @ Down: dUp = dWeff @ Down.T, dDown = Up.T @ dWeff.
         """
-        grads = {}
+        grads = []
         for name, f in self.factors.items():
             d_weff = weight_grads[name]
-            grads[f"{prefix}.{name}.up"] = d_weff @ f.down.T
-            grads[f"{prefix}.{name}.down"] = f.up.T @ d_weff
+            grads += (f.up.T @ d_weff, d_weff @ f.down.T)
         return grads
 
     def update_norms(self) -> dict[str, float]:
@@ -138,4 +128,4 @@ def init_adapter_state(base: ToyTransformer, config: TuneConfig, seed_offset: in
             down=rng.normal(0.0, 0.01, (config.rank_r, d_in)),
             up=np.zeros((d_out, config.rank_r)),
         )
-    return AdapterState(config=config, factors=factors)
+    return AdapterState(factors)

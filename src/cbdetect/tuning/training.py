@@ -47,11 +47,25 @@ class TaskHead:
     def logits(self, pooled: np.ndarray) -> np.ndarray:
         return pooled @ self.weight.T + self.bias
 
-    def trainable_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            f"head.{self.task.value}.weight": self.weight,
-            f"head.{self.task.value}.bias": self.bias,
-        }
+
+def tuned_arrays(
+    adapters: Mapping[Task, AdapterState], heads: Mapping[Task, TaskHead]
+) -> dict[str, np.ndarray]:
+    """Every tuned array by name: each task's adapter factors, then each head.
+
+    ``adapter.<task>.<target>.down`` and ``.up`` for the targets in order,
+    then ``head.<task>.weight`` and ``.bias``. The optimizer, the gradients
+    and the checkpoint file all key arrays by these names.
+    """
+    arrays = {}
+    for task, state in adapters.items():
+        for target, factors in state.factors.items():
+            arrays[f"adapter.{task.value}.{target}.down"] = factors.down
+            arrays[f"adapter.{task.value}.{target}.up"] = factors.up
+    for task, head in heads.items():
+        arrays[f"head.{task.value}.weight"] = head.weight
+        arrays[f"head.{task.value}.bias"] = head.bias
+    return arrays
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -147,9 +161,10 @@ def _branch(
     adapters: AdapterState,
     head: TaskHead,
     batch: Sequence[EncodedPair],
-    prefix: str,
+    names: Sequence[str],
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and trainable-parameter gradients for one task branch."""
+    """Loss and gradients of one task branch, keyed by the branch's
+    ``tuned_arrays`` names."""
     if not batch:
         raise TuningError("empty batch")
     ids, mask = pad_ids([encoded for encoded, _ in batch])
@@ -160,15 +175,11 @@ def _branch(
     logits = head.logits(pooled)
     loss, d_logits = cross_entropy(logits, targets)
 
-    grads: dict[str, np.ndarray] = {
-        f"head.{head.task.value}.weight": d_logits.T @ pooled,
-        f"head.{head.task.value}.bias": d_logits.sum(axis=0),
-    }
     d_hidden = np.zeros_like(hidden)  # the pooling's adjoint: scatter back to the pooled tokens
     d_hidden[np.arange(len(batch)), last_unmasked_index(mask)] = d_logits @ head.weight
-    weight_grads = base.backward(cache, d_hidden, adapters.factors)
-    grads.update(adapters.factor_grads(weight_grads, prefix=prefix))
-    return loss, grads
+    grads = adapters.factor_grads(base.backward(cache, d_hidden, adapters.factors))
+    grads += (d_logits.T @ pooled, d_logits.sum(axis=0))
+    return loss, dict(zip(names, grads, strict=True))
 
 
 def predict_logits(
@@ -189,7 +200,50 @@ def predict_logits(
     return logits
 
 
-class SftTrainer:
+class _Tuner:
+    """The step core of both trainers: task-keyed adapters and zero heads on
+    a frozen base, all tuned by one ``Adam`` over ``tuned_arrays``.
+
+    A step runs one branch per task, in task order, then one optimizer step
+    on their gradients, and returns the per-task losses.
+    """
+
+    def __init__(
+        self, base: ToyTransformer, config: TuneConfig, adapters: dict[Task, AdapterState]
+    ):
+        self.base = base
+        self.config = config
+        self._adapters = adapters
+        self._heads = {task: TaskHead.zeros(task, base.config.d_model) for task in adapters}
+        # each branch's gradient names, built once rather than on every step
+        self._names = {
+            task: list(tuned_arrays({task: adapters[task]}, {task: self._heads[task]}))
+            for task in adapters
+        }
+        self.optimizer = Adam(tuned_arrays(adapters, self._heads), config.learning_rate)
+
+    def _losses_and_grads(
+        self, batches: Sequence[Sequence[EncodedPair]]
+    ) -> tuple[list[float], dict[str, np.ndarray]]:
+        losses, grads = [], {}
+        for task, batch in zip(self._adapters, batches, strict=True):
+            loss, branch_grads = _branch(
+                self.base, self._adapters[task], self._heads[task], batch, self._names[task]
+            )
+            losses.append(loss)
+            grads.update(branch_grads)
+        return losses, grads
+
+    def _step(self, batches: Sequence[Sequence[EncodedPair]]) -> list[float]:
+        losses, grads = self._losses_and_grads(batches)
+        self.optimizer.step(grads)
+        return losses
+
+    def _encoded(self, *pair_lists: Sequence[Pair]) -> list[list[EncodedPair]]:
+        return [_encode_pairs(self.base, pairs) for pairs in pair_lists]
+
+
+class SftTrainer(_Tuner):
     """Independent single-task adapter tuning on a frozen base network.
 
     Each gradient step touches only the adapter factors and the task head;
@@ -203,47 +257,45 @@ class SftTrainer:
         config: TuneConfig,
         adapters: AdapterState | None = None,
     ):
-        self.base = base
+        if adapters is None:
+            adapters = init_adapter_state(base, config)
+        super().__init__(base, config, {task: adapters})
         self.task = task
-        self.config = config
-        self.adapters = init_adapter_state(base, config) if adapters is None else adapters
-        self.head = TaskHead.zeros(task, base.config.d_model)
-        self._prefix = f"adapter.{task.value}"
-        trainable = dict(self.adapters.trainable_arrays(prefix=self._prefix))
-        trainable.update(self.head.trainable_arrays())
-        self.optimizer = Adam(trainable, config.learning_rate)
+        self.adapters = adapters
+        self.head = self._heads[task]
 
     def loss_and_grads(self, pairs: Sequence[Pair]) -> tuple[float, dict[str, np.ndarray]]:
-        batch = _encode_pairs(self.base, pairs)
-        return _branch(self.base, self.adapters, self.head, batch, self._prefix)
+        (loss,), grads = self._losses_and_grads(self._encoded(pairs))
+        return loss, grads
 
     def step(self, pairs: Sequence[Pair]) -> float:
-        loss, grads = self.loss_and_grads(pairs)
-        self.optimizer.step(grads)
-        return loss
+        return self._step(self._encoded(pairs))[0]
 
     def train(self, posts: Sequence[LabeledPost]) -> list[dict]:
-        """Epoch loop with seeded shuffling; one metrics record per step.
-        Each post is tokenized once per call."""
+        """Epoch loop with seeded shuffling over contiguous batches, the last
+        one short; one metrics record per step. Each post is tokenized once
+        per call."""
         pairs = _encode_pairs(self.base, pairs_from_posts(posts, self.task))
         rng = random.Random(self.config.seed)
         records = []
-        step = 0
+        size = self.config.batch_size
         for epoch in range(self.config.epochs):
             order = list(pairs)
             rng.shuffle(order)
-            for start in range(0, len(order), self.config.batch_size):
-                batch = order[start : start + self.config.batch_size]
-                loss, grads = _branch(self.base, self.adapters, self.head, batch, self._prefix)
-                self.optimizer.step(grads)
-                step += 1
+            for start in range(0, len(order), size):
+                (loss,) = self._step([order[start : start + size]])
                 records.append(
-                    {"step": step, "epoch": epoch + 1, "task": self.task.value, "loss": loss}
+                    {
+                        "step": len(records) + 1,
+                        "epoch": epoch + 1,
+                        "task": self.task.value,
+                        "loss": loss,
+                    }
                 )
         return records
 
 
-class MtlTrainer:
+class MtlTrainer(_Tuner):
     """Joint tuning: one optimizer step on the summed per-task losses.
 
     Two task-tagged adapter sets share the frozen base; the backward pass
@@ -251,66 +303,40 @@ class MtlTrainer:
     """
 
     def __init__(self, base: ToyTransformer, config: TuneConfig):
-        self.base = base
-        self.config = config
-        self.adapters = {
-            # distinct seeds so the two Down inits differ
-            Task.AGGRESSION: init_adapter_state(base, config, seed_offset=0),
-            Task.CYBERBULLYING: init_adapter_state(base, config, seed_offset=1),
+        tasks = (Task.AGGRESSION, Task.CYBERBULLYING)
+        # distinct seeds so the two Down inits differ
+        adapters = {
+            task: init_adapter_state(base, config, seed_offset=offset)
+            for offset, task in enumerate(tasks)
         }
-        self.heads = {
-            task: TaskHead.zeros(task, base.config.d_model)
-            for task in (Task.AGGRESSION, Task.CYBERBULLYING)
-        }
-        trainable: dict[str, np.ndarray] = {}
-        for task in (Task.AGGRESSION, Task.CYBERBULLYING):
-            trainable.update(self.adapters[task].trainable_arrays(prefix=f"adapter.{task.value}"))
-            trainable.update(self.heads[task].trainable_arrays())
-        self.optimizer = Adam(trainable, config.learning_rate)
+        super().__init__(base, config, adapters)
+        self.adapters = self._adapters
+        self.heads = self._heads
 
     def joint_loss_and_grads(
         self, pairs_agg: Sequence[Pair], pairs_cb: Sequence[Pair]
     ) -> tuple[float, float, float, dict[str, np.ndarray]]:
-        return self._joint(_encode_pairs(self.base, pairs_agg), _encode_pairs(self.base, pairs_cb))
-
-    def _joint(
-        self, batch_agg: Sequence[EncodedPair], batch_cb: Sequence[EncodedPair]
-    ) -> tuple[float, float, float, dict[str, np.ndarray]]:
-        loss_agg, grads_agg = _branch(
-            self.base,
-            self.adapters[Task.AGGRESSION],
-            self.heads[Task.AGGRESSION],
-            batch_agg,
-            f"adapter.{Task.AGGRESSION.value}",
-        )
-        loss_cb, grads_cb = _branch(
-            self.base,
-            self.adapters[Task.CYBERBULLYING],
-            self.heads[Task.CYBERBULLYING],
-            batch_cb,
-            f"adapter.{Task.CYBERBULLYING.value}",
-        )
-        grads = dict(grads_agg)
-        grads.update(grads_cb)
+        (loss_agg, loss_cb), grads = self._losses_and_grads(self._encoded(pairs_agg, pairs_cb))
         return loss_agg + loss_cb, loss_agg, loss_cb, grads
 
     def step(
         self, pairs_agg: Sequence[Pair], pairs_cb: Sequence[Pair]
     ) -> tuple[float, float, float]:
-        joint, loss_agg, loss_cb, grads = self.joint_loss_and_grads(pairs_agg, pairs_cb)
-        self.optimizer.step(grads)
-        return joint, loss_agg, loss_cb
+        loss_agg, loss_cb = self._step(self._encoded(pairs_agg, pairs_cb))
+        return loss_agg + loss_cb, loss_agg, loss_cb
 
     def train(
         self, posts_agg: Sequence[LabeledPost], posts_cb: Sequence[LabeledPost]
     ) -> list[dict]:
-        """Alternating per-task mini-batches summed inside every step. Each
-        post is tokenized once per call."""
-        pairs_agg = _encode_pairs(self.base, pairs_from_posts(posts_agg, Task.AGGRESSION))
-        pairs_cb = _encode_pairs(self.base, pairs_from_posts(posts_cb, Task.CYBERBULLYING))
+        """Per-task mini-batches summed inside every step: ``_wrap_slice``
+        windows over as many batches as the larger pool needs, so the
+        smaller pool repeats. Each post is tokenized once per call."""
+        pairs_agg, pairs_cb = self._encoded(
+            pairs_from_posts(posts_agg, Task.AGGRESSION),
+            pairs_from_posts(posts_cb, Task.CYBERBULLYING),
+        )
         rng = random.Random(self.config.seed)
         records = []
-        step = 0
         size = self.config.batch_size
         for epoch in range(self.config.epochs):
             order_agg = list(pairs_agg)
@@ -321,18 +347,16 @@ class MtlTrainer:
                 (len(order_agg) + size - 1) // size, (len(order_cb) + size - 1) // size
             )
             for b in range(n_batches):
-                batch_agg = _wrap_slice(order_agg, b * size, size)
-                batch_cb = _wrap_slice(order_cb, b * size, size)
-                joint, loss_agg, loss_cb, grads = self._joint(batch_agg, batch_cb)
-                self.optimizer.step(grads)
-                step += 1
+                loss_agg, loss_cb = self._step(
+                    [_wrap_slice(order_agg, b * size, size), _wrap_slice(order_cb, b * size, size)]
+                )
                 records.append(
                     {
-                        "step": step,
+                        "step": len(records) + 1,
                         "epoch": epoch + 1,
                         "loss_aggression": loss_agg,
                         "loss_cyberbullying": loss_cb,
-                        "joint_loss": joint,
+                        "joint_loss": loss_agg + loss_cb,
                     }
                 )
         return records

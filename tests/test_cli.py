@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from cbdetect import Task, save_records, synth_fixture
 from cbdetect.cli import main
-from cbdetect.tuning import load_checkpoint
+from cbdetect.tuning import load_classifier
 
 
 @pytest.fixture
@@ -137,8 +137,8 @@ class TestTrain:
         assert result.exit_code == 0, result.output
         checkpoint = tmp_path / "artifacts" / "checkpoint.npz"
         assert checkpoint.is_file()
-        bundle = load_checkpoint(checkpoint)
-        reloaded = load_checkpoint(checkpoint)
+        bundle = load_classifier(checkpoint)
+        reloaded = load_classifier(checkpoint)
         for task, state in bundle.adapters.items():
             for name, factors in state.factors.items():
                 assert np.array_equal(factors.down, reloaded.adapters[task].factors[name].down)
@@ -334,8 +334,9 @@ class TestReport:
             ("manifest.json", lambda lines: ["{"], ""),
             ("manifest.json", lambda lines: ['{"task": "cyberbullying"}'], ""),
             ("predictions.jsonl", lambda lines: lines[:2] + ["{"] + lines[3:], ":3"),
+            ("manifest.json", lambda lines: [_empty_stub_rules("\n".join(lines))], ""),
         ],
-        ids=["manifest-not-json", "manifest-no-method", "predictions-line"],
+        ids=["manifest-not-json", "manifest-no-method", "predictions-line", "manifest-bad-backend"],
     )
     def test_corrupt_run_file_fails_cleanly(self, runner, tmp_path, name, corrupt, where):
         run_dir = self._make_run(runner, tmp_path, "a")
@@ -349,6 +350,12 @@ class TestReport:
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {path}{where}: " in result.output
         assert not (tmp_path / "grid.txt").exists()
+
+
+def _empty_stub_rules(manifest_text):
+    manifest = json.loads(manifest_text)
+    manifest["backends"][0]["stub_rules"] = []
+    return json.dumps(manifest)
 
 
 def _valid_config(command, tmp_path):
@@ -405,6 +412,7 @@ _BAD_RECORD_LINES = {
     "text": json.dumps({**_RECORD, "text": 5}),
     "label": json.dumps({**_RECORD, "label": 7}),
     "array": '["x"]',
+    "id": json.dumps({**_RECORD, "id": 5}),
 }
 
 
@@ -418,6 +426,25 @@ def _bad_records(key, line):
         return _put("corpus", key, value="records.jsonl")(config, tmp_path)
 
     return edit
+
+
+def _bad_checkpoint(write):
+    """Config edit pointing the run's backend at a toy checkpoint that
+    ``write`` fills with a file that does not decode; the path is relative."""
+
+    def edit(config, tmp_path):
+        write(tmp_path / "checkpoint.npz")
+        backend = {"backend_id": "toy", "kind": "toy_checkpoint", "checkpoint_path": "checkpoint.npz"}
+        return _put("backends", value=[backend])(config, tmp_path)
+
+    return edit
+
+
+_BAD_CHECKPOINTS = {
+    "text": lambda path: path.write_text("not an archive\n", encoding="utf-8"),
+    "no-meta": lambda path: np.savez(path, head=np.zeros(3)),
+    "meta-not-json": lambda path: np.savez(path, __meta__=np.array("{not json")),
+}
 
 
 # (command, config edit, exit code, text the message must hold)
@@ -448,6 +475,10 @@ MALFORMED = {
         )
         for command, key in (("run", "eval"), ("train", "train"))
         for fault, line in _BAD_RECORD_LINES.items()
+    },
+    **{
+        f"run-checkpoint-{fault}": ("run", _bad_checkpoint(write), 1, "Error: checkpoint.npz: ")
+        for fault, write in _BAD_CHECKPOINTS.items()
     },
 }
 

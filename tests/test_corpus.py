@@ -531,6 +531,14 @@ class TestRecordValidation:
         with pytest.raises(CorpusError, match=re.escape(f"{path}:3: 'utf-8' codec can't decode")):
             load_records(path)
 
+    @pytest.mark.parametrize("field", ["id", "text", "language_tag"])
+    def test_non_string_field_names_the_field(self, tmp_path, field):
+        path = tmp_path / "corrupt.jsonl"
+        with pytest.raises(
+            CorpusError, match=re.escape(f"{path}:2: {field}: expected a string, got int")
+        ):
+            self._load(tmp_path, **{field: 5})
+
     def test_lower_case_label_name_still_resolves(self, tmp_path):
         assert self._load(tmp_path, label="cag")[1].label is AggressionLabel.CAG
 

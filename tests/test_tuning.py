@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from cbdetect.tuning import (
     TuningError,
     cross_entropy,
     init_adapter_state,
-    load_checkpoint,
+    load_classifier,
     mtl_joint_loss,
     pairs_from_posts,
     pool_embedding,
@@ -234,7 +236,7 @@ class TestMtlStep:
             trainer.adapters[Task.AGGRESSION],
             trainer.heads[Task.AGGRESSION],
             _encode_pairs(base, agg_pairs),
-            "adapter.aggression",
+            trainer._names[Task.AGGRESSION],
         )
         key = "head.aggression.weight"
         assert np.array_equal(joint_grads[key], solo[key])
@@ -461,7 +463,7 @@ class TestCheckpoint:
             {Task.AGGRESSION: trainer.adapters},
             {Task.AGGRESSION: trainer.head},
         )
-        bundle = load_checkpoint(path)
+        bundle = load_classifier(path)
         assert bundle.model_config == base.config
         assert bundle.tune_config == trainer.config
         loaded = bundle.adapters[Task.AGGRESSION]
@@ -500,6 +502,44 @@ class TestCheckpoint:
             '"tune": {"batch_size": 3, "epochs": 4, "learning_rate": 0.5, "rank_r": 2, '
             '"seed": 6, "target_layers": "attn"}}'
         )
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda meta, arrays: ([meta], arrays), "expected a JSON object, got list"),
+            (
+                lambda meta, arrays: ({**meta, "tune": {**meta["tune"], "rank": 2}}, arrays),
+                "unknown TuneConfig keys: ['rank']",
+            ),
+            (
+                lambda meta, arrays: ({**meta, "tasks": ["aggression", "cyberbullying"]}, arrays),
+                "missing key 'adapter.cyberbullying.layers.0.attn.wq.down'",
+            ),
+            (
+                lambda meta, arrays: (meta, {**arrays, "head.aggression.bias": np.zeros(2)}),
+                "head.aggression.bias: shape (2,), expected (3,)",
+            ),
+            (
+                lambda meta, arrays: (meta, {**arrays, "head.cyberbullying.bias": np.zeros(4)}),
+                "arrays the header does not describe: ['head.cyberbullying.bias']",
+            ),
+        ],
+        ids=["header-array", "unknown-key", "task-missing", "shape", "unexpected-array"],
+    )
+    def test_checkpoint_that_does_not_decode(self, tmp_path, edit, reason):
+        tune = TuneConfig(rank_r=2, seed=6)
+        state = init_adapter_state(ToyTransformer(SMALL), tune)
+        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        good = save_checkpoint(
+            tmp_path / "good.npz", SMALL, tune, {Task.AGGRESSION: state}, {Task.AGGRESSION: head}
+        )
+        with np.load(good) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta, arrays = edit(json.loads(str(arrays.pop("__meta__"))), arrays)
+        path = tmp_path / "bad.npz"
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(TuningError, match=re.escape(f"{path}: {reason}")):
+            load_classifier(path)
 
     def test_trained_checkpoint_contents(self, tmp_path):
         """Pins what a fixed SFT run and a fixed MTL run write: the header,
