@@ -1,7 +1,6 @@
 """JSON between cbdetect's files and its types: a config object decodes into
 a dataclass, its schema; line-delimited files have one writer and one reader,
-and a bad line (or file, or JSON held inside one) raises the caller's error as
-``<path>:<line>: <message>``.
+and a bad line (or file) raises the caller's error as ``<path>:<line>: <message>``.
 """
 
 from __future__ import annotations

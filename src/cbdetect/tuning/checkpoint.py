@@ -89,6 +89,7 @@ class ToyClassifier:
 
 
 def load_classifier(path: Union[str, Path]) -> ToyClassifier:
+    """The checkpoint at ``path``, ready to classify."""
     path = Path(path)
     if not path.is_file():
         raise TuningError(f"checkpoint not found: {path}")

@@ -1,10 +1,13 @@
 """Adapter training: independent single-task tuning and joint multi-task.
 
-The joint objective is the plain sum of the two per-task cross-entropies,
-one per classification head. Because each head and each adapter set only
-feeds its own term, the joint-loss gradient w.r.t. a head equals that
-task's own cross-entropy gradient. Heads start at zero so step-0 logits
-are uniform: ln(3) for aggression, ln(4) for cyberbullying.
+Both trainers run on one step core: one branch per task, in task order,
+then one optimizer step over every tuned array, each keyed by its
+``tuned_arrays`` name. Independent tuning is the one-task case. The joint
+objective is the plain sum of the two per-task cross-entropies, one per
+classification head. Because each head and each adapter set only feeds
+its own term, the joint-loss gradient w.r.t. a head equals that task's own
+cross-entropy gradient. Heads start at zero so step-0 logits are uniform:
+ln(3) for aggression, ln(4) for cyberbullying.
 """
 
 from __future__ import annotations
@@ -278,19 +281,14 @@ class SftTrainer(_Tuner):
         pairs = _encode_pairs(self.base, pairs_from_posts(posts, self.task))
         rng = random.Random(self.config.seed)
         records = []
-        size = self.config.batch_size
+        size, task = self.config.batch_size, self.task.value
         for epoch in range(self.config.epochs):
             order = list(pairs)
             rng.shuffle(order)
             for start in range(0, len(order), size):
                 (loss,) = self._step([order[start : start + size]])
                 records.append(
-                    {
-                        "step": len(records) + 1,
-                        "epoch": epoch + 1,
-                        "task": self.task.value,
-                        "loss": loss,
-                    }
+                    {"step": len(records) + 1, "epoch": epoch + 1, "task": task, "loss": loss}
                 )
         return records
 
@@ -331,10 +329,8 @@ class MtlTrainer(_Tuner):
         """Per-task mini-batches summed inside every step: ``_wrap_slice``
         windows over as many batches as the larger pool needs, so the
         smaller pool repeats. Each post is tokenized once per call."""
-        pairs_agg, pairs_cb = self._encoded(
-            pairs_from_posts(posts_agg, Task.AGGRESSION),
-            pairs_from_posts(posts_cb, Task.CYBERBULLYING),
-        )
+        pairs_agg = _encode_pairs(self.base, pairs_from_posts(posts_agg, Task.AGGRESSION))
+        pairs_cb = _encode_pairs(self.base, pairs_from_posts(posts_cb, Task.CYBERBULLYING))
         rng = random.Random(self.config.seed)
         records = []
         size = self.config.batch_size

@@ -336,7 +336,9 @@ class TestReport:
             ("predictions.jsonl", lambda lines: lines[:2] + ["{"] + lines[3:], ":3"),
             ("manifest.json", lambda lines: [_empty_stub_rules("\n".join(lines))], ""),
         ],
-        ids=["manifest-not-json", "manifest-no-method", "predictions-line", "manifest-bad-backend"],
+        ids=[
+            "manifest-not-json", "manifest-no-method", "predictions-line", "manifest-bad-backend"
+        ],
     )
     def test_corrupt_run_file_fails_cleanly(self, runner, tmp_path, name, corrupt, where):
         run_dir = self._make_run(runner, tmp_path, "a")
@@ -434,7 +436,8 @@ def _bad_checkpoint(write):
 
     def edit(config, tmp_path):
         write(tmp_path / "checkpoint.npz")
-        backend = {"backend_id": "toy", "kind": "toy_checkpoint", "checkpoint_path": "checkpoint.npz"}
+        backend = {"backend_id": "toy", "kind": "toy_checkpoint"}
+        backend["checkpoint_path"] = "checkpoint.npz"
         return _put("backends", value=[backend])(config, tmp_path)
 
     return edit
