@@ -40,17 +40,21 @@ def save_checkpoint(
     adapters: Mapping[Task, AdapterState],
     heads: Mapping[Task, TaskHead],
 ) -> Path:
+    """Write the checkpoint, after the loader's own check of its header and
+    arrays: a file ``load_classifier`` would refuse is never written."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
         "format_version": FORMAT_VERSION,
         "model": model_config.to_dict(),
         "tune": tune_config.to_dict(),
         "tasks": sorted(task.value for task in adapters),
     }
-    header = np.array(json.dumps(meta, sort_keys=True))
+    header = json.dumps(meta, sort_keys=True)
+    arrays = tuned_arrays(adapters, heads)
+    decode_json(lambda meta: _classifier(meta, arrays), header.encode("utf-8"), TuningError, path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as handle:
-        np.savez(handle, __meta__=header, **tuned_arrays(adapters, heads))
+        np.savez(handle, __meta__=np.array(header), **arrays)
     return path
 
 

@@ -124,6 +124,42 @@ def _masked_softmax(scores: np.ndarray) -> np.ndarray:
     return expd / np.where(denom > 0.0, denom, 1.0)
 
 
+@functools.lru_cache(maxsize=128)
+def _causal_mask(seq: int) -> np.ndarray:
+    """Read-only lower-triangular (seq, seq) mask: query t sees keys <= t."""
+    causal = np.tril(np.ones((seq, seq), dtype=bool))
+    causal.flags.writeable = False
+    return causal
+
+
+def _layer(
+    x: np.ndarray, query: np.ndarray, allowed: np.ndarray, w: Mapping[str, np.ndarray], scale: float
+) -> tuple[np.ndarray, dict]:
+    """One causal attention + GELU-MLP block run at the query rows.
+
+    Keys and values come from every position of ``x`` (B, T, d); queries,
+    the attention mix and the MLP run only at ``query`` (B, Q, d), whose
+    ``allowed`` (B, Q, T) marks the keys each query may see. Returns the
+    block's output at the query rows and the activations ``backward`` reads.
+    """
+    q = query @ w["wq"].T
+    k = x @ w["wk"].T
+    v = x @ w["wv"].T
+    scores = (q @ k.transpose(0, 2, 1)) * scale
+    scores = np.where(allowed, scores, -np.inf)
+    attn = _masked_softmax(scores)
+    mixed = attn @ v
+    x_attn = query + mixed @ w["wo"].T
+
+    h_pre = x_attn @ w["w1"].T
+    cdf = _normal_cdf(h_pre)
+    h = h_pre * cdf
+    x_out = x_attn + h @ w["w2"].T
+    activations = {"x": x, "q": q, "k": k, "v": v, "attn": attn, "mixed": mixed,
+                   "x_attn": x_attn, "h_pre": h_pre, "cdf": cdf, "h": h}
+    return x_out, activations
+
+
 class ToyTransformer:
     """Randomly initialized causal transformer; parameters never trained
     directly, only through attached low-rank adapters."""
@@ -142,11 +178,36 @@ class ToyTransformer:
             params[f"layers.{i}.mlp.w2"] = rng.normal(0.0, f**-0.5, (d, f))
         self.params = params
         self.tokenizer = ToyTokenizer(config.vocab_size)
+        self._layer_names = [
+            {
+                "wq": f"layers.{i}.attn.wq",
+                "wk": f"layers.{i}.attn.wk",
+                "wv": f"layers.{i}.attn.wv",
+                "wo": f"layers.{i}.attn.wo",
+                "w1": f"layers.{i}.mlp.w1",
+                "w2": f"layers.{i}.mlp.w2",
+            }
+            for i in range(config.n_layers)
+        ]
 
     @property
     def attachable_names(self) -> list[str]:
         """Weight matrices that can host a low-rank adapter."""
         return [n for n in self.params if n != "embed"]
+
+    def _start(
+        self, ids: np.ndarray, mask: np.ndarray, overrides: Mapping[str, np.ndarray] | None
+    ) -> tuple[np.ndarray, np.ndarray, list[dict[str, np.ndarray]]]:
+        """Token embeddings (B, T, d), the (B, T, T) keys each position may
+        see, and each layer's weights with ``overrides`` in place."""
+        if ids.ndim != 2 or mask.shape != ids.shape:
+            raise ValueError("ids and mask must both be (batch, seq)")
+        weights = self.params if overrides is None else {**self.params, **overrides}
+        allowed = mask[:, None, :] & _causal_mask(ids.shape[1])[None, :, :]
+        layer_weights = [
+            {key: weights[name] for key, name in names.items()} for names in self._layer_names
+        ]
+        return weights["embed"][ids], allowed, layer_weights
 
     def forward(
         self,
@@ -155,54 +216,33 @@ class ToyTransformer:
         overrides: Mapping[str, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, dict]:
         """Final-layer hidden states (B, T, d) plus the backward cache."""
-        if ids.ndim != 2 or mask.shape != ids.shape:
-            raise ValueError("ids and mask must both be (batch, seq)")
-
-        def weight(name: str) -> np.ndarray:
-            if overrides is not None and name in overrides:
-                return overrides[name]
-            return self.params[name]
-
-        _, seq = ids.shape
+        x, allowed, layer_weights = self._start(ids, mask, overrides)
         scale = self.config.d_model**-0.5
-        causal = np.tril(np.ones((seq, seq), dtype=bool))
-        allowed = mask[:, None, :] & causal[None, :, :]
-
-        x = weight("embed")[ids]
         layer_caches = []
-        for i in range(self.config.n_layers):
-            names = {
-                "wq": f"layers.{i}.attn.wq",
-                "wk": f"layers.{i}.attn.wk",
-                "wv": f"layers.{i}.attn.wv",
-                "wo": f"layers.{i}.attn.wo",
-                "w1": f"layers.{i}.mlp.w1",
-                "w2": f"layers.{i}.mlp.w2",
-            }
-            w = {k: weight(n) for k, n in names.items()}
+        for names, w in zip(self._layer_names, layer_weights):
+            x, activations = _layer(x, x, allowed, w, scale)
+            layer_caches.append({**activations, "names": names, "w": w})
+        return x, {"layers": layer_caches, "scale": scale}
 
-            q = x @ w["wq"].T
-            k = x @ w["wk"].T
-            v = x @ w["wv"].T
-            scores = (q @ k.transpose(0, 2, 1)) * scale
-            scores = np.where(allowed, scores, -np.inf)
-            attn = _masked_softmax(scores)
-            mixed = attn @ v
-            x_attn = x + mixed @ w["wo"].T
-
-            h_pre = x_attn @ w["w1"].T
-            cdf = _normal_cdf(h_pre)
-            h = h_pre * cdf
-            x_out = x_attn + h @ w["w2"].T
-
-            layer_caches.append(
-                {"x": x, "q": q, "k": k, "v": v, "attn": attn, "mixed": mixed,
-                 "x_attn": x_attn, "h_pre": h_pre, "cdf": cdf, "h": h, "names": names, "w": w}
-            )
-            x = x_out
-
-        cache = {"layers": layer_caches, "scale": scale}
-        return x, cache
+    def pooled(
+        self,
+        ids: np.ndarray,
+        mask: np.ndarray,
+        overrides: Mapping[str, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Inference-only ``pool_embedding(forward(...))``: each row's final
+        hidden vector at its last unmasked token, (B, d), with no backward
+        cache. The last layer runs its keys and values at every position but
+        its query, attention mix and MLP only at the pooled tokens."""
+        x, allowed, (*lower, top) = self._start(ids, mask, overrides)
+        rows, last = np.arange(x.shape[0]), last_unmasked_index(mask)
+        scale = self.config.d_model**-0.5
+        for w in lower:
+            x, _ = _layer(x, x, allowed, w, scale)
+        # the last unmasked token sees every unmasked key, so its row of
+        # ``allowed`` is the mask itself
+        pooled, _ = _layer(x, x[rows, last][:, None, :], mask[:, None, :], top, scale)
+        return pooled[:, 0]
 
     def backward(
         self, cache: dict, d_hidden: np.ndarray, targets: Collection[str]

@@ -1,5 +1,6 @@
 import dataclasses
 import enum
+import hashlib
 import math
 import random
 import re
@@ -402,6 +403,19 @@ class TestToyBackend:
         assert got == expected
         assert len(set(got)) > 1  # the check is not vacuous
 
+    def test_batched_labels_are_pinned(self, tmp_path):
+        """The labels of one fixed checkpoint over a mixed-length batch, as
+        the padded full-width forward pass gave them. Unlike the one-by-one
+        check above, this catches a change shared by both sides."""
+        path = save_toy(tmp_path / "cb.npz", [Task.CYBERBULLYING], seed=5)
+        texts = [p.post_text for p in varied_prompts(Task.CYBERBULLYING, 75, seed=4)]
+        labels = load_classifier(path).predict_batch(texts, Task.CYBERBULLYING)
+        assert len({label.display_name for label in labels}) == 4  # the pin is not vacuous
+        digest = hashlib.sha256("\n".join(l.display_name for l in labels).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "8d475dbf33e33dacaff375771a5465ad7465ba8512e3feb02572c0da2f2c3663"
+        )
+
     def test_one_forward_per_chunk_per_task(self, tmp_path, monkeypatch):
         path = save_toy(tmp_path / "mtl.npz", [Task.AGGRESSION, Task.CYBERBULLYING])
         agg = [(Task.AGGRESSION, p) for p in varied_prompts(Task.AGGRESSION, 40, seed=1)]
@@ -411,23 +425,23 @@ class TestToyBackend:
         classifier = load_classifier(path)
         expected = [classifier.predict(p.post_text, task).display_name for task, p in tagged]
 
-        calls = {"forward": 0, "effective_weights": 0}
-        forward, effective = ToyTransformer.forward, AdapterState.effective_weights
+        calls = {"pooled": 0, "effective_weights": 0}
+        pooled, effective = ToyTransformer.pooled, AdapterState.effective_weights
 
-        def counting_forward(self, *args, **kwargs):
-            calls["forward"] += 1
-            return forward(self, *args, **kwargs)
+        def counting_pooled(self, *args, **kwargs):
+            calls["pooled"] += 1
+            return pooled(self, *args, **kwargs)
 
         def counting_effective(self, *args, **kwargs):
             calls["effective_weights"] += 1
             return effective(self, *args, **kwargs)
 
-        monkeypatch.setattr(ToyTransformer, "forward", counting_forward)
+        monkeypatch.setattr(ToyTransformer, "pooled", counting_pooled)
         monkeypatch.setattr(AdapterState, "effective_weights", counting_effective)
         got = [o.text for o in classify_batch(prompts, toy_descriptor(path))]
         assert got == expected
         assert calls == {
-            "forward": math.ceil(40 / PREDICT_CHUNK_ROWS) + math.ceil(70 / PREDICT_CHUNK_ROWS),
+            "pooled": math.ceil(40 / PREDICT_CHUNK_ROWS) + math.ceil(70 / PREDICT_CHUNK_ROWS),
             "effective_weights": 2,
         }
 

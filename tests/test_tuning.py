@@ -145,6 +145,73 @@ class TestPooling:
         assert np.allclose(pooled_batch[1], pooled_single[0], rtol=0.0, atol=1e-12)
 
 
+def _mixed_length_texts(max_len, n=24, seed=0):
+    """Fixture texts mixed with ones longer than ``max_len``, emoji-only
+    ones and one-word ones."""
+    extras = [
+        " ".join(f"word{i}" for i in range(max_len + 9)),
+        "\U0001f600\U0001f621\U0001f600",
+        "ok",
+        "Ünïcödé wörds ça 日本語 and more words here",
+    ]
+    posts = synth_fixture(n, Task.CYBERBULLYING, seed=seed)
+    return [extras[i // 5 % len(extras)] if i % 5 == 0 else p.text for i, p in enumerate(posts)]
+
+
+def _random_adapters(base, seed):
+    """Adapters whose Up factors are random, so the effective weights differ
+    from the base ones."""
+    state = init_adapter_state(base, TuneConfig(target_layers="layers", seed=seed))
+    rng = np.random.default_rng(seed)
+    for factors in state.factors.values():
+        factors.up[...] = rng.normal(0.0, 0.3, factors.up.shape)
+    return state
+
+
+class TestPooledPass:
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_equals_pooling_the_full_forward(self, n_layers):
+        base = ToyTransformer(ToyNetConfig(n_layers=n_layers, seed=n_layers))
+        texts = _mixed_length_texts(base.config.max_len)
+        ids, mask = base.tokenizer.batch_encode(texts, base.config.max_len)
+        assert mask.all(axis=1).any() and not mask.all()  # full rows and padded rows
+        for overrides in (None, _random_adapters(base, seed=2).effective_weights(base.params)):
+            hidden, _ = base.forward(ids, mask, overrides)
+            expected = pool_embedding(hidden, mask)
+            got = base.pooled(ids, mask, overrides)
+            assert got.shape == (len(texts), base.config.d_model)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_fully_masked_row_is_the_same_error(self, base):
+        ids, mask = base.tokenizer.batch_encode(["two words", "ok"])
+        mask[1] = False
+        hidden, _ = base.forward(ids, mask)
+        with pytest.raises(ValueError, match="fully masked") as from_forward:
+            pool_embedding(hidden, mask)
+        with pytest.raises(ValueError, match="fully masked") as from_pooled:
+            base.pooled(ids, mask)
+        assert str(from_pooled.value) == str(from_forward.value)
+
+    def test_predict_logits_keeps_input_order(self, base):
+        head = training.TaskHead(
+            Task.CYBERBULLYING, np.random.default_rng(1).normal(size=(4, 16)), np.zeros(4)
+        )
+        adapters = _random_adapters(base, seed=3)
+        texts = _mixed_length_texts(base.config.max_len, n=20, seed=4)
+        texts += texts[:7]  # duplicated texts
+        random.Random(5).shuffle(texts)
+        assert len(texts) > training.PREDICT_CHUNK_ROWS
+        logits = predict_logits(base, adapters, head, texts)
+        one_by_one = np.vstack([predict_logits(base, adapters, head, [t]) for t in texts])
+        np.testing.assert_allclose(logits, one_by_one, rtol=0, atol=1e-12)
+        assert len(np.unique(logits.argmax(axis=1))) > 1  # the check is not vacuous
+
+    def test_predict_logits_of_no_texts(self, base):
+        head = training.TaskHead.zeros(Task.AGGRESSION, base.config.d_model)
+        logits = predict_logits(base, init_adapter_state(base, TuneConfig()), head, [])
+        assert logits.shape == (0, 3)
+
+
 class TestLosses:
     def test_uniform_logits_joint_loss(self):
         loss = mtl_joint_loss(np.zeros(3), 0, np.zeros(4), 2)
@@ -493,7 +560,10 @@ class TestCheckpoint:
     def test_checkpoint_header_bytes(self, tmp_path):
         tune = TuneConfig(rank_r=2, learning_rate=0.5, batch_size=3, epochs=4, seed=6)
         state = init_adapter_state(ToyTransformer(SMALL), tune)
-        path = save_checkpoint(tmp_path / "c.npz", SMALL, tune, {Task.AGGRESSION: state}, {})
+        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        path = save_checkpoint(
+            tmp_path / "c.npz", SMALL, tune, {Task.AGGRESSION: state}, {Task.AGGRESSION: head}
+        )
         with np.load(path) as archive:
             meta = str(archive["__meta__"])
         assert meta == (
@@ -540,6 +610,31 @@ class TestCheckpoint:
         np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(TuningError, match=re.escape(f"{path}: {reason}")):
             load_classifier(path)
+
+    def test_writer_refuses_a_task_without_its_head(self, tmp_path):
+        tune = TuneConfig(rank_r=2, seed=6)
+        state = init_adapter_state(ToyTransformer(SMALL), tune)
+        path = tmp_path / "headless.npz"
+        with pytest.raises(
+            TuningError, match=re.escape(f"{path}: missing key 'head.aggression.weight'")
+        ):
+            save_checkpoint(path, SMALL, tune, {Task.AGGRESSION: state}, {})
+        assert not path.exists()
+
+    def test_writer_refuses_adapters_of_another_rank(self, tmp_path):
+        base = ToyTransformer(SMALL)
+        state = init_adapter_state(base, TuneConfig(rank_r=4, seed=6))
+        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        path = tmp_path / "rank.npz"
+        with pytest.raises(
+            TuningError,
+            match=re.escape(f"{path}: adapter.aggression.layers.0.attn.wq.down: shape (4, 8)"),
+        ):
+            save_checkpoint(
+                path, SMALL, TuneConfig(rank_r=2, seed=6),
+                {Task.AGGRESSION: state}, {Task.AGGRESSION: head},
+            )
+        assert not path.exists()
 
     def test_trained_checkpoint_contents(self, tmp_path):
         """Pins what a fixed SFT run and a fixed MTL run write: the header,
