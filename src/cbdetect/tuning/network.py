@@ -40,10 +40,20 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _word_id(word: str, vocab_size: int) -> int:
-    """sha1-derived id in [2, vocab_size); memoized, posts repeat words."""
-    return 2 + int(hashlib.sha1(word.encode("utf-8")).hexdigest()[:8], 16) % (vocab_size - 2)
+# {word: id} per vocab size, shared by every tokenizer (posts repeat words,
+# and a freshly loaded classifier finds the words earlier ones hashed);
+# a memo that reaches _WORD_IDS_MAX words starts over
+_WORD_IDS: dict[int, dict[str, int]] = {}
+_WORD_IDS_MAX = 1 << 14
+
+
+def _word_id(word: str, ids: dict[str, int], vocab_size: int) -> int:
+    """sha1-derived id in [2, vocab_size), recorded in the memo ``ids``."""
+    if len(ids) >= _WORD_IDS_MAX:
+        ids.clear()
+    word_id = 2 + int(hashlib.sha1(word.encode("utf-8")).hexdigest()[:8], 16) % (vocab_size - 2)
+    ids[word] = word_id
+    return word_id
 
 
 class ToyTokenizer:
@@ -61,12 +71,15 @@ class ToyTokenizer:
         if vocab_size < 3:
             raise ValueError("vocab_size must be >= 3")
         self.vocab_size = vocab_size
+        self._ids = _WORD_IDS.setdefault(vocab_size, {})
 
     def encode(self, text: str) -> list[int]:
         words = _WORD_RE.findall(text.lower())
         if not words:
             return [self.UNK]
-        return [_word_id(w, self.vocab_size) for w in words]
+        ids = self._ids
+        # a word id is never 0, so a miss is the only falsy lookup
+        return [ids.get(w) or _word_id(w, ids, self.vocab_size) for w in words]
 
     def batch_encode(
         self, texts: Sequence[str], max_len: int | None = None
@@ -133,14 +146,21 @@ def _causal_mask(seq: int) -> np.ndarray:
 
 
 def _layer(
-    x: np.ndarray, query: np.ndarray, allowed: np.ndarray, w: Mapping[str, np.ndarray], scale: float
+    x: np.ndarray,
+    query: np.ndarray,
+    allowed: np.ndarray,
+    w: Mapping[str, np.ndarray],
+    scale: float,
+    pooled_at: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, dict]:
     """One causal attention + GELU-MLP block run at the query rows.
 
-    Keys and values come from every position of ``x`` (B, T, d); queries,
-    the attention mix and the MLP run only at ``query`` (B, Q, d), whose
-    ``allowed`` (B, Q, T) marks the keys each query may see. Returns the
-    block's output at the query rows and the activations ``backward`` reads.
+    Keys and values come from every position of ``x`` (B, T, d); queries
+    and the attention mix run only at ``query`` (B, Q, d), whose ``allowed``
+    (B, Q, T) marks the keys each query may see. With ``pooled_at``, the
+    (rows, positions) of one query per row, the residual ``wo`` projection
+    and the MLP then run only at those rows, on a (B, d) matrix. Returns the
+    block's output and the activations ``backward`` reads.
     """
     q = query @ w["wq"].T
     k = x @ w["wk"].T
@@ -149,14 +169,17 @@ def _layer(
     scores = np.where(allowed, scores, -np.inf)
     attn = _masked_softmax(scores)
     mixed = attn @ v
+    activations = {"x": x, "q": q, "k": k, "v": v, "attn": attn, "mixed": mixed}
+    if pooled_at is not None:
+        query, mixed = query[pooled_at], mixed[pooled_at]
+        activations["pooled_at"] = pooled_at
     x_attn = query + mixed @ w["wo"].T
 
     h_pre = x_attn @ w["w1"].T
     cdf = _normal_cdf(h_pre)
     h = h_pre * cdf
     x_out = x_attn + h @ w["w2"].T
-    activations = {"x": x, "q": q, "k": k, "v": v, "attn": attn, "mixed": mixed,
-                   "x_attn": x_attn, "h_pre": h_pre, "cdf": cdf, "h": h}
+    activations.update(x_attn=x_attn, h_pre=h_pre, cdf=cdf, h=h)
     return x_out, activations
 
 
@@ -216,11 +239,38 @@ class ToyTransformer:
         overrides: Mapping[str, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, dict]:
         """Final-layer hidden states (B, T, d) plus the backward cache."""
+        return self._cached_pass(ids, mask, overrides, pool=False)
+
+    def forward_pooled(
+        self,
+        ids: np.ndarray,
+        mask: np.ndarray,
+        overrides: Mapping[str, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, dict]:
+        """Training's pass: ``pool_embedding(forward(...))``, (B, d), plus
+        its backward cache, whose ``backward`` takes a (B, d) gradient.
+
+        The last layer computes its attention in full (B, T, T) shape, as
+        ``forward`` does, then runs its ``wo`` projection and MLP only at
+        each row's last unmasked token. Its output and the gradients taken
+        through it equal those of ``forward`` bitwise, as the tests pin.
+        """
+        return self._cached_pass(ids, mask, overrides, pool=True)
+
+    def _cached_pass(
+        self,
+        ids: np.ndarray,
+        mask: np.ndarray,
+        overrides: Mapping[str, np.ndarray] | None,
+        pool: bool,
+    ) -> tuple[np.ndarray, dict]:
         x, allowed, layer_weights = self._start(ids, mask, overrides)
+        pooled_at = (np.arange(x.shape[0]), last_unmasked_index(mask)) if pool else None
+        top = len(layer_weights) - 1
         scale = self.config.d_model**-0.5
         layer_caches = []
-        for names, w in zip(self._layer_names, layer_weights):
-            x, activations = _layer(x, x, allowed, w, scale)
+        for i, (names, w) in enumerate(zip(self._layer_names, layer_weights)):
+            x, activations = _layer(x, x, allowed, w, scale, pooled_at if i == top else None)
             layer_caches.append({**activations, "names": names, "w": w})
         return x, {"layers": layer_caches, "scale": scale}
 
@@ -252,7 +302,8 @@ class ToyTransformer:
         Uses the weights recorded in the cache, so adapted forward passes
         backpropagate through their effective weights, not the base ones.
         Weights outside ``targets`` get no gradient, and the pass stops at
-        the lowest layer that holds a target.
+        the lowest layer that holds a target. ``d_hidden`` is (B, T, d) for
+        a ``forward`` cache and (B, d) for a ``forward_pooled`` one.
         """
         layers = cache["layers"]
         lowest = next(
@@ -280,6 +331,10 @@ class ToyTransformer:
             dh_pre = dh * (layer["cdf"] + h_pre * np.exp(-0.5 * h_pre * h_pre) * _INV_SQRT_2PI)
             grad(names["w1"], dh_pre, layer["x_attn"])
             dx_attn = dx + dh_pre @ w["w1"]
+            if "pooled_at" in layer:  # the MLP ran at the pooled tokens only
+                scattered = np.zeros_like(layer["x"])
+                scattered[layer["pooled_at"]] = dx_attn
+                dx_attn = scattered
 
             # attention: x_attn = x + (softmax(qk^T * scale) @ v) @ wo.T
             d_mixed = dx_attn @ w["wo"]

@@ -24,7 +24,7 @@ from .._config import write_lines
 from ..corpus import LabeledPost
 from ..labels import Task, labels_in_order
 from .lora import AdapterState, TuneConfig, TuningError, init_adapter_state
-from .network import ToyTransformer, last_unmasked_index, pad_ids
+from .network import ToyTransformer, pad_ids
 
 Pair = tuple[str, int]
 # (token ids cut to the network's max_len, class index)
@@ -174,15 +174,11 @@ def _branch(
     ids, mask = pad_ids([encoded for encoded, _ in batch])
     targets = np.array([y for _, y in batch], dtype=int)
 
-    hidden, cache = base.forward(ids, mask, overrides=adapters.effective_weights(base.params))
-    pooled_at = (np.arange(len(batch)), last_unmasked_index(mask))
-    pooled = hidden[pooled_at]
-    logits = head.logits(pooled)
-    loss, d_logits = cross_entropy(logits, targets)
-
-    d_hidden = np.zeros_like(hidden)  # the pooling's adjoint: scatter back to the pooled tokens
-    d_hidden[pooled_at] = d_logits @ head.weight
-    grads = adapters.factor_grads(base.backward(cache, d_hidden, adapters.factors))
+    pooled, cache = base.forward_pooled(
+        ids, mask, overrides=adapters.effective_weights(base.params)
+    )
+    loss, d_logits = cross_entropy(head.logits(pooled), targets)
+    grads = adapters.factor_grads(base.backward(cache, d_logits @ head.weight, adapters.factors))
     grads += (d_logits.T @ pooled, d_logits.sum(axis=0))
     return loss, dict(zip(names, grads, strict=True))
 

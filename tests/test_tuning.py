@@ -21,6 +21,7 @@ from cbdetect.tuning import (
     TuningError,
     cross_entropy,
     init_adapter_state,
+    last_unmasked_index,
     load_classifier,
     mtl_joint_loss,
     pairs_from_posts,
@@ -29,7 +30,7 @@ from cbdetect.tuning import (
     save_checkpoint,
     write_metrics_log,
 )
-from cbdetect.tuning import training
+from cbdetect.tuning import network, training
 
 SMALL = ToyNetConfig(vocab_size=32, d_model=8, n_layers=1, d_ff=16, seed=11)
 
@@ -63,6 +64,23 @@ class TestTokenizer:
             ]
             for _ in range(2):  # memoized ids equal freshly hashed ones
                 assert ToyTokenizer(vocab_size).encode(" ".join(words)) == expected
+
+    def test_pinned_ids(self):
+        text = "Covertly DON'T post42 über naïve ça 日本語 ελληνικά l'été"
+        assert ToyTokenizer(128).encode(text) == [18, 124, 118, 120, 73, 64, 68, 83, 91]
+        assert ToyTokenizer(32).encode(text) == [6, 16, 4, 18, 13, 16, 2, 5, 25]
+
+    def test_word_memo_is_shared_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(network, "_WORD_IDS_MAX", 4)
+        words = [f"memo{i}" for i in range(10)]
+        expected = [
+            2 + int(hashlib.sha1(w.encode("utf-8")).hexdigest()[:8], 16) % 95 for w in words
+        ]
+        first, second = ToyTokenizer(97), ToyTokenizer(97)
+        assert network._WORD_IDS[97] is first._ids is second._ids
+        for tokenizer in (first, second, first):
+            assert tokenizer.encode(" ".join(words)) == expected
+            assert len(network._WORD_IDS[97]) <= 4
 
     def test_empty_text_maps_to_unk(self):
         assert ToyTokenizer(128).encode("\U0001f600\U0001f600") == [ToyTokenizer.UNK]
@@ -371,14 +389,35 @@ class TestGradientCheck:
         tune = TuneConfig(rank_r=2, learning_rate=1e-3, target_layers=selector, seed=7)
         assert _worst_gradient_error(net, tune) <= 1e-4
 
-    @pytest.mark.parametrize("selector", ["attn", "mlp", "layers.1.", "layers.0.attn.wv"])
-    def test_backward_returns_only_targeted_gradients(self, base, agg_pairs, selector):
+    @pytest.mark.parametrize(
+        "selector, pooled",
+        [
+            pytest.param(selector, pooled, id=f"{selector}-forward_pooled" if pooled else selector)
+            for pooled in (False, True)
+            for selector in ("attn", "mlp", "layers.1.", "layers.0.attn.wv")
+        ],
+    )
+    def test_backward_returns_only_targeted_gradients(self, base, agg_pairs, selector, pooled):
         state = init_adapter_state(base, TuneConfig(target_layers=selector))
         rng = np.random.default_rng(1)
         for f in state.factors.values():
             f.up[:] = rng.normal(0.0, 0.1, f.up.shape)  # a non-zero delta
         ids, mask = base.tokenizer.batch_encode([text for text, _ in agg_pairs])
-        hidden, cache = base.forward(ids, mask, overrides=state.effective_weights(base.params))
+        overrides = state.effective_weights(base.params)
+        hidden, cache = base.forward(ids, mask, overrides=overrides)
+        if pooled:
+            # a (B, d) gradient through the pooled cache gives bitwise the
+            # gradients of the full cache fed it at the pooled tokens
+            d_pooled = np.random.default_rng(2).normal(size=(len(ids), base.config.d_model))
+            full = base.backward(cache, _scattered_to_pooled_tokens(d_pooled, mask), state.factors)
+            pooled_hidden, cache = base.forward_pooled(ids, mask, overrides=overrides)
+            assert np.array_equal(pooled_hidden, pool_embedding(hidden, mask))
+            grads = base.backward(cache, d_pooled, state.factors)
+            assert sorted(grads) == sorted(state.targets)
+            for name, grad in grads.items():
+                assert np.array_equal(grad, full[name])
+            assert base.backward(cache, d_pooled, ()) == {}
+            return
         d_hidden = np.random.default_rng(2).normal(size=hidden.shape)
         grads = base.backward(cache, d_hidden, state.factors)
         assert sorted(grads) == sorted(state.targets)
@@ -386,6 +425,29 @@ class TestGradientCheck:
         for name, grad in grads.items():
             np.testing.assert_allclose(grad, reference[name], rtol=1e-10, atol=1e-14)
         assert base.backward(cache, d_hidden, ()) == {}
+
+
+def _scattered_to_pooled_tokens(d_pooled, mask):
+    """The pooling's adjoint: a (B, d) gradient placed at each row's last
+    unmasked token of a zero (B, T, d) one."""
+    d_hidden = np.zeros(mask.shape + d_pooled.shape[1:])
+    d_hidden[np.arange(len(mask)), last_unmasked_index(mask)] = d_pooled
+    return d_hidden
+
+
+def _through_full_forward(backward):
+    """A ``(forward_pooled, backward)`` pair that runs the full ``forward``,
+    pools it with ``pool_embedding`` and hands ``backward`` the pooled
+    gradient scattered back to (B, T, d)."""
+
+    def forward_pooled(self, ids, mask, overrides=None):
+        hidden, cache = self.forward(ids, mask, overrides)
+        return pool_embedding(hidden, mask), {**cache, "mask": mask}
+
+    def backward_of_pooled(self, cache, d_pooled, targets):
+        return backward(self, cache, _scattered_to_pooled_tokens(d_pooled, cache["mask"]), targets)
+
+    return forward_pooled, backward_of_pooled
 
 
 # The optimizer step as it was before the flat-buffer Adam, the target-only
@@ -489,8 +551,10 @@ class TestStepMatchesReference:
             return sft, sft.train(cb), mtl, mtl.train(agg, cb)
 
         sft, sft_log, mtl, mtl_log = train()
+        forward_pooled, backward = _through_full_forward(_reference_backward)
         with monkeypatch.context() as patch:
-            patch.setattr(ToyTransformer, "backward", _reference_backward)
+            patch.setattr(ToyTransformer, "forward_pooled", forward_pooled)
+            patch.setattr(ToyTransformer, "backward", backward)
             patch.setattr(training, "Adam", _ReferenceAdam)
             ref_sft, ref_sft_log, ref_mtl, ref_mtl_log = train()
         assert isinstance(ref_sft.optimizer, _ReferenceAdam)
@@ -514,6 +578,38 @@ class TestStepMatchesReference:
         for new, ref in zip(new_logits, ref_logits, strict=True):
             np.testing.assert_allclose(new, ref, rtol=1e-10, atol=0)
             assert np.array_equal(new.argmax(axis=1), ref.argmax(axis=1))
+
+    @pytest.mark.parametrize("selector", ["attn", "layers."])
+    def test_two_layer_training_is_bitwise_the_full_forward_run(self, monkeypatch, selector):
+        """The pooled training pass changes no bit of what a two-layer SFT or
+        MTL run tunes or logs, against the full ``forward`` and ``backward``."""
+        base = ToyTransformer(ToyNetConfig(seed=0))
+        config = TuneConfig(
+            learning_rate=1e-2, batch_size=4, epochs=2, target_layers=selector, seed=3
+        )
+        agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
+        cb = _varied_posts(Task.CYBERBULLYING, 2, seed=2)
+
+        def train():
+            sft = SftTrainer(base, Task.CYBERBULLYING, config)
+            mtl = MtlTrainer(base, config)
+            return [(sft, sft.train(cb)), (mtl, mtl.train(agg, cb))]
+
+        runs = train()
+        forward_pooled, backward = _through_full_forward(ToyTransformer.backward)
+        with monkeypatch.context() as patch:
+            patch.setattr(ToyTransformer, "forward_pooled", forward_pooled)
+            patch.setattr(ToyTransformer, "backward", backward)
+            ref_runs = train()
+
+        for (new, log), (ref, ref_log), steps in zip(runs, ref_runs, (4, 6), strict=True):
+            assert len(log) == steps
+            assert log == ref_log
+            assert list(new.optimizer.params) == list(ref.optimizer.params)
+            for key, value in new.optimizer.params.items():
+                assert np.array_equal(value, ref.optimizer.params[key]), key
+            assert np.array_equal(new.optimizer.m, ref.optimizer.m)
+            assert np.array_equal(new.optimizer.v, ref.optimizer.v)
 
 
 class TestCheckpoint:
