@@ -30,7 +30,6 @@ from .corpus import (
     load_dataset,
     load_records,
     load_schema,
-    merge_corpora,
     save_records,
     save_rejects,
     split_corpus,

@@ -26,17 +26,18 @@ from __future__ import annotations
 
 import enum
 import functools
+import http.client
 import json
 import operator
 import os
 import re
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping, Sequence
-
-import requests
 
 from ._config import from_fields
 from .labels import _SPACE_TASKS, Label, Task, label_space, labels_in_order
@@ -67,6 +68,15 @@ class TransportError(BackendError):
 
 class BackendTimeout(TransportError):
     """Retries exhausted and the final failure was a timeout."""
+
+
+class HTTPStatusError(Exception):
+    """The endpoint answered with an error status (400 or more)."""
+
+    def __init__(self, status: int, headers: Mapping[str, str], body: str):
+        super().__init__(f"HTTP {status}: {body[:200]}")
+        self.status = status
+        self.headers = headers
 
 
 class ParseFailure(BackendError):
@@ -322,35 +332,56 @@ def _classify_toy(prompts: Sequence[Prompt], descriptor: BackendDescriptor) -> l
 
 
 def _post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    """Single HTTP POST; swapped out by tests via monkeypatching.
+    """Single HTTP POST of ``payload`` as JSON on a fresh connection;
+    swapped out by tests via monkeypatching.
 
-    An error status raises ``requests.HTTPError`` carrying the response, so
-    callers can read its ``status_code``.
+    urllib's default opener honours the ``*_PROXY`` and ``NO_PROXY``
+    variables and verifies TLS certificates. An error status raises
+    ``HTTPStatusError`` with its ``status`` and ``headers``; a body that is
+    not JSON raises ``ValueError``; the network fails with ``OSError``
+    (urllib wraps a connect failure in a ``URLError``) or
+    ``http.client.HTTPException``.
     """
-    response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    if response.status_code >= 400:
-        raise requests.HTTPError(
-            f"HTTP {response.status_code}: {response.text[:200]}", response=response
-        )
-    return response.json()
+    request = urllib.request.Request(
+        url, json.dumps(payload).encode("utf-8"), headers, method="POST"
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            body = response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            text = exc.read().decode("utf-8", "replace")
+        raise HTTPStatusError(exc.code, exc.headers, text) from None
+    return json.loads(body)
 
 
-def _retryable(exc: requests.RequestException) -> bool:
-    """Timeouts, connection errors, 408, 429 and 5xx may succeed on retry."""
-    if isinstance(exc, (requests.Timeout, requests.ConnectionError)):
-        return True
-    status = getattr(exc.response, "status_code", None)
-    return status is not None and (status in (408, 429) or status >= 500)
+# What _post_json raises for one failed attempt.
+_ATTEMPT_ERRORS = (HTTPStatusError, OSError, http.client.HTTPException, ValueError)
 
 
-def _retry_after(exc: requests.RequestException, cap: float) -> float:
+def _retryable(exc: Exception) -> bool:
+    """Timeouts, connection errors, 408, 429 and 5xx may succeed on retry;
+    other statuses and a body that is not JSON will not."""
+    if isinstance(exc, HTTPStatusError):
+        return exc.status in (408, 429) or exc.status >= 500
+    return isinstance(exc, (OSError, http.client.HTTPException))
+
+
+def _timed_out(exc: Exception) -> bool:
+    """A read timeout raises ``TimeoutError``; urllib wraps a connect
+    timeout in a ``URLError`` whose reason is one."""
+    return isinstance(exc, TimeoutError) or (
+        isinstance(exc, urllib.error.URLError) and isinstance(exc.reason, TimeoutError)
+    )
+
+
+def _retry_after(exc: Exception, cap: float) -> float:
     """The wait a 429 or 503 response asks for in its ``Retry-After``
     header, capped at ``cap``; 0 when there is none. Only the delta-seconds
     form counts: an HTTP-date is ignored."""
-    response = exc.response
-    if response is None or response.status_code not in (429, 503):
+    if not isinstance(exc, HTTPStatusError) or exc.status not in (429, 503):
         return 0.0
-    value = response.headers.get("Retry-After", "").strip()
+    value = exc.headers.get("Retry-After", "").strip()
     if not (value.isascii() and value.isdigit()):
         return 0.0
     return min(float(value), cap)
@@ -402,8 +433,8 @@ def _send_live(url: str, headers: dict, prompt: Prompt, descriptor: BackendDescr
         started = time.perf_counter()
         try:
             body = _post_json(url, payload, headers, descriptor.timeout)
-        except requests.RequestException as exc:
-            last_was_timeout = isinstance(exc, requests.Timeout)
+        except _ATTEMPT_ERRORS as exc:
+            last_was_timeout = _timed_out(exc)
             error = f"timeout: {exc}" if last_was_timeout else str(exc)
             attempts.append(
                 AttemptRecord(number=number, error=error, elapsed=time.perf_counter() - started)

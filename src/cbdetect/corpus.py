@@ -465,19 +465,6 @@ def class_distribution(posts: Sequence[LabeledPost]) -> dict[Label, int]:
     return counts
 
 
-def merge_corpora(*groups: Sequence[LabeledPost]) -> tuple[LabeledPost, ...]:
-    """Concatenate corpora, refusing duplicate ids across groups."""
-    merged: list[LabeledPost] = []
-    seen: set[str] = set()
-    for group in groups:
-        for post in group:
-            if post.id in seen:
-                raise CorpusError(f"duplicate id across corpora: {post.id!r}")
-            seen.add(post.id)
-            merged.append(post)
-    return tuple(merged)
-
-
 def save_records(posts: Iterable[LabeledPost], path: Union[str, Path]) -> Path:
     """Write posts as line-delimited records (UTF-8, sorted keys)."""
     return write_lines(path, posts, LabeledPost.to_record_line)

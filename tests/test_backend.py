@@ -1,15 +1,22 @@
 import dataclasses
 import enum
 import hashlib
+import http.client
+import json
 import math
 import random
 import re
+import socket
+import subprocess
+import sys
 import threading
 import time
+import urllib.error
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 from cbdetect import (
     AggressionLabel,
@@ -569,6 +576,87 @@ class TestDescriptor:
         assert BackendDescriptor.from_dict(data) == descriptor
 
 
+def _answer(content):
+    body = {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+    return 200, {}, json.dumps(body).encode()
+
+
+class _Endpoint:
+    """A chat endpoint on 127.0.0.1 that answers POSTs from a script of
+    ``(status, headers, body)`` replies, the last one repeating, and counts
+    requests and connections. A reply of None stalls until the test ends,
+    then closes without answering."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.released = threading.Event()
+        self.replies = [_answer("ok")]
+        self.payloads, self.headers = [], []
+        self.connections = 0
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, *args):
+                pass
+
+            def setup(self):
+                super().setup()
+                with endpoint.lock:
+                    endpoint.connections += 1
+
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with endpoint.lock:
+                    endpoint.payloads.append(payload)
+                    endpoint.headers.append(dict(self.headers))
+                    replies = endpoint.replies
+                    reply = replies.pop(0) if len(replies) > 1 else replies[0]
+                if reply is None:
+                    endpoint.released.wait(5.0)
+                    self.close_connection = True
+                    return
+                status, headers, body = reply
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        self.thread.start()
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat"
+
+    def script(self, *replies):
+        self.replies = list(replies)
+
+    @property
+    def requests(self):
+        return len(self.payloads)
+
+    def close(self):
+        self.released.set()
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5.0)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    # a proxy configured in the environment must not intercept loopback
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = _Endpoint()
+    yield server
+    server.close()
+
+
 class TestLiveClient:
     def _descriptor(self, attempts=3):
         return BackendDescriptor(
@@ -588,7 +676,7 @@ class TestLiveClient:
 
         def failing(url, payload, headers, timeout):
             calls.append(url)
-            raise requests.ConnectionError("refused")
+            raise ConnectionRefusedError("refused")
 
         monkeypatch.setattr(backend_mod, "_post_json", failing)
         with pytest.raises(TransportError) as info:
@@ -601,7 +689,7 @@ class TestLiveClient:
         monkeypatch.setattr(
             backend_mod,
             "_post_json",
-            lambda *a, **k: (_ for _ in ()).throw(requests.Timeout("slow")),
+            lambda *a, **k: (_ for _ in ()).throw(TimeoutError("slow")),
         )
         with pytest.raises(BackendTimeout) as info:
             classify(self._prompt(cyberbullying_fixture), self._descriptor())
@@ -613,7 +701,7 @@ class TestLiveClient:
         def flaky(url, payload, headers, timeout):
             state["calls"] += 1
             if state["calls"] < 3:
-                raise requests.ConnectionError("blip")
+                raise ConnectionRefusedError("blip")
             return {"choices": [{"message": {"content": "Religion"}, "finish_reason": "stop"}]}
 
         monkeypatch.setattr(backend_mod, "_post_json", flaky)
@@ -642,9 +730,7 @@ class TestLiveClient:
 
         def rejecting(url, payload, headers, timeout):
             calls.append(url)
-            response = requests.Response()
-            response.status_code = status
-            raise requests.HTTPError(f"HTTP {status}", response=response)
+            raise backend_mod.HTTPStatusError(status, {}, "")
 
         monkeypatch.setattr(backend_mod, "_post_json", rejecting)
         with pytest.raises(TransportError) as info:
@@ -658,9 +744,7 @@ class TestLiveClient:
 
         def overloaded(url, payload, headers, timeout):
             calls.append(url)
-            response = requests.Response()
-            response.status_code = status
-            raise requests.HTTPError(f"HTTP {status}", response=response)
+            raise backend_mod.HTTPStatusError(status, {}, "")
 
         monkeypatch.setattr(backend_mod, "_post_json", overloaded)
         with pytest.raises(TransportError) as info:
@@ -677,11 +761,8 @@ class TestLiveClient:
             calls.append(url)
             if len(calls) == succeed_on:
                 return {"choices": [{"message": {"content": "Religion"}, "finish_reason": "stop"}]}
-            response = requests.Response()
-            response.status_code = status
-            if retry_after is not None:
-                response.headers["Retry-After"] = retry_after
-            raise requests.HTTPError(f"HTTP {status}", response=response)
+            headers = {} if retry_after is None else {"Retry-After": retry_after}
+            raise backend_mod.HTTPStatusError(status, headers, "")
 
         monkeypatch.setattr(backend_mod, "_post_json", throttled)
         monkeypatch.setattr(backend_mod.time, "sleep", sleeps.append)
@@ -723,17 +804,11 @@ class TestLiveClient:
         assert response.text == "Religion"
         assert sleeps == [4.0]
 
-    def test_post_json_error_carries_status_code(self, monkeypatch):
-        def post(url, json, headers, timeout):
-            response = requests.Response()
-            response.status_code = 401
-            response._content = b'{"error": "invalid api key"}'
-            return response
-
-        monkeypatch.setattr(requests, "post", post)
-        with pytest.raises(requests.HTTPError) as info:
-            backend_mod._post_json("http://example.invalid/v1/chat", {}, {}, 1.0)
-        assert info.value.response.status_code == 401
+    def test_post_json_error_carries_status_code(self, endpoint):
+        endpoint.script((401, {}, b'{"error": "invalid api key"}'))
+        with pytest.raises(backend_mod.HTTPStatusError) as info:
+            backend_mod._post_json(endpoint.url, {}, {}, 1.0)
+        assert info.value.status == 401
 
     def test_batch_fans_out_and_keeps_order(self, monkeypatch, cyberbullying_fixture):
         template = load_template("zero_shot_v1", Task.CYBERBULLYING)
@@ -752,9 +827,7 @@ class TestLiveClient:
             with lock:
                 active[0] -= 1
             if position[content] == 2:
-                response = requests.Response()
-                response.status_code = 401
-                raise requests.HTTPError("HTTP 401", response=response)
+                raise backend_mod.HTTPStatusError(401, {}, "")
             return {"choices": [{"message": {"content": content[-12:]}, "finish_reason": "stop"}]}
 
         monkeypatch.setattr(backend_mod, "_post_json", echo)
@@ -780,7 +853,7 @@ class TestLiveClient:
         def blip_then_malformed(url, payload, headers, timeout):
             state["calls"] += 1
             if state["calls"] == 1 and state["blip"]:
-                raise requests.ConnectionError("blip")
+                raise ConnectionRefusedError("blip")
             return {"error": "no choices here"}
 
         monkeypatch.setattr(backend_mod, "_post_json", blip_then_malformed)
@@ -791,3 +864,133 @@ class TestLiveClient:
             assert [a.number for a in info.value.attempts] == numbers
             assert "malformed endpoint response" in info.value.attempts[-1].error
             assert state["calls"] == len(numbers)
+
+    def test_connect_timeout_is_a_timeout(self, monkeypatch, cyberbullying_fixture):
+        # urllib wraps a connect timeout in a URLError whose reason is a TimeoutError
+        def connect_timeout(url, payload, headers, timeout):
+            raise urllib.error.URLError(TimeoutError("timed out"))
+
+        monkeypatch.setattr(backend_mod, "_post_json", connect_timeout)
+        with pytest.raises(BackendTimeout) as info:
+            classify(self._prompt(cyberbullying_fixture), self._descriptor())
+        assert len(info.value.attempts) == 3
+
+    @pytest.mark.parametrize(
+        "exc, retried",
+        [
+            (urllib.error.URLError(ConnectionRefusedError("refused")), True),
+            (http.client.RemoteDisconnected("closed"), True),
+            (http.client.IncompleteRead(b""), True),
+            (json.JSONDecodeError("Expecting value", "<html>", 0), False),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+    )
+    def test_retry_rules_per_error(self, monkeypatch, cyberbullying_fixture, exc, retried):
+        calls = []
+
+        def failing(url, payload, headers, timeout):
+            calls.append(url)
+            raise exc
+
+        monkeypatch.setattr(backend_mod, "_post_json", failing)
+        with pytest.raises(TransportError) as info:
+            classify(self._prompt(cyberbullying_fixture), self._descriptor())
+        assert len(calls) == (3 if retried else 1)
+        assert info.value.attempts[-1].error.endswith(str(exc))
+
+
+class TestLoopback:
+    """The live transport against a real HTTP server on 127.0.0.1."""
+
+    def _descriptor(self, url, attempts=3, timeout=2.0):
+        return BackendDescriptor(
+            backend_id="live",
+            kind=BackendKind.LIVE_ENDPOINT,
+            model_name="m",
+            endpoint_address=url,
+            timeout=timeout,
+            retry_policy=RetryPolicy(max_attempts=attempts, backoff=(0.0, 0.0)),
+        )
+
+    def _prompt(self, cyberbullying_fixture):
+        template = load_template("zero_shot_v1", Task.CYBERBULLYING)
+        return render_zero_shot(cyberbullying_fixture[0], template)
+
+    def test_answer_and_payload_shape(self, monkeypatch, endpoint, cyberbullying_fixture):
+        monkeypatch.setenv(backend_mod.API_KEY_ENV_VAR, "secret")
+        endpoint.script(_answer("Religion"))
+        prompt = self._prompt(cyberbullying_fixture)
+        response = classify(prompt, self._descriptor(endpoint.url))
+        assert response.text == "Religion" and not response.truncated
+        assert endpoint.payloads == [
+            {
+                "model": "m",
+                "messages": [{"role": "user", "content": prompt.rendered_text}],
+                "temperature": 0.0,
+                "max_tokens": 64,
+            }
+        ]
+        (headers,) = endpoint.headers
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer secret"
+
+    def test_error_status_fails_after_one_attempt(self, endpoint, cyberbullying_fixture):
+        endpoint.script((401, {}, b'{"error": "invalid api key"}'))
+        with pytest.raises(TransportError) as info:
+            classify(self._prompt(cyberbullying_fixture), self._descriptor(endpoint.url))
+        assert [a.error for a in info.value.attempts] == ['HTTP 401: {"error": "invalid api key"}']
+        assert endpoint.requests == 1
+
+    def test_retry_after_then_success(self, monkeypatch, endpoint, cyberbullying_fixture):
+        sleeps = []
+        monkeypatch.setattr(backend_mod.time, "sleep", sleeps.append)
+        endpoint.script((503, {"Retry-After": "1"}, b"{}"), _answer("Religion"))
+        response = classify(self._prompt(cyberbullying_fixture), self._descriptor(endpoint.url))
+        assert response.text == "Religion"
+        assert sleeps == [1.0]
+        assert endpoint.requests == 2
+
+    def test_body_that_is_not_json_is_not_retried(self, endpoint, cyberbullying_fixture):
+        endpoint.script((200, {}, b"<html>busy</html>"))
+        with pytest.raises(TransportError) as info:
+            classify(self._prompt(cyberbullying_fixture), self._descriptor(endpoint.url))
+        assert len(info.value.attempts) == 1
+        assert endpoint.requests == 1
+
+    def test_closed_port_is_retried_and_not_a_timeout(self, monkeypatch, cyberbullying_fixture):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        url = f"http://127.0.0.1:{port}/v1/chat"
+        with pytest.raises(TransportError) as info:
+            classify(self._prompt(cyberbullying_fixture), self._descriptor(url))
+        assert len(info.value.attempts) == 3
+        assert not isinstance(info.value, BackendTimeout)
+
+    def test_stalled_handler_is_a_timeout(self, endpoint, cyberbullying_fixture):
+        endpoint.script(None)
+        descriptor = self._descriptor(endpoint.url, attempts=2, timeout=0.1)
+        with pytest.raises(BackendTimeout) as info:
+            classify(self._prompt(cyberbullying_fixture), descriptor)
+        assert [a.error.startswith("timeout: ") for a in info.value.attempts] == [True, True]
+
+    def test_one_connection_per_attempt(self, endpoint, cyberbullying_fixture):
+        endpoint.script((500, {}, b"{}"), (500, {}, b"{}"), _answer("Religion"))
+        response = classify(self._prompt(cyberbullying_fixture), self._descriptor(endpoint.url))
+        assert response.text == "Religion"
+        assert endpoint.requests == endpoint.connections == 3
+
+
+def test_import_loads_no_http_client_library():
+    # a fresh interpreter, so modules other tests import do not count
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; "
+        f"sys.path.insert(0, {str(src)!r}); "
+        "import cbdetect, cbdetect.cli, cbdetect.backend, cbdetect.pipeline; "
+        "loaded = [name for name in ('requests', 'urllib3') if name in sys.modules]; "
+        "sys.exit(f'imported: {loaded}' if loaded else 0)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]

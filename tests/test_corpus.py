@@ -21,7 +21,6 @@ from cbdetect import (
     load_dataset,
     load_records,
     load_schema,
-    merge_corpora,
     save_records,
     save_rejects,
     split_corpus,
@@ -277,16 +276,6 @@ class TestRoundTrip:
         )
         path = save_records(posts, tmp_path / "corpus.jsonl")
         assert load_records(path) == posts
-
-    def test_merge_rejects_duplicates(self):
-        group = synth_fixture(1, Task.AGGRESSION, seed=0)
-        with pytest.raises(CorpusError, match="duplicate id"):
-            merge_corpora(group, group)
-
-    def test_merge_concatenates(self):
-        a = synth_fixture(1, Task.AGGRESSION, seed=0)
-        b = synth_fixture(1, Task.CYBERBULLYING, seed=0)
-        assert len(merge_corpora(a, b)) == len(a) + len(b)
 
 
 # --- pinned record bytes and the DictReader reference ----------------------
