@@ -590,7 +590,7 @@ class _Endpoint:
     def __init__(self):
         self.lock = threading.Lock()
         self.released = threading.Event()
-        self.replies = [_answer("ok")]
+        self.replies = []
         self.payloads, self.headers = [], []
         self.connections = 0
         endpoint = self
