@@ -61,7 +61,6 @@ spec = ExperimentSpec(
     method=Method.EPP,
     task=Task.CYBERBULLYING,
     backends=(toy_backend(Task.AGGRESSION), toy_backend(Task.CYBERBULLYING)),
-    checkpoints=tuple(str(c) for c in checkpoints.values()),
 )
 result = run_epp(eval_posts, spec, out_dir=out / "runs")
 

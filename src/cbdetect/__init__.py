@@ -89,7 +89,6 @@ from .evalkit import (
     ParseFailurePolicy,
     build_confusion,
     compute_metrics,
-    load_reference_scores,
     reference_reports,
     render_grid,
 )

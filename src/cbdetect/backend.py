@@ -257,7 +257,9 @@ def classify_batch(
         return []
     if descriptor.kind is BackendKind.STUB:
         text_of = _INPUT_TEXT[descriptor.input_mode]
-        return [_outcome(_classify_stub, text_of(prompt), descriptor) for prompt in prompts]
+        fails = tuple(pattern.lower() for pattern in descriptor.fail_patterns)
+        rules = tuple((pattern.lower(), response) for pattern, response in descriptor.stub_rules)
+        return [_outcome(_classify_stub, text_of(p), descriptor, fails, rules) for p in prompts]
     if descriptor.kind is BackendKind.TOY_CHECKPOINT:
         return _classify_toy(prompts, descriptor)
     return _classify_live(prompts, descriptor)
@@ -279,17 +281,10 @@ def _outcome(send, *args) -> RawResponse | TransportError:
         return exc
 
 
-@functools.lru_cache(maxsize=16)
-def _stub_tables(
-    descriptor: BackendDescriptor,
-) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """The fail patterns and rule patterns, lower-cased once per descriptor."""
-    fails = tuple(pattern.lower() for pattern in descriptor.fail_patterns)
-    return fails, tuple((pattern.lower(), response) for pattern, response in descriptor.stub_rules)
-
-
-def _classify_stub(text: str, descriptor: BackendDescriptor) -> RawResponse:
-    fail_patterns, rules = _stub_tables(descriptor)
+def _classify_stub(
+    text: str, descriptor: BackendDescriptor, fail_patterns: tuple, rules: tuple
+) -> RawResponse:
+    """The stub's answer to ``text``; its patterns come lower-cased, once per batch."""
     lowered = text.lower()
     for pattern, original in zip(fail_patterns, descriptor.fail_patterns):
         if pattern in lowered:

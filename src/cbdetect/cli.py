@@ -68,6 +68,10 @@ _DEFAULT_SPLITS = {
     "D6": ("0.75/2000/0.25"),
 }
 
+# The top-level keys of a train and a run config; any other key exits 2.
+_TRAIN_KEYS = ("method", "task", "corpus", "tune", "model", "out_dir")
+_RUN_KEYS = ("method", "task", "backends", "templates", "exemplar_k", "seed", "corpus", "out_dir")
+
 
 def _parse_split_spec(text: str, seed: int) -> SplitSpec:
     parts = text.split("/")
@@ -85,11 +89,16 @@ def _parse_split_spec(text: str, seed: int) -> SplitSpec:
         raise click.UsageError(f"invalid --split-spec {text!r}: {exc}") from None
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, keys: tuple[str, ...]) -> dict:
+    """The config object at ``path``; a top-level key outside ``keys`` is a usage error."""
     try:
-        return read_json(path, lambda config: config, click.UsageError)
+        config = read_json(path, lambda config: config, click.UsageError)
     except FileNotFoundError:
         raise click.UsageError(f"config file not found: {path}") from None
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise click.UsageError(f"unknown config keys: {unknown}")
+    return config
 
 
 def _require(config: dict, key: str, kind: type, path: str = "") -> object:
@@ -162,7 +171,7 @@ def cmd_prepare_data(input_path: str, schema: str, out_dir: str, split_text: str
 @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config.")
 def cmd_train(config_path: str) -> None:
     """Tune adapters on a prepared corpus; writes checkpoint and metrics log."""
-    config = _read_config(config_path)
+    config = _read_config(config_path, _TRAIN_KEYS)
     method = _require(config, "method", str)
     if method not in ("lora_sft", "mtl"):
         raise click.UsageError(f"method: must be lora_sft or mtl, got {method!r}")
@@ -234,11 +243,8 @@ def _experiment_spec_from(config: dict) -> ExperimentSpec:
         for i, entry in enumerate(_require(config, "backends", list))
     )
     optional = {
-        key: cast(_require(config, key, kind))
-        for key, kind, cast in (
-            ("templates", dict, dict), ("exemplar_k", int, int), ("seed", int, int),
-            ("checkpoints", list, tuple),
-        )
+        key: kind(_require(config, key, kind))
+        for key, kind in (("templates", dict), ("exemplar_k", int), ("seed", int))
         if key in config
     }
     return _decode("config", ExperimentSpec, method, task, backends, **optional)
@@ -248,7 +254,7 @@ def _experiment_spec_from(config: dict) -> ExperimentSpec:
 @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config.")
 def cmd_run(config_path: str) -> None:
     """Execute an experiment; writes a content-addressed run directory."""
-    config = _read_config(config_path)
+    config = _read_config(config_path, _RUN_KEYS)
     spec = _experiment_spec_from(config)
     corpus_cfg = _require(config, "corpus", dict)
     eval_path = _require(corpus_cfg, "eval", str, path="corpus")

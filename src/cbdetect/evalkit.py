@@ -17,6 +17,7 @@ import io
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -203,16 +204,19 @@ def render_grid(reports: Mapping[tuple, EvalReport]) -> ComparisonGrid:
     """Models as rows, task groups as column blocks, methods as columns.
 
     The best macro-F1 per model/task comparison is emphasized with
-    asterisks in the text form; ties are all marked.
+    asterisks in the text form; ties are all marked. The CSV lists the
+    same cells in the text's (model, task, method) order. A key whose
+    method or task the grid has no column for is an ``EvalError``.
     """
     if not reports:
         raise EvalError("no reports to render")
     normalized = {_normalize_key(k): v for k, v in reports.items()}
+    for key in normalized:
+        if key[1] not in METHOD_ORDER or key[2] not in TASK_ORDER:
+            raise EvalError(f"no grid column for report key {key}")
 
     models = sorted({model for model, _, _ in normalized})
     tasks = [t for t in TASK_ORDER if any(task == t for _, _, task in normalized)]
-    if not tasks:
-        tasks = sorted({task for _, _, task in normalized})
 
     cells: dict[tuple[str, str, str], str] = {}
     for model in models:
@@ -237,7 +241,7 @@ def render_grid(reports: Mapping[tuple, EvalReport]) -> ComparisonGrid:
 
     header_meta = _grid_header(normalized)
     text = header_meta + _grid_text(models, tasks, cells)
-    csv_text = _grid_csv(normalized)
+    csv_text = _grid_csv(models, tasks, normalized)
     return ComparisonGrid(text=text, csv_text=csv_text)
 
 
@@ -286,19 +290,17 @@ def _grid_text(models, tasks, cells) -> str:
     return "\n".join([top, sub, rule, *rows]) + "\n"
 
 
-def _grid_csv(normalized: Mapping[tuple[str, str, str], EvalReport]) -> str:
+def _grid_csv(models, tasks, normalized: Mapping[tuple[str, str, str], EvalReport]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(
         ["model", "task", "method", "macro_f1", "accuracy", "n_parse_failures",
          "parse_failure_policy", "run_id"]
     )
-    for (model, method, task) in sorted(
-        normalized,
-        key=lambda k: (k[0], TASK_ORDER.index(k[2]) if k[2] in TASK_ORDER else 99,
-                       METHOD_ORDER.index(k[1]) if k[1] in METHOD_ORDER else 99),
-    ):
-        report = normalized[(model, method, task)]
+    for model, task, method in product(models, tasks, METHOD_ORDER):
+        report = normalized.get((model, method, task))
+        if report is None:
+            continue
         accuracy = "" if np.isnan(report.accuracy) else f"{report.accuracy:.6f}"
         writer.writerow(
             [model, task, method, f"{report.macro_f1:.6f}", accuracy,
@@ -307,16 +309,12 @@ def _grid_csv(normalized: Mapping[tuple[str, str, str], EvalReport]) -> str:
     return buffer.getvalue()
 
 
-def load_reference_scores() -> dict[str, dict[str, dict[str, float]]]:
-    """Published macro-F1 grid shipped as a rendering fixture."""
-    ref = resources.files("cbdetect.data").joinpath("reference_scores.json")
-    return json.loads(ref.read_text(encoding="utf-8"))["scores"]
-
-
 def reference_reports() -> dict[tuple[str, str, str], EvalReport]:
-    """The reference grid as fixture reports keyed (model, method, task)."""
+    """The published macro-F1 grid, shipped as a rendering fixture, as
+    fixture reports keyed (model, method, task)."""
+    ref = resources.files("cbdetect.data").joinpath("reference_scores.json")
     out = {}
-    for model, by_task in load_reference_scores().items():
+    for model, by_task in json.loads(ref.read_text(encoding="utf-8"))["scores"].items():
         for task, by_method in by_task.items():
             for method, score in by_method.items():
                 out[(model, method, task)] = EvalReport.from_macro_f1(score)

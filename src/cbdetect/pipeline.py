@@ -30,6 +30,7 @@ from . import backend as backend_mod
 from ._config import read_json, read_lines, write_lines
 from .backend import (
     BackendDescriptor,
+    BackendKind,
     ParsedLabel,
     ParseFailure,
     RawResponse,
@@ -69,11 +70,16 @@ STAGE1_FALLBACK_LABEL = AggressionLabel.NAG
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """What to run: method, task, backends, templates, seeds.
+    """What to run: method, task, backends, templates, seeds, overrides.
 
     The enriched-pipeline method requires exactly two backends: the
     aggression stage first, the cyberbullying stage second. Single-stage
     methods take exactly one.
+
+    ``aggression_overrides`` is EPP's diagnostic mode: the listed records
+    skip stage 1 and are enriched with the given label, marked
+    ``stage1_mode: gold_override``. The manifest records the set, so a
+    diagnostic run is never mistakable for an inference run.
     """
 
     method: Method
@@ -82,9 +88,11 @@ class ExperimentSpec:
     templates: dict[str, str] = field(default_factory=dict)
     exemplar_k: int = 3
     seed: int = 0
-    checkpoints: tuple[str, ...] = ()
+    aggression_overrides: dict[str, AggressionLabel] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # a copy, so the checks below still hold when the caller's dict changes
+        object.__setattr__(self, "aggression_overrides", dict(self.aggression_overrides))
         if self.method is Method.EPP:
             if self.task is not Task.CYBERBULLYING:
                 raise PipelineError("the enriched pipeline targets the cyberbullying task")
@@ -95,6 +103,11 @@ class ExperimentSpec:
         else:
             if len(self.backends) != 1:
                 raise PipelineError(f"method {self.method.value} takes exactly one backend")
+            if self.aggression_overrides:
+                raise PipelineError("aggression overrides apply only to an epp experiment spec")
+        for post_id, label in self.aggression_overrides.items():
+            if not isinstance(label, AggressionLabel):
+                raise PipelineError(f"override for {post_id!r} is not an aggression label")
 
     def template_id(self, role: str) -> str:
         if role in self.templates:
@@ -232,7 +245,6 @@ def _finish_run(
     audit: list[dict],
     out_dir: Union[str, Path, None],
     exemplars: ExemplarSet | None = None,
-    aggression_overrides: Mapping[str, AggressionLabel] | None = None,
 ) -> RunResult:
     """Build the run's manifest and result; persist it when ``out_dir`` is
     given. The run id hashes the manifest."""
@@ -245,7 +257,9 @@ def _finish_run(
             for role, template in templates.items()
         },
         "backends": [b.to_dict() for b in spec.backends],
-        "checkpoints": list(spec.checkpoints),
+        "checkpoints": [
+            b.checkpoint_path for b in spec.backends if b.kind is BackendKind.TOY_CHECKPOINT
+        ],
         "n_records": len(predictions),
     }
     if exemplars is not None:
@@ -254,10 +268,10 @@ def _finish_run(
             "seed": exemplars.seed,
             "source_ids": list(exemplars.source_ids),
         }
-    if aggression_overrides:
-        manifest["aggression_overrides"] = dict(
-            sorted((post_id, label.name) for post_id, label in aggression_overrides.items())
-        )
+    if spec.aggression_overrides:
+        manifest["aggression_overrides"] = {
+            post_id: label.name for post_id, label in sorted(spec.aggression_overrides.items())
+        }
     manifest["run_id"] = hashlib.sha256(_CANONICAL.encode(manifest).encode("utf-8")).hexdigest()[:12]
     result = RunResult(spec=spec, predictions=predictions, manifest=manifest, audit=audit)
     if out_dir is not None:
@@ -305,7 +319,6 @@ def run_epp(
     posts: Sequence[LabeledPost],
     spec: ExperimentSpec,
     out_dir: Union[str, Path, None] = None,
-    aggression_overrides: Mapping[str, AggressionLabel] | None = None,
 ) -> RunResult:
     """Three sequential steps per record.
 
@@ -316,21 +329,13 @@ def run_epp(
     A stage-1 parse failure falls back to the Not-Aggressive enrichment and
     flags the record; the run always completes. The aggression stage is a
     previously tuned artifact used as-is: this pipeline never retrains it.
-
-    ``aggression_overrides`` is a diagnostic mode: records listed there
-    skip stage 1 and are enriched with the supplied label instead of a
-    prediction. Overridden records are marked ``stage1_mode: gold_override``
-    in their provenance and the override set is recorded in the manifest,
-    so diagnostic runs are never mistakable for inference runs.
+    Records in the spec's ``aggression_overrides`` skip stage 1.
     """
     if spec.method is not Method.EPP:
         raise PipelineError("run_epp requires an epp experiment spec")
     if not posts:
         raise PipelineError("empty evaluation split")
-    overrides = dict(aggression_overrides or {})
-    for post_id, label in overrides.items():
-        if not isinstance(label, AggressionLabel):
-            raise PipelineError(f"override for {post_id!r} is not an aggression label")
+    overrides = spec.aggression_overrides
 
     stage1_template = load_template(spec.template_id("stage1"), Task.AGGRESSION)
     enriched_template = load_template(spec.template_id("enriched"), Task.CYBERBULLYING)
@@ -380,9 +385,7 @@ def run_epp(
     }
     predictions = _run_stage("stage2", posts, prompts, stage2_backend, stage_meta, audit, cues)
     templates = {"stage1": stage1_template, "enriched": enriched_template}
-    return _finish_run(
-        spec, templates, predictions, audit, out_dir, aggression_overrides=overrides
-    )
+    return _finish_run(spec, templates, predictions, audit, out_dir)
 
 
 def run_experiment(
@@ -390,14 +393,10 @@ def run_experiment(
     spec: ExperimentSpec,
     train_posts: Sequence[LabeledPost] | None = None,
     out_dir: Union[str, Path, None] = None,
-    aggression_overrides: Mapping[str, AggressionLabel] | None = None,
 ) -> RunResult:
-    """Run ``spec`` through ``run_epp`` or ``run_baseline`` by its method;
-    ``aggression_overrides`` apply only to the enriched pipeline."""
+    """Run ``spec`` through ``run_epp`` or ``run_baseline`` by its method."""
     if spec.method is Method.EPP:
-        return run_epp(posts, spec, out_dir=out_dir, aggression_overrides=aggression_overrides)
-    if aggression_overrides:
-        raise PipelineError("aggression overrides apply only to an epp experiment spec")
+        return run_epp(posts, spec, out_dir=out_dir)
     return run_baseline(posts, spec, train_posts=train_posts, out_dir=out_dir)
 
 
@@ -421,16 +420,21 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
 
 
 def spec_from_manifest(manifest: dict) -> ExperimentSpec:
-    """Rebuild an experiment spec from a persisted manifest."""
+    """Rebuild the experiment spec of a persisted manifest; the one reader
+    of a manifest's inputs."""
     templates = {role: meta["template_id"] for role, meta in manifest.get("templates", {}).items()}
     exemplar_k = {"exemplar_k": manifest["exemplars"]["k"]} if "exemplars" in manifest else {}
+    overrides = {
+        post_id: label_from_name(Task.AGGRESSION, name)
+        for post_id, name in manifest.get("aggression_overrides", {}).items()
+    }
     return ExperimentSpec(
         method=Method(manifest["method"]),
         task=Task(manifest["task"]),
         backends=tuple(BackendDescriptor.from_dict(d) for d in manifest["backends"]),
         templates=templates,
         seed=manifest["seed"],
-        checkpoints=tuple(manifest.get("checkpoints", ())),
+        aggression_overrides=overrides,
         **exemplar_k,
     )
 
@@ -443,11 +447,7 @@ def run_from_manifest(
 ) -> RunResult:
     """Re-execute a persisted run; with stub backends the predictions file
     is byte-identical to the original."""
-    overrides = {
-        post_id: AggressionLabel[name]
-        for post_id, name in manifest.get("aggression_overrides", {}).items()
-    }
-    return run_experiment(posts, spec_from_manifest(manifest), train_posts, out_dir, overrides)
+    return run_experiment(posts, spec_from_manifest(manifest), train_posts, out_dir)
 
 
 def load_manifest(path: Union[str, Path]) -> tuple[ExperimentSpec, str]:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +457,7 @@ MALFORMED = {
     "run-exemplar_k": ("run", _put("exemplar_k", value="x"), 2, "exemplar_k"),
     "run-seed": ("run", _put("seed", value="abc"), 2, "seed"),
     "run-checkpoints": ("run", _put("checkpoints", value=5), 2, "checkpoints"),
+    "run-misspelled-key": ("run", _put("seeed", value=3), 2, "unknown config keys: ['seeed']"),
     "run-stub_rules": ("run", _put("backends", 0, "stub_rules", value=5), 2, "backends[0]"),
     "run-retry_policy": (
         "run", _put("backends", 0, "retry_policy", value="x"), 2, "backends[0]: RetryPolicy"
@@ -466,6 +469,7 @@ MALFORMED = {
     "run-out_dir": ("run", _below_file("out_dir"), 1, "Not a directory"),
     "train-rank_r": ("train", _put("tune", "rank_r", value=None), 2, "tune: rank_r"),
     "train-unknown-key": ("train", _put("tune", "learning_rte", value=0.1), 2, "learning_rte"),
+    "train-misspelled-key": ("train", _put("modle", value={}), 2, "unknown config keys: ['modle']"),
     "train-vocab_size": ("train", _put("model", "vocab_size", value=2), 2, "model: vocab_size"),
     "train-d_model": ("train", _put("model", "d_model", value=0), 2, "model: d_model"),
     "train-task": ("train", _put("task", value="nope"), 2, "task: 'nope'"),
@@ -530,3 +534,19 @@ class TestMalformedInput:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Not a directory" in result.output
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_readme_config_example_is_a_valid_config(runner, tmp_path, monkeypatch, command):
+    # the example's corpus files do not exist here: a valid config gets as
+    # far as reading them (exit 1); a config the CLI refuses exits 2
+    pattern = rf"A `{command}` config:\n\n```json\n(.*?)```"
+    (example,) = re.findall(pattern, README.read_text(encoding="utf-8"), re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    path = write_json(tmp_path / "config.json", json.loads(example))
+    result = runner.invoke(main, [command, "--config", str(path)])
+    assert result.exit_code == 1, result.output
+    assert "No such file or directory: 'prepared/" in result.output

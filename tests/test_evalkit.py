@@ -2,6 +2,7 @@ import csv
 import enum
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,25 @@ class TestGrid:
         assert "*0.67*" in line  # tied best appears twice, both marked
         assert line.count("*0.67*") == 2
         assert "*0.99*" in line
+
+    def test_csv_rows_follow_the_text_order(self):
+        items = list(reference_reports().items())
+        random.Random(3).shuffle(items)
+        rows = list(csv.DictReader(io.StringIO(render_grid(dict(items)).csv_text)))
+        keys = [(row["model"], row["task"], row["method"]) for row in rows]
+        tasks = ("aggression", "cyberbullying")
+        methods = ("zero_shot", "few_shot", "lora_sft", "mtl", "epp")
+        assert keys == sorted(keys, key=lambda k: (k[0], tasks.index(k[1]), methods.index(k[2])))
+        assert len(keys) == len(items)
+
+    @pytest.mark.parametrize(
+        "key", [("m", "custom", "aggression"), ("m", "zero_shot", "custom")], ids=["method", "task"]
+    )
+    def test_key_without_a_grid_column_rejected(self, key):
+        known = ("m", "epp", "aggression")
+        reports = {known: EvalReport.from_macro_f1(0.6), key: EvalReport.from_macro_f1(0.5)}
+        with pytest.raises(EvalError, match=re.escape(str(key))):
+            render_grid(reports)
 
     def test_single_report_renders_without_emphasis(self):
         report = EvalReport.from_macro_f1(0.5)

@@ -7,6 +7,8 @@ import pytest
 
 from cbdetect import (
     AggressionLabel,
+    BackendDescriptor,
+    BackendKind,
     ExperimentSpec,
     Method,
     PipelineError,
@@ -26,7 +28,8 @@ from cbdetect import (
     run_from_manifest,
     synth_fixture,
 )
-from cbdetect.pipeline import load_predictions
+from cbdetect.pipeline import load_manifest, load_predictions
+from cbdetect.tuning import SftTrainer, ToyNetConfig, ToyTransformer, TuneConfig, save_checkpoint
 
 
 def cb_spec(method=Method.ZERO_SHOT, **kwargs):
@@ -39,7 +42,7 @@ def cb_spec(method=Method.ZERO_SHOT, **kwargs):
     return ExperimentSpec(**defaults)
 
 
-def epp_spec(stage1=None, stage2=None):
+def epp_spec(stage1=None, stage2=None, **kwargs):
     return ExperimentSpec(
         method=Method.EPP,
         task=Task.CYBERBULLYING,
@@ -47,6 +50,7 @@ def epp_spec(stage1=None, stage2=None):
             stage1 or constant_stub("Covertly Aggressive", backend_id="agg-stage"),
             stage2 or class_name_stub(Task.CYBERBULLYING, backend_id="cb-stage"),
         ),
+        **kwargs,
     )
 
 
@@ -74,6 +78,16 @@ class TestSpecValidation:
                 ),
             )
 
+    def test_overrides_are_copied_when_the_spec_is_built(self):
+        overrides = {}
+        spec = epp_spec(aggression_overrides=overrides)
+        overrides["p1"] = "OAG"
+        assert spec.aggression_overrides == {}
+
+    def test_override_must_be_an_aggression_label(self):
+        with pytest.raises(PipelineError, match="override for 'p1' is not an aggression label"):
+            epp_spec(aggression_overrides={"p1": "OAG"})
+
 
 class TestRunBaseline:
     def test_zero_shot_stub_run_all_correct(self, cyberbullying_fixture):
@@ -100,9 +114,9 @@ class TestRunBaseline:
 
         original = backend_mod._classify_stub
 
-        def counting(text, descriptor):
+        def counting(text, *args):
             calls.append(text)
-            return original(text, descriptor)
+            return original(text, *args)
 
         backend_mod._classify_stub = counting
         try:
@@ -133,7 +147,7 @@ class TestRunBaseline:
         monkeypatch.setattr(
             backend_mod,
             "_classify_stub",
-            lambda prompt, descriptor: calls.append(prompt) or original(prompt, descriptor),
+            lambda text, *args: calls.append(text) or original(text, *args),
         )
         with pytest.raises(PromptError, match="exemplar leakage"):
             run_baseline(cyberbullying_fixture, cb_spec(method=Method.FEW_SHOT), train_posts=pool)
@@ -264,6 +278,19 @@ class TestRunEpp:
                 "Covertly Aggressive", "@", 1
             )
 
+    def test_manifest_lists_the_toy_checkpoints(self, tmp_path, cyberbullying_fixture):
+        base, tune = ToyTransformer(ToyNetConfig(seed=0)), TuneConfig()
+        trainer = SftTrainer(base, Task.AGGRESSION, tune)  # untrained: any answer parses
+        path = save_checkpoint(
+            tmp_path / "agg.npz", base.config, tune,
+            {Task.AGGRESSION: trainer.adapters}, {Task.AGGRESSION: trainer.head},
+        )
+        toy = BackendDescriptor(
+            backend_id="toy", kind=BackendKind.TOY_CHECKPOINT, checkpoint_path=str(path)
+        )
+        result = run_epp(cyberbullying_fixture, epp_spec(stage1=toy))
+        assert result.manifest["checkpoints"] == [str(path)]
+
     def test_macro_f1_is_one_on_fixture(self, cyberbullying_fixture):
         result = run_epp(cyberbullying_fixture, epp_spec())
         cm = build_confusion(result.predictions, label_space(Task.CYBERBULLYING))
@@ -274,7 +301,7 @@ class TestGoldOverrideDiagnostics:
     def test_overrides_replace_stage1_and_are_marked(self, cyberbullying_fixture):
         target = cyberbullying_fixture[3]
         overrides = {target.id: AggressionLabel.OAG}
-        result = run_epp(cyberbullying_fixture, epp_spec(), aggression_overrides=overrides)
+        result = run_epp(cyberbullying_fixture, epp_spec(aggression_overrides=overrides))
         by_id = {p.post_id: p for p in result.predictions}
         assert by_id[target.id].aggression_annotation is AggressionLabel.OAG
         assert by_id[target.id].provenance["stage1_mode"] == "gold_override"
@@ -291,18 +318,16 @@ class TestGoldOverrideDiagnostics:
 
     def test_run_experiment_passes_overrides_to_epp_only(self, cyberbullying_fixture):
         overrides = {cyberbullying_fixture[0].id: AggressionLabel.OAG}
-        result = run_experiment(cyberbullying_fixture, epp_spec(), aggression_overrides=overrides)
+        result = run_experiment(cyberbullying_fixture, epp_spec(aggression_overrides=overrides))
         assert result.manifest["aggression_overrides"] == {cyberbullying_fixture[0].id: "OAG"}
+        # a non-epp spec refuses overrides when it is built, before any run
         with pytest.raises(PipelineError, match="only to an epp experiment spec"):
-            run_experiment(cyberbullying_fixture, cb_spec(), aggression_overrides=overrides)
+            cb_spec(aggression_overrides=overrides)
 
     def test_override_runs_reproduce_from_manifest(self, tmp_path, cyberbullying_fixture):
         overrides = {cyberbullying_fixture[0].id: AggressionLabel.NAG}
         first = run_epp(
-            cyberbullying_fixture,
-            epp_spec(),
-            out_dir=tmp_path / "a",
-            aggression_overrides=overrides,
+            cyberbullying_fixture, epp_spec(aggression_overrides=overrides), out_dir=tmp_path / "a"
         )
         manifest = json.loads((first.run_dir / "manifest.json").read_text())
         second = run_from_manifest(manifest, cyberbullying_fixture, out_dir=tmp_path / "b")
@@ -390,18 +415,24 @@ PINNED_RUN_DIGESTS = {
 }
 
 
-def _pinned_run(name, out_dir):
+PINNED_RUN_FILES = ("predictions.jsonl", "responses.jsonl", "manifest.json")
+
+
+def _pinned_inputs(name):
+    """(evaluation posts, spec, exemplar pool) of a pinned run."""
     posts = synth_fixture(3, Task.CYBERBULLYING, seed=1)
     if name == "zero_shot":
-        return run_baseline(posts, cb_spec(backends=(PIN_STAGE2,)), out_dir=out_dir)
+        return posts, cb_spec(backends=(PIN_STAGE2,)), None
     if name == "few_shot":
         spec = cb_spec(method=Method.FEW_SHOT, backends=(PIN_STAGE2,), seed=5)
-        pool = synth_fixture(4, Task.CYBERBULLYING, seed=99)
-        return run_baseline(posts, spec, train_posts=pool, out_dir=out_dir)
-    overrides = {posts[4].id: AggressionLabel.OAG} if name == "epp_override" else None
-    return run_epp(
-        posts, epp_spec(PIN_STAGE1, PIN_STAGE2), out_dir=out_dir, aggression_overrides=overrides
-    )
+        return posts, spec, synth_fixture(4, Task.CYBERBULLYING, seed=99)
+    overrides = {posts[4].id: AggressionLabel.OAG} if name == "epp_override" else {}
+    return posts, epp_spec(PIN_STAGE1, PIN_STAGE2, aggression_overrides=overrides), None
+
+
+def _pinned_run(name, out_dir):
+    posts, spec, pool = _pinned_inputs(name)
+    return run_experiment(posts, spec, train_posts=pool, out_dir=out_dir)
 
 
 class TestPinnedBytes:
@@ -409,10 +440,28 @@ class TestPinnedBytes:
     def test_run_files_match_pinned_digests(self, tmp_path, name):
         run_dir = _pinned_run(name, tmp_path).run_dir
         digests = tuple(
-            hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
-            for f in ("predictions.jsonl", "responses.jsonl", "manifest.json")
+            hashlib.sha256((run_dir / f).read_bytes()).hexdigest() for f in PINNED_RUN_FILES
         )
         assert digests == PINNED_RUN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    def test_loaded_manifest_spec_reruns_identically(self, tmp_path, name):
+        first = _pinned_run(name, tmp_path / "a")
+        posts, _, pool = _pinned_inputs(name)
+        spec, run_id = load_manifest(first.run_dir / "manifest.json")
+        second = run_experiment(posts, spec, train_posts=pool, out_dir=tmp_path / "b")
+        assert second.run_id == run_id == first.run_id
+        for f in PINNED_RUN_FILES:
+            assert (second.run_dir / f).read_bytes() == (first.run_dir / f).read_bytes(), f
+
+    def test_unknown_override_name_in_a_manifest_names_the_file(self, tmp_path):
+        path = _pinned_run("epp_override", tmp_path).run_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["aggression_overrides"] = {"p1": "XAG"}
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        message = f"{path}: unknown aggression label name: 'XAG'"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            load_manifest(path)
 
     @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
     def test_predictions_read_back_field_for_field(self, tmp_path, name):
