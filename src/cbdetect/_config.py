@@ -40,10 +40,11 @@ def from_fields(cls: type, data: Mapping, **converted: object):
 
 
 def write_lines(path, items: Iterable, encode: Callable[..., str]) -> Path:
-    """Stream ``encode(item)``, a line with its newline, per item to ``path`` (UTF-8)."""
+    """Stream ``encode(item)``, a line with its newline, per item to ``path``
+    (UTF-8, written as given: ``\n`` on every platform)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    with path.open("w", encoding="utf-8", newline="") as handle:
         handle.writelines(map(encode, items))
     return path
 

@@ -229,7 +229,9 @@ def cmd_train(config_path: str) -> None:
     manifest["steps"] = len(records)
     manifest["checkpoint"] = str(checkpoint_path)
     manifest_path = out_dir / "train_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
+    )
     click.echo(f"checkpoint: {checkpoint_path}")
     click.echo(f"metrics ({len(records)} steps): {metrics_path}")
     click.echo(f"manifest: {manifest_path}")

@@ -188,9 +188,9 @@ class ComparisonGrid:
     def write(self, text_path, csv_path=None) -> None:
         from pathlib import Path
 
-        Path(text_path).write_text(self.text, encoding="utf-8")
+        Path(text_path).write_text(self.text, encoding="utf-8", newline="")
         if csv_path is not None:
-            Path(csv_path).write_text(self.csv_text, encoding="utf-8")
+            Path(csv_path).write_text(self.csv_text, encoding="utf-8", newline="")
 
 
 def _normalize_key(key: tuple) -> tuple[str, str, str]:

@@ -8,7 +8,8 @@ between releases.
 from __future__ import annotations
 
 import enum
-from typing import Union
+from functools import partial
+from typing import Callable, Union
 
 
 class Task(enum.Enum):
@@ -98,8 +99,16 @@ def label_to_name(label: Label) -> str:
 
 def label_from_name(task: Task, name: str) -> Label:
     """Resolve a serialized label name for a task (inverse of label_to_name)."""
+    return _read_name(task, _MEMBERS[task], name)
+
+
+def label_reader(task: Task) -> Callable[[str], Label]:
+    """``label_from_name`` for one task, its name table looked up once."""
+    return partial(_read_name, task, _MEMBERS[task])
+
+
+def _read_name(task: Task, members: dict[str, Label], name: str) -> Label:
     try:
-        return _MEMBERS[task][name.upper()]
+        return members[name.upper()]
     except KeyError:
         raise ValueError(f"unknown {task.value} label name: {name!r}") from None
-

@@ -22,9 +22,12 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
+from operator import itemgetter
+from os.path import commonprefix
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from . import backend as backend_mod
 from ._config import read_json, read_lines, write_lines
@@ -38,7 +41,16 @@ from .backend import (
     parse_label,
 )
 from .corpus import LabeledPost
-from .labels import AggressionLabel, Label, Task, label_from_name, label_to_name
+from .labels import (
+    AggressionLabel,
+    Label,
+    Task,
+    label_from_name,
+    label_reader,
+    label_space,
+    label_to_name,
+    labels_in_order,
+)
 from .prompting import (
     DEFAULT_TEMPLATE_IDS,
     ExemplarSet,
@@ -136,21 +148,6 @@ class Prediction:
     response_text: str | None = None
     stage1_response_text: str | None = None
 
-    def to_record(self) -> dict:
-        record = {
-            "post_id": self.post_id,
-            "gold": label_to_name(self.gold),
-            "predicted": None if self.predicted is None else label_to_name(self.predicted),
-            "failure": self.failure,
-            "provenance": self.provenance,
-            "response_text": self.response_text,
-        }
-        if self.aggression_annotation is not None:
-            record["aggression_annotation"] = self.aggression_annotation.name
-            record["stage1_fallback"] = self.stage1_fallback
-            record["stage1_response_text"] = self.stage1_response_text
-        return record
-
 
 @dataclass
 class RunResult:
@@ -170,6 +167,169 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",
 
 def _canonical_line(record: dict) -> str:
     return _CANONICAL.encode(record) + "\n"
+
+
+# The run files' line writers fill %-templates and are byte-identical to
+# ``_canonical_line``: keys in sorted order, strings through the encoder's
+# own escaping, and every value a run holds fixed encoded once per run.
+_encode = json.encoder.encode_basestring
+# per label space: the two spaces' integer codes compare equal across spaces
+_LABEL_NAMES = {
+    label_space(task): {lab: _encode(label_to_name(lab)) for lab in labels_in_order(task)}
+    for task in Task
+}
+_PREDICTION_LINE = (
+    '{"failure":%s,"gold":%s,"post_id":%s,"predicted":%s,"provenance":%s,"response_text":%s}\n'
+)
+_EPP_PREDICTION_LINE = (
+    '{"aggression_annotation":%s,"failure":%s,"gold":%s,"post_id":%s,"predicted":%s,'
+    '"provenance":%s,"response_text":%s,"stage1_fallback":%s,"stage1_response_text":%s}\n'
+)
+_AUDIT_LINE = '{"failure":%s,"post_id":%s,"rendered_text":%s,"response_text":%s,"stage":%s}\n'
+_AUDIT_KEYS = frozenset(("failure", "post_id", "rendered_text", "response_text", "stage"))
+# the provenance keys a stage sets per record; a stage holds every other one fixed
+_PROVENANCE_HOLES = frozenset(("post_id", "aggression_label", "stage1_mode", "match_kind"))
+
+
+def _prediction_writer() -> Callable[[Prediction], str]:
+    """A line writer for ``predictions.jsonl``: the record's fields are the
+    ``Prediction`` field names, and the EPP keys are written only for a
+    record with an aggression annotation."""
+    encoders: dict[tuple, Callable[[dict], str]] = {}
+
+    def provenance_json(provenance: dict) -> str:
+        keys = tuple(provenance)
+        encode = encoders.get(keys)
+        if encode is None:
+            encode = encoders[keys] = _provenance_encoder(provenance)
+        return encode(provenance)
+
+    def line(p: Prediction) -> str:
+        fields = (
+            "null" if p.failure is None else _encode(p.failure),
+            _LABEL_NAMES[type(p.gold)][p.gold],
+            _encode(p.post_id),
+            "null" if p.predicted is None else _LABEL_NAMES[type(p.predicted)][p.predicted],
+            provenance_json(p.provenance),
+            "null" if p.response_text is None else _encode(p.response_text),
+        )
+        annotation = p.aggression_annotation
+        if annotation is None:
+            return _PREDICTION_LINE % fields
+        return _EPP_PREDICTION_LINE % (
+            _LABEL_NAMES[type(annotation)][annotation],
+            *fields,
+            "true" if p.stage1_fallback else "false",
+            "null" if p.stage1_response_text is None else _encode(p.stage1_response_text),
+        )
+
+    return line
+
+
+def _provenance_encoder(provenance: dict) -> Callable[[dict], str]:
+    """An encoder for provenance dicts with ``provenance``'s keys: a template
+    holding its fixed values, with a hole per ``_PROVENANCE_HOLES`` key.
+
+    A dict whose fixed values differ from the template's (in value or type)
+    or whose holes are not all ``str`` is encoded by ``_CANONICAL``, and so
+    is every dict with these keys when one of ``provenance``'s fixed values
+    could encode two ways while comparing equal (floats, containers other
+    than lists of ``str``)."""
+    # itemgetter returns a tuple only for two keys or more
+    if len(provenance) < 2 or not all(type(key) is str for key in provenance):
+        return _CANONICAL.encode
+    keys = sorted(provenance)
+    fixed = [key for key in keys if key not in _PROVENANCE_HOLES]
+    holes = [key for key in keys if key in _PROVENANCE_HOLES]
+    values = tuple(provenance[key] for key in fixed)
+    if not all(map(_encodes_one_way, values)):
+        return _CANONICAL.encode
+
+    def literal(value) -> str:
+        return _CANONICAL.encode(value).replace("%", "%%")
+
+    template = "{%s}" % ",".join(
+        literal(key) + ":" + ("%s" if key in _PROVENANCE_HOLES else literal(provenance[key]))
+        for key in keys
+    )
+    get = itemgetter(*fixed, *holes)
+    types = [*map(type, values), *[str] * len(holes)]
+    n_fixed = len(fixed)
+
+    # not tuple(map(...)): it builds an oversized tuple and resizes it, which
+    # leaves the collector's allocation count one higher every fifth to tenth
+    # call, so a run's writes would trigger collections of the whole heap
+    def encode(provenance: dict) -> str:
+        record = get(provenance)
+        if record[:n_fixed] == values and [*map(type, record)] == types:
+            return template % (*map(_encode, record[n_fixed:]),)
+        return _CANONICAL.encode(provenance)
+
+    return encode
+
+
+def _encodes_one_way(value) -> bool:
+    """Whether every value equal to ``value`` and of its type has its JSON."""
+    if type(value) is list:
+        return all(type(item) is str for item in value)
+    return value is None or type(value) in (str, int, bool)
+
+
+class _PromptEncoder:
+    """JSON strings of one stage's prompts. The prefix its first two prompts
+    share is escaped once; a later prompt that starts with it escapes only
+    its tail. Escaping maps each code point on its own, so
+    ``enc(a + b) == enc(a)[:-1] + enc(b)[1:]``."""
+
+    def __init__(self) -> None:
+        self.first: str | None = None
+        self.prefix: str | None = None
+        self.head = ""
+
+    def encode(self, text: str) -> str:
+        prefix = self.prefix
+        if prefix is not None and text.startswith(prefix):
+            return self.head + _encode(text[len(prefix) :])[1:]
+        encoded = _encode(text)
+        if prefix is None:
+            if self.first is None:
+                self.first = text
+            else:
+                self.prefix = commonprefix((self.first, text))
+                self.head = _encode(self.prefix)[:-1]
+        return encoded
+
+
+def _audit_writer() -> Callable[[dict], str]:
+    """A line writer for ``responses.jsonl``. A five-key entry fills one
+    template; any other entry, or one with a value that is neither ``str``
+    nor ``None``, is written by ``_canonical_line``."""
+    prompts: dict[str, _PromptEncoder] = {}
+
+    def line(entry: dict) -> str:
+        text = entry.get("rendered_text")
+        if entry.keys() != _AUDIT_KEYS or not (text is None or type(text) is str):
+            return _canonical_line(entry)
+        failure, response = entry["failure"], entry["response_text"]
+        try:
+            if text is None:
+                rendered = "null"
+            else:
+                encoder = prompts.get(entry["stage"])
+                if encoder is None:
+                    encoder = prompts[entry["stage"]] = _PromptEncoder()
+                rendered = encoder.encode(text)
+            return _AUDIT_LINE % (
+                "null" if failure is None else _encode(failure),
+                _encode(entry["post_id"]),
+                rendered,
+                "null" if response is None else _encode(response),
+                _encode(entry["stage"]),
+            )
+        except TypeError:
+            return _canonical_line(entry)
+
+    return line
 
 
 def _read_outcome(
@@ -411,10 +571,10 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
     (run_dir / "manifest.json").write_text(
         json.dumps(result.manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
+        newline="",
     )
-    predictions = (p.to_record() for p in result.predictions)
-    write_lines(run_dir / "predictions.jsonl", predictions, _canonical_line)
-    write_lines(run_dir / "responses.jsonl", result.audit, _canonical_line)
+    write_lines(run_dir / "predictions.jsonl", result.predictions, _prediction_writer())
+    write_lines(run_dir / "responses.jsonl", result.audit, _audit_writer())
     result.run_dir = run_dir
     return run_dir
 
@@ -457,15 +617,17 @@ def load_manifest(path: Union[str, Path]) -> tuple[ExperimentSpec, str]:
 
 def load_predictions(path: Union[str, Path], task: Task) -> list[Prediction]:
     """Read a persisted predictions file back; a bad line is a PipelineError."""
-    return list(read_lines(path, lambda record: _prediction_from(task, record), PipelineError))
+    build = partial(_prediction_from, label_reader(task), label_reader(Task.AGGRESSION))
+    return list(read_lines(path, build, PipelineError))
 
 
-def _prediction_from(task: Task, record: dict) -> Prediction:
-    """Inverse of ``Prediction.to_record``, whose keys are the field names."""
-    record["gold"] = label_from_name(task, record["gold"])
+def _prediction_from(read_label, read_annotation, record: dict) -> Prediction:
+    """Inverse of the predictions line writer, whose keys are the
+    ``Prediction`` field names; ``read_label`` reads the task's label names,
+    ``read_annotation`` the aggression ones."""
+    record["gold"] = read_label(record["gold"])
     if record.get("predicted") is not None:
-        record["predicted"] = label_from_name(task, record["predicted"])
+        record["predicted"] = read_label(record["predicted"])
     if record.get("aggression_annotation") is not None:
-        agg = record["aggression_annotation"]
-        record["aggression_annotation"] = label_from_name(Task.AGGRESSION, agg)
+        record["aggression_annotation"] = read_annotation(record["aggression_annotation"])
     return Prediction(**record)

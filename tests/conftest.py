@@ -1,4 +1,7 @@
+import _pyio
 import csv
+import os
+import pathlib
 
 import pytest
 
@@ -50,3 +53,12 @@ def write_csv(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def crlf_platform(monkeypatch):
+    """Files opened through ``pathlib`` behave as on a platform whose line
+    separator is ``\\r\\n``: text mode with ``newline=None`` translates each
+    written ``\\n``."""
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    monkeypatch.setattr(pathlib.Path, "open", lambda self, *a, **k: _pyio.open(self, *a, **k))

@@ -153,6 +153,12 @@ class TestTrain:
         manifest = json.loads((tmp_path / "artifacts" / "train_manifest.json").read_text())
         assert len(metrics) == manifest["steps"] == 6  # 12 posts / batch 4 * 2 epochs
 
+    def test_manifest_ends_lines_with_newline_on_a_crlf_platform(self, runner, tmp_path, crlf_platform):
+        result = runner.invoke(main, ["train", "--config", str(self._sft_config(tmp_path))])
+        assert result.exit_code == 0, result.output
+        data = (tmp_path / "artifacts" / "train_manifest.json").read_bytes()
+        assert b"\r" not in data and data.endswith(b"}\n")
+
     def test_default_learning_rate_recorded(self, runner, tmp_path):
         config = self._sft_config(tmp_path)  # lr omitted
         result = runner.invoke(main, ["train", "--config", str(config)])

@@ -261,6 +261,12 @@ class TestGrid:
         with pytest.raises(EvalError, match="no reports"):
             render_grid({})
 
+    def test_written_files_hold_the_rendered_bytes_on_a_crlf_platform(self, tmp_path, crlf_platform):
+        grid = render_grid(reference_reports())
+        grid.write(tmp_path / "grid.txt", tmp_path / "grid.csv")
+        assert (tmp_path / "grid.txt").read_bytes() == grid.text.encode("utf-8")
+        assert (tmp_path / "grid.csv").read_bytes() == grid.csv_text.encode("utf-8")
+
     def test_parse_failure_count_shown_next_to_metric(self):
         pairs = [(AB.A, AB.A), (AB.A, None), (AB.B, AB.B)]
         report = compute_metrics(build_confusion(pairs, AB))

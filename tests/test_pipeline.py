@@ -445,6 +445,14 @@ class TestPinnedBytes:
         assert digests == PINNED_RUN_DIGESTS[name]
 
     @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    def test_run_files_match_pinned_digests_on_a_crlf_platform(self, tmp_path, name, crlf_platform):
+        run_dir = _pinned_run(name, tmp_path).run_dir
+        digests = tuple(
+            hashlib.sha256((run_dir / f).read_bytes()).hexdigest() for f in PINNED_RUN_FILES
+        )
+        assert digests == PINNED_RUN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
     def test_loaded_manifest_spec_reruns_identically(self, tmp_path, name):
         first = _pinned_run(name, tmp_path / "a")
         posts, _, pool = _pinned_inputs(name)
