@@ -68,13 +68,10 @@ from .backend import (
     make_stub,
     parse_label,
 )
+from .rundir import PipelineError, Prediction, RunResult, persist_run
 from .pipeline import (
     ExperimentSpec,
     Method,
-    PipelineError,
-    Prediction,
-    RunResult,
-    persist_run,
     run_baseline,
     run_epp,
     run_experiment,
