@@ -26,6 +26,7 @@ from .labels import (
     Label,
     Task,
     label_from_name,
+    label_space,
     label_to_name,
     labels_in_order,
     task_of_label,
@@ -52,12 +53,14 @@ class CorpusError(ValueError):
 
 
 # value -> member tables for reading records; a value they lack goes to the
-# enum call (or label_from_name), which resolves it or raises its own error
+# enum call (or label_from_name), which resolves it or raises its own error.
+# Every per-record table is keyed by a str or a type, never by an Enum
+# member: Enum.__hash__ is a Python-level call.
 _TASKS = {task.value: task for task in Task}
 _DATASETS = {dataset_id.value: dataset_id for dataset_id in DatasetId}
 _SPLITS = {split.value: split for split in Split}
 _LABEL_NAMES = {
-    task: {label_to_name(lab): lab for lab in labels_in_order(task)} for task in Task
+    task.value: {label_to_name(lab): lab for lab in labels_in_order(task)} for task in Task
 }
 
 # The record format: one JSON object per line, exactly as
@@ -69,12 +72,10 @@ _RECORD_LINE = (
     '{"dataset_id": %s, "id": %s, "label": %s, "language_tag": %s, '
     '"split": %s, "task": %s, "text": %s}\n'
 )
-_ENCODED = {
-    member: _encode(member.value) for enum_cls in (Task, DatasetId, Split) for member in enum_cls
-}
-# per task: the two label spaces' integer codes compare equal across tasks
+# per label space: the two spaces' integer codes compare equal across spaces
 _ENCODED_LABELS = {
-    task: {lab: _encode(label_to_name(lab)) for lab in labels_in_order(task)} for task in Task
+    label_space(task): {lab: _encode(label_to_name(lab)) for lab in labels_in_order(task)}
+    for task in Task
 }
 
 
@@ -100,13 +101,14 @@ class LabeledPost:
 
     def to_record_line(self) -> str:
         """The post as one line of a record file, newline included."""
+        # _value_ is the member's plain attribute; .value is a property
         return _RECORD_LINE % (
-            _ENCODED[self.dataset_id],
+            _encode(self.dataset_id._value_),
             _encode(self.id),
-            _ENCODED_LABELS[self.task][self.label],
+            _ENCODED_LABELS[type(self.label)][self.label],
             _encode(self.language_tag),
-            _ENCODED[self.split],
-            _ENCODED[self.task],
+            _encode(self.split._value_),
+            _encode(self.task._value_),
             _encode(self.text),
         )
 
@@ -115,9 +117,10 @@ class LabeledPost:
         # fields are read in the order the checked path reads them, so a
         # record with several faults raises the same one either way
         try:
-            task = _TASKS[record["task"]]
+            task_value = record["task"]
+            task = _TASKS[task_value]
             post_id, text = record["id"], record["text"]
-            label = _LABEL_NAMES[task][record["label"]]
+            label = _LABEL_NAMES[task_value][record["label"]]
             dataset_id = _DATASETS[record["dataset_id"]]
             split = _SPLITS[record["split"]]
         except (KeyError, TypeError):
