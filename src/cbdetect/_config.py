@@ -6,9 +6,10 @@ and a bad line (or file) raises the caller's error as ``<path>:<line>: <message>
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 # Casts by declared field type (annotations are strings under postponed
 # evaluation); a tuple field of any element type takes ``tuple``.
@@ -49,13 +50,47 @@ def write_lines(path, items: Iterable, encode: Callable[..., str]) -> Path:
     return path
 
 
-def read_lines(path, build: Callable[[dict], object], error: type[Exception]) -> Iterator:
+def read_lines(path, build: Callable[[dict], object], error: type[Exception]) -> list:
     """``build`` the JSON object of each line that is not blank; only ``\\n``
-    ends a line. A line that fails UTF-8, JSON or ``build`` raises ``error``."""
-    with open(path, "rb") as handle:
-        for number, line in enumerate(handle, 1):
-            if not line.isspace():
-                yield decode_json(build, line, error, path, number)
+    ends a line. A line that fails UTF-8, JSON or ``build`` raises ``error``.
+
+    The file is decoded once and each line's object scanned in place. On any
+    failure the file is read again line by line, the way that names the
+    first bad line."""
+    data = Path(path).read_bytes()
+    try:
+        return _build_each(data.decode("utf-8"), build)
+    except (StopIteration, ValueError, TypeError, KeyError, AttributeError):
+        return [
+            decode_json(build, line, error, path, number)
+            for number, line in enumerate(io.BytesIO(data), 1)
+            if not line.isspace()
+        ]
+
+
+# what bytes.isspace() counts as white space, bar the newline; str.isspace()
+# counts more (U+0085, U+2028, ...), and such a line is not blank
+_BLANK = " \t\r\x0b\x0c"
+_scan = json.JSONDecoder().scan_once  # json.loads's scanner, called at an offset
+
+
+def _build_each(text: str, build: Callable[[dict], object]) -> list:
+    """``build`` each non-blank line's object, scanned where it stands in
+    ``text``. A line must hold exactly one JSON object, at its start, and
+    at most JSON white space after it; anything else raises."""
+    built = []
+    start = 0
+    for line in text.split("\n"):
+        end = start + len(line)
+        if line.strip(_BLANK):
+            record, stop = _scan(text, start)
+            if type(record) is not dict or (
+                stop != end and (stop > end or text[stop:end].strip(" \t\r"))
+            ):
+                raise ValueError("not one JSON object on the line")
+            built.append(build(record))
+        start = end + 1
+    return built
 
 
 def read_json(path, build: Callable[[dict], object], error: type[Exception]):

@@ -254,7 +254,7 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
 def load_predictions(path: Union[str, Path], task: Task) -> list[Prediction]:
     """Read a persisted predictions file back; a bad line is a PipelineError."""
     build = partial(_prediction_from, label_reader(task), label_reader(Task.AGGRESSION))
-    return list(read_lines(path, build, PipelineError))
+    return read_lines(path, build, PipelineError)
 
 
 def _prediction_from(read_label, read_annotation, record: dict) -> Prediction:
