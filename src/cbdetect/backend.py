@@ -130,9 +130,8 @@ class BackendDescriptor:
     # toy_checkpoint-only
     checkpoint_path: str = ""
     # The Prompt text the model is given: "post_text" or "rendered_text".
-    # Serialized as "match_on" for stubs, "input_mode" for toys. A live
-    # endpoint always receives rendered_text: the field is set so for it,
-    # and not serialized.
+    # A live endpoint always receives rendered_text: the field is set so
+    # for it, and not serialized.
     input_mode: str = "post_text"
 
     def __post_init__(self) -> None:
@@ -167,9 +166,9 @@ class BackendDescriptor:
             out["stub_rules"] = [list(rule) for rule in self.stub_rules]
             out["default_response"] = self.default_response
             out["fail_patterns"] = list(self.fail_patterns)
-            out["match_on"] = self.input_mode
         if self.kind is BackendKind.TOY_CHECKPOINT:
             out["checkpoint_path"] = self.checkpoint_path
+        if self.kind is not BackendKind.LIVE_ENDPOINT:
             out["input_mode"] = self.input_mode
         return out
 
@@ -178,12 +177,9 @@ class BackendDescriptor:
         if not isinstance(data, Mapping):
             raise BackendError(f"expected a JSON object, got {type(data).__name__}")
         kind = BackendKind(data["kind"])
-        fields = dict(data)
-        if kind is BackendKind.STUB and "match_on" in fields:
-            fields["input_mode"] = fields.pop("match_on")
         return from_fields(
             cls,
-            fields,
+            data,
             kind=kind,
             retry_policy=from_fields(RetryPolicy, data.get("retry_policy", {})),
             stub_rules=tuple((p, r) for p, r in data.get("stub_rules", ())),

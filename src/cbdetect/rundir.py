@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
 from os.path import commonprefix
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Union
 
-from ._config import read_lines, write_lines
+from ._config import read_json, read_lines, write_lines
 from .labels import (
     AggressionLabel,
     Label,
@@ -71,7 +70,7 @@ def _canonical_line(record: dict) -> str:
 
 # The run files' line writers fill %-templates and are byte-identical to
 # ``_canonical_line``: keys in sorted order, strings through the encoder's
-# own escaping, and every value a run holds fixed encoded once per run.
+# own escaping.
 _encode = json.encoder.encode_basestring
 # per label space: the two spaces' integer codes compare equal across spaces
 _LABEL_NAMES = {
@@ -87,30 +86,71 @@ _EPP_PREDICTION_LINE = (
 )
 _AUDIT_LINE = '{"failure":%s,"post_id":%s,"rendered_text":%s,"response_text":%s,"stage":%s}\n'
 _AUDIT_KEYS = frozenset(("failure", "post_id", "rendered_text", "response_text", "stage"))
-# the provenance keys a stage sets per record; a stage holds every other one fixed
-_PROVENANCE_HOLES = frozenset(("post_id", "aggression_label", "stage1_mode", "match_kind"))
+
+# The manifest key of the provenance every record of a run shares: "pairs"
+# holds the pairs written once for the run, "from_fields" the keys whose
+# value each record copies from one of its own top-level fields (the key's
+# entry in _FROM_FIELDS). A manifest without it shares nothing.
+SHARED_PROVENANCE = "shared_provenance"
+_FROM_FIELDS = {"post_id": "post_id", "aggression_label": "aggression_annotation"}
+_SCALARS = (str, int, float, bool, type(None))
 
 
-def _prediction_writer() -> Callable[[Prediction], str]:
+def _shared_provenance(predictions: list[Prediction]) -> dict:
+    """The provenance the run's records share, as the manifest holds it.
+
+    A pair is shared when every record has the key with a value of the same
+    canonical JSON (so ``0.0`` and ``-0.0``, or ``1`` and ``True``, differ)
+    and the value is a JSON scalar or a list of scalars, which a reader can
+    copy per record. A key is in ``from_fields`` when every record's value
+    is the ``str`` its top-level field is written as."""
+    provenances = [p.provenance for p in predictions]
+    from_fields = [
+        key
+        for key, field_name in _FROM_FIELDS.items()
+        if predictions and all(_copies_field(p, key, field_name) for p in predictions)
+    ]
+    pairs = {}
+    for key, value in provenances[0].items() if provenances else ():
+        if key in from_fields or not (
+            type(value) in _SCALARS
+            or (type(value) is list and all(type(item) in _SCALARS for item in value))
+        ):
+            continue
+        encoded = _CANONICAL.encode(value)
+        if all(
+            key in provenance
+            and (provenance[key] is value or _CANONICAL.encode(provenance[key]) == encoded)
+            for provenance in provenances
+        ):
+            pairs[key] = value
+    return {"from_fields": sorted(from_fields), "pairs": pairs}
+
+
+def _copies_field(p: Prediction, key: str, field_name: str) -> bool:
+    value = p.provenance.get(key)
+    if type(value) is not str:
+        return False
+    if field_name == "post_id":
+        return value == p.post_id
+    return p.aggression_annotation is not None and value == label_to_name(p.aggression_annotation)
+
+
+def _prediction_writer(shared: dict) -> Callable[[Prediction], str]:
     """A line writer for ``predictions.jsonl``: the record's fields are the
-    ``Prediction`` field names, and the EPP keys are written only for a
-    record with an aggression annotation."""
-    encoders: dict[tuple, Callable[[dict], str]] = {}
-
-    def provenance_json(provenance: dict) -> str:
-        keys = tuple(provenance)
-        encode = encoders.get(keys)
-        if encode is None:
-            encode = encoders[keys] = _provenance_encoder(provenance)
-        return encode(provenance)
+    ``Prediction`` field names, the EPP keys are written only for a record
+    with an aggression annotation, and ``provenance`` holds only the pairs
+    ``shared`` (a ``_shared_provenance``) does not."""
+    omit = frozenset(shared["pairs"]).union(shared["from_fields"])
 
     def line(p: Prediction) -> str:
+        provenance = {key: value for key, value in p.provenance.items() if key not in omit}
         fields = (
             "null" if p.failure is None else _encode(p.failure),
             _LABEL_NAMES[type(p.gold)][p.gold],
             _encode(p.post_id),
             "null" if p.predicted is None else _LABEL_NAMES[type(p.predicted)][p.predicted],
-            provenance_json(p.provenance),
+            _CANONICAL.encode(provenance),
             "null" if p.response_text is None else _encode(p.response_text),
         )
         annotation = p.aggression_annotation
@@ -124,55 +164,6 @@ def _prediction_writer() -> Callable[[Prediction], str]:
         )
 
     return line
-
-
-def _provenance_encoder(provenance: dict) -> Callable[[dict], str]:
-    """An encoder for provenance dicts with ``provenance``'s keys: a template
-    holding its fixed values, with a hole per ``_PROVENANCE_HOLES`` key.
-
-    A dict whose fixed values differ from the template's (in value or type)
-    or whose holes are not all ``str`` is encoded by ``_CANONICAL``, and so
-    is every dict with these keys when one of ``provenance``'s fixed values
-    could encode two ways while comparing equal (floats, containers other
-    than lists of ``str``)."""
-    # itemgetter returns a tuple only for two keys or more
-    if len(provenance) < 2 or not all(type(key) is str for key in provenance):
-        return _CANONICAL.encode
-    keys = sorted(provenance)
-    fixed = [key for key in keys if key not in _PROVENANCE_HOLES]
-    holes = [key for key in keys if key in _PROVENANCE_HOLES]
-    values = tuple(provenance[key] for key in fixed)
-    if not all(map(_encodes_one_way, values)):
-        return _CANONICAL.encode
-
-    def literal(value) -> str:
-        return _CANONICAL.encode(value).replace("%", "%%")
-
-    template = "{%s}" % ",".join(
-        literal(key) + ":" + ("%s" if key in _PROVENANCE_HOLES else literal(provenance[key]))
-        for key in keys
-    )
-    get = itemgetter(*fixed, *holes)
-    types = [*map(type, values), *[str] * len(holes)]
-    n_fixed = len(fixed)
-
-    # not tuple(map(...)): it builds an oversized tuple and resizes it, which
-    # leaves the collector's allocation count one higher every fifth to tenth
-    # call, so a run's writes would trigger collections of the whole heap
-    def encode(provenance: dict) -> str:
-        record = get(provenance)
-        if record[:n_fixed] == values and [*map(type, record)] == types:
-            return template % (*map(_encode, record[n_fixed:]),)
-        return _CANONICAL.encode(provenance)
-
-    return encode
-
-
-def _encodes_one_way(value) -> bool:
-    """Whether every value equal to ``value`` and of its type has its JSON."""
-    if type(value) is list:
-        return all(type(item) is str for item in value)
-    return value is None or type(value) in (str, int, bool)
 
 
 class _PromptEncoder:
@@ -236,31 +227,68 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
     """Write manifest, predictions, and the raw-response audit log.
 
     The directory name is the run id, a hash of the manifest content, so
-    identical configurations land in identical locations.
+    identical configurations land in identical locations. The written
+    manifest adds the run's shared provenance, which the run id does not
+    hash: it is worked out from the predictions.
     """
     run_dir = Path(out_dir) / result.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
+    shared = _shared_provenance(result.predictions)
     (run_dir / "manifest.json").write_text(
-        json.dumps(result.manifest, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
+        json.dumps(
+            {**result.manifest, SHARED_PROVENANCE: shared},
+            sort_keys=True,
+            ensure_ascii=False,
+            indent=2,
+        )
+        + "\n",
         encoding="utf-8",
         newline="",
     )
-    write_lines(run_dir / "predictions.jsonl", result.predictions, _prediction_writer())
+    write_lines(run_dir / "predictions.jsonl", result.predictions, _prediction_writer(shared))
     write_lines(run_dir / "responses.jsonl", result.audit, _audit_writer())
     result.run_dir = run_dir
     return run_dir
 
 
 def load_predictions(path: Union[str, Path], task: Task) -> list[Prediction]:
-    """Read a persisted predictions file back; a bad line is a PipelineError."""
-    build = partial(_prediction_from, label_reader(task), label_reader(Task.AGGRESSION))
+    """Read a persisted predictions file back, each record's provenance
+    completed from the shared provenance in the ``manifest.json`` beside
+    it. A bad line, or a missing or bad manifest, is a PipelineError."""
+    manifest = Path(path).parent / "manifest.json"
+    try:
+        shared = read_json(manifest, _read_shared, PipelineError)
+    except OSError as exc:
+        raise PipelineError(f"{manifest}: {exc.strerror or exc}") from None
+    build = partial(_prediction_from, label_reader(task), label_reader(Task.AGGRESSION), shared)
     return read_lines(path, build, PipelineError)
 
 
-def _prediction_from(read_label, read_annotation, record: dict) -> Prediction:
+def _read_shared(manifest: dict) -> tuple[dict, list[str], list[tuple[str, str]]]:
+    """A manifest's shared provenance: (pairs, the keys of its list values,
+    (provenance key, top-level field) per copied key)."""
+    shared = manifest.get(SHARED_PROVENANCE, {"from_fields": [], "pairs": {}})
+    pairs, from_fields = shared["pairs"], shared["from_fields"]
+    if type(pairs) is not dict or type(from_fields) is not list:
+        raise TypeError(f"{SHARED_PROVENANCE}: expected an object of pairs and a list of keys")
+    lists = [key for key, value in pairs.items() if type(value) is list]
+    return pairs, lists, [(key, _FROM_FIELDS[key]) for key in from_fields]
+
+
+def _prediction_from(read_label, read_annotation, shared, record: dict) -> Prediction:
     """Inverse of the predictions line writer, whose keys are the
     ``Prediction`` field names; ``read_label`` reads the task's label names,
-    ``read_annotation`` the aggression ones."""
+    ``read_annotation`` the aggression ones, and ``shared`` is the run's
+    shared provenance (``_read_shared``). Each record gets its own copy of
+    a shared list."""
+    pairs, lists, from_fields = shared
+    provenance = pairs.copy()
+    for key in lists:
+        provenance[key] = provenance[key].copy()
+    for key, field_name in from_fields:
+        provenance[key] = record[field_name]
+    provenance.update(record.get("provenance", {}))
+    record["provenance"] = provenance
     record["gold"] = read_label(record["gold"])
     if record.get("predicted") is not None:
         record["predicted"] = read_label(record["predicted"])

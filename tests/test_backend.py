@@ -560,7 +560,7 @@ class TestDescriptor:
     @pytest.mark.parametrize(
         "kind, key",
         [
-            (BackendKind.STUB, "match_on"),
+            (BackendKind.STUB, "input_mode"),
             (BackendKind.TOY_CHECKPOINT, "input_mode"),
             (BackendKind.LIVE_ENDPOINT, None),
         ],
@@ -574,6 +574,12 @@ class TestDescriptor:
         else:  # a live endpoint always receives the rendered prompt
             assert descriptor.input_mode == "rendered_text"
         assert BackendDescriptor.from_dict(data) == descriptor
+
+    def test_match_on_is_an_unknown_key(self):
+        data = self.DESCRIPTORS[BackendKind.STUB].to_dict()
+        data["match_on"] = data.pop("input_mode")
+        with pytest.raises(ValueError, match=re.escape("unknown BackendDescriptor keys: ['match_on']")):
+            BackendDescriptor.from_dict(data)
 
 
 def _answer(content):

@@ -389,28 +389,30 @@ PIN_STAGE2 = make_stub(
     backend_id="pin-cb",
     fail_patterns=["#2"],
 )
-# sha256 of (predictions.jsonl, responses.jsonl, manifest.json) per run, as
-# written before the per-run caching of parse, render and persist pieces
+# sha256 of (predictions.jsonl, responses.jsonl, manifest.json) per run. The
+# audit logs are as written before the per-run caching of parse, render and
+# persist pieces; predictions and manifests as written once the manifest
+# holds the run's shared provenance and stubs serialize input_mode.
 PINNED_RUN_DIGESTS = {
     "zero_shot": (
-        "cdc9fecbca61bc93b98b3eb2f5e173aab7afa96f032778e1b3820d6d9a93d5fc",
+        "346d78f7769423d5321ebed9a2ce0cbff24ba0f91cc9e8df27f12c751199eb91",
         "6e6de7986cb8559e8df8e6be0633f6ecac37482f3154b6c05cec4c01930749ec",
-        "3509b780fe27bfd79413f99bc45fce39497a8a464ad35eb4941b6a6b30d2db2d",
+        "4d75b6fa91a5448cee9fde0aa0af54c38b247feb90f8054daff00384c0361461",
     ),
     "few_shot": (
-        "c7f5e85ccdd04851e8da2ec50195d3687d315cd211adcf4f8617e281f82006bd",
+        "346d78f7769423d5321ebed9a2ce0cbff24ba0f91cc9e8df27f12c751199eb91",
         "273eec364042c2dc83b37bf4e82208d5b69f6b5c1edd2811d6f40343b6cdc29f",
-        "24d6e229110b7731600eb40d91c96e3f66a9ab378f2f47a8e49e288c29b07ffe",
+        "9840ce3e0ce3c7262436435e9265afc3b5abbfa079515e1756e2711de0221dc4",
     ),
     "epp": (
-        "759e54d85bb745c146c3f583e40d632f58c6a1b8b83b0420e4d714fe5a6d9bc7",
+        "c2820d65c2003df46290354ed3c782521796f690d58f6a62685283279056701b",
         "637614da71e8f9e0f9ae904913c9e809e16f174f3e20cab80050731306095675",
-        "7d522ed433aca0ad9fa8f64a3d8571af6c672aac2369ae409c887c788fd82f70",
+        "d23769f21765396870aaad3b3eceff74c42760725d6d9fbb74289df7c3109dd1",
     ),
     "epp_override": (
-        "126df97cb73668afef0845324ab60a295c9adf159fff444e97361ba1131082ef",
+        "07ce1ca9395a15ca25da63ec3d7f777b83bf30f36affb2ddb5b0c7bba6d0febf",
         "15e94b0b303bfd482ea77b892e24138e9fbba50cf20fe945b7c52f1fbb78a06a",
-        "bd3e68c6c11b3e3a355ac37eff14b97ebda4b3fd188eeb550ec8bc9a1d45fd3e",
+        "fc6720e29d2f8e28cd8ad94f1c868574626dee75760f4dc83ef9572ec58ff93f",
     ),
 }
 

@@ -3,11 +3,14 @@
 Every line of ``predictions.jsonl`` and ``responses.jsonl`` must equal
 ``json.dumps(record, sort_keys=True, ensure_ascii=False,
 separators=(",", ":")) + "\\n"`` of the record it stands for, whatever the
-strings hold and whichever provenance keys and values a record carries.
+strings hold and whichever provenance keys and values a record carries. A
+prediction line's provenance leaves out what the run's manifest holds
+once, and ``load_predictions`` puts it back.
 """
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +25,7 @@ from cbdetect import (
     persist_run,
 )
 from cbdetect._config import write_lines
-from cbdetect.pipeline import Prediction
+from cbdetect.pipeline import Prediction, load_predictions
 
 # characters the JSON string escaping treats differently, and %-format markers
 PIECES = [
@@ -35,14 +38,48 @@ def canonical(record):
     return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-def prediction_record(p):
+def shared_provenance(preds):
+    """The manifest's shared provenance of ``preds``: the keys every record
+    copies from a top-level field, and the pairs every record holds with
+    the same canonical JSON whose value is a scalar or a list of scalars."""
+    copied = {
+        "post_id": lambda p: p.post_id,
+        # not `annotation and annotation.name`: AggressionLabel.NAG is 0
+        "aggression_label": lambda p: None if p.aggression_annotation is None
+        else p.aggression_annotation.name,
+    }
+    from_fields = sorted(
+        key for key, field in copied.items()
+        if preds and all(
+            type(p.provenance.get(key)) is str and p.provenance[key] == field(p) for p in preds
+        )
+    )
+    pairs = {}
+    for key, value in preds[0].provenance.items() if preds else ():
+        flat = value if type(value) is list else [value]
+        if key in from_fields or not all(type(item) in SCALARS for item in flat):
+            continue
+        if all(key in p.provenance and canon(p.provenance[key]) == canon(value) for p in preds):
+            pairs[key] = value
+    return {"from_fields": from_fields, "pairs": pairs}
+
+
+SCALARS = (str, int, float, bool, type(None))
+
+
+def canon(value):
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def prediction_record(p, shared):
     """The record a prediction line stands for; its keys are the field names."""
+    omit = set(shared["pairs"]) | set(shared["from_fields"])
     record = {
         "post_id": p.post_id,
         "gold": label_name(p.gold),
         "predicted": None if p.predicted is None else label_name(p.predicted),
         "failure": p.failure,
-        "provenance": p.provenance,
+        "provenance": {key: value for key, value in p.provenance.items() if key not in omit},
         "response_text": p.response_text,
     }
     if p.aggression_annotation is not None:
@@ -66,7 +103,8 @@ def maybe(rng, value):
     return None if rng.random() < 0.3 else value
 
 
-def provenance(rng, i, post_id, epp, parsed):
+def provenance(rng, i, post_id, annotation, parsed):
+    epp = annotation is not None
     out = {
         "template_id": "few_shot_v1" if i < 60 else "few_shot_%v2",
         "template_version": 1 if i < 45 else 2,
@@ -76,7 +114,10 @@ def provenance(rng, i, post_id, epp, parsed):
         "backend_id": "stub-%s-β",
     }
     if epp:
-        out["aggression_label"] = rng.choice(list(AggressionLabel)).name
+        # the record's own annotation in the first 45 records
+        out["aggression_label"] = (
+            annotation.name if i < 45 else rng.choice(list(AggressionLabel)).name
+        )
         out["enrichment_order"] = "cue_first"
         out["stage1_backend_id"] = "agg"
         out["stage1_template_id"] = "zero_shot_v1"
@@ -106,15 +147,18 @@ def predictions(rng, n, epp):
     for i in range(n):
         parsed = rng.random() < 0.7  # failure records carry no match_kind
         post_id = text(rng)
+        gold = rng.choice(list(space))
+        predicted = rng.choice(list(space)) if parsed else None
+        annotation = rng.choice(list(AggressionLabel)) if epp else None
         out.append(
             Prediction(
                 post_id=post_id,
-                gold=rng.choice(list(space)),
-                predicted=rng.choice(list(space)) if parsed else None,
+                gold=gold,
+                predicted=predicted,
                 failure=None if parsed else rng.choice(["parse_failure", "transport_error: %s"]),
-                aggression_annotation=rng.choice(list(AggressionLabel)) if epp else None,
+                aggression_annotation=annotation,
                 stage1_fallback=rng.random() < 0.5,
-                provenance=provenance(rng, i, post_id, epp, parsed),
+                provenance=provenance(rng, i, post_id, annotation, parsed),
                 response_text=maybe(rng, text(rng)),
                 stage1_response_text=maybe(rng, text(rng)),
             )
@@ -156,24 +200,45 @@ def audit(rng, n):
 
 
 def written_lines(tmp_path, preds, entries):
+    """Persist a run of ``preds`` and ``entries``: its prediction and audit
+    lines, after checking its manifest's shared provenance and that the
+    predictions read back field for field."""
     stub = class_name_stub(Task.CYBERBULLYING)
     spec = ExperimentSpec(Method.ZERO_SHOT, Task.CYBERBULLYING, (stub,))
     result = RunResult(spec=spec, predictions=preds, manifest={"run_id": "r"}, audit=entries)
     run_dir = persist_run(result, tmp_path)
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert canon(manifest["shared_provenance"]) == canon(shared_provenance(preds))
+    if preds:
+        task = Task.AGGRESSION if type(preds[0].gold) is AggressionLabel else Task.CYBERBULLYING
+        # a record without an aggression annotation is written without the
+        # stage-1 fields, which then read back as their defaults
+        assert load_predictions(run_dir / "predictions.jsonl", task) == [
+            p if p.aggression_annotation is not None
+            else replace(p, stage1_fallback=False, stage1_response_text=None)
+            for p in preds
+        ]
     split = lambda name: [
         line.decode("utf-8") + "\n" for line in (run_dir / name).read_bytes().split(b"\n")[:-1]
     ]
     return split("predictions.jsonl"), split("responses.jsonl")
 
 
+def expected_lines(preds):
+    shared = shared_provenance(preds)
+    return [canonical(prediction_record(p, shared)) for p in preds]
+
+
+# the first 40 records share the most, the first 70 less, all 120 (record
+# 70 has no provenance) share nothing
+@pytest.mark.parametrize("n", [40, 70, 120])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("epp", [False, True])
-def test_prediction_lines_are_canonical(tmp_path, seed, epp):
-    preds = predictions(random.Random(seed), 120, epp)
+def test_prediction_lines_are_canonical(tmp_path, seed, epp, n):
+    preds = predictions(random.Random(seed), 120, epp)[:n]
     lines, _ = written_lines(tmp_path, preds, [])
     assert len(lines) == len(preds)
-    for p, line in zip(preds, lines):
-        assert line == canonical(prediction_record(p))
+    assert lines == expected_lines(preds)
 
 
 def test_fallback_is_written_both_ways(tmp_path):
@@ -184,7 +249,7 @@ def test_fallback_is_written_both_ways(tmp_path):
     ]
     lines, _ = written_lines(tmp_path, preds, [])
     assert '"stage1_fallback":true' in lines[0] and '"stage1_fallback":false' in lines[1]
-    assert lines == [canonical(prediction_record(p)) for p in preds]
+    assert lines == expected_lines(preds)
 
 
 def test_label_names_are_read_per_label_space(tmp_path):
@@ -203,16 +268,58 @@ def test_audit_lines_are_canonical(tmp_path, seed):
     assert lines == [canonical(entry) for entry in entries]
 
 
-def test_fixed_values_that_compare_equal_but_encode_apart(tmp_path):
-    # 0.0 == -0.0 and [1] == [1.0] == [True], but each encodes its own way
-    values = [(0.0, [1]), (-0.0, [1.0]), (0.0, [True]), (0.0, [1])]
+@pytest.mark.parametrize(
+    "values, shared",
+    [
+        # 0.0 == -0.0 and [1] == [1.0] == [True], but each encodes its own way
+        ([(0.0, [1]), (-0.0, [1.0]), (0.0, [True]), (0.0, [1])], []),
+        ([(-0.0, [1.0, "x"])] * 3, ["ids", "score"]),
+        ([(1, [1]), (True, [1])], ["ids"]),
+        # lists of lists are not shared, whatever they hold
+        ([(0.5, [[1]])] * 2, ["score"]),
+    ],
+)
+def test_a_pair_is_shared_when_its_json_is(tmp_path, values, shared):
     preds = [
         Prediction("a", CyberbullyingLabel.RELIGION, None,
-                   provenance={"post_id": "a", "score": score, "ids": ids})
+                   provenance={"post_id": "a", "score": score, "ids": list(ids)})
         for score, ids in values
     ]
     lines, _ = written_lines(tmp_path, preds, [])
-    assert lines == [canonical(prediction_record(p)) for p in preds]
+    assert sorted(shared_provenance(preds)["pairs"]) == shared
+    assert lines == expected_lines(preds)
+
+
+@pytest.mark.parametrize(
+    "provenance, from_fields",
+    [
+        ({"post_id": "p", "aggression_label": "OAG"}, ["aggression_label", "post_id"]),
+        ({"post_id": "q", "aggression_label": "OAG"}, ["aggression_label"]),
+        ({"aggression_label": "CAG"}, []),
+        ({"post_id": "p", "aggression_label": None}, ["post_id"]),
+    ],
+)
+def test_keys_equal_to_a_top_level_field_are_written_once(tmp_path, provenance, from_fields):
+    preds = [
+        Prediction("p", CyberbullyingLabel.RELIGION, None, aggression_annotation=AggressionLabel.OAG,
+                   provenance={"post_id": "p", "aggression_label": "OAG", "match_kind": "exact"}),
+        Prediction("p", CyberbullyingLabel.GENDER_SEXUAL, None,
+                   aggression_annotation=AggressionLabel.OAG, provenance=provenance),
+    ]
+    lines, _ = written_lines(tmp_path, preds, [])
+    assert shared_provenance(preds)["from_fields"] == from_fields
+    assert lines == expected_lines(preds)
+
+
+def test_each_record_reads_back_its_own_shared_list(tmp_path):
+    preds = [
+        Prediction(f"p{i}", CyberbullyingLabel.RELIGION, None, provenance={"ids": ["e1", "e2"]})
+        for i in range(2)
+    ]
+    written_lines(tmp_path, preds, [])
+    first, second = load_predictions(tmp_path / "r" / "predictions.jsonl", Task.CYBERBULLYING)
+    first.provenance["ids"].append("e3")
+    assert second.provenance["ids"] == ["e1", "e2"]
 
 
 def test_write_lines_writes_newline_on_a_crlf_platform(tmp_path, crlf_platform):
