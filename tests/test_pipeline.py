@@ -499,3 +499,44 @@ class TestPredictionsFile:
         path = result.run_dir / "predictions.jsonl"
         assert "\u2028" in path.read_text(encoding="utf-8")
         assert load_predictions(path, Task.CYBERBULLYING) == result.predictions
+
+    def test_missing_manifest_names_its_path(self, tmp_path):
+        result = _pinned_run("epp", tmp_path)
+        manifest = result.run_dir / "manifest.json"
+        manifest.unlink()
+        with pytest.raises(PipelineError, match=re.escape(f"{manifest}: ")):
+            load_predictions(result.run_dir / "predictions.jsonl", Task.CYBERBULLYING)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            "[]",
+            '{"shared_provenance": []}',
+            '{"shared_provenance": {"pairs": [], "from_fields": []}}',
+            '{"shared_provenance": {"pairs": {}, "from_fields": ["template_id"]}}',
+            '{"shared_provenance": {"pairs": {}}}',
+        ],
+    )
+    def test_bad_manifest_names_its_path(self, tmp_path, text):
+        result = _pinned_run("epp", tmp_path)
+        manifest = result.run_dir / "manifest.json"
+        manifest.write_text(text, encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"{manifest}: ")):
+            load_predictions(result.run_dir / "predictions.jsonl", Task.CYBERBULLYING)
+
+    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    def test_run_dir_without_shared_provenance_reads_back(self, tmp_path, name):
+        # as written before the manifest held the shared provenance: every
+        # line carries its whole provenance
+        result = _pinned_run(name, tmp_path)
+        manifest_path = result.run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        del manifest["shared_provenance"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        path = result.run_dir / "predictions.jsonl"
+        lines = []
+        for line, p in zip(path.read_text(encoding="utf-8").splitlines(), result.predictions):
+            lines.append(json.dumps({**json.loads(line), "provenance": p.provenance}))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_predictions(path, Task.CYBERBULLYING) == result.predictions
