@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -36,7 +37,7 @@ from .backend import (
     parse_label,
 )
 from .corpus import LabeledPost
-from .labels import AggressionLabel, Task, label_from_name
+from .labels import AggressionLabel, Label, Task, label_from_name
 from .prompting import (
     DEFAULT_TEMPLATE_IDS,
     ExemplarSet,
@@ -196,10 +197,22 @@ def _finish_run(
     predictions: list[Prediction],
     audit: list[dict],
     out_dir: Union[str, Path, None],
+    posts: Sequence[LabeledPost],
     exemplars: ExemplarSet | None = None,
 ) -> RunResult:
     """Build the run's manifest and result; persist it when ``out_dir`` is
-    given. The run id hashes the manifest."""
+    given. The run id hashes the manifest, which holds the configuration
+    and digests of the inputs: the evaluation records, the exemplars a
+    few-shot run rendered, and each toy checkpoint file's bytes."""
+    checkpoints = [b.checkpoint_path for b in spec.backends if b.kind is BackendKind.TOY_CHECKPOINT]
+    digests = {
+        "records": _records_digest(
+            [post.id for post in posts], [post.label for post in posts], [post.text for post in posts]
+        ),
+        "checkpoints": {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in checkpoints
+        },
+    }
     manifest = {
         "method": spec.method.value,
         "task": spec.task.value,
@@ -209,10 +222,9 @@ def _finish_run(
             for role, template in templates.items()
         },
         "backends": [b.to_dict() for b in spec.backends],
-        "checkpoints": [
-            b.checkpoint_path for b in spec.backends if b.kind is BackendKind.TOY_CHECKPOINT
-        ],
+        "checkpoints": checkpoints,
         "n_records": len(predictions),
+        "input_sha256": digests,
     }
     if exemplars is not None:
         manifest["exemplars"] = {
@@ -220,6 +232,8 @@ def _finish_run(
             "seed": exemplars.seed,
             "source_ids": list(exemplars.source_ids),
         }
+        texts, labels = zip(*exemplars.exemplars)
+        digests["exemplars"] = _records_digest(exemplars.source_ids, labels, texts)
     if spec.aggression_overrides:
         manifest["aggression_overrides"] = {
             post_id: label.name for post_id, label in sorted(spec.aggression_overrides.items())
@@ -229,6 +243,16 @@ def _finish_run(
     if out_dir is not None:
         persist_run(result, out_dir)
     return result
+
+
+def _records_digest(ids: Sequence[str], labels: Sequence[Label], texts: Sequence[str]) -> str:
+    """sha256 of the records' ids, label names and texts: each field's
+    length as a little-endian 64-bit count, then the fields' UTF-8."""
+    # _name_ is the member's plain attribute; .name is a property
+    fields = [*ids, *[label._name_ for label in labels], *texts]
+    digest = hashlib.sha256(struct.pack(f"<{len(fields)}Q", *map(len, fields)))
+    digest.update("".join(fields).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def run_baseline(
@@ -264,7 +288,7 @@ def run_baseline(
     predictions = _run_stage(
         "main", posts, prompts, descriptor, {"backend_id": descriptor.backend_id}, audit
     )
-    return _finish_run(spec, {"main": template}, predictions, audit, out_dir, exemplars)
+    return _finish_run(spec, {"main": template}, predictions, audit, out_dir, posts, exemplars)
 
 
 def run_epp(
@@ -337,7 +361,7 @@ def run_epp(
     }
     predictions = _run_stage("stage2", posts, prompts, stage2_backend, stage_meta, audit, cues)
     templates = {"stage1": stage1_template, "enriched": enriched_template}
-    return _finish_run(spec, templates, predictions, audit, out_dir)
+    return _finish_run(spec, templates, predictions, audit, out_dir, posts)
 
 
 def run_experiment(

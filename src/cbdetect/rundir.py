@@ -8,6 +8,8 @@ run id; ``load_predictions`` reads a predictions file back.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from os.path import commonprefix
@@ -223,16 +225,44 @@ def _audit_writer() -> Callable[[dict], str]:
     return line
 
 
+RUN_FILES = ("manifest.json", "predictions.jsonl", "responses.jsonl")
+
+
 def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
     """Write manifest, predictions, and the raw-response audit log.
 
     The directory name is the run id, a hash of the manifest content, so
-    identical configurations land in identical locations. The written
-    manifest adds the run's shared provenance, which the run id does not
-    hash: it is worked out from the predictions.
+    identical runs land in identical locations. The written manifest adds
+    the run's shared provenance, which the run id does not hash: it is
+    worked out from the predictions.
+
+    The files are written into a temporary sibling directory, which is
+    then renamed into place. Where a run directory already exists, its
+    files must hold the same bytes; different bytes raise PipelineError
+    and leave it as it was.
     """
-    run_dir = Path(out_dir) / result.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    run_dir = out_dir / result.run_id
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{result.run_id}.", dir=out_dir))
+    try:
+        _write_run_files(result, staging)
+        try:
+            staging.rename(run_dir)
+        except OSError:
+            if not run_dir.is_dir():
+                raise
+            if not all(_same_bytes(staging / name, run_dir / name) for name in RUN_FILES):
+                raise PipelineError(
+                    f"{run_dir}: holds different files under this run id; not overwritten"
+                ) from None
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    result.run_dir = run_dir
+    return run_dir
+
+
+def _write_run_files(result: RunResult, run_dir: Path) -> None:
     shared = _shared_provenance(result.predictions)
     (run_dir / "manifest.json").write_text(
         json.dumps(
@@ -247,8 +277,10 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
     )
     write_lines(run_dir / "predictions.jsonl", result.predictions, _prediction_writer(shared))
     write_lines(run_dir / "responses.jsonl", result.audit, _audit_writer())
-    result.run_dir = run_dir
-    return run_dir
+
+
+def _same_bytes(path: Path, other: Path) -> bool:
+    return other.is_file() and other.read_bytes() == path.read_bytes()
 
 
 def load_predictions(path: Union[str, Path], task: Task) -> list[Prediction]:

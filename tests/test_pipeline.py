@@ -9,6 +9,7 @@ from cbdetect import (
     AggressionLabel,
     BackendDescriptor,
     BackendKind,
+    CyberbullyingLabel,
     ExperimentSpec,
     Method,
     PipelineError,
@@ -21,6 +22,7 @@ from cbdetect import (
     label_space,
     load_template,
     make_stub,
+    persist_run,
     render_enriched,
     run_baseline,
     run_epp,
@@ -391,28 +393,29 @@ PIN_STAGE2 = make_stub(
 )
 # sha256 of (predictions.jsonl, responses.jsonl, manifest.json) per run. The
 # audit logs are as written before the per-run caching of parse, render and
-# persist pieces; predictions and manifests as written once the manifest
-# holds the run's shared provenance and stubs serialize input_mode.
+# persist pieces; predictions as written once the manifest holds the run's
+# shared provenance; manifests as written once they also hold the input
+# digests.
 PINNED_RUN_DIGESTS = {
     "zero_shot": (
         "346d78f7769423d5321ebed9a2ce0cbff24ba0f91cc9e8df27f12c751199eb91",
         "6e6de7986cb8559e8df8e6be0633f6ecac37482f3154b6c05cec4c01930749ec",
-        "4d75b6fa91a5448cee9fde0aa0af54c38b247feb90f8054daff00384c0361461",
+        "f13450ab685e38dde5c4f5f36eb4519676a762384dfb54e33f2068a8f018200f",
     ),
     "few_shot": (
         "346d78f7769423d5321ebed9a2ce0cbff24ba0f91cc9e8df27f12c751199eb91",
         "273eec364042c2dc83b37bf4e82208d5b69f6b5c1edd2811d6f40343b6cdc29f",
-        "9840ce3e0ce3c7262436435e9265afc3b5abbfa079515e1756e2711de0221dc4",
+        "92a7e23ed18473b82c2c87ff5ccd7b25fbb56db34b60ee8fbca045c4f4396bce",
     ),
     "epp": (
         "c2820d65c2003df46290354ed3c782521796f690d58f6a62685283279056701b",
         "637614da71e8f9e0f9ae904913c9e809e16f174f3e20cab80050731306095675",
-        "d23769f21765396870aaad3b3eceff74c42760725d6d9fbb74289df7c3109dd1",
+        "04fcdc40eab9b0a8f9cea9c5d3c292c4996cae445464f14983fbebbb501f97e7",
     ),
     "epp_override": (
         "07ce1ca9395a15ca25da63ec3d7f777b83bf30f36affb2ddb5b0c7bba6d0febf",
         "15e94b0b303bfd482ea77b892e24138e9fbba50cf20fe945b7c52f1fbb78a06a",
-        "fc6720e29d2f8e28cd8ad94f1c868574626dee75760f4dc83ef9572ec58ff93f",
+        "3a4b4b8482b67cf92333c69c135b4b177320696c3004aa2242ff97c630004158",
     ),
 }
 
@@ -540,3 +543,87 @@ class TestPredictionsFile:
             lines.append(json.dumps({**json.loads(line), "provenance": p.provenance}))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert load_predictions(path, Task.CYBERBULLYING) == result.predictions
+
+
+def _toy_checkpoint(path, seed):
+    base, tune = ToyTransformer(ToyNetConfig(seed=seed)), TuneConfig()
+    trainer = SftTrainer(base, Task.AGGRESSION, tune)  # untrained: any answer parses
+    return save_checkpoint(
+        path, base.config, tune, {Task.AGGRESSION: trainer.adapters}, {Task.AGGRESSION: trainer.head}
+    )
+
+
+class TestRunIdentity:
+    def test_runs_over_different_records_keep_their_own_directories(self, tmp_path):
+        first = run_baseline(synth_fixture(5, Task.CYBERBULLYING, seed=1), cb_spec(), out_dir=tmp_path)
+        second = run_baseline(synth_fixture(5, Task.CYBERBULLYING, seed=2), cb_spec(), out_dir=tmp_path)
+        assert first.run_id != second.run_id
+        for result in (first, second):
+            path = result.run_dir / "predictions.jsonl"
+            assert load_predictions(path, Task.CYBERBULLYING) == result.predictions
+
+    @pytest.mark.parametrize("change", ["id", "label", "text"])
+    def test_run_id_hashes_each_record_field(self, change):
+        posts = list(synth_fixture(2, Task.CYBERBULLYING, seed=1))
+        post = posts[3]
+        posts[3] = dataclasses.replace(
+            post,
+            **{
+                "id": {"id": post.id + "x"},
+                "label": {"label": CyberbullyingLabel.RELIGION
+                          if post.label is not CyberbullyingLabel.RELIGION
+                          else CyberbullyingLabel.GENDER_SEXUAL},
+                "text": {"text": post.text + " x"},
+            }[change],
+        )
+        before = run_baseline(synth_fixture(2, Task.CYBERBULLYING, seed=1), cb_spec())
+        assert run_baseline(posts, cb_spec()).run_id != before.run_id
+
+    def test_run_id_hashes_the_exemplars_rendered(self, cyberbullying_fixture):
+        spec = cb_spec(method=Method.FEW_SHOT, seed=5)
+        pool = list(synth_fixture(4, Task.CYBERBULLYING, seed=99))
+        first = run_baseline(cyberbullying_fixture, spec, train_posts=pool)
+        # the same exemplar ids, one exemplar's text changed
+        chosen = first.manifest["exemplars"]["source_ids"][0]
+        pool = [dataclasses.replace(p, text=p.text + " x") if p.id == chosen else p for p in pool]
+        second = run_baseline(cyberbullying_fixture, spec, train_posts=pool)
+        assert second.manifest["exemplars"]["source_ids"] == first.manifest["exemplars"]["source_ids"]
+        assert second.run_id != first.run_id
+
+    def test_run_id_hashes_the_checkpoint_bytes(self, tmp_path, cyberbullying_fixture):
+        path = _toy_checkpoint(tmp_path / "agg.npz", seed=0)
+        toy = BackendDescriptor(
+            backend_id="toy", kind=BackendKind.TOY_CHECKPOINT, checkpoint_path=str(path)
+        )
+        first = run_epp(cyberbullying_fixture, epp_spec(stage1=toy))
+        _toy_checkpoint(path, seed=1)  # rewritten in place
+        second = run_epp(cyberbullying_fixture, epp_spec(stage1=toy))
+        assert second.manifest["checkpoints"] == first.manifest["checkpoints"] == [str(path)]
+        assert second.run_id != first.run_id
+
+    def test_same_inputs_same_run_id(self, cyberbullying_fixture):
+        first = run_baseline(cyberbullying_fixture, cb_spec())
+        second = run_baseline(tuple(cyberbullying_fixture), cb_spec())
+        assert first.run_id == second.run_id
+
+    def test_rerun_into_the_same_directory(self, tmp_path):
+        first = _pinned_run("epp", tmp_path)
+        second = _pinned_run("epp", tmp_path)
+        assert second.run_dir == first.run_dir
+        assert sorted(p.name for p in tmp_path.iterdir()) == [first.run_id]
+
+    def test_different_files_under_one_run_id_are_refused(self, tmp_path):
+        first = _pinned_run("epp", tmp_path)
+        before = {f: (first.run_dir / f).read_bytes() for f in PINNED_RUN_FILES}
+        first.predictions[0] = dataclasses.replace(first.predictions[0], failure="changed")
+        with pytest.raises(PipelineError, match=re.escape(f"{first.run_dir}: ")):
+            persist_run(first, tmp_path)
+        assert {f: (first.run_dir / f).read_bytes() for f in PINNED_RUN_FILES} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [first.run_id]
+
+    def test_a_failed_write_leaves_no_run_directory(self, tmp_path):
+        result = _pinned_run("epp", None)
+        result.audit.append({"post_id": object()})  # not JSON
+        with pytest.raises(TypeError):
+            persist_run(result, tmp_path)
+        assert list(tmp_path.iterdir()) == []
