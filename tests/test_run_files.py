@@ -229,15 +229,24 @@ def expected_lines(preds):
     return [canonical(prediction_record(p, shared)) for p in preds]
 
 
-# the first 40 records share the most, the first 70 less, all 120 (record
-# 70 has no provenance) share nothing
-@pytest.mark.parametrize("n", [40, 70, 120])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("epp", [False, True])
-def test_prediction_lines_are_canonical(tmp_path, seed, epp, n):
-    preds = predictions(random.Random(seed), 120, epp)[:n]
+def test_prediction_lines_are_canonical(tmp_path, seed, epp):
+    # record 70 has no provenance, so the run shares none
+    preds = predictions(random.Random(seed), 120, epp)
     lines, _ = written_lines(tmp_path, preds, [])
     assert len(lines) == len(preds)
+    assert lines == expected_lines(preds)
+
+
+# the first 40 records share more than the first 70
+@pytest.mark.parametrize("n", [40, 70])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("epp", [False, True])
+def test_shared_provenance_is_written_once(tmp_path, seed, epp, n):
+    preds = predictions(random.Random(seed), 120, epp)[:n]
+    lines, _ = written_lines(tmp_path, preds, [])
+    assert shared_provenance(preds)["pairs"]
     assert lines == expected_lines(preds)
 
 
@@ -268,11 +277,22 @@ def test_audit_lines_are_canonical(tmp_path, seed):
     assert lines == [canonical(entry) for entry in entries]
 
 
+def test_fixed_values_that_compare_equal_but_encode_apart(tmp_path):
+    # 0.0 == -0.0 and [1] == [1.0] == [True], but each encodes its own way
+    values = [(0.0, [1]), (-0.0, [1.0]), (0.0, [True]), (0.0, [1])]
+    preds = [
+        Prediction("a", CyberbullyingLabel.RELIGION, None,
+                   provenance={"post_id": "a", "score": score, "ids": ids})
+        for score, ids in values
+    ]
+    lines, _ = written_lines(tmp_path, preds, [])
+    assert shared_provenance(preds)["pairs"] == {}
+    assert lines == expected_lines(preds)
+
+
 @pytest.mark.parametrize(
     "values, shared",
     [
-        # 0.0 == -0.0 and [1] == [1.0] == [True], but each encodes its own way
-        ([(0.0, [1]), (-0.0, [1.0]), (0.0, [True]), (0.0, [1])], []),
         ([(-0.0, [1.0, "x"])] * 3, ["ids", "score"]),
         ([(1, [1]), (True, [1])], ["ids"]),
         # lists of lists are not shared, whatever they hold
