@@ -50,13 +50,15 @@ from .prompting import (
     render_zero_shot,
     select_exemplars,
 )
+# callers, and the benchmark's tracer, look persist_run and load_predictions
+# up on this module
 from .rundir import (
-    _CANONICAL,
     PipelineError,
     Prediction,
     RunResult,
     load_predictions,
     persist_run,
+    run_id_of,
 )
 
 
@@ -238,7 +240,7 @@ def _finish_run(
         manifest["aggression_overrides"] = {
             post_id: label.name for post_id, label in sorted(spec.aggression_overrides.items())
         }
-    manifest["run_id"] = hashlib.sha256(_CANONICAL.encode(manifest).encode("utf-8")).hexdigest()[:12]
+    manifest["run_id"] = run_id_of(manifest)
     result = RunResult(spec=spec, predictions=predictions, manifest=manifest, audit=audit)
     if out_dir is not None:
         persist_run(result, out_dir)

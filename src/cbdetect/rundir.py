@@ -7,11 +7,13 @@ run id; ``load_predictions`` reads a predictions file back.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from os.path import commonprefix
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Union
@@ -32,7 +34,7 @@ if TYPE_CHECKING:
 
 
 class PipelineError(ValueError):
-    pass
+    """A run that cannot be configured, persisted or read back."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,12 @@ class RunResult:
 _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
+def run_id_of(manifest: dict) -> str:
+    """The id a manifest's run directory is named by: the first 12 hex
+    digits of the sha256 of the manifest's canonical JSON."""
+    return hashlib.sha256(_CANONICAL.encode(manifest).encode("utf-8")).hexdigest()[:12]
+
+
 def _canonical_line(record: dict) -> str:
     return _CANONICAL.encode(record) + "\n"
 
@@ -93,7 +101,7 @@ _AUDIT_KEYS = frozenset(("failure", "post_id", "rendered_text", "response_text",
 # holds the pairs written once for the run, "from_fields" the keys whose
 # value each record copies from one of its own top-level fields (the key's
 # entry in _FROM_FIELDS). A manifest without it shares nothing.
-SHARED_PROVENANCE = "shared_provenance"
+_SHARED_KEY = "shared_provenance"
 _FROM_FIELDS = {"post_id": "post_id", "aggression_label": "aggression_annotation"}
 _SCALARS = (str, int, float, bool, type(None))
 
@@ -107,35 +115,48 @@ def _shared_provenance(predictions: list[Prediction]) -> dict:
     copy per record. A key is in ``from_fields`` when every record's value
     is the ``str`` its top-level field is written as."""
     provenances = [p.provenance for p in predictions]
-    from_fields = [
-        key
-        for key, field_name in _FROM_FIELDS.items()
-        if predictions and all(_copies_field(p, key, field_name) for p in predictions)
-    ]
+    from_fields = []
+    for key in _FROM_FIELDS:
+        try:
+            values = list(map(itemgetter(key), provenances))
+        except KeyError:
+            continue
+        if set(map(type, values)) != {str}:
+            continue
+        if key == "post_id":
+            written = [p.post_id for p in predictions]
+        else:
+            written = [
+                None if p.aggression_annotation is None else label_to_name(p.aggression_annotation)
+                for p in predictions
+            ]
+        if values == written:
+            from_fields.append(key)
     pairs = {}
     for key, value in provenances[0].items() if provenances else ():
-        if key in from_fields or not (
-            type(value) in _SCALARS
-            or (type(value) is list and all(type(item) in _SCALARS for item in value))
-        ):
+        flat = value if type(value) is list else (value,)
+        if key in from_fields or not all(type(item) in _SCALARS for item in flat):
             continue
-        encoded = _CANONICAL.encode(value)
-        if all(
-            key in provenance
-            and (provenance[key] is value or _CANONICAL.encode(provenance[key]) == encoded)
-            for provenance in provenances
-        ):
+        try:
+            values = list(map(itemgetter(key), provenances))
+        except KeyError:
+            continue
+        if _one_json(values, value, flat):
             pairs[key] = value
     return {"from_fields": sorted(from_fields), "pairs": pairs}
 
 
-def _copies_field(p: Prediction, key: str, field_name: str) -> bool:
-    value = p.provenance.get(key)
-    if type(value) is not str:
+def _one_json(values: list, value, flat) -> bool:
+    """Whether every item of ``values`` has the canonical JSON of ``value``,
+    a scalar or a flat list of scalars whose items are ``flat``."""
+    if len(set(map(id, values))) == 1:
+        return True
+    if values.count(value) != len(values):
         return False
-    if field_name == "post_id":
-        return value == p.post_id
-    return p.aggression_annotation is not None and value == label_to_name(p.aggression_annotation)
+    # equal strings and Nones encode alike; equal numbers may not
+    return all(item is None or type(item) is str for item in flat) or (
+        len(set(map(_CANONICAL.encode, values))) == 1
+    )
 
 
 def _prediction_writer(shared: dict) -> Callable[[Prediction], str]:
@@ -225,7 +246,7 @@ def _audit_writer() -> Callable[[dict], str]:
     return line
 
 
-RUN_FILES = ("manifest.json", "predictions.jsonl", "responses.jsonl")
+_RUN_FILES = ("manifest.json", "predictions.jsonl", "responses.jsonl")
 
 
 def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
@@ -252,7 +273,7 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
         except OSError:
             if not run_dir.is_dir():
                 raise
-            if not all(_same_bytes(staging / name, run_dir / name) for name in RUN_FILES):
+            if not all(_same_bytes(staging / name, run_dir / name) for name in _RUN_FILES):
                 raise PipelineError(
                     f"{run_dir}: holds different files under this run id; not overwritten"
                 ) from None
@@ -266,7 +287,7 @@ def _write_run_files(result: RunResult, run_dir: Path) -> None:
     shared = _shared_provenance(result.predictions)
     (run_dir / "manifest.json").write_text(
         json.dumps(
-            {**result.manifest, SHARED_PROVENANCE: shared},
+            {**result.manifest, _SHARED_KEY: shared},
             sort_keys=True,
             ensure_ascii=False,
             indent=2,
@@ -299,10 +320,10 @@ def load_predictions(path: Union[str, Path], task: Task) -> list[Prediction]:
 def _read_shared(manifest: dict) -> tuple[dict, list[str], list[tuple[str, str]]]:
     """A manifest's shared provenance: (pairs, the keys of its list values,
     (provenance key, top-level field) per copied key)."""
-    shared = manifest.get(SHARED_PROVENANCE, {"from_fields": [], "pairs": {}})
+    shared = manifest.get(_SHARED_KEY, {"from_fields": [], "pairs": {}})
     pairs, from_fields = shared["pairs"], shared["from_fields"]
     if type(pairs) is not dict or type(from_fields) is not list:
-        raise TypeError(f"{SHARED_PROVENANCE}: expected an object of pairs and a list of keys")
+        raise TypeError(f"{_SHARED_KEY}: expected an object of pairs and a list of keys")
     lists = [key for key, value in pairs.items() if type(value) is list]
     return pairs, lists, [(key, _FROM_FIELDS[key]) for key in from_fields]
 
