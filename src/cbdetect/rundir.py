@@ -149,13 +149,14 @@ def _shared_provenance(predictions: list[Prediction]) -> dict:
 def _one_json(values: list, value, flat) -> bool:
     """Whether every item of ``values`` has the canonical JSON of ``value``,
     a scalar or a flat list of scalars whose items are ``flat``."""
-    if len(set(map(id, values))) == 1:
-        return True
     if values.count(value) != len(values):
         return False
-    # equal strings and Nones encode alike; equal numbers may not
-    return all(item is None or type(item) is str for item in flat) or (
-        len(set(map(_CANONICAL.encode, values))) == 1
+    # equal strings and Nones encode alike; equal numbers may not, unless
+    # they are one object
+    return (
+        all(item is None or type(item) is str for item in flat)
+        or len(set(map(id, values))) == 1
+        or len(set(map(_CANONICAL.encode, values))) == 1
     )
 
 
