@@ -6,7 +6,6 @@ and a bad line (or file) raises the caller's error as ``<path>:<line>: <message>
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -57,15 +56,15 @@ def read_lines(path, build: Callable[[dict], object], error: type[Exception]) ->
     The file is decoded once and each line's object scanned in place. On any
     failure the file is read again line by line, the way that names the
     first bad line."""
-    data = Path(path).read_bytes()
     try:
-        return _build_each(data.decode("utf-8"), build)
+        return _build_each(Path(path).read_bytes().decode("utf-8"), build)
     except (StopIteration, ValueError, TypeError, KeyError, AttributeError):
-        return [
-            decode_json(build, line, error, path, number)
-            for number, line in enumerate(io.BytesIO(data), 1)
-            if not line.isspace()
-        ]
+        with open(path, "rb") as handle:
+            return [
+                decode_json(build, line, error, path, number)
+                for number, line in enumerate(handle, 1)
+                if not line.isspace()
+            ]
 
 
 # what bytes.isspace() counts as white space, bar the newline; str.isspace()
@@ -79,16 +78,23 @@ def _build_each(text: str, build: Callable[[dict], object]) -> list:
     ``text``. A line must hold exactly one JSON object, at its start, and
     at most JSON white space after it; anything else raises."""
     built = []
-    start = 0
-    for line in text.split("\n"):
-        end = start + len(line)
-        if line.strip(_BLANK):
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        try:
             record, stop = _scan(text, start)
-            if type(record) is not dict or (
-                stop != end and (stop > end or text[stop:end].strip(" \t\r"))
-            ):
-                raise ValueError("not one JSON object on the line")
-            built.append(build(record))
+        except StopIteration:  # no JSON value at the line's start
+            if text[start:end].strip(_BLANK):
+                raise ValueError("a line that is neither blank nor starts with a value") from None
+            start = end + 1
+            continue
+        if type(record) is not dict or (
+            stop != end and (stop > end or text[stop:end].strip(" \t\r"))
+        ):
+            raise ValueError("not one JSON object on the line")
+        built.append(build(record))
         start = end + 1
     return built
 
