@@ -325,6 +325,9 @@ def _read_shared(manifest: dict) -> tuple[dict, list[str], list[tuple[str, str]]
     pairs, from_fields = shared["pairs"], shared["from_fields"]
     if type(pairs) is not dict or type(from_fields) is not list:
         raise TypeError(f"{_SHARED_KEY}: expected an object of pairs and a list of keys")
+    unknown = [key for key in from_fields if key not in _FROM_FIELDS]
+    if unknown:
+        raise ValueError(f"{_SHARED_KEY}: no top-level field for {unknown}")
     lists = [key for key, value in pairs.items() if type(value) is list]
     return pairs, lists, [(key, _FROM_FIELDS[key]) for key in from_fields]
 
