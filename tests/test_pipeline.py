@@ -562,22 +562,16 @@ class TestRunIdentity:
             path = result.run_dir / "predictions.jsonl"
             assert load_predictions(path, Task.CYBERBULLYING) == result.predictions
 
-    @pytest.mark.parametrize("change", ["id", "label", "text"])
-    def test_run_id_hashes_each_record_field(self, change):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("id", "another-id"), ("label", CyberbullyingLabel.RELIGION), ("text", "another text")],
+    )
+    def test_run_id_hashes_each_record_field(self, field, value):
         posts = list(synth_fixture(2, Task.CYBERBULLYING, seed=1))
-        post = posts[3]
-        posts[3] = dataclasses.replace(
-            post,
-            **{
-                "id": {"id": post.id + "x"},
-                "label": {"label": CyberbullyingLabel.RELIGION
-                          if post.label is not CyberbullyingLabel.RELIGION
-                          else CyberbullyingLabel.GENDER_SEXUAL},
-                "text": {"text": post.text + " x"},
-            }[change],
-        )
-        before = run_baseline(synth_fixture(2, Task.CYBERBULLYING, seed=1), cb_spec())
-        assert run_baseline(posts, cb_spec()).run_id != before.run_id
+        before = run_baseline(posts, cb_spec()).run_id
+        assert getattr(posts[3], field) != value
+        posts[3] = dataclasses.replace(posts[3], **{field: value})
+        assert run_baseline(posts, cb_spec()).run_id != before
 
     def test_run_id_hashes_the_exemplars_rendered(self, cyberbullying_fixture):
         spec = cb_spec(method=Method.FEW_SHOT, seed=5)
