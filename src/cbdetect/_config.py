@@ -7,20 +7,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-# Casts by declared field type (annotations are strings under postponed
-# evaluation); a tuple field of any element type takes ``tuple``.
-_CASTS = {"int": int, "float": float, "str": str, "tuple": tuple}
+# The JSON values a field of each declared type takes (annotations are
+# strings under postponed evaluation); a bool is no number.
+_TAKES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string")}
 
 
 def from_fields(cls: type, data: Mapping, **converted: object):
     """Build ``cls`` from a JSON object keyed by field name.
 
     A missing key takes the field's default and a key naming no field is a
-    ``ValueError``. Scalar and tuple fields are cast by their declared type;
-    ``converted`` holds the fields the caller has already built.
+    ``ValueError``. Each value must have its field's declared type: an int
+    field takes an integer, a float field a finite number (an integer is
+    widened), a str field a string and a tuple field an array of its element
+    type. ``converted`` holds the fields the caller has already built.
     """
     if not isinstance(data, Mapping):
         raise TypeError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
@@ -33,10 +36,28 @@ def from_fields(cls: type, data: Mapping, **converted: object):
         if name in converted:
             continue
         try:
-            values[name] = _CASTS[types[name].partition("[")[0]](data[name])
-        except (TypeError, ValueError) as exc:
+            values[name] = _checked(types[name], data[name])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{name}: {exc}") from None
     return cls(**values)
+
+
+def _checked(declared: str, value):
+    """``value`` as a field declared ``int``, ``float``, ``str`` or
+    ``tuple[<one of those>, ...]``; a value of another type raises."""
+    kind, _, item = declared.partition("[")
+    if kind == "tuple":
+        if type(value) is not list:
+            raise TypeError(f"expected an array, got {type(value).__name__}")
+        return tuple(_checked(item.partition(",")[0], v) for v in value)
+    takes, name = _TAKES[kind]
+    if type(value) is bool or not isinstance(value, takes):
+        raise TypeError(f"expected {name}, got {type(value).__name__}")
+    if kind == "float":
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value}")
+    return value
 
 
 def write_lines(path, items: Iterable, encode: Callable[..., str]) -> Path:

@@ -137,7 +137,7 @@ class BackendDescriptor:
     def __post_init__(self) -> None:
         if self.max_parallel_requests < 1:
             raise BackendError("max_parallel_requests must be >= 1")
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise BackendError("timeout must be > 0")
         if self.kind is BackendKind.STUB and not self.stub_rules:
             raise BackendError("stub backend needs a non-empty rule table")

@@ -43,7 +43,7 @@ class TuneConfig:
     def __post_init__(self) -> None:
         if self.rank_r < 1:
             raise TuningError("rank_r must be >= 1")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise TuningError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise TuningError("batch_size must be >= 1")

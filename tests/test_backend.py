@@ -537,6 +537,8 @@ class TestDescriptor:
     def test_timeout_validated(self):
         with pytest.raises(BackendError):
             BackendDescriptor(backend_id="x", kind=BackendKind.LIVE_ENDPOINT, timeout=0)
+        with pytest.raises(BackendError, match="timeout must be > 0"):
+            BackendDescriptor(backend_id="x", kind=BackendKind.LIVE_ENDPOINT, timeout=float("nan"))
 
     def test_round_trip_through_dict(self):
         stub = make_stub([("a", "b")], default_response="d", fail_patterns=["f"])
@@ -574,6 +576,33 @@ class TestDescriptor:
         else:  # a live endpoint always receives the rendered prompt
             assert descriptor.input_mode == "rendered_text"
         assert BackendDescriptor.from_dict(data) == descriptor
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("timeout", "30", "timeout"),
+            ("timeout", float("nan"), "timeout"),
+            ("timeout", float("inf"), "timeout"),
+            ("max_parallel_requests", 2.0, "max_parallel_requests"),
+            ("max_parallel_requests", True, "max_parallel_requests"),
+            ("default_response", 5, "default_response"),
+            ("fail_patterns", "abc", "fail_patterns"),
+            ("fail_patterns", ["#1", 2], "fail_patterns"),
+            ("retry_policy", {"backoff": "12"}, "backoff"),
+            ("retry_policy", {"max_attempts": 2.5}, "max_attempts"),
+        ],
+    )
+    def test_from_dict_takes_only_values_of_the_declared_type(self, key, value, named):
+        data = {**self.DESCRIPTORS[BackendKind.STUB].to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"^{named}: expected "):
+            BackendDescriptor.from_dict(data)
+
+    def test_from_dict_widens_an_integer_to_a_float_field(self):
+        data = {**self.DESCRIPTORS[BackendKind.STUB].to_dict(), "timeout": 5}
+        data["retry_policy"] = {"backoff": [1, 0.5]}
+        descriptor = BackendDescriptor.from_dict(data)
+        assert (descriptor.timeout, descriptor.retry_policy.backoff) == (5.0, (1.0, 0.5))
+        assert type(descriptor.timeout) is type(descriptor.retry_policy.backoff[0]) is float
 
     def test_match_on_is_an_unknown_key(self):
         data = self.DESCRIPTORS[BackendKind.STUB].to_dict()

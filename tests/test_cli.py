@@ -470,10 +470,30 @@ MALFORMED = {
     ),
     "run-timeout": ("run", _put("backends", 0, "timeout", value=None), 2, "backends[0]: timeout"),
     "run-unknown-key": ("run", _put("backends", 0, "timeoutt", value=1.0), 2, "timeoutt"),
+    "run-timeout-nan-string": (
+        "run", _put("backends", 0, "timeout", value="nan"), 2, "backends[0]: timeout"
+    ),
+    "run-timeout-nan": (
+        "run", _put("backends", 0, "timeout", value=float("nan")), 2, "backends[0]: timeout"
+    ),
+    "run-fail_patterns-string": (
+        "run", _put("backends", 0, "fail_patterns", value="abc"), 2, "backends[0]: fail_patterns"
+    ),
+    "run-backoff-string": (
+        "run", _put("backends", 0, "retry_policy", value={"backoff": "12"}), 2,
+        "backends[0]: backoff",
+    ),
     "run-not-object": ("run", lambda config, tmp_path: 5, 2, "JSON object"),
     "run-array": ("run", lambda config, tmp_path: [], 2, "JSON object"),
     "run-out_dir": ("run", _below_file("out_dir"), 1, "Not a directory"),
     "train-rank_r": ("train", _put("tune", "rank_r", value=None), 2, "tune: rank_r"),
+    "train-rank_r-fraction": ("train", _put("tune", "rank_r", value=2.7), 2, "tune: rank_r"),
+    "train-learning_rate-nan-string": (
+        "train", _put("tune", "learning_rate", value="nan"), 2, "tune: learning_rate"
+    ),
+    "train-learning_rate-nan": (
+        "train", _put("tune", "learning_rate", value=float("nan")), 2, "tune: learning_rate"
+    ),
     "train-unknown-key": ("train", _put("tune", "learning_rte", value=0.1), 2, "learning_rte"),
     "train-misspelled-key": ("train", _put("modle", value={}), 2, "unknown config keys: ['modle']"),
     "train-vocab_size": ("train", _put("model", "vocab_size", value=2), 2, "model: vocab_size"),

@@ -645,6 +645,26 @@ class TestCheckpoint:
         assert ToyNetConfig.from_dict(model.to_dict()) == model
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rank_r", 2.7),
+            ("rank_r", "2"),
+            ("epochs", True),
+            ("learning_rate", "nan"),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("-inf")),
+            ("target_layers", ["attn"]),
+        ],
+    )
+    def test_tune_config_from_dict_takes_only_values_of_the_declared_type(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}: expected "):
+            TuneConfig.from_dict({key: value})
+
+    def test_tune_config_rejects_a_nan_learning_rate(self):
+        with pytest.raises(TuningError, match="learning_rate must be >= 0"):
+            TuneConfig(learning_rate=float("nan"))
+
+    @pytest.mark.parametrize(
         "field, value",
         [("vocab_size", 2), ("d_model", 0), ("n_layers", 0), ("d_ff", 0), ("max_len", 0)],
     )
