@@ -23,10 +23,10 @@ from typing import Iterable, Sequence, Union
 
 from ._config import read_lines, write_lines
 from .labels import (
+    JSON_LABEL_NAMES,
     Label,
     Task,
     label_from_name,
-    label_space,
     label_to_name,
     labels_in_order,
     task_of_label,
@@ -72,11 +72,6 @@ _RECORD_LINE = (
     '{"dataset_id": %s, "id": %s, "label": %s, "language_tag": %s, '
     '"split": %s, "task": %s, "text": %s}\n'
 )
-# per label space: the two spaces' integer codes compare equal across spaces
-_ENCODED_LABELS = {
-    label_space(task): {lab: _encode(label_to_name(lab)) for lab in labels_in_order(task)}
-    for task in Task
-}
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ class LabeledPost:
         return _RECORD_LINE % (
             _encode(self.dataset_id._value_),
             _encode(self.id),
-            _ENCODED_LABELS[type(self.label)][self.label],
+            JSON_LABEL_NAMES[type(self.label)][self.label],
             _encode(self.language_tag),
             _encode(self.split._value_),
             _encode(self.task._value_),

@@ -8,6 +8,7 @@ between releases.
 from __future__ import annotations
 
 import enum
+import json
 from functools import partial
 from typing import Callable, Union
 
@@ -95,6 +96,14 @@ def label_to_name(label: Label) -> str:
     if isinstance(label, AggressionLabel):
         return label.name
     return label.name.lower()
+
+
+# Each label's serialized name as a JSON string, for the line writers; keyed
+# by label space, as the two spaces' integer codes compare equal across spaces.
+JSON_LABEL_NAMES = {
+    space: {lab: json.encoder.encode_basestring(label_to_name(lab)) for lab in space}
+    for space in _TASK_LABELS.values()
+}
 
 
 def label_from_name(task: Task, name: str) -> Label:
