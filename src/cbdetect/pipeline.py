@@ -157,13 +157,15 @@ def _run_stage(
     posts: Sequence[LabeledPost],
     prompts: list[Prompt],
     descriptor: BackendDescriptor,
-    meta: dict,
     audit: list[dict],
     cues: Sequence[tuple] | None = None,
 ) -> list[Prediction]:
     """Classify a stage's prompts in one batch: one ``Prediction`` per record,
-    its audit entry appended to ``audit``. ``meta`` joins every record's
-    provenance; ``cues`` are EPP stage 2's per-record stage-1 cues."""
+    its audit entry appended to ``audit``. ``cues`` are EPP stage 2's
+    per-record stage-1 cues. A record's provenance holds only what differs
+    per record: its ``match_kind`` when the response parsed, and on EPP
+    stage 2 its ``stage1_mode``; what every record shares is in the
+    manifest."""
     outcomes = backend_mod.classify_batch(prompts, descriptor)
     predictions = []
     for post, prompt, outcome, (annotation, fallback, stage1_text, stage1_mode) in zip(
@@ -171,10 +173,7 @@ def _run_stage(
     ):
         parsed, response_text, failure, entry = _read_outcome(post.id, stage, prompt, outcome)
         audit.append(entry)
-        provenance = prompt.provenance.to_dict()
-        provenance.update(meta)
-        if stage1_mode is not None:
-            provenance["stage1_mode"] = stage1_mode
+        provenance = {} if stage1_mode is None else {"stage1_mode": stage1_mode}
         if parsed is not None:
             provenance["match_kind"] = parsed.match_kind.value
         predictions.append(
@@ -285,11 +284,8 @@ def run_baseline(
     else:
         prompts = [render_zero_shot(post, template) for post in posts]
 
-    descriptor = spec.backends[0]
     audit: list[dict] = []
-    predictions = _run_stage(
-        "main", posts, prompts, descriptor, {"backend_id": descriptor.backend_id}, audit
-    )
+    predictions = _run_stage("main", posts, prompts, spec.backends[0], audit)
     return _finish_run(spec, {"main": template}, predictions, audit, out_dir, posts, exemplars)
 
 
@@ -356,12 +352,7 @@ def run_epp(
     prompts = [
         render_enriched(post, cue[0], enriched_template) for post, cue in zip(posts, cues)
     ]
-    stage_meta = {
-        "backend_id": stage2_backend.backend_id,
-        "stage1_backend_id": stage1_backend.backend_id,
-        "stage1_template_id": stage1_template.template_id,
-    }
-    predictions = _run_stage("stage2", posts, prompts, stage2_backend, stage_meta, audit, cues)
+    predictions = _run_stage("stage2", posts, prompts, stage2_backend, audit, cues)
     templates = {"stage1": stage1_template, "enriched": enriched_template}
     return _finish_run(spec, templates, predictions, audit, out_dir, posts)
 
