@@ -531,7 +531,7 @@ class TestPredictionsFile:
         assert load_predictions(path, Task.CYBERBULLYING) == result.predictions
 
     @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
-    def test_run_dir_with_shared_provenance_still_reports(self, tmp_path, name):
+    def test_older_run_dir_still_reports(self, tmp_path, name):
         older = SHARED_PROVENANCE_RUNS / name
         assert "shared_provenance" in json.loads((older / "manifest.json").read_text("utf-8"))
         assert load_manifest(older / "manifest.json")[1] == PINNED_RUN_IDS[name]
