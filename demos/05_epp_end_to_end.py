@@ -19,6 +19,8 @@ from cbdetect import (
     build_confusion,
     compute_metrics,
     label_space,
+    load_template,
+    render_enriched,
     run_epp,
     split_corpus,
     synth_fixture,
@@ -80,7 +82,16 @@ for prediction in result.predictions[:3]:
         f"predicted={prediction.predicted.display_name}"
     )
 
-# the stage-2 prompts embed the cue verbatim
+# The stage-2 prompt embeds the cue verbatim. These toys read only the post
+# (their input_mode is "post_text"), so the audit log holds no prompt for
+# them; render the first record's stage-2 prompt here to show the cue.
 stage2 = next(e for e in result.audit if e["stage"] == "stage2")
-print("\none stage-2 prompt as sent:")
-print("  " + stage2["rendered_text"].splitlines()[0])
+print(f"\nstage-2 audit entry keys: {sorted(stage2)}")
+print("the toy read the post, so the run rendered no prompt for it;")
+first = result.predictions[0]
+post = next(p for p in eval_posts if p.id == first.post_id)
+prompt = render_enriched(
+    post, first.aggression_annotation, load_template("enriched_v1", Task.CYBERBULLYING)
+)
+print(f"the stage-2 prompt of {first.post_id}, rendered here:")
+print("  " + prompt.rendered_text.splitlines()[0])

@@ -182,8 +182,21 @@ class BackendDescriptor:
             data,
             kind=kind,
             retry_policy=from_fields(RetryPolicy, data.get("retry_policy", {})),
-            stub_rules=tuple((p, r) for p, r in data.get("stub_rules", ())),
+            stub_rules=_stub_rules(data.get("stub_rules", [])),
         )
+
+
+def _stub_rules(value) -> tuple[tuple[str, str], ...]:
+    """A JSON ``stub_rules`` value: an array of rules, each an array of two
+    strings, pattern then response."""
+    if type(value) is list and all(
+        type(rule) is list and len(rule) == 2 and type(rule[0]) is type(rule[1]) is str
+        for rule in value
+    ):
+        return tuple(map(tuple, value))
+    raise ValueError(
+        f"stub_rules: expected an array of [pattern, response] string pairs, got {value!r:.80}"
+    )
 
 
 @dataclass(frozen=True)

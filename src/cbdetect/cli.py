@@ -106,7 +106,8 @@ def _require(config: dict, key: str, kind: type, path: str = "") -> object:
     if key not in config:
         raise click.UsageError(f"missing config key: {where}")
     value = config[key]
-    if not isinstance(value, kind):
+    # as for a config field, a bool is no number
+    if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
         raise click.UsageError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 

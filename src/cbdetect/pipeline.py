@@ -5,8 +5,9 @@ the three-step enriched flow: predict aggression on the raw post, embed the
 predicted display name into the cyberbullying prompt, classify the enriched
 prompt with the second-stage backend.
 
-Each stage renders all of its prompts, then sends them to its backend as
-one batch. Per-record failures (transport or parse) become failure
+Each stage builds all of its prompts, then sends them to its backend as
+one batch; building runs every prompt check, and a prompt's text is
+rendered only if its backend reads it. Per-record failures (transport or parse) become failure
 outcomes on that record only; they never abort a run or disturb
 neighbouring records. Output order always equals input order, even with a
 concurrent backend.
@@ -128,18 +129,25 @@ class ExperimentSpec:
 
 
 def _read_outcome(
-    post_id: str, stage: str, prompt: Prompt, outcome: Union[RawResponse, TransportError]
+    post_id: str,
+    stage: str,
+    prompt: Prompt,
+    outcome: Union[RawResponse, TransportError],
+    reads_prompt: bool,
 ) -> tuple[ParsedLabel | None, str | None, str | None, dict]:
     """(parsed label, response text, failure, audit entry) of one record's
-    outcome: a transport error, a parsed label or a parse failure."""
+    outcome: a transport error, a parsed label or a parse failure. The
+    entry holds the rendered prompt only when the backend ``reads_prompt``;
+    a backend that read the post has it in the records file."""
     failed = isinstance(outcome, BaseException)
     entry = {
         "post_id": post_id,
         "stage": stage,
-        "rendered_text": prompt.rendered_text,
         "response_text": None if failed else outcome.text,
         "failure": str(outcome) if failed else None,
     }
+    if reads_prompt:
+        entry["rendered_text"] = prompt.rendered_text
     if failed:
         return None, None, f"transport_error: {outcome}", entry
     try:
@@ -167,11 +175,14 @@ def _run_stage(
     stage 2 its ``stage1_mode``; what every record shares is in the
     manifest."""
     outcomes = backend_mod.classify_batch(prompts, descriptor)
+    reads_prompt = descriptor.input_mode == "rendered_text"
     predictions = []
     for post, prompt, outcome, (annotation, fallback, stage1_text, stage1_mode) in zip(
         posts, prompts, outcomes, cues or repeat(_NO_CUE)
     ):
-        parsed, response_text, failure, entry = _read_outcome(post.id, stage, prompt, outcome)
+        parsed, response_text, failure, entry = _read_outcome(
+            post.id, stage, prompt, outcome, reads_prompt
+        )
         audit.append(entry)
         provenance = {} if stage1_mode is None else {"stage1_mode": stage1_mode}
         if parsed is not None:
@@ -266,8 +277,8 @@ def run_baseline(
 
     Few-shot runs select exemplars from ``train_posts`` before any backend
     call, so an undersized exemplar class fails the run up front. Every
-    prompt is rendered before the one backend batch, so a prompt error
-    (e.g. exemplar leakage) fails the run with nothing sent.
+    prompt is built, and checked, before the one backend batch, so a prompt
+    error (e.g. exemplar leakage) fails the run with nothing sent.
     """
     if spec.method is Method.EPP:
         raise PipelineError("use run_epp for the enriched pipeline")
@@ -325,6 +336,7 @@ def run_epp(
         zip(stage1_prompts, backend_mod.classify_batch(stage1_prompts, stage1_backend))
     )
 
+    stage1_reads_prompt = stage1_backend.input_mode == "rendered_text"
     audit = []
     # per record: (aggression label, fallback flag, stage-1 response, stage-1 mode)
     cues: list[tuple[AggressionLabel, bool, str | None, str]] = []
@@ -334,7 +346,6 @@ def run_epp(
                 {
                     "post_id": post.id,
                     "stage": "stage1",
-                    "rendered_text": None,
                     "response_text": None,
                     "failure": None,
                     "gold_override": overrides[post.id].name,
@@ -343,7 +354,9 @@ def run_epp(
             cues.append((overrides[post.id], False, None, "gold_override"))
             continue
         prompt, outcome = next(stage1_outcomes)
-        parsed, response_text, _, entry = _read_outcome(post.id, "stage1", prompt, outcome)
+        parsed, response_text, _, entry = _read_outcome(
+            post.id, "stage1", prompt, outcome, stage1_reads_prompt
+        )
         audit.append(entry)
         label = STAGE1_FALLBACK_LABEL if parsed is None else parsed.label
         cues.append((label, parsed is None, response_text, "predicted"))

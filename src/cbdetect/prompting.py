@@ -4,6 +4,10 @@ Every render is a pure function of its arguments and produces byte-identical
 output on repeated calls. The original post text always appears verbatim as
 a contiguous substring of the rendered prompt. Template text lives in
 versioned files under ``cbdetect/templates/``, not in code.
+
+A render function runs every check when it is called and returns a
+``Prompt`` whose text is substituted only when first read: a backend that
+reads only the post never pays for the prompt.
 """
 
 from __future__ import annotations
@@ -56,14 +60,29 @@ def _template_pieces(template_text: str) -> tuple[tuple[str, ...], frozenset[str
 
 def _substitute(template_text: str, values: dict[str, str]) -> str:
     # Single pass: substituted values are never re-scanned, so braces inside
-    # post text cannot trigger another substitution round.
-    pieces, names = _template_pieces(template_text)
-    missing = names.difference(values)
-    if missing:
-        raise PromptError(f"unbound template placeholders: {sorted(missing)}")
+    # post text cannot trigger another substitution round. The render
+    # functions have checked that ``values`` binds every placeholder.
+    pieces, _ = _template_pieces(template_text)
     out = list(pieces)
     out[1::2] = [values[name] for name in pieces[1::2]]
     return "".join(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _check_placeholders(template_text: str, value_keys: tuple[str, ...]) -> None:
+    """Fail a template that the class list, the post text and ``value_keys``
+    leave a placeholder of unbound, or that has no ``{post_text}``: its
+    prompt would not hold the post verbatim. Checked once per (template,
+    value keys)."""
+    names = _template_pieces(template_text)[1]
+    missing = names.difference(("class_list", "post_text", *value_keys))
+    if missing:
+        raise PromptError(f"unbound template placeholders: {sorted(missing)}")
+    if "post_text" not in names:
+        raise PromptError(
+            "template has no {post_text} placeholder: the rendered prompt must "
+            "contain the post text verbatim"
+        )
 
 
 @dataclass(frozen=True)
@@ -117,18 +136,61 @@ class PromptProvenance:
         return out
 
 
-@dataclass(frozen=True)
 class Prompt:
-    """A fully rendered model input plus its target label space."""
+    """A model input plus its target label space.
 
-    rendered_text: str
-    label_space: type
-    post_text: str
-    provenance: PromptProvenance
+    ``rendered_text`` is substituted the first time it is read, then kept,
+    so a stage whose backend reads only ``post_text`` renders nothing;
+    ``provenance`` is built when read. The render functions check every
+    binding before they build a prompt, so reading either never fails.
+    """
 
-    def __post_init__(self) -> None:
-        if self.post_text not in self.rendered_text:
-            raise PromptError("rendered prompt must contain the post text verbatim")
+    __slots__ = (
+        "label_space", "post_text", "_post_id", "_template", "_task", "_mode", "_values",
+        "_extra", "_text",
+    )
+
+    def __init__(
+        self,
+        post: LabeledPost,
+        template: PromptTemplate,
+        task: Task,
+        mode: PromptMode,
+        values: dict[str, str],
+        extra: dict,
+    ) -> None:
+        self.label_space = template.label_space
+        self.post_text = post.text
+        self._post_id = post.id
+        self._template = template
+        self._task = task
+        self._mode = mode
+        self._values = values
+        self._extra = extra
+        self._text = None
+
+    @property
+    def rendered_text(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._text = _substitute(
+                self._template.instruction_text,
+                {"class_list": _class_list(self._task), "post_text": self.post_text, **self._values},
+            )
+        return text
+
+    @property
+    def provenance(self) -> PromptProvenance:
+        return PromptProvenance(
+            template_id=self._template.template_id,
+            template_version=self._template.version,
+            mode=self._mode,
+            post_id=self._post_id,
+            **self._extra,
+        )
+
+    def __repr__(self) -> str:
+        return f"Prompt(post_id={self._post_id!r}, mode={self._mode.value})"
 
 
 @dataclass(frozen=True)
@@ -225,24 +287,11 @@ def _render(
     values: dict[str, str],
     **provenance,
 ) -> Prompt:
-    """Fill ``template`` with ``task``'s class list, the post text and
-    ``values``; ``provenance`` holds the mode-specific provenance fields."""
-    rendered = _substitute(
-        template.instruction_text,
-        {"class_list": _class_list(task), "post_text": post.text, **values},
-    )
-    return Prompt(
-        rendered_text=rendered,
-        label_space=template.label_space,
-        post_text=post.text,
-        provenance=PromptProvenance(
-            template_id=template.template_id,
-            template_version=template.version,
-            mode=mode,
-            post_id=post.id,
-            **provenance,
-        ),
-    )
+    """A prompt that fills ``template`` with ``task``'s class list, the post
+    text and ``values`` when its text is read; ``provenance`` holds the
+    mode-specific provenance fields."""
+    _check_placeholders(template.instruction_text, tuple(values))
+    return Prompt(post, template, task, mode, values, provenance)
 
 
 def render_zero_shot(

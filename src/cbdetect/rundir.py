@@ -2,7 +2,8 @@
 
 ``persist_run`` writes ``manifest.json``, ``predictions.jsonl`` and the
 raw-response audit log ``responses.jsonl`` into a directory named by the
-run id; ``load_predictions`` reads a predictions file back. Each fact is
+run id (an audit entry holds the rendered prompt only where its backend
+read it); ``load_predictions`` reads a predictions file back. Each fact is
 written once: what the whole run shares (method, templates, backends,
 exemplars, overrides) in the manifest, and on a prediction line only what
 belongs to its record, with a provenance of ``match_kind`` and, on EPP,
@@ -17,6 +18,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import permutations
 from os.path import commonprefix
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Union
@@ -84,8 +86,40 @@ _EPP_PREDICTION_LINE = (
     '{"aggression_annotation":%s,"failure":%s,"gold":%s,"post_id":%s,"predicted":%s,'
     '"provenance":%s,"response_text":%s,"stage1_fallback":%s,"stage1_response_text":%s}\n'
 )
-_AUDIT_LINE = '{"failure":%s,"post_id":%s,"rendered_text":%s,"response_text":%s,"stage":%s}\n'
-_AUDIT_KEYS = frozenset(("failure", "post_id", "rendered_text", "response_text", "stage"))
+_AUDIT_LINE = '{"failure":%s,"post_id":%s,"response_text":%s,"stage":%s}\n'
+_RENDERED_AUDIT_LINE = (
+    '{"failure":%s,"post_id":%s,"rendered_text":%s,"response_text":%s,"stage":%s}\n'
+)
+_AUDIT_KEYS = frozenset(("failure", "post_id", "response_text", "stage"))
+_RENDERED_AUDIT_KEYS = _AUDIT_KEYS | {"rendered_text"}
+
+
+def _provenance_table() -> dict[tuple, str]:
+    """The JSON of each provenance a run writes, keyed by its items in
+    either order: a match kind (absent on a failure) and, on EPP stage 2,
+    a stage-1 mode."""
+    table = {}
+    for match_kind in (None, "exact", "synonym", "substring_first"):
+        for stage1_mode in (None, "predicted", "gold_override"):
+            items = [
+                item
+                for item in (("match_kind", match_kind), ("stage1_mode", stage1_mode))
+                if item[1] is not None
+            ]
+            for order in permutations(items):
+                table[order] = _CANONICAL.encode(dict(order))
+    return table
+
+
+_PROVENANCE_JSON = _provenance_table()
+
+
+def _provenance_json(provenance: dict) -> str:
+    """``_CANONICAL.encode(provenance)``, looked up for the provenances a run writes."""
+    try:
+        return _PROVENANCE_JSON[tuple(provenance.items())]
+    except (AttributeError, KeyError, TypeError):
+        return _CANONICAL.encode(provenance)
 
 
 def _prediction_line(p: Prediction) -> str:
@@ -97,7 +131,7 @@ def _prediction_line(p: Prediction) -> str:
         JSON_LABEL_NAMES[type(p.gold)][p.gold],
         _encode(p.post_id),
         "null" if p.predicted is None else JSON_LABEL_NAMES[type(p.predicted)][p.predicted],
-        _CANONICAL.encode(p.provenance),
+        _provenance_json(p.provenance),
         "null" if p.response_text is None else _encode(p.response_text),
     )
     annotation = p.aggression_annotation
@@ -137,35 +171,42 @@ class _PromptEncoder:
 
 
 def _audit_writer() -> Callable[[dict], str]:
-    """A line writer for ``responses.jsonl``. A five-key entry fills one
+    """A line writer for ``responses.jsonl``. A four-key entry, and a
+    five-key one whose ``rendered_text`` is a ``str``, each fill a
     template; any other entry, or one with a value that is neither ``str``
     nor ``None``, is written by ``_canonical_line``."""
     prompts: dict[str, _PromptEncoder] = {}
 
     def line(entry: dict) -> str:
-        text = entry.get("rendered_text")
-        if entry.keys() != _AUDIT_KEYS or not (text is None or type(text) is str):
-            return _canonical_line(entry)
-        failure, response = entry["failure"], entry["response_text"]
+        keys = entry.keys()
         try:
-            if text is None:
-                rendered = "null"
-            else:
-                encoder = prompts.get(entry["stage"])
-                if encoder is None:
-                    encoder = prompts[entry["stage"]] = _PromptEncoder()
-                rendered = encoder.encode(text)
-            return _AUDIT_LINE % (
-                "null" if failure is None else _encode(failure),
-                _encode(entry["post_id"]),
-                rendered,
-                "null" if response is None else _encode(response),
-                _encode(entry["stage"]),
-            )
+            if keys == _AUDIT_KEYS:
+                return _AUDIT_LINE % _audit_fields(entry)
+            text = entry.get("rendered_text")
+            if keys != _RENDERED_AUDIT_KEYS or type(text) is not str:
+                return _canonical_line(entry)
+            failure, post_id, response, stage = _audit_fields(entry)
+            encoder = prompts.get(entry["stage"])
+            if encoder is None:
+                encoder = prompts[entry["stage"]] = _PromptEncoder()
+            return _RENDERED_AUDIT_LINE % (failure, post_id, encoder.encode(text), response, stage)
         except TypeError:
             return _canonical_line(entry)
 
     return line
+
+
+def _audit_fields(entry: dict) -> tuple[str, str, str, str]:
+    """The JSON of an audit entry's ``failure``, ``post_id``,
+    ``response_text`` and ``stage``; a value of another type than ``str``
+    or, for the first and third, ``None`` raises ``TypeError``."""
+    failure, response = entry["failure"], entry["response_text"]
+    return (
+        "null" if failure is None else _encode(failure),
+        _encode(entry["post_id"]),
+        "null" if response is None else _encode(response),
+        _encode(entry["stage"]),
+    )
 
 
 _RUN_FILES = ("manifest.json", "predictions.jsonl", "responses.jsonl")

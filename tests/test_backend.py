@@ -25,7 +25,9 @@ from cbdetect import (
     BackendKind,
     BackendTimeout,
     CyberbullyingLabel,
+    ExperimentSpec,
     MatchKind,
+    Method,
     ParseFailure,
     RawResponse,
     RetryPolicy,
@@ -42,6 +44,7 @@ from cbdetect import (
     make_stub,
     parse_label,
     render_zero_shot,
+    run_epp,
     load_template,
     labels_in_order,
     synth_fixture,
@@ -590,6 +593,11 @@ class TestDescriptor:
             ("fail_patterns", ["#1", 2], "fail_patterns"),
             ("retry_policy", {"backoff": "12"}, "backoff"),
             ("retry_policy", {"max_attempts": 2.5}, "max_attempts"),
+            ("stub_rules", 5, "stub_rules"),
+            ("stub_rules", ["ab"], "stub_rules"),
+            ("stub_rules", [[5, "x"]], "stub_rules"),
+            ("stub_rules", [["a", "b", "c"]], "stub_rules"),
+            ("stub_rules", [["a"]], "stub_rules"),
         ],
     )
     def test_from_dict_takes_only_values_of_the_declared_type(self, key, value, named):
@@ -1009,6 +1017,16 @@ class TestLoopback:
         with pytest.raises(BackendTimeout) as info:
             classify(self._prompt(cyberbullying_fixture), descriptor)
         assert [a.error.startswith("timeout: ") for a in info.value.attempts] == [True, True]
+
+    def test_epp_audit_holds_the_prompts_sent(self, endpoint, cyberbullying_fixture):
+        endpoint.script(_answer("Overtly Aggressive"))
+        live = self._descriptor(endpoint.url)
+        spec = ExperimentSpec(Method.EPP, Task.CYBERBULLYING, (live, live))
+        result = run_epp(cyberbullying_fixture, spec)
+        sent = [payload["messages"][0]["content"] for payload in endpoint.payloads]
+        assert len(sent) == 2 * len(cyberbullying_fixture)
+        assert [entry["rendered_text"] for entry in result.audit] == sent
+        assert all(text.startswith("This post was predicted as Overtly Aggressive.") for text in sent[12:])
 
     def test_one_connection_per_attempt(self, endpoint, cyberbullying_fixture):
         endpoint.script((500, {}, b"{}"), (500, {}, b"{}"), _answer("Religion"))

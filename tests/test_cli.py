@@ -462,9 +462,16 @@ _BAD_CHECKPOINTS = {
 MALFORMED = {
     "run-exemplar_k": ("run", _put("exemplar_k", value="x"), 2, "exemplar_k"),
     "run-seed": ("run", _put("seed", value="abc"), 2, "seed"),
+    "run-exemplar_k-bool": (
+        "run", _put("exemplar_k", value=True), 2, "exemplar_k: expected int, got bool"
+    ),
+    "run-seed-bool": ("run", _put("seed", value=True), 2, "seed: expected int, got bool"),
     "run-checkpoints": ("run", _put("checkpoints", value=5), 2, "checkpoints"),
     "run-misspelled-key": ("run", _put("seeed", value=3), 2, "unknown config keys: ['seeed']"),
     "run-stub_rules": ("run", _put("backends", 0, "stub_rules", value=5), 2, "backends[0]"),
+    "run-stub_rules-pair": (
+        "run", _put("backends", 0, "stub_rules", value=["ab"]), 2, "backends[0]: stub_rules"
+    ),
     "run-retry_policy": (
         "run", _put("backends", 0, "retry_policy", value="x"), 2, "backends[0]: RetryPolicy"
     ),

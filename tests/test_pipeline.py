@@ -47,6 +47,13 @@ def cb_spec(method=Method.ZERO_SHOT, **kwargs):
     return ExperimentSpec(**defaults)
 
 
+def prompt_reading_stub():
+    """The default stage-2 stub, reading the whole rendered prompt: its
+    audit entries hold the prompt, cue included."""
+    stub = class_name_stub(Task.CYBERBULLYING, backend_id="cb-stage")
+    return dataclasses.replace(stub, input_mode="rendered_text")
+
+
 def epp_spec(stage1=None, stage2=None, **kwargs):
     return ExperimentSpec(
         method=Method.EPP,
@@ -232,7 +239,10 @@ class TestRunEpp:
     def test_stage2_prompts_start_with_stage1_prediction(self, cyberbullying_fixture):
         result = run_epp(
             cyberbullying_fixture,
-            epp_spec(stage1=constant_stub("Overtly Aggressive", backend_id="agg")),
+            epp_spec(
+                stage1=constant_stub("Overtly Aggressive", backend_id="agg"),
+                stage2=prompt_reading_stub(),
+            ),
         )
         stage2 = [e for e in result.audit if e["stage"] == "stage2"]
         assert len(stage2) == 12
@@ -243,7 +253,7 @@ class TestRunEpp:
             )
 
     def test_epp_decomposition_byte_exact(self, cyberbullying_fixture):
-        result = run_epp(cyberbullying_fixture, epp_spec())
+        result = run_epp(cyberbullying_fixture, epp_spec(stage2=prompt_reading_stub()))
         template = load_template("enriched_v1", Task.CYBERBULLYING)
         stage2 = {e["post_id"]: e["rendered_text"] for e in result.audit if e["stage"] == "stage2"}
         for post, prediction in zip(cyberbullying_fixture, result.predictions):
@@ -270,10 +280,12 @@ class TestRunEpp:
 
     def test_swapping_stage1_stub_changes_only_display_span(self, cyberbullying_fixture):
         nag_run = run_epp(
-            cyberbullying_fixture, epp_spec(stage1=constant_stub("Not-Aggressive"))
+            cyberbullying_fixture,
+            epp_spec(stage1=constant_stub("Not-Aggressive"), stage2=prompt_reading_stub()),
         )
         cag_run = run_epp(
-            cyberbullying_fixture, epp_spec(stage1=constant_stub("Covertly Aggressive"))
+            cyberbullying_fixture,
+            epp_spec(stage1=constant_stub("Covertly Aggressive"), stage2=prompt_reading_stub()),
         )
         nag_prompts = {e["post_id"]: e["rendered_text"] for e in nag_run.audit if e["stage"] == "stage2"}
         cag_prompts = {e["post_id"]: e["rendered_text"] for e in cag_run.audit if e["stage"] == "stage2"}
@@ -306,7 +318,10 @@ class TestGoldOverrideDiagnostics:
     def test_overrides_replace_stage1_and_are_marked(self, cyberbullying_fixture):
         target = cyberbullying_fixture[3]
         overrides = {target.id: AggressionLabel.OAG}
-        result = run_epp(cyberbullying_fixture, epp_spec(aggression_overrides=overrides))
+        result = run_epp(
+            cyberbullying_fixture,
+            epp_spec(stage2=prompt_reading_stub(), aggression_overrides=overrides),
+        )
         by_id = {p.post_id: p for p in result.predictions}
         assert by_id[target.id].aggression_annotation is AggressionLabel.OAG
         assert by_id[target.id].provenance["stage1_mode"] == "gold_override"
@@ -339,6 +354,93 @@ class TestGoldOverrideDiagnostics:
         assert (first.run_dir / "predictions.jsonl").read_bytes() == (
             second.run_dir / "predictions.jsonl"
         ).read_bytes()
+
+
+class TestAuditHoldsWhatTheBackendRead:
+    """A stage renders a prompt's text only when its backend reads it, and
+    the audit entry holds exactly the text the backend was given."""
+
+    def _runs(self, posts, stage2=None):
+        """Zero-shot, few-shot and EPP runs over ``posts``, each run when its
+        result is asked for."""
+        pool = synth_fixture(4, Task.CYBERBULLYING, seed=99)
+        stage2 = stage2 or class_name_stub(Task.CYBERBULLYING, backend_id="cb-stage")
+        yield run_baseline(posts, cb_spec(backends=(stage2,)))
+        yield run_baseline(posts, cb_spec(method=Method.FEW_SHOT, backends=(stage2,)), pool)
+        yield run_epp(posts, epp_spec(stage2=stage2))
+
+    def test_post_text_stages_render_nothing(self, cyberbullying_fixture, monkeypatch):
+        import cbdetect.prompting as prompting
+
+        expected = [result.predictions for result in self._runs(cyberbullying_fixture)]
+
+        def no_render(*args):
+            raise AssertionError("a post_text stage rendered a prompt")
+
+        monkeypatch.setattr(prompting, "_substitute", no_render)
+        results = list(self._runs(cyberbullying_fixture))
+        assert [r.predictions for r in results] == expected
+        for result in results:
+            assert all(
+                entry.keys() == {"failure", "post_id", "response_text", "stage"}
+                for entry in result.audit
+            )
+
+    def test_rendered_text_stub_entries_hold_what_it_read(
+        self, cyberbullying_fixture, monkeypatch
+    ):
+        import cbdetect.backend as backend_mod
+
+        read = []
+        original = backend_mod._classify_stub
+        monkeypatch.setattr(
+            backend_mod,
+            "_classify_stub",
+            lambda text, *args: read.append(text) or original(text, *args),
+        )
+        for result in self._runs(cyberbullying_fixture, stage2=prompt_reading_stub()):
+            read_by_stage2 = read[-len(cyberbullying_fixture) :]
+            entries = [e for e in result.audit if e["stage"] in ("main", "stage2")]
+            assert [e["rendered_text"] for e in entries] == read_by_stage2
+            assert all("rendered_text" not in e for e in result.audit if e["stage"] == "stage1")
+            read.clear()
+
+    def test_override_entry_holds_no_prompt(self, cyberbullying_fixture):
+        target = cyberbullying_fixture[0]
+        spec = epp_spec(stage1=dataclasses.replace(prompt_reading_stub(), backend_id="agg"),
+                        aggression_overrides={target.id: AggressionLabel.OAG})
+        result = run_epp(cyberbullying_fixture, spec)
+        stage1 = {e["post_id"]: e for e in result.audit if e["stage"] == "stage1"}
+        assert stage1.pop(target.id) == {
+            "post_id": target.id, "stage": "stage1", "response_text": None, "failure": None,
+            "gold_override": "OAG",
+        }
+        assert all("rendered_text" in e for e in stage1.values())
+
+    @pytest.mark.parametrize(
+        "posts, spec, message",
+        [
+            ("cyberbullying", cb_spec(templates={"main": "few_shot_v1"}), "unbound"),
+            ("aggression", cb_spec(), "is bound to CyberbullyingLabel"),
+        ],
+        ids=["unbound-placeholder", "template-task-mismatch"],
+    )
+    def test_prompt_errors_fail_before_any_backend_call(
+        self, request, monkeypatch, posts, spec, message
+    ):
+        import cbdetect.backend as backend_mod
+
+        calls = []
+        original = backend_mod.classify_batch
+        monkeypatch.setattr(
+            backend_mod,
+            "classify_batch",
+            lambda prompts, descriptor: calls.append(descriptor) or original(prompts, descriptor),
+        )
+        posts = request.getfixturevalue(f"{posts}_fixture")
+        with pytest.raises(PromptError, match=message):
+            run_baseline(posts, spec)
+        assert calls == []
 
 
 class TestReproducibility:

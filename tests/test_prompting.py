@@ -15,6 +15,7 @@ from cbdetect import (
     select_exemplars,
     synth_fixture,
 )
+from cbdetect import prompting
 
 ENRICHMENT_SENTENCE = (
     "This post was predicted as {name}. "
@@ -211,12 +212,54 @@ class TestTemplates:
         with pytest.raises(PromptError, match="unbound"):
             render_zero_shot(cyberbullying_fixture[0], template)
 
+    def test_template_without_post_placeholder_fails_when_built(self, cyberbullying_fixture):
+        import dataclasses
+
+        template = dataclasses.replace(
+            zero_shot_template(Task.CYBERBULLYING), instruction_text="Pick one: {class_list}"
+        )
+        with pytest.raises(PromptError, match="no {post_text} placeholder"):
+            render_zero_shot(cyberbullying_fixture[0], template)
+
     def test_braces_in_post_text_survive(self, cyberbullying_fixture):
         import dataclasses
 
         post = dataclasses.replace(cyberbullying_fixture[0], text="code {sample} here")
         prompt = render_zero_shot(post, zero_shot_template(Task.CYBERBULLYING))
         assert "code {sample} here" in prompt.rendered_text
+
+
+class TestLazyText:
+    def test_text_is_substituted_once_on_first_read(self, cyberbullying_fixture, monkeypatch):
+        calls = []
+        substitute = prompting._substitute
+        monkeypatch.setattr(
+            prompting,
+            "_substitute",
+            lambda text, values: calls.append(values["post_text"]) or substitute(text, values),
+        )
+        post = cyberbullying_fixture[0]
+        prompt = render_enriched(post, AggressionLabel.OAG, enriched_template())
+        assert calls == []
+        assert prompt.post_text == post.text
+        assert prompt.provenance.post_id == post.id
+        assert calls == []
+        first = prompt.rendered_text
+        assert prompt.rendered_text is first
+        assert calls == [post.text]
+
+    def test_provenance_is_built_when_read(self, cyberbullying_fixture):
+        pool = synth_fixture(4, Task.CYBERBULLYING, seed=42)
+        exemplars = select_exemplars(pool, k=1, seed=1)
+        post = cyberbullying_fixture[0]
+        prompt = render_few_shot(post, few_shot_template(Task.CYBERBULLYING), exemplars)
+        assert prompt.provenance.to_dict() == {
+            "template_id": "few_shot_v1",
+            "template_version": 1,
+            "mode": "few_shot",
+            "post_id": post.id,
+            "exemplar_source_ids": list(exemplars.source_ids),
+        }
 
 
 def test_verbatim_substring_randomized():
