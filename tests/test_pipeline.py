@@ -497,28 +497,29 @@ PIN_STAGE2 = make_stub(
     fail_patterns=["#2"],
 )
 # sha256 of (predictions.jsonl, responses.jsonl, manifest.json) per run. The
-# audit logs are as written before the per-run caching of parse, render and
-# persist pieces; predictions and manifests as written once a line's
+# audit logs are as written once an entry holds the rendered prompt only
+# where its backend read it (these stubs read the post, so zero-shot and
+# few-shot logs agree); predictions and manifests as written once a line's
 # provenance holds only per-record facts and the manifest every run fact.
 PINNED_RUN_DIGESTS = {
     "zero_shot": (
         "346d78f7769423d5321ebed9a2ce0cbff24ba0f91cc9e8df27f12c751199eb91",
-        "6e6de7986cb8559e8df8e6be0633f6ecac37482f3154b6c05cec4c01930749ec",
+        "82a1ef8e80595203e721f630985304ebda81fe2dbc59c736553f178558cadab8",
         "1dc5d4cca512faa57196d8d0f7eb396b3406d4634e2e480303d1373ad6d281a4",
     ),
     "few_shot": (
         "346d78f7769423d5321ebed9a2ce0cbff24ba0f91cc9e8df27f12c751199eb91",
-        "273eec364042c2dc83b37bf4e82208d5b69f6b5c1edd2811d6f40343b6cdc29f",
+        "82a1ef8e80595203e721f630985304ebda81fe2dbc59c736553f178558cadab8",
         "5a4474e2162f937355fee7eb1b3f7aa923501a47f332c9122a2736ee15343c1c",
     ),
     "epp": (
         "2e7dfa495dcb9a3db7fa31b17881fb36e662a107f4f70505336e24957b325735",
-        "637614da71e8f9e0f9ae904913c9e809e16f174f3e20cab80050731306095675",
+        "bdb669cb1fc1dba0028d7cd39def3a247f6beeaa2fbe355859f427a02cab8a84",
         "8774437bde74d5b38004679bb9c281e8e6b8a1d9686914607216315077fae733",
     ),
     "epp_override": (
         "07ce1ca9395a15ca25da63ec3d7f777b83bf30f36affb2ddb5b0c7bba6d0febf",
-        "15e94b0b303bfd482ea77b892e24138e9fbba50cf20fe945b7c52f1fbb78a06a",
+        "787d9d335e448320b49e3bb853c558b86c96b1fa236928bcf94476bdbd89ea0a",
         "968e6d0cafe7d32a0df4b44bf398c2ab220028dd7cb57b6ffc35c2172a3e0ad4",
     ),
 }
