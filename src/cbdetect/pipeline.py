@@ -7,10 +7,10 @@ prompt with the second-stage backend.
 
 Each stage builds all of its prompts, then sends them to its backend as
 one batch; building runs every prompt check, and a prompt's text is
-rendered only if its backend reads it. Per-record failures (transport or parse) become failure
-outcomes on that record only; they never abort a run or disturb
-neighbouring records. Output order always equals input order, even with a
-concurrent backend.
+rendered only if its backend reads it. Per-record failures (transport or
+parse) become failure outcomes on that record only; they never abort a run
+or disturb neighbouring records. Output order always equals input order,
+even with a concurrent backend.
 A run given an ``out_dir`` is persisted there by ``rundir.persist_run``;
 rerunning from the manifest with stub backends reproduces the predictions
 file byte for byte.

@@ -141,8 +141,10 @@ class Prompt:
 
     ``rendered_text`` is substituted the first time it is read, then kept,
     so a stage whose backend reads only ``post_text`` renders nothing;
-    ``provenance`` is built when read. The render functions check every
-    binding before they build a prompt, so reading either never fails.
+    ``provenance`` is built when read. A render function builds it, with
+    ``values`` for the template's mode-specific placeholders and ``extra``
+    for the mode-specific provenance fields, after checking every binding,
+    so reading either never fails.
     """
 
     __slots__ = (
@@ -188,9 +190,6 @@ class Prompt:
             post_id=self._post_id,
             **self._extra,
         )
-
-    def __repr__(self) -> str:
-        return f"Prompt(post_id={self._post_id!r}, mode={self._mode.value})"
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Union
 
 from ._config import read_lines, write_lines
+from .backend import MatchKind
 from .labels import JSON_LABEL_NAMES, AggressionLabel, Label, Task, label_reader
 
 if TYPE_CHECKING:
@@ -99,7 +100,7 @@ def _provenance_table() -> dict[tuple, str]:
     either order: a match kind (absent on a failure) and, on EPP stage 2,
     a stage-1 mode."""
     table = {}
-    for match_kind in (None, "exact", "synonym", "substring_first"):
+    for match_kind in (None, *(kind.value for kind in MatchKind)):
         for stage1_mode in (None, "predicted", "gold_override"):
             items = [
                 item
