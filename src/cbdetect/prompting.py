@@ -175,10 +175,10 @@ class Prompt:
     def rendered_text(self) -> str:
         text = self._text
         if text is None:
-            text = self._text = _substitute(
-                self._template.instruction_text,
-                {"class_list": _class_list(self._task), "post_text": self.post_text, **self._values},
-            )
+            values = {
+                "class_list": _class_list(self._task), "post_text": self.post_text, **self._values
+            }
+            text = self._text = _substitute(self._template.instruction_text, values)
         return text
 
     @property

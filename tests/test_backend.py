@@ -1026,7 +1026,8 @@ class TestLoopback:
         sent = [payload["messages"][0]["content"] for payload in endpoint.payloads]
         assert len(sent) == 2 * len(cyberbullying_fixture)
         assert [entry["rendered_text"] for entry in result.audit] == sent
-        assert all(text.startswith("This post was predicted as Overtly Aggressive.") for text in sent[12:])
+        cue = "This post was predicted as Overtly Aggressive."
+        assert all(text.startswith(cue) for text in sent[len(cyberbullying_fixture) :])
 
     def test_one_connection_per_attempt(self, endpoint, cyberbullying_fixture):
         endpoint.script((500, {}, b"{}"), (500, {}, b"{}"), _answer("Religion"))
