@@ -51,7 +51,7 @@ class BackendError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttemptRecord:
     number: int
     error: str
@@ -199,7 +199,7 @@ def _stub_rules(value) -> tuple[tuple[str, str], ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawResponse:
     text: str
     latency: float
@@ -213,7 +213,7 @@ class MatchKind(enum.Enum):
     SUBSTRING_FIRST = "substring_first"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedLabel:
     label: Label
     match_kind: MatchKind

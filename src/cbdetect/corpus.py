@@ -74,7 +74,7 @@ _RECORD_LINE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledPost:
     """One normalized text record."""
 
@@ -128,24 +128,12 @@ class LabeledPost:
         if not (type(post_id) is str and type(text) is str and type(language_tag) is str):
             name = next(k for k in ("id", "text", "language_tag") if type(record[k]) is not str)
             raise CorpusError(f"{name}: expected a string, got {type(record[name]).__name__}")
-        return cls(
-            id=post_id,
-            text=text,
-            task=task,
-            label=label,
-            dataset_id=dataset_id,
-            split=split,
-            language_tag=language_tag,
-        )
+        return cls(post_id, text, task, label, dataset_id, split, language_tag)
 
     def _retagged(self, split: Split) -> "LabeledPost":
         """``dataclasses.replace(self, split=split)`` without re-running the
-        validation this post passed when it was built.
-
-        Fields are set one by one, as the generated ``__init__`` sets them:
-        reading or writing ``__dict__`` would give each post a separate dict
-        object for the garbage collector to track.
-        """
+        validation this post passed when it was built: each slot is copied
+        as the generated ``__init__`` sets it."""
         post = object.__new__(type(self))
         for name in _FIELD_NAMES:
             object.__setattr__(post, name, getattr(self, name))
@@ -239,7 +227,8 @@ def load_dataset(path: Union[str, Path], schema_id: Union[DatasetId, str]) -> Lo
     seen_ids: set[str] = set()
 
     label_map = schema.label_map
-    id_prefix = schema.schema_id.value.lower()
+    task, dataset_id, language_tag = schema.task, schema.schema_id, schema.language_tag
+    id_prefix = dataset_id.value.lower()
 
     # utf-8-sig: a byte order mark must not become part of the first column name
     with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -292,13 +281,7 @@ def load_dataset(path: Union[str, Path], schema_id: Union[DatasetId, str]) -> Lo
             seen_ids.add(post_id)
             accepted.append(
                 LabeledPost(
-                    id=post_id,
-                    text=text,
-                    task=schema.task,
-                    label=label_map[raw_label],
-                    dataset_id=schema.schema_id,
-                    split=Split.TRAIN,
-                    language_tag=schema.language_tag,
+                    post_id, text, task, label_map[raw_label], dataset_id, Split.TRAIN, language_tag
                 )
             )
 
@@ -378,8 +361,9 @@ def split_corpus(
     """Partition posts into train/validation/test deterministically.
 
     The partition depends only on the record ids and the seed, never on the
-    input order. Every post lands in exactly one split, re-tagged with its
-    destination.
+    input order. Every post lands in exactly one split, tagged with its
+    destination: a post already tagged so is returned as it is (posts are
+    frozen, so sharing one is safe), every other post is re-tagged.
     """
     if not posts:
         raise CorpusError("cannot split an empty corpus")
@@ -395,7 +379,7 @@ def split_corpus(
         Split.TEST: ordered[n_train + n_val :],
     }
     return {
-        split: tuple(post._retagged(split) for post in chunk)
+        split: tuple(post if post.split is split else post._retagged(split) for post in chunk)
         for split, chunk in sections.items()
     }
 

@@ -35,7 +35,7 @@ class PipelineError(ValueError):
     """A run that cannot be configured, persisted or read back."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """Outcome for one record, in input position."""
 

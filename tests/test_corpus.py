@@ -591,3 +591,54 @@ class TestSplitRetag:
         ][0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             post.split = Split.TEST
+
+    SPEC = SplitSpec(0.6, 0.2, 0.2, seed=5)
+
+    @staticmethod
+    def _tagged(posts, splits):
+        """The posts, each tagged on input with its split in ``splits``."""
+        return tuple(dataclasses.replace(p, split=s) for p, s in zip(posts, splits, strict=True))
+
+    def test_post_in_place_is_the_same_object(self):
+        posts = synth_fixture(10, Task.CYBERBULLYING, seed=4)
+        splits = split_corpus(posts, self.SPEC)
+        assert splits[Split.TRAIN] and all(
+            any(post is p for p in posts) for post in splits[Split.TRAIN]
+        )
+
+    def test_posts_tagged_elsewhere_land_where_the_seed_sends_them(self):
+        posts = synth_fixture(10, Task.CYBERBULLYING, seed=4)
+        destination = {
+            post.id: split for split, chunk in split_corpus(posts, self.SPEC).items()
+            for post in chunk
+        }
+        cycle = [Split.VALIDATION, Split.TEST, Split.TRAIN]
+        tagged = self._tagged(posts, [cycle[i % 3] for i in range(len(posts))])
+        assert {p.split for p in tagged} == set(Split)
+        for split, chunk in split_corpus(tagged, self.SPEC).items():
+            for post in chunk:
+                original = next(p for p in tagged if p.id == post.id)
+                assert destination[post.id] is split and post.split is split
+                if original.split is split:
+                    assert post is original
+                else:
+                    assert post is not original
+                    assert post == dataclasses.replace(original, split=split)
+
+    def test_retagged_post_in_every_split_stays_frozen(self):
+        posts = synth_fixture(10, Task.AGGRESSION, seed=4)
+        destination = {
+            post.id: split for split, chunk in split_corpus(posts, self.SPEC).items()
+            for post in chunk
+        }
+        # every post tagged with a split other than its destination
+        other = {Split.TRAIN: Split.TEST, Split.VALIDATION: Split.TRAIN, Split.TEST: Split.VALIDATION}
+        tagged = self._tagged(posts, [other[destination[p.id]] for p in posts])
+        for split, chunk in split_corpus(tagged, self.SPEC).items():
+            post = chunk[0]
+            assert post.split is split and all(post is not p for p in tagged)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                post.split = Split.TEST
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                post.text = "changed"
+
