@@ -508,9 +508,10 @@ def _synonym_matcher(table: Mapping[str, Label]) -> tuple[re.Pattern, tuple[Labe
 
 
 @functools.lru_cache(maxsize=None)
-def _default_synonym_matcher(task: Task) -> tuple[re.Pattern, tuple[Label, ...]]:
-    """The shipped table's matcher, built once per task (two entries at most)."""
-    return _synonym_matcher(load_synonym_table(task))
+def _default_synonym_matcher(space: type) -> tuple[re.Pattern, tuple[Label, ...]]:
+    """The shipped table's matcher, built once per label space (two entries
+    at most); keyed by the space, as a Task key hashes in Python."""
+    return _synonym_matcher(load_synonym_table(_task_of_space(space)))
 
 
 def parse_label(
@@ -536,7 +537,7 @@ def parse_label(
         return ParsedLabel(label=exact, match_kind=MatchKind.EXACT)
 
     if synonym_table is None:
-        pattern, group_labels = _default_synonym_matcher(_task_of_space(space))
+        pattern, group_labels = _default_synonym_matcher(space)
     else:
         pattern, group_labels = _synonym_matcher(synonym_table)
     match = pattern.search(text)

@@ -186,7 +186,7 @@ def _run_stage(
         audit.append(entry)
         provenance = {} if stage1_mode is None else {"stage1_mode": stage1_mode}
         if parsed is not None:
-            provenance["match_kind"] = parsed.match_kind.value
+            provenance["match_kind"] = parsed.match_kind._value_
         predictions.append(
             Prediction(
                 post_id=post.id,

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .corpus import LabeledPost
 from .labels import (
+    _SPACE_TASKS,
     AggressionLabel,
     Label,
     Task,
@@ -233,10 +234,10 @@ def select_exemplars(train: Sequence[LabeledPost], k: int, seed: int) -> Exempla
         raise PromptError("k must be >= 1")
     if not train:
         raise PromptError("empty training pool")
-    tasks = {p.task for p in train}
-    if len(tasks) > 1:
+    # by identity: a set of tasks would hash each post's Task in Python
+    task = train[0].task
+    if any(p.task is not task for p in train):
         raise PromptError("exemplar pool mixes tasks")
-    task = tasks.pop()
 
     by_class: dict[Label, list[LabeledPost]] = {lab: [] for lab in labels_in_order(task)}
     for post in train:
@@ -266,6 +267,9 @@ def select_exemplars(train: Sequence[LabeledPost], k: int, seed: int) -> Exempla
 
 
 def _check_template_task(template: PromptTemplate, task: Task) -> None:
+    # by identity first: label_space(task) hashes the Task in Python
+    if _SPACE_TASKS.get(template.label_space) is task:
+        return
     if template.label_space is not label_space(task):
         raise PromptError(
             f"template {template.template_id!r} is bound to "

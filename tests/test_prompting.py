@@ -89,6 +89,13 @@ class TestSelectExemplars:
         second = select_exemplars(shuffled, k=2, seed=3)
         assert first == second
 
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_mixed_task_pool_is_refused(self, aggression_fixture, cyberbullying_fixture, at):
+        pool = list(cyberbullying_fixture)
+        pool[at] = aggression_fixture[0]
+        with pytest.raises(PromptError, match="^exemplar pool mixes tasks$"):
+            select_exemplars(pool, k=1, seed=0)
+
 
 class TestFewShot:
     def test_exemplar_label_line_count(self, cyberbullying_fixture):
