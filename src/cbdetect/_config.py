@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -70,15 +71,27 @@ def write_lines(path, items: Iterable, encode: Callable[..., str]) -> Path:
     return path
 
 
+# bytes read per block, before the block is carried on to the next b"\n"
+_BLOCK_BYTES = 1 << 16
+
+
 def read_lines(path, build: Callable[[dict], object], error: type[Exception]) -> list:
     """``build`` the JSON object of each line that is not blank; only ``\\n``
     ends a line. A line that fails UTF-8, JSON or ``build`` raises ``error``.
 
-    The file is decoded once and each line's object scanned in place. On any
-    failure the file is read again line by line, the way that names the
-    first bad line."""
+    The file is read in blocks that end at a ``\\n`` byte, so a block holds
+    whole lines and decodes on its own; each block is decoded once and each
+    line's object scanned in place. Only one block's text is held at a
+    time: one character beyond U+FFFF makes a whole decoded text 4 bytes a
+    character. On any failure the file is read again line by line, the way
+    that names the first bad line."""
     try:
-        return _build_each(Path(path).read_bytes().decode("utf-8"), build)
+        built = []
+        with Path(path).open("rb") as handle:
+            for block in iter(partial(handle.read, _BLOCK_BYTES), b""):
+                block += handle.readline()
+                built += _build_each(block.decode("utf-8"), build)
+        return built
     except (StopIteration, ValueError, TypeError, KeyError, AttributeError):
         with open(path, "rb") as handle:
             return [
