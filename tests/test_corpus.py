@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -644,12 +645,11 @@ class TestSplitRetag:
 
 
 def test_load_records_holds_one_block_of_decoded_text(tmp_path):
-    # One character beyond U+FFFF makes a decoded text 4 bytes a character.
-    # Decoding the whole file at once held its bytes and that text together,
-    # at least 5 bytes per file byte: on this 3.3 MB file the peak read
-    # 19.78 MB (6.0 bytes per file byte) before the reader went by blocks.
-    import tracemalloc
-
+    # One character beyond U+FFFF makes a decoded text 4 bytes a character,
+    # so a reader that decoded the whole file at once would hold its bytes
+    # and that text together, at least 5 bytes per file byte (19.78 MB, 6.0
+    # per file byte, measured on this file); the block reader stays under
+    # half of that floor.
     words = "tease " * 160
     posts = [
         LabeledPost(

@@ -69,9 +69,9 @@ def test_writing_a_field_or_a_new_attribute_is_refused(record):
     before = values(obj)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, name, value)
-    # a name that is no field is refused too: as FrozenInstanceError from
-    # Python 3.12 on, as TypeError before (the slotted class's generated
-    # __setattr__ names the class it replaced in its super() call)
+    # a name that is no field is refused too, as TypeError on Python
+    # versions whose generated __setattr__ names, in its super() call, the
+    # class that slots=True replaced
     with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
         obj.extra = 1
     assert not hasattr(obj, "extra")
