@@ -266,9 +266,13 @@ def classify_batch(
         return []
     if descriptor.kind is BackendKind.STUB:
         text_of = _INPUT_TEXT[descriptor.input_mode]
-        fails = tuple(pattern.lower() for pattern in descriptor.fail_patterns)
-        rules = tuple((pattern.lower(), response) for pattern, response in descriptor.stub_rules)
-        return [_outcome(_classify_stub, text_of(p), descriptor, fails, rules) for p in prompts]
+        fails = tuple((pattern.lower(), pattern) for pattern in descriptor.fail_patterns)
+        rules = tuple(
+            (pattern.lower(), RawResponse(response, 0.0, descriptor.backend_id))
+            for pattern, response in descriptor.stub_rules
+        )
+        default = RawResponse(descriptor.default_response, 0.0, descriptor.backend_id)
+        return [_outcome(_classify_stub, text_of(p), fails, rules, default) for p in prompts]
     if descriptor.kind is BackendKind.TOY_CHECKPOINT:
         return _classify_toy(prompts, descriptor)
     return _classify_live(prompts, descriptor)
@@ -291,20 +295,22 @@ def _outcome(send, *args) -> RawResponse | TransportError:
 
 
 def _classify_stub(
-    text: str, descriptor: BackendDescriptor, fail_patterns: tuple, rules: tuple
+    text: str, fail_patterns: tuple, rules: tuple, default: RawResponse
 ) -> RawResponse:
-    """The stub's answer to ``text``; its patterns come lower-cased, once per batch."""
+    """The stub's answer to ``text``. Built once per batch: the fail
+    patterns as (lower-cased, original) pairs, the rules as (lower-cased
+    pattern, answer) pairs, and the default answer; records that get the
+    same answer share one ``RawResponse``. An injected failure is a new
+    ``TransportError`` per record."""
     lowered = text.lower()
-    for pattern, original in zip(fail_patterns, descriptor.fail_patterns):
+    for pattern, original in fail_patterns:
         if pattern in lowered:
             attempt = AttemptRecord(number=1, error=f"injected failure on {original!r}", elapsed=0.0)
             raise TransportError("stub injected transport failure", (attempt,))
     for pattern, response in rules:
         if pattern in lowered:
-            return RawResponse(text=response, latency=0.0, backend_id=descriptor.backend_id)
-    return RawResponse(
-        text=descriptor.default_response, latency=0.0, backend_id=descriptor.backend_id
-    )
+            return response
+    return default
 
 
 def _classify_toy(prompts: Sequence[Prompt], descriptor: BackendDescriptor) -> list[RawResponse]:
@@ -312,7 +318,8 @@ def _classify_toy(prompts: Sequence[Prompt], descriptor: BackendDescriptor) -> l
 
     The checkpoint is read on every call, never cached, so a file rewritten
     at the same path is always served fresh. A record's latency is its
-    task group's prediction time shared evenly over the group's records.
+    task group's prediction time shared evenly over the group's records,
+    so a group's records with one predicted label share one ``RawResponse``.
     """
     from .tuning import checkpoint as toy_checkpoint
 
@@ -328,10 +335,12 @@ def _classify_toy(prompts: Sequence[Prompt], descriptor: BackendDescriptor) -> l
         started = time.perf_counter()
         labels = classifier.predict_batch(texts, task)
         latency = (time.perf_counter() - started) / len(rows)
+        answers = {
+            label: RawResponse(label.display_name, latency, descriptor.backend_id)
+            for label in set(labels)
+        }
         for row, label in zip(rows, labels):
-            responses[row] = RawResponse(
-                text=label.display_name, latency=latency, backend_id=descriptor.backend_id
-            )
+            responses[row] = answers[label]
     return [responses[row] for row in range(len(prompts))]
 
 

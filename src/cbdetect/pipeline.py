@@ -7,10 +7,11 @@ prompt with the second-stage backend.
 
 Each stage builds all of its prompts, then sends them to its backend as
 one batch; building runs every prompt check, and a prompt's text is
-rendered only if its backend reads it. Per-record failures (transport or
-parse) become failure outcomes on that record only; they never abort a run
-or disturb neighbouring records. Output order always equals input order,
-even with a concurrent backend.
+rendered only if its backend reads it. Each distinct answer text of a
+batch is parsed once. Per-record failures (transport or parse) become
+failure outcomes on that record only; they never abort a run or disturb
+neighbouring records. Output order always equals input order, even with a
+concurrent backend.
 A run given an ``out_dir`` is persisted there by ``rundir.persist_run``;
 rerunning from the manifest with stub backends reproduces the predictions
 file byte for byte.
@@ -128,17 +129,27 @@ class ExperimentSpec:
         return defaults[role]
 
 
+# a parse dict's marker for a response text that maps to no label
+_UNPARSEABLE = object()
+
+
 def _read_outcome(
     post_id: str,
     stage: str,
     prompt: Prompt,
     outcome: Union[RawResponse, TransportError],
     reads_prompt: bool,
+    parses: dict,
 ) -> tuple[ParsedLabel | None, str | None, str | None, dict]:
     """(parsed label, response text, failure, audit entry) of one record's
     outcome: a transport error, a parsed label or a parse failure. The
     entry holds the rendered prompt only when the backend ``reads_prompt``;
-    a backend that read the post has it in the records file."""
+    a backend that read the post has it in the records file.
+
+    ``parses`` is the stage batch's map from (response text, label space)
+    to its ``ParsedLabel`` or ``_UNPARSEABLE``: ``parse_label`` runs only
+    on a text the batch has not met, and a transport error is never
+    parsed."""
     failed = isinstance(outcome, BaseException)
     entry = {
         "post_id": post_id,
@@ -150,10 +161,17 @@ def _read_outcome(
         entry["rendered_text"] = prompt.rendered_text
     if failed:
         return None, None, f"transport_error: {outcome}", entry
-    try:
-        return parse_label(outcome, prompt.label_space), outcome.text, None, entry
-    except ParseFailure:
+    key = (outcome.text, prompt.label_space)
+    parsed = parses.get(key)
+    if parsed is None:
+        try:
+            parsed = parse_label(outcome, prompt.label_space)
+        except ParseFailure:
+            parsed = _UNPARSEABLE
+        parses[key] = parsed
+    if parsed is _UNPARSEABLE:
         return None, outcome.text, "parse_failure", entry
+    return parsed, outcome.text, None, entry
 
 
 # a baseline record's stage-1 cue: no annotation, no fallback, no response, no mode
@@ -169,19 +187,20 @@ def _run_stage(
     cues: Sequence[tuple] | None = None,
 ) -> list[Prediction]:
     """Classify a stage's prompts in one batch: one ``Prediction`` per record,
-    its audit entry appended to ``audit``. ``cues`` are EPP stage 2's
-    per-record stage-1 cues. A record's provenance holds only what differs
-    per record: its ``match_kind`` when the response parsed, and on EPP
-    stage 2 its ``stage1_mode``; what every record shares is in the
-    manifest."""
+    its audit entry appended to ``audit``. Each distinct response text is
+    parsed once per batch. ``cues`` are EPP stage 2's per-record stage-1
+    cues. A record's provenance holds only what differs per record: its
+    ``match_kind`` when the response parsed, and on EPP stage 2 its
+    ``stage1_mode``; what every record shares is in the manifest."""
     outcomes = backend_mod.classify_batch(prompts, descriptor)
     reads_prompt = descriptor.input_mode == "rendered_text"
+    parses: dict = {}
     predictions = []
     for post, prompt, outcome, (annotation, fallback, stage1_text, stage1_mode) in zip(
         posts, prompts, outcomes, cues or repeat(_NO_CUE)
     ):
         parsed, response_text, failure, entry = _read_outcome(
-            post.id, stage, prompt, outcome, reads_prompt
+            post.id, stage, prompt, outcome, reads_prompt, parses
         )
         audit.append(entry)
         provenance = {} if stage1_mode is None else {"stage1_mode": stage1_mode}
@@ -337,6 +356,7 @@ def run_epp(
     )
 
     stage1_reads_prompt = stage1_backend.input_mode == "rendered_text"
+    stage1_parses: dict = {}
     audit = []
     # per record: (aggression label, fallback flag, stage-1 response, stage-1 mode)
     cues: list[tuple[AggressionLabel, bool, str | None, str]] = []
@@ -355,7 +375,7 @@ def run_epp(
             continue
         prompt, outcome = next(stage1_outcomes)
         parsed, response_text, _, entry = _read_outcome(
-            post.id, "stage1", prompt, outcome, stage1_reads_prompt
+            post.id, "stage1", prompt, outcome, stage1_reads_prompt, stage1_parses
         )
         audit.append(entry)
         label = STAGE1_FALLBACK_LABEL if parsed is None else parsed.label

@@ -435,6 +435,14 @@ class TestToyBackend:
         classifier = load_classifier(path)
         expected = [classifier.predict(p.post_text, task).display_name for task, p in tagged]
 
+        outcomes = classify_batch(prompts, toy_descriptor(path))
+        assert [o.text for o in outcomes] == expected
+        # a task group's records share its time evenly
+        for task in (Task.AGGRESSION, Task.CYBERBULLYING):
+            group = [o for (t, _), o in zip(tagged, outcomes) if t is task]
+            assert {o.latency for o in group} == {group[0].latency} and group[0].latency > 0
+            assert {o.backend_id for o in group} == {"toy"}
+
         calls = {"pooled": 0, "effective_weights": 0}
         pooled, effective = ToyTransformer.pooled, AdapterState.effective_weights
 
@@ -530,6 +538,38 @@ class TestStub:
         template = load_template("zero_shot_v1", Task.CYBERBULLYING)
         with pytest.raises(TransportError):
             classify(render_zero_shot(post, template), stub)
+
+
+class TestStubBatch:
+    """The stub builds each answer once per batch; outcomes are unchanged."""
+
+    def _outcomes(self, posts, stub):
+        template = load_template("zero_shot_v1", Task.CYBERBULLYING)
+        return classify_batch([render_zero_shot(post, template) for post in posts], stub)
+
+    def test_records_matched_by_one_rule_get_equal_answers(self, cyberbullying_fixture):
+        stub = make_stub(
+            [("Religion", "Religion"), ("Gender/Sexual", "sexist")],
+            backend_id="s", default_response="none",
+        )
+        answers = {
+            CyberbullyingLabel.RELIGION: "Religion", CyberbullyingLabel.GENDER_SEXUAL: "sexist"
+        }
+        outcomes = self._outcomes(cyberbullying_fixture, stub)
+        for post, outcome in zip(cyberbullying_fixture, outcomes):
+            # a record matching no rule gets the default response
+            assert outcome == RawResponse(answers.get(post.label, "none"), 0.0, "s")
+
+    def test_each_injected_failure_is_its_own_error(self, cyberbullying_fixture):
+        stub = make_stub([("", "Religion")], fail_patterns=["zzz", "RELIGION"])
+        outcomes = self._outcomes(cyberbullying_fixture, stub)
+        failed = [o for o in outcomes if isinstance(o, TransportError)]
+        assert len(failed) == 3
+        assert len({id(error) for error in failed}) == 3
+        for error in failed:
+            assert error.attempts == (
+                backend_mod.AttemptRecord(1, "injected failure on 'RELIGION'", 0.0),
+            )
 
 
 class TestDescriptor:

@@ -622,6 +622,86 @@ class TestPinnedBytes:
             load_predictions(path, Task.CYBERBULLYING)
 
 
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The (response text, label space) of every parse the pipeline runs."""
+    import cbdetect.pipeline as pipeline_mod
+
+    calls = []
+    original = pipeline_mod.parse_label
+
+    def counting(raw, space, *args):
+        calls.append((raw.text, space))
+        return original(raw, space, *args)
+
+    monkeypatch.setattr(pipeline_mod, "parse_label", counting)
+    return calls
+
+
+class TestParseOncePerAnswer:
+    """Within a stage batch each distinct answer text is parsed once."""
+
+    def test_zero_shot_parses_each_distinct_answer_once(self, cyberbullying_fixture, parse_calls):
+        stub = make_stub(
+            [("Religion", "Religion"), ("Gender/Sexual", "sounds sexist")],
+            default_response="harmless",
+        )
+        result = run_baseline(cyberbullying_fixture, cb_spec(backends=(stub,)))
+        assert len({p.response_text for p in result.predictions}) == 3
+        assert all(p.predicted is not None for p in result.predictions)
+        assert sorted(parse_calls) == [
+            ("Religion", CyberbullyingLabel),
+            ("harmless", CyberbullyingLabel),
+            ("sounds sexist", CyberbullyingLabel),
+        ]
+
+    def test_epp_parses_each_distinct_answer_once_per_stage(
+        self, cyberbullying_fixture, parse_calls
+    ):
+        stage1 = make_stub([("Religion", "Overtly Aggressive")], default_response="neutral")
+        result = run_epp(cyberbullying_fixture, epp_spec(stage1=stage1))
+        stage1_texts = {p.stage1_response_text for p in result.predictions}
+        stage2_texts = {p.response_text for p in result.predictions}
+        assert len(stage1_texts) == 2 and len(stage2_texts) == 4
+        assert sorted(parse_calls, key=repr) == sorted(
+            [(text, AggressionLabel) for text in stage1_texts]
+            + [(text, CyberbullyingLabel) for text in stage2_texts],
+            key=repr,
+        )
+
+    def test_repeated_unparseable_answer_fails_every_record(
+        self, cyberbullying_fixture, parse_calls
+    ):
+        result = run_baseline(cyberbullying_fixture, cb_spec(backends=(constant_stub("&&&&"),)))
+        assert all(p.failure == "parse_failure" for p in result.predictions)
+        assert all(p.response_text == "&&&&" for p in result.predictions)
+        assert parse_calls == [("&&&&", CyberbullyingLabel)]
+
+    def test_one_text_is_parsed_in_each_label_space(self, cyberbullying_fixture, parse_calls):
+        # "Religion" names no aggression class, so stage 1 falls back
+        spec = epp_spec(stage1=constant_stub("Religion"), stage2=constant_stub("Religion"))
+        result = run_epp(cyberbullying_fixture, spec)
+        assert all(p.stage1_fallback for p in result.predictions)
+        assert all(p.predicted is CyberbullyingLabel.RELIGION for p in result.predictions)
+        assert parse_calls == [("Religion", AggressionLabel), ("Religion", CyberbullyingLabel)]
+
+    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    def test_runs_equal_runs_that_parse_every_record(self, monkeypatch, name):
+        import cbdetect.pipeline as pipeline_mod
+
+        posts, spec, pool = _pinned_inputs(name)
+        shared = run_experiment(posts, spec, train_posts=pool)
+        read_outcome = pipeline_mod._read_outcome
+        # a fresh parse dict per record parses every record's answer
+        monkeypatch.setattr(
+            pipeline_mod, "_read_outcome", lambda *args: read_outcome(*args[:-1], {})
+        )
+        per_record = run_experiment(posts, spec, train_posts=pool)
+        assert shared.predictions == per_record.predictions
+        assert shared.audit == per_record.audit
+        assert [list(entry) for entry in shared.audit] == [list(e) for e in per_record.audit]
+
+
 class TestPredictionsFile:
     def test_line_separators_in_a_response_read_back(self, tmp_path):
         # written unescaped, U+2028 and U+0085 end a line for str.splitlines
