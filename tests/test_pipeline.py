@@ -496,6 +496,24 @@ PIN_STAGE2 = make_stub(
     backend_id="pin-cb",
     fail_patterns=["#2"],
 )
+# The same outcomes from stubs that read the rendered prompt, so their
+# audit logs hold every prompt. A stage-2 pattern ends in the blank line
+# after the query post, which no few-shot exemplar is followed by, or
+# names the enrichment cue.
+PIN_RENDERED_STAGE1 = dataclasses.replace(PIN_STAGE1, input_mode="rendered_text")
+PIN_RENDERED_STAGE2 = dataclasses.replace(
+    make_stub(
+        [
+            ("#0\n\n", "Ethnicity/Race"),
+            ("#1\n\n", "This reads as religious, not gender-based."),
+            ("predicted as Overtly Aggressive.", "Leaning Not Cyberbullyingish"),
+            ("", "Keine Angabe — Straße"),
+        ],
+        backend_id="pin-cb-rendered",
+        fail_patterns=["religion, mods are asleep #0\n\n"],
+    ),
+    input_mode="rendered_text",
+)
 # sha256 of (predictions.jsonl, responses.jsonl, manifest.json) per run. The
 # audit logs are as written once an entry holds the rendered prompt only
 # where its backend read it (these stubs read the post, so zero-shot and
@@ -522,6 +540,17 @@ PINNED_RUN_DIGESTS = {
         "787d9d335e448320b49e3bb853c558b86c96b1fa236928bcf94476bdbd89ea0a",
         "968e6d0cafe7d32a0df4b44bf398c2ab220028dd7cb57b6ffc35c2172a3e0ad4",
     ),
+    # stubs that read the rendered prompt: the audit logs hold every prompt
+    "few_shot_rendered": (
+        "c1eae80984378b90443cafae08e53b214eee40849a9b49d22560b4ac70e45ba9",
+        "64b7a8b6f79152c32b01c862b1530cb4d1d4dd051fc5e42084fd793bdf652039",
+        "7ee65ab55885ac156b82e1363e7a3f8ac09a7b2abfd39eae2aad739a606c9174",
+    ),
+    "epp_rendered": (
+        "e26d39c9de514cef11fdf0418fa2dfdb52b9f7ed27074f304698eb500b9c5b36",
+        "951dc7e5e9fcca620ac894875c43e2e9879f3c95a77bea6a0a9acf4dc930cb0c",
+        "fe87820eaa119469e4f5ae70738587451979df3f78ddac09a63ab78967a6d556",
+    ),
 }
 
 
@@ -532,7 +561,10 @@ PINNED_RUN_IDS = {
     "few_shot": "8f1994a5d5db",
     "epp": "c445a2fe5321",
     "epp_override": "8f8d0705f775",
+    "few_shot_rendered": "2ce201d4b1e5",
+    "epp_rendered": "c8fa60b01a00",
 }
+PINNED_RUNS = tuple(PINNED_RUN_IDS)
 PINNED_RUN_FILES = ("predictions.jsonl", "responses.jsonl", "manifest.json")
 # each pinned run's manifest.json and predictions.jsonl as written when the
 # manifest held a "shared_provenance" block: the provenance pairs every
@@ -548,6 +580,11 @@ def _pinned_inputs(name):
     if name == "few_shot":
         spec = cb_spec(method=Method.FEW_SHOT, backends=(PIN_STAGE2,), seed=5)
         return posts, spec, synth_fixture(4, Task.CYBERBULLYING, seed=99)
+    if name == "few_shot_rendered":
+        spec = cb_spec(method=Method.FEW_SHOT, backends=(PIN_RENDERED_STAGE2,), seed=5)
+        return posts, spec, synth_fixture(4, Task.CYBERBULLYING, seed=99)
+    if name == "epp_rendered":
+        return posts, epp_spec(PIN_RENDERED_STAGE1, PIN_RENDERED_STAGE2), None
     overrides = {posts[4].id: AggressionLabel.OAG} if name == "epp_override" else {}
     return posts, epp_spec(PIN_STAGE1, PIN_STAGE2, aggression_overrides=overrides), None
 
@@ -558,7 +595,7 @@ def _pinned_run(name, out_dir):
 
 
 class TestPinnedBytes:
-    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    @pytest.mark.parametrize("name", PINNED_RUNS)
     def test_run_files_match_pinned_digests(self, tmp_path, name):
         run_dir = _pinned_run(name, tmp_path).run_dir
         digests = tuple(
@@ -566,7 +603,7 @@ class TestPinnedBytes:
         )
         assert digests == PINNED_RUN_DIGESTS[name]
 
-    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    @pytest.mark.parametrize("name", PINNED_RUNS)
     def test_run_id_matches_pinned_id(self, tmp_path, name):
         result = _pinned_run(name, tmp_path)
         assert result.run_id == result.run_dir.name == PINNED_RUN_IDS[name]
@@ -579,7 +616,7 @@ class TestPinnedBytes:
         manifest = json.loads((result.run_dir / "manifest.json").read_text(encoding="utf-8"))
         assert "shared_provenance" not in manifest
 
-    @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
+    @pytest.mark.parametrize("name", PINNED_RUNS)
     def test_run_files_match_pinned_digests_on_a_crlf_platform(self, tmp_path, name, crlf_platform):
         run_dir = _pinned_run(name, tmp_path).run_dir
         digests = tuple(
