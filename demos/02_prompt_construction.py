@@ -40,8 +40,7 @@ for label in AggressionLabel:
     first_line = prompt.rendered_text.splitlines()[0]
     print(f"  [{label.name}] {first_line}")
 
-print("\nprovenance of the last render:")
-print(" ", prompt.provenance.to_dict())
+print(f"\nenriched template: {enriched_template.template_id} v{enriched_template.version}")
 
 again = render_enriched(query, AggressionLabel.OAG, enriched_template)
 same = render_enriched(query, AggressionLabel.OAG, enriched_template)

@@ -37,11 +37,9 @@ from .corpus import (
     synth_fixture,
 )
 from .prompting import (
-    DEFAULT_TEMPLATE_IDS,
     ExemplarSet,
     Prompt,
     PromptError,
-    PromptMode,
     PromptTemplate,
     load_template,
     render_enriched,

@@ -41,10 +41,8 @@ from .backend import (
 from .corpus import LabeledPost
 from .labels import AggressionLabel, Label, Task, label_from_name
 from .prompting import (
-    DEFAULT_TEMPLATE_IDS,
     ExemplarSet,
     Prompt,
-    PromptMode,
     PromptTemplate,
     load_template,
     render_enriched,
@@ -74,6 +72,15 @@ class Method(enum.Enum):
 
 STAGE1_FALLBACK_LABEL = AggressionLabel.NAG
 
+# the template roles each method reads, and the shipped template each reads by default
+_DEFAULT_TEMPLATES = {
+    Method.ZERO_SHOT: {"main": "zero_shot_v1"},
+    Method.FEW_SHOT: {"main": "few_shot_v1"},
+    Method.LORA_SFT: {"main": "zero_shot_v1"},
+    Method.MTL: {"main": "zero_shot_v1"},
+    Method.EPP: {"stage1": "zero_shot_v1", "enriched": "enriched_v1"},
+}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -82,6 +89,10 @@ class ExperimentSpec:
     The enriched-pipeline method requires exactly two backends: the
     aggression stage first, the cyberbullying stage second. Single-stage
     methods take exactly one.
+
+    ``templates`` maps a template role to a template id. EPP reads the
+    roles ``stage1`` and ``enriched``, every other method ``main``; a role
+    the method never reads is refused.
 
     ``aggression_overrides`` is EPP's diagnostic mode: the listed records
     skip stage 1 and are enriched with the given label, marked
@@ -98,7 +109,8 @@ class ExperimentSpec:
     aggression_overrides: dict[str, AggressionLabel] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # a copy, so the checks below still hold when the caller's dict changes
+        # copies, so the checks below still hold when the caller's dicts change
+        object.__setattr__(self, "templates", dict(self.templates))
         object.__setattr__(self, "aggression_overrides", dict(self.aggression_overrides))
         if self.method is Method.EPP:
             if self.task is not Task.CYBERBULLYING:
@@ -115,18 +127,17 @@ class ExperimentSpec:
         for post_id, label in self.aggression_overrides.items():
             if not isinstance(label, AggressionLabel):
                 raise PipelineError(f"override for {post_id!r} is not an aggression label")
+        roles = _DEFAULT_TEMPLATES[self.method]
+        for role, template_id in self.templates.items():
+            if role not in roles:
+                raise PipelineError(
+                    f"{self.method.value} reads no template role {role!r}; it reads {list(roles)}"
+                )
+            if not isinstance(template_id, str):
+                raise PipelineError(f"template id for role {role!r} is not a string")
 
     def template_id(self, role: str) -> str:
-        if role in self.templates:
-            return self.templates[role]
-        defaults = {
-            "main": DEFAULT_TEMPLATE_IDS[
-                PromptMode.FEW_SHOT if self.method is Method.FEW_SHOT else PromptMode.ZERO_SHOT
-            ],
-            "stage1": DEFAULT_TEMPLATE_IDS[PromptMode.ZERO_SHOT],
-            "enriched": DEFAULT_TEMPLATE_IDS[PromptMode.ENRICHED],
-        }
-        return defaults[role]
+        return self.templates.get(role, _DEFAULT_TEMPLATES[self.method][role])
 
 
 # a parse dict's marker for a response text that maps to no label

@@ -7,12 +7,13 @@ versioned files under ``cbdetect/templates/``, not in code.
 
 A render function runs every check when it is called and returns a
 ``Prompt`` whose text is substituted only when first read: a backend that
-reads only the post never pays for the prompt.
+reads only the post never pays for the prompt. A ``Prompt`` holds only
+what a backend reads; the facts that define a run (template, method,
+exemplars, cue) are in its manifest and prediction lines.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import random
 import re
@@ -36,18 +37,6 @@ class PromptError(ValueError):
     """Template/task mismatch, unbound placeholder, or exemplar leakage."""
 
 
-class PromptMode(enum.Enum):
-    ZERO_SHOT = "zero_shot"
-    FEW_SHOT = "few_shot"
-    ENRICHED = "enriched"
-
-
-DEFAULT_TEMPLATE_IDS = {
-    PromptMode.ZERO_SHOT: "zero_shot_v1",
-    PromptMode.FEW_SHOT: "few_shot_v1",
-    PromptMode.ENRICHED: "enriched_v1",
-}
-
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
@@ -61,8 +50,8 @@ def _template_pieces(template_text: str) -> tuple[tuple[str, ...], frozenset[str
 
 def _substitute(template_text: str, values: dict[str, str]) -> str:
     # Single pass: substituted values are never re-scanned, so braces inside
-    # post text cannot trigger another substitution round. The render
-    # functions have checked that ``values`` binds every placeholder.
+    # post text cannot trigger another substitution round. ``Prompt`` has
+    # checked that ``values`` binds every placeholder.
     pieces, _ = _template_pieces(template_text)
     out = list(pieces)
     out[1::2] = [values[name] for name in pieces[1::2]]
@@ -95,12 +84,19 @@ class PromptTemplate:
 
 
 def load_template(template_id: str, task: Task) -> PromptTemplate:
-    """Load a shipped template file and bind it to a task's label space."""
+    """Load a shipped template file and bind it to a task's label space.
+
+    A template id is a plain name (ASCII letters, digits, underscores), so
+    it names a file in the package and never a path out of it.
+    """
+    unknown = PromptError(f"unknown template id: {template_id!r}")
+    if not re.fullmatch(r"\w+", template_id, re.ASCII):
+        raise unknown
     ref = resources.files("cbdetect.templates").joinpath(f"{template_id}.txt")
     try:
         text = ref.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise PromptError(f"unknown template id: {template_id!r}") from None
+        raise unknown from None
     match = re.search(r"_v(\d+)$", template_id)
     version = int(match.group(1)) if match else 1
     return PromptTemplate(
@@ -111,65 +107,28 @@ def load_template(template_id: str, task: Task) -> PromptTemplate:
     )
 
 
-@dataclass(frozen=True)
-class PromptProvenance:
-    template_id: str
-    template_version: int
-    mode: PromptMode
-    post_id: str
-    exemplar_source_ids: tuple[str, ...] = ()
-    aggression_label: AggressionLabel | None = None
-    enrichment_order: str | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "template_id": self.template_id,
-            "template_version": self.template_version,
-            "mode": self.mode.value,
-            "post_id": self.post_id,
-        }
-        if self.exemplar_source_ids:
-            out["exemplar_source_ids"] = list(self.exemplar_source_ids)
-        if self.aggression_label is not None:
-            out["aggression_label"] = self.aggression_label.name
-        if self.enrichment_order is not None:
-            out["enrichment_order"] = self.enrichment_order
-        return out
-
-
 class Prompt:
-    """A model input plus its target label space.
+    """A model input plus its target label space: what a backend reads.
 
+    Built from a post, a template, the task whose class list it names and
+    ``values`` for the template's mode-specific placeholders. Building
+    raises PromptError for a template those leave a placeholder unbound in,
+    or one without ``{post_text}``, so reading the text never fails.
     ``rendered_text`` is substituted the first time it is read, then kept,
-    so a stage whose backend reads only ``post_text`` renders nothing;
-    ``provenance`` is built when read. A render function builds it, with
-    ``values`` for the template's mode-specific placeholders and ``extra``
-    for the mode-specific provenance fields, after checking every binding,
-    so reading either never fails.
+    so a stage whose backend reads only ``post_text`` renders nothing.
     """
 
-    __slots__ = (
-        "label_space", "post_text", "_post_id", "_template", "_task", "_mode", "_values",
-        "_extra", "_text",
-    )
+    __slots__ = ("label_space", "post_text", "_template", "_task", "_values", "_text")
 
     def __init__(
-        self,
-        post: LabeledPost,
-        template: PromptTemplate,
-        task: Task,
-        mode: PromptMode,
-        values: dict[str, str],
-        extra: dict,
+        self, post: LabeledPost, template: PromptTemplate, task: Task, values: dict[str, str]
     ) -> None:
+        _check_placeholders(template.instruction_text, tuple(values))
         self.label_space = template.label_space
         self.post_text = post.text
-        self._post_id = post.id
         self._template = template
         self._task = task
-        self._mode = mode
         self._values = values
-        self._extra = extra
         self._text = None
 
     @property
@@ -181,16 +140,6 @@ class Prompt:
             }
             text = self._text = _substitute(self._template.instruction_text, values)
         return text
-
-    @property
-    def provenance(self) -> PromptProvenance:
-        return PromptProvenance(
-            template_id=self._template.template_id,
-            template_version=self._template.version,
-            mode=self._mode,
-            post_id=self._post_id,
-            **self._extra,
-        )
 
 
 @dataclass(frozen=True)
@@ -282,21 +231,6 @@ def _class_list(task: Task) -> str:
     return ", ".join(display_names(task))
 
 
-def _render(
-    post: LabeledPost,
-    template: PromptTemplate,
-    task: Task,
-    mode: PromptMode,
-    values: dict[str, str],
-    **provenance,
-) -> Prompt:
-    """A prompt that fills ``template`` with ``task``'s class list, the post
-    text and ``values`` when its text is read; ``provenance`` holds the
-    mode-specific provenance fields."""
-    _check_placeholders(template.instruction_text, tuple(values))
-    return Prompt(post, template, task, mode, values, provenance)
-
-
 def render_zero_shot(
     post: LabeledPost, template: PromptTemplate, task: Task | None = None
 ) -> Prompt:
@@ -308,7 +242,7 @@ def render_zero_shot(
     """
     task = post.task if task is None else task
     _check_template_task(template, task)
-    return _render(post, template, task, PromptMode.ZERO_SHOT, {})
+    return Prompt(post, template, task, {})
 
 
 def render_few_shot(
@@ -320,14 +254,7 @@ def render_few_shot(
         raise PromptError("exemplar set task does not match the post task")
     if post.id in exemplars.source_ids:
         raise PromptError(f"exemplar leakage: post {post.id!r} is in the exemplar set")
-    return _render(
-        post,
-        template,
-        post.task,
-        PromptMode.FEW_SHOT,
-        {"exemplars": exemplars.block},
-        exemplar_source_ids=exemplars.source_ids,
-    )
+    return Prompt(post, template, post.task, {"exemplars": exemplars.block})
 
 
 def render_enriched(
@@ -344,12 +271,4 @@ def render_enriched(
     if not isinstance(predicted, AggressionLabel):
         raise PromptError(f"predicted must be an aggression label, got {predicted!r}")
     _check_template_task(template, post.task)
-    return _render(
-        post,
-        template,
-        post.task,
-        PromptMode.ENRICHED,
-        {"aggression_label": predicted.display_name},
-        aggression_label=predicted,
-        enrichment_order="enrichment_first",
-    )
+    return Prompt(post, template, post.task, {"aggression_label": predicted.display_name})

@@ -19,9 +19,8 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations
-from os.path import commonprefix
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Union
 
 from ._config import read_lines, write_lines
 from .backend import MatchKind
@@ -146,55 +145,22 @@ def _prediction_line(p: Prediction) -> str:
     )
 
 
-class _PromptEncoder:
-    """JSON strings of one stage's prompts. The prefix its first two prompts
-    share is escaped once; a later prompt that starts with it escapes only
-    its tail. Escaping maps each code point on its own, so
-    ``enc(a + b) == enc(a)[:-1] + enc(b)[1:]``."""
-
-    def __init__(self) -> None:
-        self.first: str | None = None
-        self.prefix: str | None = None
-        self.head = ""
-
-    def encode(self, text: str) -> str:
-        prefix = self.prefix
-        if prefix is not None and text.startswith(prefix):
-            return self.head + _encode(text[len(prefix) :])[1:]
-        encoded = _encode(text)
-        if prefix is None:
-            if self.first is None:
-                self.first = text
-            else:
-                self.prefix = commonprefix((self.first, text))
-                self.head = _encode(self.prefix)[:-1]
-        return encoded
-
-
-def _audit_writer() -> Callable[[dict], str]:
-    """A line writer for ``responses.jsonl``. A four-key entry, and a
-    five-key one whose ``rendered_text`` is a ``str``, each fill a
-    template; any other entry, or one with a value that is neither ``str``
-    nor ``None``, is written by ``_canonical_line``."""
-    prompts: dict[str, _PromptEncoder] = {}
-
-    def line(entry: dict) -> str:
-        keys = entry.keys()
-        try:
-            if keys == _AUDIT_KEYS:
-                return _AUDIT_LINE % _audit_fields(entry)
-            text = entry.get("rendered_text")
-            if keys != _RENDERED_AUDIT_KEYS or type(text) is not str:
-                return _canonical_line(entry)
-            failure, post_id, response, stage = _audit_fields(entry)
-            encoder = prompts.get(entry["stage"])
-            if encoder is None:
-                encoder = prompts[entry["stage"]] = _PromptEncoder()
-            return _RENDERED_AUDIT_LINE % (failure, post_id, encoder.encode(text), response, stage)
-        except TypeError:
+def _audit_line(entry: dict) -> str:
+    """A line of ``responses.jsonl``. A four-key entry, and a five-key one
+    whose ``rendered_text`` is a ``str``, each fill a template, the prompt
+    escaped like every other string; any other entry, or one with a value
+    that is neither ``str`` nor ``None``, is written by ``_canonical_line``."""
+    keys = entry.keys()
+    try:
+        if keys == _AUDIT_KEYS:
+            return _AUDIT_LINE % _audit_fields(entry)
+        text = entry.get("rendered_text")
+        if keys != _RENDERED_AUDIT_KEYS or type(text) is not str:
             return _canonical_line(entry)
-
-    return line
+        failure, post_id, response, stage = _audit_fields(entry)
+        return _RENDERED_AUDIT_LINE % (failure, post_id, _encode(text), response, stage)
+    except TypeError:
+        return _canonical_line(entry)
 
 
 def _audit_fields(entry: dict) -> tuple[str, str, str, str]:
@@ -252,7 +218,7 @@ def _write_run_files(result: RunResult, run_dir: Path) -> None:
         newline="",
     )
     write_lines(run_dir / "predictions.jsonl", result.predictions, _prediction_line)
-    write_lines(run_dir / "responses.jsonl", result.audit, _audit_writer())
+    write_lines(run_dir / "responses.jsonl", result.audit, _audit_line)
 
 
 def _same_bytes(path: Path, other: Path) -> bool:

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +254,38 @@ class TestRun:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "unknown template id: 'nope_v1'" in result.output
+
+    def test_template_id_outside_the_package_fails_cleanly(self, runner, tmp_path):
+        (tmp_path / "evil.txt").write_text("{class_list}\n{post_text}\n", encoding="utf-8")
+        template_id = os.path.relpath(tmp_path / "evil", str(resources.files("cbdetect.templates")))
+        config_path = self._run_config(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["templates"] = {"main": template_id}
+        write_json(config_path, config)
+        result = runner.invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"unknown template id: {template_id!r}" in result.output
+        assert not (tmp_path / "runs").exists()
+
+    def test_template_role_the_method_never_reads_fails_cleanly(self, runner, tmp_path):
+        from cbdetect import constant_stub
+
+        config_path = self._run_config(
+            tmp_path,
+            method="epp",
+            backends=[
+                constant_stub("Overtly Aggressive", backend_id="agg").to_dict(),
+                stub_backend_dict(Task.CYBERBULLYING),
+            ],
+        )
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["templates"] = {"enrichd": "enriched_v1"}
+        write_json(config_path, config)
+        result = runner.invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 2
+        assert "'enrichd'" in result.output
+        assert not (tmp_path / "runs").exists()
 
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         config = self._run_config(tmp_path)

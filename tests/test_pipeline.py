@@ -100,6 +100,35 @@ class TestSpecValidation:
         with pytest.raises(PipelineError, match="override for 'p1' is not an aggression label"):
             epp_spec(aggression_overrides={"p1": "OAG"})
 
+    @pytest.mark.parametrize(
+        "method, role, roles",
+        [
+            (Method.EPP, "enrichd", "['stage1', 'enriched']"),
+            (Method.EPP, "main", "['stage1', 'enriched']"),
+            (Method.ZERO_SHOT, "stage1", "['main']"),
+            (Method.FEW_SHOT, "enriched", "['main']"),
+        ],
+    )
+    def test_template_role_the_method_never_reads_is_refused(self, method, role, roles):
+        message = f"{method.value} reads no template role {role!r}; it reads {roles}"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            if method is Method.EPP:
+                epp_spec(templates={role: "enriched_v1"})
+            else:
+                cb_spec(method=method, templates={role: "zero_shot_v1"})
+
+    def test_template_id_must_be_a_string(self):
+        with pytest.raises(PipelineError, match="template id for role 'main' is not a string"):
+            cb_spec(templates={"main": 1})
+
+    def test_templates_are_copied_when_the_spec_is_built(self):
+        templates = {"main": "zero_shot_v1"}
+        spec = cb_spec(templates=templates)
+        templates["stage1"] = "zero_shot_v1"
+        templates["main"] = "few_shot_v1"
+        assert spec.templates == {"main": "zero_shot_v1"}
+        assert spec.template_id("main") == "zero_shot_v1"
+
 
 class TestRunBaseline:
     def test_zero_shot_stub_run_all_correct(self, cyberbullying_fixture):

@@ -1,5 +1,8 @@
+import os
 import random
+import re
 import string
+from importlib import resources
 
 import pytest
 
@@ -164,7 +167,6 @@ class TestEnriched:
         prompt = render_enriched(post, label, enriched_template())
         prefix = ENRICHMENT_SENTENCE.format(name=label.display_name)
         assert prompt.rendered_text.startswith(prefix + "\n\n" + post.text)
-        assert prompt.provenance.aggression_label is label
 
     def test_newlines_and_emoji_preserved(self, cyberbullying_fixture):
         import dataclasses
@@ -213,6 +215,19 @@ class TestTemplates:
         with pytest.raises(PromptError, match="unknown template"):
             load_template("missing_v1", Task.AGGRESSION)
 
+    def test_template_id_cannot_leave_the_package(self, tmp_path):
+        (tmp_path / "evil.txt").write_text("{class_list}\n{post_text}\n", encoding="utf-8")
+        template_id = os.path.relpath(tmp_path / "evil", str(resources.files("cbdetect.templates")))
+        with pytest.raises(PromptError, match=re.escape(f"unknown template id: {template_id!r}")):
+            load_template(template_id, Task.CYBERBULLYING)
+
+    @pytest.mark.parametrize(
+        "template_id", ["../templates/zero_shot_v1", "./zero_shot_v1", "zero_shot_v1\n", ""]
+    )
+    def test_template_id_must_be_a_plain_name(self, template_id):
+        with pytest.raises(PromptError, match=re.escape(f"unknown template id: {template_id!r}")):
+            load_template(template_id, Task.CYBERBULLYING)
+
     def test_unbound_placeholder_detected(self, cyberbullying_fixture):
         template = few_shot_template(Task.CYBERBULLYING)
         # zero-shot rendering of a few-shot template leaves {exemplars} unbound
@@ -249,24 +264,10 @@ class TestLazyText:
         prompt = render_enriched(post, AggressionLabel.OAG, enriched_template())
         assert calls == []
         assert prompt.post_text == post.text
-        assert prompt.provenance.post_id == post.id
         assert calls == []
         first = prompt.rendered_text
         assert prompt.rendered_text is first
         assert calls == [post.text]
-
-    def test_provenance_is_built_when_read(self, cyberbullying_fixture):
-        pool = synth_fixture(4, Task.CYBERBULLYING, seed=42)
-        exemplars = select_exemplars(pool, k=1, seed=1)
-        post = cyberbullying_fixture[0]
-        prompt = render_few_shot(post, few_shot_template(Task.CYBERBULLYING), exemplars)
-        assert prompt.provenance.to_dict() == {
-            "template_id": "few_shot_v1",
-            "template_version": 1,
-            "mode": "few_shot",
-            "post_id": post.id,
-            "exemplar_source_ids": list(exemplars.source_ids),
-        }
 
 
 def test_verbatim_substring_randomized():

@@ -124,7 +124,7 @@ def audit(rng, n):
         if stage == "main":
             prompt = shared + text(rng)
         elif stage == "stage1":
-            prompt = text(rng, empty=False)  # prompts that share no prefix
+            prompt = text(rng, empty=False)  # prompts without the shared instruction
         else:
             prompt = rng.choice([shared[:40], shared, shared + text(rng), text(rng)])
         entry = {
@@ -139,9 +139,9 @@ def audit(rng, n):
         if i % 13 == 6:
             entry["post_id"] = 7
         if i % 37 == 8:
-            entry["rendered_text"] = 8  # after its stage's prefix is fixed, or before
+            entry["rendered_text"] = 8  # a prompt that is no string
         entries.append(entry)
-    # later prompts that are strict prefixes of their stage's first prompt
+    # prompts that are strict prefixes of another prompt of their stage
     for cut in (-1, 10, 0):
         entries.append({**first, "rendered_text": first["rendered_text"][:cut]})
     return entries
