@@ -221,9 +221,7 @@ class TestTemplates:
         with pytest.raises(PromptError, match=re.escape(f"unknown template id: {template_id!r}")):
             load_template(template_id, Task.CYBERBULLYING)
 
-    @pytest.mark.parametrize(
-        "template_id", ["../templates/zero_shot_v1", "./zero_shot_v1", "zero_shot_v1\n", ""]
-    )
+    @pytest.mark.parametrize("template_id", ["../templates/zero_shot_v1", "./zero_shot_v1"])
     def test_template_id_must_be_a_plain_name(self, template_id):
         with pytest.raises(PromptError, match=re.escape(f"unknown template id: {template_id!r}")):
             load_template(template_id, Task.CYBERBULLYING)
