@@ -1,17 +1,18 @@
 """Experiment orchestration over a corpus split.
 
 ``run_baseline`` drives the four single-stage methods; ``run_epp`` drives
-the three-step enriched flow: predict aggression on the raw post, embed the
+the two-stage enriched flow: predict aggression on the raw post, embed the
 predicted display name into the cyberbullying prompt, classify the enriched
 prompt with the second-stage backend.
 
 Each stage builds all of its prompts, then sends them to its backend as
 one batch; building runs every prompt check, and a prompt's text is
-rendered only if its backend reads it. Each distinct answer text of a
-batch is parsed once. Per-record failures (transport or parse) become
-failure outcomes on that record only; they never abort a run or disturb
-neighbouring records. Output order always equals input order, even with a
-concurrent backend.
+rendered only if its backend reads it. One stage reader, ``_run_stage``,
+sends every stage's batch, baseline and both EPP stages, and reads its
+outcomes; each distinct answer text of a batch is parsed once. Per-record
+failures (transport or parse) become failure outcomes on that record only;
+they never abort a run or disturb neighbouring records. Output order
+always equals input order, even with a concurrent backend.
 A run given an ``out_dir`` is persisted there by ``rundir.persist_run``;
 rerunning from the manifest with stub backends reproduces the predictions
 file byte for byte.
@@ -23,8 +24,8 @@ import enum
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from . import backend as backend_mod
@@ -35,7 +36,6 @@ from .backend import (
     ParsedLabel,
     ParseFailure,
     RawResponse,
-    TransportError,
     parse_label,
 )
 from .corpus import LabeledPost
@@ -103,15 +103,15 @@ class ExperimentSpec:
     method: Method
     task: Task
     backends: tuple[BackendDescriptor, ...]
-    templates: dict[str, str] = field(default_factory=dict)
+    templates: Mapping[str, str] = field(default_factory=dict)
     exemplar_k: int = 3
     seed: int = 0
-    aggression_overrides: dict[str, AggressionLabel] = field(default_factory=dict)
+    aggression_overrides: Mapping[str, AggressionLabel] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # copies, so the checks below still hold when the caller's dicts change
-        object.__setattr__(self, "templates", dict(self.templates))
-        object.__setattr__(self, "aggression_overrides", dict(self.aggression_overrides))
+        # read-only copies, so the checks below hold for the spec's whole life
+        for name in ("templates", "aggression_overrides"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         if self.method is Method.EPP:
             if self.task is not Task.CYBERBULLYING:
                 raise PipelineError("the enriched pipeline targets the cyberbullying task")
@@ -144,49 +144,16 @@ class ExperimentSpec:
 _UNPARSEABLE = object()
 
 
-def _read_outcome(
-    post_id: str,
-    stage: str,
-    prompt: Prompt,
-    outcome: Union[RawResponse, TransportError],
-    reads_prompt: bool,
-    parses: dict,
-) -> tuple[ParsedLabel | None, str | None, str | None, dict]:
-    """(parsed label, response text, failure, audit entry) of one record's
-    outcome: a transport error, a parsed label or a parse failure. The
-    entry holds the rendered prompt only when the backend ``reads_prompt``;
-    a backend that read the post has it in the records file.
-
-    ``parses`` is the stage batch's map from (response text, label space)
-    to its ``ParsedLabel`` or ``_UNPARSEABLE``: ``parse_label`` runs only
-    on a text the batch has not met, and a transport error is never
-    parsed."""
-    failed = isinstance(outcome, BaseException)
-    entry = {
-        "post_id": post_id,
-        "stage": stage,
-        "response_text": None if failed else outcome.text,
-        "failure": str(outcome) if failed else None,
-    }
-    if reads_prompt:
-        entry["rendered_text"] = prompt.rendered_text
-    if failed:
-        return None, None, f"transport_error: {outcome}", entry
-    key = (outcome.text, prompt.label_space)
-    parsed = parses.get(key)
-    if parsed is None:
-        try:
-            parsed = parse_label(outcome, prompt.label_space)
-        except ParseFailure:
-            parsed = _UNPARSEABLE
-        parses[key] = parsed
-    if parsed is _UNPARSEABLE:
-        return None, outcome.text, "parse_failure", entry
-    return parsed, outcome.text, None, entry
-
-
-# a baseline record's stage-1 cue: no annotation, no fallback, no response, no mode
-_NO_CUE = (None, False, None, None)
+def _parse(outcome: RawResponse, space: type, parses: dict):
+    """``outcome``'s ``ParsedLabel`` in ``space``, or ``_UNPARSEABLE``,
+    stored in the batch's ``parses`` under (response text, label space);
+    the one caller of ``parse_label``."""
+    try:
+        parsed = parse_label(outcome, space)
+    except ParseFailure:
+        parsed = _UNPARSEABLE
+    parses[outcome.text, space] = parsed
+    return parsed
 
 
 def _run_stage(
@@ -195,42 +162,62 @@ def _run_stage(
     prompts: list[Prompt],
     descriptor: BackendDescriptor,
     audit: list[dict],
-    cues: Sequence[tuple] | None = None,
-) -> list[Prediction]:
-    """Classify a stage's prompts in one batch: one ``Prediction`` per record,
-    its audit entry appended to ``audit``. Each distinct response text is
-    parsed once per batch. ``cues`` are EPP stage 2's per-record stage-1
-    cues. A record's provenance holds only what differs per record: its
-    ``match_kind`` when the response parsed, and on EPP stage 2 its
-    ``stage1_mode``; what every record shares is in the manifest."""
+) -> list[tuple[ParsedLabel | None, str | None, str | None]]:
+    """The one stage reader, for baseline runs and both EPP stages: classify
+    the prompts in one batch, and per record append its audit entry to
+    ``audit`` and return (parsed label or None, response text, failure).
+    An entry holds the rendered prompt only when the backend reads it; a
+    backend that read the post has it in the records file. Each distinct
+    (response text, label space) of the batch is parsed once, and a
+    transport error is never parsed."""
     outcomes = backend_mod.classify_batch(prompts, descriptor)
     reads_prompt = descriptor.input_mode == "rendered_text"
     parses: dict = {}
-    predictions = []
-    for post, prompt, outcome, (annotation, fallback, stage1_text, stage1_mode) in zip(
-        posts, prompts, outcomes, cues or repeat(_NO_CUE)
-    ):
-        parsed, response_text, failure, entry = _read_outcome(
-            post.id, stage, prompt, outcome, reads_prompt, parses
-        )
+    read = []
+    for post, prompt, outcome in zip(posts, prompts, outcomes):
+        failed = isinstance(outcome, BaseException)
+        text = None if failed else outcome.text
+        entry = {
+            "post_id": post.id,
+            "stage": stage,
+            "response_text": text,
+            "failure": str(outcome) if failed else None,
+        }
+        if reads_prompt:
+            entry["rendered_text"] = prompt.rendered_text
         audit.append(entry)
-        provenance = {} if stage1_mode is None else {"stage1_mode": stage1_mode}
-        if parsed is not None:
-            provenance["match_kind"] = parsed.match_kind._value_
-        predictions.append(
-            Prediction(
-                post_id=post.id,
-                gold=post.label,
-                predicted=None if parsed is None else parsed.label,
-                failure=failure,
-                aggression_annotation=annotation,
-                stage1_fallback=fallback,
-                provenance=provenance,
-                response_text=response_text,
-                stage1_response_text=stage1_text,
-            )
+        if failed:
+            read.append((None, None, f"transport_error: {outcome}"))
+            continue
+        space = prompt.label_space
+        parsed = parses.get((text, space)) or _parse(outcome, space, parses)
+        read.append((None, text, "parse_failure") if parsed is _UNPARSEABLE else (parsed, text, None))
+    return read
+
+
+def _prediction(
+    post: LabeledPost,
+    parsed: ParsedLabel | None,
+    response_text: str | None,
+    failure: str | None,
+    cue: tuple | None = None,
+) -> Prediction:
+    """A record's ``Prediction``. ``cue`` is an EPP stage-2 record's
+    (aggression label, fallback flag, stage-1 response, stage-1 mode). The
+    provenance holds only what differs per record, in the file's key
+    order: ``match_kind`` when the response parsed, then on EPP
+    ``stage1_mode``; what every record shares is in the manifest."""
+    provenance = {} if parsed is None else {"match_kind": parsed.match_kind._value_}
+    predicted = None if parsed is None else parsed.label
+    if cue is None:
+        return Prediction(
+            post.id, post.label, predicted, failure, provenance=provenance, response_text=response_text
         )
-    return predictions
+    annotation, fallback, stage1_text, stage1_mode = cue
+    provenance["stage1_mode"] = stage1_mode
+    return Prediction(
+        post.id, post.label, predicted, failure, annotation, fallback, provenance, response_text, stage1_text
+    )
 
 
 def _finish_run(
@@ -326,7 +313,8 @@ def run_baseline(
         prompts = [render_zero_shot(post, template) for post in posts]
 
     audit: list[dict] = []
-    predictions = _run_stage("main", posts, prompts, spec.backends[0], audit)
+    reads = _run_stage("main", posts, prompts, spec.backends[0], audit)
+    predictions = [_prediction(post, *read) for post, read in zip(posts, reads)]
     return _finish_run(spec, {"main": template}, predictions, audit, out_dir, posts, exemplars)
 
 
@@ -335,11 +323,11 @@ def run_epp(
     spec: ExperimentSpec,
     out_dir: Union[str, Path, None] = None,
 ) -> RunResult:
-    """Three sequential steps per record.
+    """Two classification stages, each one backend batch.
 
-    1. The aggression-stage backend classifies the raw post.
-    2. The predicted display name is embedded into the enriched prompt.
-    3. The cyberbullying-stage backend classifies the enriched prompt.
+    1. The aggression-stage backend classifies the raw posts.
+    2. Each predicted display name is embedded into the record's enriched
+       prompt, which the cyberbullying-stage backend classifies.
 
     A stage-1 parse failure falls back to the Not-Aggressive enrichment and
     flags the record; the run always completes. The aggression stage is a
@@ -357,46 +345,43 @@ def run_epp(
     stage1_backend, stage2_backend = spec.backends
 
     # Stage 1: aggression cues for every record not covered by an override.
+    stage1_posts = [post for post in posts if post.id not in overrides]
     stage1_prompts = [
-        render_zero_shot(post, stage1_template, Task.AGGRESSION)
-        for post in posts
-        if post.id not in overrides
+        render_zero_shot(post, stage1_template, Task.AGGRESSION) for post in stage1_posts
     ]
-    stage1_outcomes = iter(
-        zip(stage1_prompts, backend_mod.classify_batch(stage1_prompts, stage1_backend))
-    )
-
-    stage1_reads_prompt = stage1_backend.input_mode == "rendered_text"
-    stage1_parses: dict = {}
-    audit = []
-    # per record: (aggression label, fallback flag, stage-1 response, stage-1 mode)
-    cues: list[tuple[AggressionLabel, bool, str | None, str]] = []
+    stage1_audit: list[dict] = []
+    stage1_reads = _run_stage("stage1", stage1_posts, stage1_prompts, stage1_backend, stage1_audit)
+    stage1 = zip(stage1_audit, stage1_reads)
+    # merge the override entries into stage 1's in input order; a record's cue
+    # is (aggression label, fallback flag, stage-1 response, stage-1 mode)
+    audit, cues = [], []
     for post in posts:
-        if post.id in overrides:
+        override = overrides.get(post.id)
+        if override is not None:
             audit.append(
                 {
                     "post_id": post.id,
                     "stage": "stage1",
                     "response_text": None,
                     "failure": None,
-                    "gold_override": overrides[post.id].name,
+                    "gold_override": override.name,
                 }
             )
-            cues.append((overrides[post.id], False, None, "gold_override"))
+            cues.append((override, False, None, "gold_override"))
             continue
-        prompt, outcome = next(stage1_outcomes)
-        parsed, response_text, _, entry = _read_outcome(
-            post.id, "stage1", prompt, outcome, stage1_reads_prompt, stage1_parses
-        )
+        entry, (parsed, response_text, _) = next(stage1)
         audit.append(entry)
         label = STAGE1_FALLBACK_LABEL if parsed is None else parsed.label
         cues.append((label, parsed is None, response_text, "predicted"))
 
-    # Stages 2 and 3: enrich with the predicted cue, then classify.
+    # Stage 2: enrich with the cue, then classify.
     prompts = [
         render_enriched(post, cue[0], enriched_template) for post, cue in zip(posts, cues)
     ]
-    predictions = _run_stage("stage2", posts, prompts, stage2_backend, audit, cues)
+    reads = _run_stage("stage2", posts, prompts, stage2_backend, audit)
+    predictions = [
+        _prediction(post, *read, cue) for post, read, cue in zip(posts, reads, cues)
+    ]
     templates = {"stage1": stage1_template, "enriched": enriched_template}
     return _finish_run(spec, templates, predictions, audit, out_dir, posts)
 

@@ -18,7 +18,6 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import permutations
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
@@ -95,19 +94,18 @@ _RENDERED_AUDIT_KEYS = _AUDIT_KEYS | {"rendered_text"}
 
 
 def _provenance_table() -> dict[tuple, str]:
-    """The JSON of each provenance a run writes, keyed by its items in
-    either order: a match kind (absent on a failure) and, on EPP stage 2,
-    a stage-1 mode."""
+    """The JSON of each provenance a run writes, keyed by its items in the
+    order the pipeline builds them: a match kind (absent on a failure),
+    then on EPP stage 2 a stage-1 mode."""
     table = {}
     for match_kind in (None, *(kind.value for kind in MatchKind)):
         for stage1_mode in (None, "predicted", "gold_override"):
-            items = [
+            items = tuple(
                 item
                 for item in (("match_kind", match_kind), ("stage1_mode", stage1_mode))
                 if item[1] is not None
-            ]
-            for order in permutations(items):
-                table[order] = _CANONICAL.encode(dict(order))
+            )
+            table[items] = _CANONICAL.encode(dict(items))
     return table
 
 

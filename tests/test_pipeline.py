@@ -129,6 +129,17 @@ class TestSpecValidation:
         assert spec.templates == {"main": "zero_shot_v1"}
         assert spec.template_id("main") == "zero_shot_v1"
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [("templates", "enrichd", "enriched_v1"), ("aggression_overrides", "p2", "OAG")],
+    )
+    def test_checked_dicts_are_read_only(self, name, key, value):
+        spec = epp_spec(aggression_overrides={"p1": AggressionLabel.OAG})
+        before = dict(getattr(spec, name))
+        with pytest.raises(TypeError):
+            getattr(spec, name)[key] = value
+        assert getattr(spec, name) == before
+
 
 class TestRunBaseline:
     def test_zero_shot_stub_run_all_correct(self, cyberbullying_fixture):
@@ -383,6 +394,36 @@ class TestGoldOverrideDiagnostics:
         assert (first.run_dir / "predictions.jsonl").read_bytes() == (
             second.run_dir / "predictions.jsonl"
         ).read_bytes()
+
+
+    def test_every_record_overridden_sends_an_empty_stage1_batch(
+        self, cyberbullying_fixture, monkeypatch
+    ):
+        import cbdetect.backend as backend_mod
+
+        # a live endpoint with no address fails any request it is sent
+        stage1 = BackendDescriptor(backend_id="agg-live", kind=BackendKind.LIVE_ENDPOINT)
+        overrides = {post.id: AggressionLabel.OAG for post in cyberbullying_fixture}
+        sizes = []
+        original = backend_mod.classify_batch
+        monkeypatch.setattr(
+            backend_mod,
+            "classify_batch",
+            lambda prompts, descriptor: sizes.append(len(prompts)) or original(prompts, descriptor),
+        )
+        result = run_epp(cyberbullying_fixture, epp_spec(stage1=stage1, aggression_overrides=overrides))
+        assert sizes == [0, 12]
+        ids = [post.id for post in cyberbullying_fixture]
+        assert result.audit[:12] == [
+            {"post_id": post_id, "stage": "stage1", "response_text": None, "failure": None,
+             "gold_override": "OAG"}
+            for post_id in ids
+        ]
+        assert [(e["post_id"], e["stage"]) for e in result.audit[12:]] == [
+            (post_id, "stage2") for post_id in ids
+        ]
+        assert all(p.provenance["stage1_mode"] == "gold_override" for p in result.predictions)
+        assert all(p.failure is None for p in result.predictions)
 
 
 class TestAuditHoldsWhatTheBackendRead:
@@ -757,11 +798,9 @@ class TestParseOncePerAnswer:
 
         posts, spec, pool = _pinned_inputs(name)
         shared = run_experiment(posts, spec, train_posts=pool)
-        read_outcome = pipeline_mod._read_outcome
+        parse = pipeline_mod._parse
         # a fresh parse dict per record parses every record's answer
-        monkeypatch.setattr(
-            pipeline_mod, "_read_outcome", lambda *args: read_outcome(*args[:-1], {})
-        )
+        monkeypatch.setattr(pipeline_mod, "_parse", lambda *args: parse(*args[:-1], {}))
         per_record = run_experiment(posts, spec, train_posts=pool)
         assert shared.predictions == per_record.predictions
         assert shared.audit == per_record.audit
