@@ -140,7 +140,7 @@ class ExperimentSpec:
         return self.templates.get(role, _DEFAULT_TEMPLATES[self.method][role])
 
 
-# a parse dict's marker for a response text that maps to no label
+# a parse dict's marker for a text that maps to no label; truthy, as a ParsedLabel is
 _UNPARSEABLE = object()
 
 
