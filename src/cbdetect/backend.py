@@ -12,9 +12,9 @@ Three backend kinds share the batch-first ``classify_batch`` entry point
   ``max_parallel_requests`` threads. Credentials come from the
   environment, never from config files.
 * ``toy_checkpoint`` — a trained toy-network checkpoint evaluated by head
-  argmax on the ``input_mode`` text, so tuned-model experiments run
-  without accelerators. The checkpoint is read once per batch and each
-  task's prompts run as padded multi-row forward passes.
+  argmax on the post text, the form it was tuned on, so tuned-model
+  experiments run without accelerators. The checkpoint is read once per
+  batch and each task's posts run as padded multi-row forward passes.
 
 Free-text responses are mapped into a label space by a three-stage cascade:
 exact display-name match, synonym-table match, earliest display-name
@@ -105,7 +105,7 @@ class RetryPolicy:
         return self.backoff[min(attempt_number - 2, len(self.backoff) - 1)]
 
 
-# The Prompt text each input mode hands a stub or toy model.
+# The Prompt text each input mode hands a stub.
 _INPUT_TEXT = {
     "post_text": operator.attrgetter("post_text"),
     "rendered_text": operator.attrgetter("rendered_text"),
@@ -131,7 +131,7 @@ class BackendDescriptor:
     checkpoint_path: str = ""
     # The Prompt text the model is given: "post_text" or "rendered_text".
     # A live endpoint always receives rendered_text: the field is set so
-    # for it, and not serialized.
+    # for it, and not serialized. A toy reads only post_text.
     input_mode: str = "post_text"
 
     def __post_init__(self) -> None:
@@ -143,6 +143,11 @@ class BackendDescriptor:
             raise BackendError("stub backend needs a non-empty rule table")
         if self.input_mode not in _INPUT_TEXT:
             raise BackendError(f"bad input_mode: {self.input_mode!r}")
+        if self.kind is BackendKind.TOY_CHECKPOINT and self.input_mode != "post_text":
+            raise BackendError(
+                f"a toy checkpoint reads the post text it was tuned on; "
+                f"input_mode {self.input_mode!r} is not served"
+            )
         if self.kind is BackendKind.LIVE_ENDPOINT:
             object.__setattr__(self, "input_mode", "rendered_text")
 
@@ -220,7 +225,7 @@ class ParsedLabel:
 
 
 def make_stub(
-    rule_table: Mapping[str, str] | Sequence[tuple[str, str]],
+    rule_table: Sequence[tuple[str, str]],
     backend_id: str = "stub",
     default_response: str = "",
     fail_patterns: Sequence[str] = (),
@@ -235,7 +240,7 @@ def make_stub(
         backend_id=backend_id,
         kind=BackendKind.STUB,
         model_name="rule-stub",
-        stub_rules=tuple(rule_table.items() if isinstance(rule_table, Mapping) else rule_table),
+        stub_rules=tuple(rule_table),
         default_response=default_response,
         fail_patterns=tuple(fail_patterns),
     )
@@ -328,10 +333,9 @@ def _classify_toy(prompts: Sequence[Prompt], descriptor: BackendDescriptor) -> l
     for row, prompt in enumerate(prompts):
         rows_by_task.setdefault(_task_of_space(prompt.label_space), []).append(row)
 
-    text_of = _INPUT_TEXT[descriptor.input_mode]
     responses: dict[int, RawResponse] = {}
     for task, rows in rows_by_task.items():
-        texts = [text_of(prompts[row]) for row in rows]
+        texts = [prompts[row].post_text for row in rows]
         started = time.perf_counter()
         labels = classifier.predict_batch(texts, task)
         latency = (time.perf_counter() - started) / len(rows)
@@ -504,37 +508,31 @@ def _display_index(space: type) -> dict[str, Label]:
     return {lab.display_name.lower(): lab for lab in reversed(space)}
 
 
-def _synonym_matcher(table: Mapping[str, Label]) -> tuple[re.Pattern, tuple[Label, ...]]:
-    """One case-insensitive word-bounded alternation, and each group's label.
+@functools.lru_cache(maxsize=None)
+def _synonym_matcher(space: type) -> tuple[re.Pattern, tuple[Label, ...]]:
+    """The shipped synonym table of the space's task as one case-insensitive
+    word-bounded alternation, and each group's label; built once per label
+    space (two entries at most), keyed by the space, as a Task key hashes
+    in Python.
 
     At the leftmost position where any phrase matches, the regex takes
     the first alternative that fits; ordering the phrases by (-length,
     label code) makes that the longest phrase, then the earlier label."""
+    table = load_synonym_table(_task_of_space(space))
     ordered = sorted(table.items(), key=lambda item: (-len(item[0]), int(item[1])))
     alternation = "|".join(f"({re.escape(phrase)})" for phrase, _ in ordered) or "(?!)"
     pattern = re.compile(rf"\b(?:{alternation})\b", re.IGNORECASE)
     return pattern, tuple(lab for _, lab in ordered)
 
 
-@functools.lru_cache(maxsize=None)
-def _default_synonym_matcher(space: type) -> tuple[re.Pattern, tuple[Label, ...]]:
-    """The shipped table's matcher, built once per label space (two entries
-    at most); keyed by the space, as a Task key hashes in Python."""
-    return _synonym_matcher(load_synonym_table(_task_of_space(space)))
-
-
-def parse_label(
-    raw: RawResponse,
-    space: type,
-    synonym_table: Mapping[str, Label] | None = None,
-) -> ParsedLabel:
+def parse_label(raw: RawResponse, space: type) -> ParsedLabel:
     """Map a free-text response into a label space.
 
     Cascade, first hit wins:
       1. whole trimmed response equals a display name (case-insensitive);
-      2. a synonym phrase occurs in the response (word-boundary,
-         case-insensitive; earliest occurrence wins, ties to the longest
-         phrase, then to the earlier label);
+      2. a phrase of the task's shipped synonym table occurs in the
+         response (word-boundary, case-insensitive; earliest occurrence
+         wins, ties to the longest phrase, then to the earlier label);
       3. earliest display-name occurrence as a substring.
     """
     names = _display_index(space)
@@ -545,10 +543,7 @@ def parse_label(
     if exact is not None:
         return ParsedLabel(label=exact, match_kind=MatchKind.EXACT)
 
-    if synonym_table is None:
-        pattern, group_labels = _default_synonym_matcher(space)
-    else:
-        pattern, group_labels = _synonym_matcher(synonym_table)
+    pattern, group_labels = _synonym_matcher(space)
     match = pattern.search(text)
     if match:
         # by group index: a case-folded match text need not equal its phrase

@@ -50,6 +50,7 @@ from .tuning import (
     MtlTrainer,
     SftTrainer,
     ToyNetConfig,
+    ToyTransformer,
     TuneConfig,
     TuningError,
     save_checkpoint,
@@ -192,8 +193,6 @@ def cmd_train(config_path: str) -> None:
                 err=True,
             )
 
-    from .tuning import ToyTransformer
-
     base = ToyTransformer(model_config)
     manifest: dict = {
         "method": method,
@@ -245,11 +244,7 @@ def _experiment_spec_from(config: dict) -> ExperimentSpec:
         _decode(f"backends[{i}]", BackendDescriptor.from_dict, entry)
         for i, entry in enumerate(_require(config, "backends", list))
     )
-    optional = {
-        key: kind(_require(config, key, kind))
-        for key, kind in (("templates", dict), ("exemplar_k", int), ("seed", int))
-        if key in config
-    }
+    optional = {key: config[key] for key in ("templates", "exemplar_k", "seed") if key in config}
     return _decode("config", ExperimentSpec, method, task, backends, **optional)
 
 

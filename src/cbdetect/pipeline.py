@@ -109,6 +109,14 @@ class ExperimentSpec:
     aggression_overrides: Mapping[str, AggressionLabel] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("seed", "exemplar_k"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or type(value) is bool:
+                raise PipelineError(f"{name}: expected int, got {type(value).__name__}")
+        if not isinstance(self.templates, Mapping):
+            raise PipelineError(
+                f"templates: expected a mapping of str to str, got {type(self.templates).__name__}"
+            )
         # read-only copies, so the checks below hold for the spec's whole life
         for name in ("templates", "aggression_overrides"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))

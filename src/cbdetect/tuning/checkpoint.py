@@ -60,8 +60,8 @@ def save_checkpoint(
 
 @dataclass
 class ToyClassifier:
-    """A loaded checkpoint: its tuning config, tasks, adapters and heads over
-    the base network rebuilt from the network config.
+    """A loaded checkpoint: its tuning config, adapters and heads (one per
+    task) over the base network rebuilt from the network config.
 
     Classification is head-logit argmax over the pooled final-layer
     embedding.
@@ -69,13 +69,8 @@ class ToyClassifier:
 
     base: ToyTransformer
     tune_config: TuneConfig
-    tasks: list[Task]
     adapters: dict[Task, AdapterState]
     heads: dict[Task, TaskHead]
-
-    @property
-    def model_config(self) -> ToyNetConfig:
-        return self.base.config
 
     def predict(self, text: str, task: Task) -> Label:
         return self.predict_batch([text], task)[0]
@@ -85,7 +80,7 @@ class ToyClassifier:
         if task not in self.adapters:
             raise TuningError(
                 f"checkpoint holds no {task.value} adapters (tasks: "
-                f"{[t.value for t in self.tasks]})"
+                f"{[t.value for t in self.adapters]})"
             )
         logits = predict_logits(self.base, self.adapters[task], self.heads[task], texts)
         order = labels_in_order(task)
@@ -129,4 +124,4 @@ def _classifier(meta: dict, arrays: Mapping[str, np.ndarray]) -> ToyClassifier:
         if stored.shape != array.shape:
             raise TuningError(f"{name}: shape {stored.shape}, expected {array.shape}")
         array[...] = stored
-    return ToyClassifier(base, tune_config, tasks, adapters, heads)
+    return ToyClassifier(base, tune_config, adapters, heads)

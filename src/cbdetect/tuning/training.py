@@ -102,6 +102,10 @@ def mtl_joint_loss(
     return loss_agg + loss_cb
 
 
+# Adam's moment decay rates and denominator guard, at their usual values
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Plain adaptive-moment optimizer over a named array dict (in place).
 
@@ -110,17 +114,9 @@ class Adam:
     needs a gradient for every parameter.
     """
 
-    def __init__(
-        self,
-        params: Mapping[str, np.ndarray],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Mapping[str, np.ndarray], learning_rate: float):
         self.params = dict(params)
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         # each array's [start, stop) in the flat vectors, in params order
         self._bounds = np.cumsum([0] + [p.size for p in self.params.values()])
         self.m = np.zeros(self._bounds[-1])
@@ -131,13 +127,13 @@ class Adam:
         self.t += 1
         grad = np.concatenate([grads[key].ravel() for key in self.params])
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1**self.t)
-        v_hat = v / (1.0 - self.beta2**self.t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * grad
+        v *= _BETA2
+        v += (1.0 - _BETA2) * grad * grad
+        m_hat = m / (1.0 - _BETA1**self.t)
+        v_hat = v / (1.0 - _BETA2**self.t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
         for param, start, stop in zip(self.params.values(), self._bounds, self._bounds[1:]):
             param -= update[start:stop].reshape(param.shape)
 

@@ -138,8 +138,6 @@ class TestParseCascade:
         with pytest.raises(BackendError, match="not a task label space"):
             parse_label(raw("religious spam"), MailLabel)
         assert parse_label(raw("spam"), MailLabel).label is MailLabel.SPAM
-        parsed = parse_label(raw("junk mail"), MailLabel, {"junk": MailLabel.SPAM})
-        assert parsed.label is MailLabel.SPAM
 
 
 def reference_parse(text, space, synonym_table=None):
@@ -197,6 +195,21 @@ OVERLAPPING_RESPONSES = {
 }
 
 
+@pytest.fixture
+def crafted_table(monkeypatch):
+    """Make ``parse_label`` read a crafted synonym table in place of the
+    shipped one: call the fixture with the table, which it returns. The
+    matcher's cache is cleared before and after, so no other test sees it."""
+
+    def use(table):
+        monkeypatch.setattr(backend_mod, "load_synonym_table", lambda task: dict(table))
+        backend_mod._synonym_matcher.cache_clear()
+        return table
+
+    yield use
+    backend_mod._synonym_matcher.cache_clear()
+
+
 class TestParseCaching:
     def test_matches_reference_on_overlapping_phrases(self):
         for space, responses in OVERLAPPING_RESPONSES.items():
@@ -208,22 +221,22 @@ class TestParseCaching:
                     got = None
                 assert got == reference_parse(text, space), text
 
-    def test_custom_table_tie_rules(self):
+    def test_custom_table_tie_rules(self, crafted_table):
         # same start: the longest phrase wins; same start and length: the
         # earlier label wins, whatever the table order
-        table = {
+        table = crafted_table({
             "HATE": CyberbullyingLabel.NOT_CYBERBULLYING,
             "hate": CyberbullyingLabel.RELIGION,
             "hate speech": CyberbullyingLabel.GENDER_SEXUAL,
             "speech": CyberbullyingLabel.ETHNICITY_RACE,
-        }
+        })
         expected = {
             "pure hate speech": CyberbullyingLabel.GENDER_SEXUAL,
             "pure hate": CyberbullyingLabel.RELIGION,
             "speech of hate": CyberbullyingLabel.ETHNICITY_RACE,
         }
         for text, label in expected.items():
-            parsed = parse_label(raw(text), CyberbullyingLabel, synonym_table=table)
+            parsed = parse_label(raw(text), CyberbullyingLabel)
             assert parsed.label is label
             assert reference_parse(text, CyberbullyingLabel, table) == (label, MatchKind.SYNONYM)
 
@@ -246,23 +259,23 @@ class TestParseCaching:
         assert load_synonym_table(Task.AGGRESSION)["not aggressive"] is AggressionLabel.NAG
 
 
-def _parse_or_none(text, space, table=None):
+def _parse_or_none(text, space):
     try:
-        parsed = parse_label(raw(text), space, synonym_table=table)
+        parsed = parse_label(raw(text), space)
     except ParseFailure:
         return None
     return parsed.label, parsed.match_kind
 
 
 class TestAlternationParse:
-    def test_metacharacter_and_non_ascii_phrases(self):
-        table = {
+    def test_metacharacter_and_non_ascii_phrases(self, crafted_table):
+        table = crafted_table({
             "c++": CyberbullyingLabel.RELIGION,
             "a.b": CyberbullyingLabel.GENDER_SEXUAL,
             "Straße": CyberbullyingLabel.ETHNICITY_RACE,
             "İstanbul": CyberbullyingLabel.NOT_CYBERBULLYING,
             "(x|y)": CyberbullyingLabel.RELIGION,
-        }
+        })
         responses = [
             "c++ code", "I like c++", "acb is not a.b", "a.b.c", "axb",
             "STRASSE", "straße!", "die STRAßE", "istanbul", "İSTANBUL", "i̇stanbul trip",
@@ -270,16 +283,16 @@ class TestAlternationParse:
         ]
         for text in responses:
             expected = reference_parse(text, CyberbullyingLabel, table)
-            assert _parse_or_none(text, CyberbullyingLabel, table) == expected, text
+            assert _parse_or_none(text, CyberbullyingLabel) == expected, text
         # a metacharacter is literal: "a.b" does not match "axb"
-        assert _parse_or_none("axb", CyberbullyingLabel, table) is None
+        assert _parse_or_none("axb", CyberbullyingLabel) is None
 
-    def test_shorter_phrase_where_the_longer_fails_its_trailing_boundary(self):
-        table = {
+    def test_shorter_phrase_where_the_longer_fails_its_trailing_boundary(self, crafted_table):
+        table = crafted_table({
             "hate": CyberbullyingLabel.NOT_CYBERBULLYING,
             "hate s": CyberbullyingLabel.RELIGION,
             "hate speech": CyberbullyingLabel.GENDER_SEXUAL,
-        }
+        })
         expected = {
             "hate speechless": CyberbullyingLabel.NOT_CYBERBULLYING,
             "hate s": CyberbullyingLabel.RELIGION,
@@ -287,12 +300,13 @@ class TestAlternationParse:
         }
         for text, label in expected.items():
             assert reference_parse(text, CyberbullyingLabel, table) == (label, MatchKind.SYNONYM)
-            assert _parse_or_none(text, CyberbullyingLabel, table) == (label, MatchKind.SYNONYM)
+            assert _parse_or_none(text, CyberbullyingLabel) == (label, MatchKind.SYNONYM)
 
-    def test_empty_custom_table_falls_through_to_substring(self):
+    def test_empty_custom_table_falls_through_to_substring(self, crafted_table):
         text = "maybe Religion"
-        assert _parse_or_none(text, CyberbullyingLabel, {}) == reference_parse(
-            text, CyberbullyingLabel, {}
+        table = crafted_table({})
+        assert _parse_or_none(text, CyberbullyingLabel) == reference_parse(
+            text, CyberbullyingLabel, table
         )
 
     @pytest.mark.parametrize("space", [AggressionLabel, CyberbullyingLabel])
@@ -473,15 +487,19 @@ class TestToyBackend:
         save_toy(path, [Task.CYBERBULLYING], head_bias_class=2)
         assert classify(prompt, descriptor).text == order[2].display_name
 
-    def test_rendered_text_mode_classifies_the_whole_prompt(self, tmp_path):
-        path = save_toy(tmp_path / "cb.npz", [Task.CYBERBULLYING])
-        prompts = varied_prompts(Task.CYBERBULLYING, 20)
-        descriptor = dataclasses.replace(toy_descriptor(path), input_mode="rendered_text")
-        texts = [p.rendered_text for p in prompts]
-        expected = load_classifier(path).predict_batch(texts, Task.CYBERBULLYING)
-        got = [o.text for o in classify_batch(prompts, descriptor)]
-        assert got == [label.display_name for label in expected]
-        assert got != [o.text for o in classify_batch(prompts, toy_descriptor(path))]
+    def test_toy_stages_render_no_prompt(self, tmp_path, cyberbullying_fixture, monkeypatch):
+        import cbdetect.prompting as prompting
+
+        path = save_toy(tmp_path / "both.npz", [Task.AGGRESSION, Task.CYBERBULLYING])
+        toy = toy_descriptor(path)
+        spec = ExperimentSpec(Method.EPP, Task.CYBERBULLYING, (toy, toy))
+        expected = run_epp(cyberbullying_fixture, spec).predictions
+
+        def no_render(*args):
+            raise AssertionError("a toy stage rendered a prompt")
+
+        monkeypatch.setattr(prompting, "_substitute", no_render)
+        assert run_epp(cyberbullying_fixture, spec).predictions == expected
 
 
 class TestStub:
@@ -611,6 +629,11 @@ class TestDescriptor:
         ],
     )
     def test_input_mode_serialized_per_kind(self, kind, key, mode):
+        if (kind, mode) == (BackendKind.TOY_CHECKPOINT, "rendered_text"):
+            # a toy reads the post text it was tuned on, never the prompt
+            with pytest.raises(BackendError, match="toy checkpoint reads the post text"):
+                dataclasses.replace(self.DESCRIPTORS[kind], input_mode=mode)
+            return
         descriptor = dataclasses.replace(self.DESCRIPTORS[kind], input_mode=mode)
         data = descriptor.to_dict()
         assert {"match_on", "input_mode"} & set(data) == ({key} if key else set())
@@ -619,6 +642,12 @@ class TestDescriptor:
         else:  # a live endpoint always receives the rendered prompt
             assert descriptor.input_mode == "rendered_text"
         assert BackendDescriptor.from_dict(data) == descriptor
+
+    def test_toy_rendered_text_refused_from_dict(self):
+        data = self.DESCRIPTORS[BackendKind.TOY_CHECKPOINT].to_dict()
+        data["input_mode"] = "rendered_text"
+        with pytest.raises(BackendError, match="input_mode 'rendered_text' is not served"):
+            BackendDescriptor.from_dict(data)
 
     @pytest.mark.parametrize(
         "key, value, named",

@@ -501,6 +501,15 @@ MALFORMED = {
     ),
     "run-seed-bool": ("run", _put("seed", value=True), 2, "seed: expected int, got bool"),
     "run-checkpoints": ("run", _put("checkpoints", value=5), 2, "checkpoints"),
+    "run-toy-rendered_text": (
+        "run",
+        _put("backends", value=[{
+            "backend_id": "toy", "kind": "toy_checkpoint",
+            "checkpoint_path": "checkpoint.npz", "input_mode": "rendered_text",
+        }]),
+        2,
+        "backends[0]: a toy checkpoint reads the post text it was tuned on",
+    ),
     "run-misspelled-key": ("run", _put("seeed", value=3), 2, "unknown config keys: ['seeed']"),
     "run-stub_rules": ("run", _put("backends", 0, "stub_rules", value=5), 2, "backends[0]"),
     "run-stub_rules-pair": (

@@ -121,6 +121,22 @@ class TestSpecValidation:
         with pytest.raises(PipelineError, match="template id for role 'main' is not a string"):
             cb_spec(templates={"main": 1})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", True, "seed: expected int, got bool"),
+            ("seed", "7", "seed: expected int, got str"),
+            ("seed", 1.5, "seed: expected int, got float"),
+            ("exemplar_k", "1", "exemplar_k: expected int, got str"),
+            ("exemplar_k", False, "exemplar_k: expected int, got bool"),
+            ("templates", "main", "templates: expected a mapping of str to str, got str"),
+            ("templates", [("main", "zero_shot_v1")], "templates: expected a mapping"),
+        ],
+    )
+    def test_field_types_are_checked(self, field, value, message):
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            cb_spec(method=Method.FEW_SHOT, **{field: value})
+
     def test_templates_are_copied_when_the_spec_is_built(self):
         templates = {"main": "zero_shot_v1"}
         spec = cb_spec(templates=templates)
@@ -542,6 +558,27 @@ class TestReproducibility:
         assert (first.run_dir / "predictions.jsonl").read_bytes() == (
             second.run_dir / "predictions.jsonl"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", True, "seed: expected int, got bool"),
+            ("seed", "7", "seed: expected int, got str"),
+            ("seed", 1.5, "seed: expected int, got float"),
+            ("exemplars", {"k": "1"}, "exemplar_k: expected int, got str"),
+        ],
+    )
+    def test_manifest_with_a_mistyped_field_is_not_rerun(
+        self, tmp_path, cyberbullying_fixture, key, value, message
+    ):
+        pool = synth_fixture(4, Task.CYBERBULLYING, seed=99)
+        spec = cb_spec(method=Method.FEW_SHOT, seed=21)
+        first = run_baseline(cyberbullying_fixture, spec, train_posts=pool, out_dir=tmp_path / "a")
+        manifest = json.loads((first.run_dir / "manifest.json").read_text())
+        manifest[key] = value
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            run_from_manifest(manifest, cyberbullying_fixture, pool, out_dir=tmp_path / "b")
+        assert not (tmp_path / "b").exists()
 
 
 # Stubs that reach every parse stage, both failure kinds and a non-ASCII

@@ -627,7 +627,7 @@ class TestCheckpoint:
             {Task.AGGRESSION: trainer.head},
         )
         bundle = load_classifier(path)
-        assert bundle.model_config == base.config
+        assert bundle.base.config == base.config
         assert bundle.tune_config == trainer.config
         loaded = bundle.adapters[Task.AGGRESSION]
         for name, factors in trainer.adapters.factors.items():
