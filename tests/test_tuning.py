@@ -756,36 +756,43 @@ class TestCheckpoint:
         """Pins what a fixed SFT run and a fixed MTL run write: the header,
         then each array's name, dtype, shape and bytes in file order. The
         zip container itself is not hashed, so numpy's writer can change."""
-        base = ToyTransformer(SMALL)
         config = TuneConfig(rank_r=2, learning_rate=1e-2, batch_size=3, epochs=2, seed=4)
         agg = synth_fixture(2, Task.AGGRESSION, seed=1)
         cb = synth_fixture(2, Task.CYBERBULLYING, seed=2)
-        sft = SftTrainer(base, Task.CYBERBULLYING, config)
-        sft.train(cb)
-        mtl = MtlTrainer(base, config)
-        mtl.train(agg, cb)
-        paths = {
-            "sft": save_checkpoint(
-                tmp_path / "sft.npz", SMALL, config,
-                {Task.CYBERBULLYING: sft.adapters}, {Task.CYBERBULLYING: sft.head},
-            ),
-            "mtl": save_checkpoint(tmp_path / "mtl.npz", SMALL, config, mtl.adapters, mtl.heads),
-        }
-        digests = {}
-        for run, path in paths.items():
-            digest = hashlib.sha256()
-            with np.load(path) as archive:
-                digest.update(str(archive["__meta__"]).encode("utf-8"))
-                for name in archive.files[1:]:
-                    array = archive[name]
-                    digest.update(f"\n{name} {array.dtype.str} {array.shape}\n".encode("ascii"))
-                    digest.update(array.tobytes())
-                assert archive.files[0] == "__meta__"
-            digests[run] = digest.hexdigest()
-        assert digests == {
+        assert _trained_checkpoint_digests(tmp_path, SMALL, config, agg, cb) == {
             "sft": "79ccd58fb5771f190f05b04231a76854cefaa8569b4078e9b1f5c4a51c866311",
             "mtl": "ebd0070ad57b95eac0e44c12bc13b3239f00fe9ed29d23bc9dd1366a9af985e8",
         }
+
+    @pytest.mark.parametrize(
+        "selector, rank, batch_size, digests",
+        [
+            # the benchmark's shape: the default net, rank 8, batches of 8
+            ("attn", 8, 8, {
+                "sft": "937ea7cf112d61419b043db95aa073cf7a74ab0a80dd1b0530a93308c25dcc6f",
+                "mtl": "e4dc22f0b5e89e80a937f994113170437fe586f451f945b6b8796d7b07006e8d",
+            }),
+            # every weight of both layers: square projections, 32x16 w1 and 16x32 w2
+            ("layers.", 4, 4, {
+                "sft": "9ca97f4aa1ec81f3098ba99799f5ded0f123d1510fd7d4d18726b0c06c247871",
+                "mtl": "a3c9f17e91f01ab499d4207eb1c99fb3ce7c3de0bac6193a376c66fbcda5652b",
+            }),
+        ],
+        ids=["attn", "layers."],
+    )
+    def test_trained_default_net_checkpoint_contents(
+        self, tmp_path, selector, rank, batch_size, digests
+    ):
+        """The same pin on the default two-layer net, over posts of varied
+        length, some cut at ``max_len``."""
+        config = TuneConfig(
+            rank_r=rank, learning_rate=1e-2, batch_size=batch_size, epochs=2,
+            target_layers=selector, seed=5,
+        )
+        agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
+        cb = _varied_posts(Task.CYBERBULLYING, 3, seed=2)
+        net = ToyNetConfig(seed=0)
+        assert _trained_checkpoint_digests(tmp_path, net, config, agg, cb) == digests
 
     def test_rebuilt_base_matches(self, tmp_path, base):
         rebuilt = ToyTransformer(base.config)
@@ -800,6 +807,38 @@ class TestCheckpoint:
         records = trainer.train(posts)
         path = write_metrics_log(records, tmp_path / "metrics.jsonl")
         assert len(path.read_text().splitlines()) == len(records) == 9
+
+
+def _trained_checkpoint_digests(tmp_path, net_config, tune_config, agg, cb):
+    """sha256 of the checkpoints an SFT run on ``cb`` and an MTL run on
+    ``agg`` and ``cb`` write: the header, then each array's name, dtype,
+    shape and bytes in file order."""
+    base = ToyTransformer(net_config)
+    sft = SftTrainer(base, Task.CYBERBULLYING, tune_config)
+    sft.train(cb)
+    mtl = MtlTrainer(base, tune_config)
+    mtl.train(agg, cb)
+    paths = {
+        "sft": save_checkpoint(
+            tmp_path / "sft.npz", net_config, tune_config,
+            {Task.CYBERBULLYING: sft.adapters}, {Task.CYBERBULLYING: sft.head},
+        ),
+        "mtl": save_checkpoint(
+            tmp_path / "mtl.npz", net_config, tune_config, mtl.adapters, mtl.heads
+        ),
+    }
+    digests = {}
+    for run, path in paths.items():
+        digest = hashlib.sha256()
+        with np.load(path) as archive:
+            assert archive.files[0] == "__meta__"
+            digest.update(str(archive["__meta__"]).encode("utf-8"))
+            for name in archive.files[1:]:
+                array = archive[name]
+                digest.update(f"\n{name} {array.dtype.str} {array.shape}\n".encode("ascii"))
+                digest.update(array.tobytes())
+        digests[run] = digest.hexdigest()
+    return digests
 
 
 def _varied_posts(task, n_per_class, seed):
