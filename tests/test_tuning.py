@@ -229,6 +229,19 @@ class TestPooledPass:
         logits = predict_logits(base, init_adapter_state(base, TuneConfig()), head, [])
         assert logits.shape == (0, 3)
 
+    def test_predict_logits_bits(self, base):
+        """Pins the bytes the inference pass gives with adapters on every
+        weight, over more rows than one chunk."""
+        head = training.TaskHead(
+            Task.CYBERBULLYING, np.random.default_rng(1).normal(size=(4, 16)), np.zeros(4)
+        )
+        texts = _mixed_length_texts(base.config.max_len, n=12, seed=4)
+        assert len(texts) > training.PREDICT_CHUNK_ROWS
+        logits = predict_logits(base, _random_adapters(base, seed=3), head, texts)
+        assert hashlib.sha256(logits.tobytes()).hexdigest() == (
+            "1250eb2e873d604258264526081ba1e5bb65b96ef68e02670cda2b4e2777791d"
+        )
+
 
 class TestLosses:
     def test_uniform_logits_joint_loss(self):
