@@ -113,13 +113,14 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not isinstance(value, int) or type(value) is bool:
                 raise PipelineError(f"{name}: expected int, got {type(value).__name__}")
-        if not isinstance(self.templates, Mapping):
-            raise PipelineError(
-                f"templates: expected a mapping of str to str, got {type(self.templates).__name__}"
-            )
         # read-only copies, so the checks below hold for the spec's whole life
-        for name in ("templates", "aggression_overrides"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        for name, values in (("templates", "str"), ("aggression_overrides", "aggression label")):
+            value = getattr(self, name)
+            if not isinstance(value, Mapping):
+                raise PipelineError(
+                    f"{name}: expected a mapping of str to {values}, got {type(value).__name__}"
+                )
+            object.__setattr__(self, name, MappingProxyType(dict(value)))
         if self.method is Method.EPP:
             if self.task is not Task.CYBERBULLYING:
                 raise PipelineError("the enriched pipeline targets the cyberbullying task")
@@ -133,8 +134,12 @@ class ExperimentSpec:
             if self.aggression_overrides:
                 raise PipelineError("aggression overrides apply only to an epp experiment spec")
         for post_id, label in self.aggression_overrides.items():
+            if not isinstance(post_id, str):
+                raise PipelineError(f"aggression_overrides: post id {post_id!r} is not a string")
             if not isinstance(label, AggressionLabel):
-                raise PipelineError(f"override for {post_id!r} is not an aggression label")
+                raise PipelineError(
+                    f"aggression_overrides: override for {post_id!r} is not an aggression label"
+                )
         roles = _DEFAULT_TEMPLATES[self.method]
         for role, template_id in self.templates.items():
             if role not in roles:
@@ -411,10 +416,12 @@ def spec_from_manifest(manifest: dict) -> ExperimentSpec:
     of a manifest's inputs."""
     templates = {role: meta["template_id"] for role, meta in manifest.get("templates", {}).items()}
     exemplar_k = {"exemplar_k": manifest["exemplars"]["k"]} if "exemplars" in manifest else {}
-    overrides = {
-        post_id: label_from_name(Task.AGGRESSION, name)
-        for post_id, name in manifest.get("aggression_overrides", {}).items()
-    }
+    overrides = manifest.get("aggression_overrides", {})
+    if isinstance(overrides, Mapping):  # anything else is the spec's to refuse
+        overrides = {
+            post_id: label_from_name(Task.AGGRESSION, name) if isinstance(name, str) else name
+            for post_id, name in overrides.items()
+        }
     return ExperimentSpec(
         method=Method(manifest["method"]),
         task=Task(manifest["task"]),

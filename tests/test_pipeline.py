@@ -33,7 +33,7 @@ from cbdetect import (
     synth_fixture,
 )
 from cbdetect.cli import main
-from cbdetect.pipeline import load_manifest, load_predictions
+from cbdetect.pipeline import load_manifest, load_predictions, spec_from_manifest
 from cbdetect.tuning import SftTrainer, ToyNetConfig, ToyTransformer, TuneConfig, save_checkpoint
 
 
@@ -99,6 +99,20 @@ class TestSpecValidation:
     def test_override_must_be_an_aggression_label(self):
         with pytest.raises(PipelineError, match="override for 'p1' is not an aggression label"):
             epp_spec(aggression_overrides={"p1": "OAG"})
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("x", "expected a mapping of str to aggression label, got str"),
+            (5, "expected a mapping of str to aggression label, got int"),
+            (["p1"], "expected a mapping of str to aggression label, got list"),
+            ({"p1": "OAG"}, "override for 'p1' is not an aggression label"),
+            ({1: AggressionLabel.OAG}, "post id 1 is not a string"),
+        ],
+    )
+    def test_aggression_overrides_are_checked(self, value, message):
+        with pytest.raises(PipelineError, match=re.escape(f"aggression_overrides: {message}")):
+            epp_spec(aggression_overrides=value)
 
     @pytest.mark.parametrize(
         "method, role, roles",
@@ -748,6 +762,25 @@ class TestPinnedBytes:
         path.write_text(json.dumps(manifest), encoding="utf-8")
         message = f"{path}: unknown aggression label name: 'XAG'"
         with pytest.raises(PipelineError, match=re.escape(message)):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (5, "expected a mapping of str to aggression label, got int"),
+            (["p1"], "expected a mapping of str to aggression label, got list"),
+            ({"p1": 3}, "override for 'p1' is not an aggression label"),
+        ],
+    )
+    def test_malformed_overrides_in_a_manifest_name_the_field(self, tmp_path, value, message):
+        path = _pinned_run("epp_override", tmp_path).run_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["aggression_overrides"] = value
+        message = f"aggression_overrides: {message}"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            spec_from_manifest(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"{path}: {message}")):
             load_manifest(path)
 
     @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
