@@ -10,7 +10,7 @@ never written; the optimizer sees only factors and heads.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -67,11 +67,68 @@ class LoraFactors:
         return self.up @ self.down
 
 
-@dataclass
-class AdapterState:
-    """Factor pairs for every targeted weight matrix."""
+@dataclass(frozen=True)
+class FactorStack:
+    """The factors of the targets that share one weight shape, stacked in
+    target order."""
 
-    factors: dict[str, LoraFactors]
+    names: tuple[str, ...]
+    down: np.ndarray  # (n, r, d_in)
+    up: np.ndarray  # (n, d_out, r)
+
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        """(n, d_out, d_in): the targets' weights, stacked."""
+        return self.up.shape[:2] + self.down.shape[2:]
+
+
+class AdapterState:
+    """Factor pairs for every targeted weight matrix.
+
+    The factors of targets that share a weight shape live in one
+    ``FactorStack``, so a stack's effective weights and its factor
+    gradients are one batched matmul each. ``factors`` maps each target, in
+    target order, to its (Down, Up) views into its stack.
+    """
+
+    def __init__(self, factors: Mapping[str, LoraFactors]):
+        by_shape: dict[tuple, list[str]] = {}
+        for name, f in factors.items():
+            by_shape.setdefault((f.down.shape, f.up.shape), []).append(name)
+        self._order = list(factors)
+        self._hold(
+            [
+                FactorStack(
+                    tuple(names),
+                    np.stack([factors[name].down for name in names]),
+                    np.stack([factors[name].up for name in names]),
+                )
+                for names in by_shape.values()
+            ]
+        )
+
+    def _hold(self, stacks: list[FactorStack]) -> None:
+        self.stacks = stacks
+        views = {
+            name: LoraFactors(stack.down[i], stack.up[i])
+            for stack in stacks
+            for i, name in enumerate(stack.names)
+        }
+        self.factors = {name: views[name] for name in self._order}
+
+    def restack(self, arrays: Iterator[np.ndarray]) -> None:
+        """Hold the next arrays of ``arrays``, each stack's Down then its Up,
+        as the stacks from now on. They must have the stacks' shapes."""
+        self._hold([FactorStack(s.names, next(arrays), next(arrays)) for s in self.stacks])
+
+    def zeros_like(self) -> "AdapterState":
+        """A state of the same targets and shapes with all-zero factors."""
+        return AdapterState(
+            {
+                name: LoraFactors(np.zeros_like(f.down), np.zeros_like(f.up))
+                for name, f in self.factors.items()
+            }
+        )
 
     @property
     def targets(self) -> list[str]:
@@ -81,25 +138,27 @@ class AdapterState:
         return self.factors[name].delta()
 
     def parameter_count(self) -> int:
-        return sum(f.down.size + f.up.size for f in self.factors.values())
+        return sum(s.down.size + s.up.size for s in self.stacks)
 
     def effective_weights(self, base_params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """W + Up @ Down for every target; base arrays are left untouched."""
-        return {
-            name: base_params[name] + f.up @ f.down for name, f in self.factors.items()
-        }
+        weights = {}
+        for s in self.stacks:
+            base = np.concatenate([base_params[name] for name in s.names])
+            weights.update(zip(s.names, base.reshape(s.weight_shape) + s.up @ s.down))
+        return weights
 
-    def factor_grads(self, weight_grads: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-        """Chain effective-weight gradients into factor gradients: Down's,
-        then Up's, for each target in order.
+    def factor_grads(self, weight_grads: Mapping[str, np.ndarray], out: "AdapterState") -> None:
+        """Chain effective-weight gradients into factor gradients, written
+        into the stacks of ``out``, a state of the same targets and shapes.
 
         With Weff = W + Up @ Down: dUp = dWeff @ Down.T, dDown = Up.T @ dWeff.
         """
-        grads = []
-        for name, f in self.factors.items():
-            d_weff = weight_grads[name]
-            grads += (f.up.T @ d_weff, d_weff @ f.down.T)
-        return grads
+        for s, d in zip(self.stacks, out.stacks):
+            d_weff = np.concatenate([weight_grads[name] for name in s.names])
+            d_weff = d_weff.reshape(s.weight_shape)
+            np.matmul(s.up.transpose(0, 2, 1), d_weff, out=d.down)
+            np.matmul(d_weff, s.down.transpose(0, 2, 1), out=d.up)
 
     def update_norms(self) -> dict[str, float]:
         """Frobenius norm of each effective delta (zero until trained)."""

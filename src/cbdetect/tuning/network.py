@@ -128,13 +128,24 @@ class ToyNetConfig:
         return from_fields(cls, data)
 
 
-def _masked_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row softmax where -inf marks disallowed keys; all-masked rows -> 0."""
-    row_max = scores.max(axis=-1, keepdims=True)
+def _masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Row softmax over the keys ``allowed`` marks; all-masked rows -> 0.
+
+    The max and the exp skip disallowed keys instead of reading them as
+    -inf (numpy's exp is slow on -inf); each allowed entry is computed as
+    before and each disallowed one is exactly 0, as exp(-inf) was.
+    """
+    row_max = np.maximum.reduce(scores, axis=-1, keepdims=True, where=allowed, initial=-np.inf)
     safe_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    expd = np.exp(scores - safe_max)
+    expd = np.exp(scores - safe_max, where=allowed, out=np.zeros(scores.shape))
     denom = expd.sum(axis=-1, keepdims=True)
     return expd / np.where(denom > 0.0, denom, 1.0)
+
+
+def _softmax_backward(attn: np.ndarray, d_attn: np.ndarray, scale: float) -> np.ndarray:
+    """Gradient w.r.t. the unscaled scores of ``attn = softmax(scores * scale)``
+    along the last axis, from ``attn`` and its gradient ``d_attn``."""
+    return attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * scale
 
 
 @functools.lru_cache(maxsize=128)
@@ -152,22 +163,34 @@ def _layer(
     w: Mapping[str, np.ndarray],
     scale: float,
     pooled_at: tuple[np.ndarray, np.ndarray] | None = None,
+    fuse_qkv: bool = False,
 ) -> tuple[np.ndarray, dict]:
     """One causal attention + GELU-MLP block run at the query rows.
 
     Keys and values come from every position of ``x`` (B, T, d); queries
     and the attention mix run only at ``query`` (B, Q, d), whose ``allowed``
-    (B, Q, T) marks the keys each query may see. With ``pooled_at``, the
-    (rows, positions) of one query per row, the residual ``wo`` projection
-    and the MLP then run only at those rows, on a (B, d) matrix. Returns the
-    block's output and the activations ``backward`` reads.
+    (B, Q, T) marks the keys each query may see. With ``fuse_qkv``, where
+    ``query`` must be ``x``, one product with ``wq``, ``wk`` and ``wv``
+    stacked gives q, k and v. With ``pooled_at``, the (rows, positions) of
+    one query per row, the softmax runs only at those queries, the other
+    rows of the attention matrix staying zero, and the residual ``wo``
+    projection and the MLP run only at those rows, on a (B, d) matrix.
+    Returns the block's output and the activations ``backward`` reads.
     """
-    q = query @ w["wq"].T
-    k = x @ w["wk"].T
-    v = x @ w["wv"].T
+    if fuse_qkv:
+        d = x.shape[-1]
+        qkv = x @ np.concatenate((w["wq"], w["wk"], w["wv"])).T
+        q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
+    else:
+        q = query @ w["wq"].T
+        k = x @ w["wk"].T
+        v = x @ w["wv"].T
     scores = (q @ k.transpose(0, 2, 1)) * scale
-    scores = np.where(allowed, scores, -np.inf)
-    attn = _masked_softmax(scores)
+    if pooled_at is None:
+        attn = _masked_softmax(scores, allowed)
+    else:
+        attn = np.zeros(scores.shape)
+        attn[pooled_at] = _masked_softmax(scores[pooled_at], allowed[pooled_at])
     mixed = attn @ v
     activations = {"x": x, "q": q, "k": k, "v": v, "attn": attn, "mixed": mixed}
     if pooled_at is not None:
@@ -250,10 +273,12 @@ class ToyTransformer:
         """Training's pass: ``pool_embedding(forward(...))``, (B, d), plus
         its backward cache, whose ``backward`` takes a (B, d) gradient.
 
-        The last layer computes its attention in full (B, T, T) shape, as
-        ``forward`` does, then runs its ``wo`` projection and MLP only at
-        each row's last unmasked token. Its output and the gradients taken
-        through it equal those of ``forward`` bitwise, as the tests pin.
+        The last layer computes its attention scores and its attention mix
+        in full (B, T, T) shape, as ``forward`` does, but its softmax, its
+        ``wo`` projection and its MLP only at each row's last unmasked token.
+        On batches of two or more rows its output and the gradients taken
+        through it equal those of ``forward`` bitwise (a gradient entry that
+        is zero may differ in sign), as the tests pin.
         """
         return self._cached_pass(ids, mask, overrides, pool=True)
 
@@ -270,7 +295,9 @@ class ToyTransformer:
         scale = self.config.d_model**-0.5
         layer_caches = []
         for i, (names, w) in enumerate(zip(self._layer_names, layer_weights)):
-            x, activations = _layer(x, x, allowed, w, scale, pooled_at if i == top else None)
+            x, activations = _layer(
+                x, x, allowed, w, scale, pooled_at if i == top else None, fuse_qkv=True
+            )
             layer_caches.append({**activations, "names": names, "w": w})
         return x, {"layers": layer_caches, "scale": scale}
 
@@ -287,6 +314,8 @@ class ToyTransformer:
         x, allowed, (*lower, top) = self._start(ids, mask, overrides)
         rows, last = np.arange(x.shape[0]), last_unmasked_index(mask)
         scale = self.config.d_model**-0.5
+        # q, k and v as three products: on inference's 32-row chunks the
+        # fused (B, T, 3d) product measured slower, not faster
         for w in lower:
             x, _ = _layer(x, x, allowed, w, scale)
         # the last unmasked token sees every unmasked key, so its row of
@@ -332,7 +361,7 @@ class ToyTransformer:
             grad(names["w1"], dh_pre, layer["x_attn"])
             dx_attn = dx + dh_pre @ w["w1"]
             if "pooled_at" in layer:  # the MLP ran at the pooled tokens only
-                scattered = np.zeros_like(layer["x"])
+                scattered = np.zeros(layer["x"].shape)
                 scattered[layer["pooled_at"]] = dx_attn
                 dx_attn = scattered
 
@@ -342,8 +371,12 @@ class ToyTransformer:
             attn = layer["attn"]
             d_attn = d_mixed @ layer["v"].transpose(0, 2, 1)
             dv = attn.transpose(0, 2, 1) @ d_mixed
-            d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-            d_scores = d_scores * scale
+            if "pooled_at" in layer:  # the softmax ran at the pooled queries only
+                at = layer["pooled_at"]
+                d_scores = np.zeros(attn.shape)
+                d_scores[at] = _softmax_backward(attn[at], d_attn[at], scale)
+            else:
+                d_scores = _softmax_backward(attn, d_attn, scale)
             dq = d_scores @ layer["k"]
             dk = d_scores.transpose(0, 2, 1) @ layer["q"]
 

@@ -79,15 +79,27 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     n, n_classes = logits.shape
     if targets.shape != (n,):
         raise TuningError(f"targets shape {targets.shape} does not match logits {logits.shape}")
-    if targets.min() < 0 or targets.max() >= n_classes:
+    _check_class_index(targets.min(), n_classes)
+    _check_class_index(targets.max(), n_classes)
+    return _cross_entropy(logits, targets)
+
+
+def _check_class_index(y: int, n_classes: int) -> None:
+    if y < 0 or y >= n_classes:
         raise TuningError(f"class index out of range for {n_classes} classes")
+
+
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """``cross_entropy`` of (B, n_classes) logits and B class indices
+    already known to be in range."""
+    rows = np.arange(len(targets))
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
-    loss = -log_probs[np.arange(n), targets].mean()
+    loss = -(np.add.reduce(log_probs[rows, targets]) / len(targets))  # the mean, bitwise
     grad = np.exp(log_probs)
-    grad[np.arange(n), targets] -= 1.0
-    return float(loss), grad / n
+    grad[rows, targets] -= 1.0
+    return float(loss), grad / len(targets)
 
 
 def mtl_joint_loss(
@@ -106,26 +118,46 @@ def mtl_joint_loss(
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-class Adam:
-    """Plain adaptive-moment optimizer over a named array dict (in place).
+class FlatArrays(dict):
+    """Named arrays that are views into one contiguous vector, ``flat``,
+    which they cover exactly: an elementwise op on ``flat`` acts on every
+    array at once."""
 
-    The moments live in one flat vector each, so a step runs the moment
-    update once over every parameter instead of once per array. ``step``
-    needs a gradient for every parameter.
+    def __init__(self, arrays: Mapping[str, np.ndarray], flat: np.ndarray):
+        super().__init__(arrays)
+        self.flat = flat
+
+
+def flat_views(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One contiguous copy of ``arrays``, back to back, and a view of it
+    shaped like each array."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    bounds = np.cumsum([0] + [a.size for a in arrays]).tolist()
+    return flat, [
+        flat[start:stop].reshape(a.shape) for a, start, stop in zip(arrays, bounds, bounds[1:])
+    ]
+
+
+class Adam:
+    """Plain adaptive-moment optimizer over a ``FlatArrays`` (in place).
+
+    The moments are flat vectors of the parameters' layout, and ``step``
+    reads its gradients from the ``flat`` vector of a ``FlatArrays`` of the
+    same layout, so a step is one set of vector ops over every parameter.
     """
 
-    def __init__(self, params: Mapping[str, np.ndarray], learning_rate: float):
-        self.params = dict(params)
+    def __init__(self, params: FlatArrays, learning_rate: float):
+        if not isinstance(params, FlatArrays):
+            raise TypeError(f"Adam tunes a FlatArrays, got {type(params).__name__}")
+        self.params = params
         self.lr = learning_rate
-        # each array's [start, stop) in the flat vectors, in params order
-        self._bounds = np.cumsum([0] + [p.size for p in self.params.values()])
-        self.m = np.zeros(self._bounds[-1])
-        self.v = np.zeros(self._bounds[-1])
+        self.m = np.zeros(params.flat.size)
+        self.v = np.zeros(params.flat.size)
         self.t = 0
 
-    def step(self, grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, grads: FlatArrays) -> None:
         self.t += 1
-        grad = np.concatenate([grads[key].ravel() for key in self.params])
+        grad = grads.flat
         m, v = self.m, self.v
         m *= _BETA1
         m += (1.0 - _BETA1) * grad
@@ -133,9 +165,22 @@ class Adam:
         v += (1.0 - _BETA2) * grad * grad
         m_hat = m / (1.0 - _BETA1**self.t)
         v_hat = v / (1.0 - _BETA2**self.t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
-        for param, start, stop in zip(self.params.values(), self._bounds, self._bounds[1:]):
-            param -= update[start:stop].reshape(param.shape)
+        self.params.flat -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+
+
+def _one_buffer(adapters: Mapping[Task, AdapterState], heads: Mapping[Task, TaskHead]) -> FlatArrays:
+    """Move every array of ``adapters`` and ``heads`` into one flat vector,
+    values kept: each factor stack, then each head. The mapping names them
+    as ``tuned_arrays`` does."""
+    arrays = [a for state in adapters.values() for s in state.stacks for a in (s.down, s.up)]
+    arrays += [a for head in heads.values() for a in (head.weight, head.bias)]
+    flat, views = flat_views(arrays)
+    views = iter(views)
+    for state in adapters.values():
+        state.restack(views)
+    for head in heads.values():
+        head.weight, head.bias = next(views), next(views)
+    return FlatArrays(tuned_arrays(adapters, heads), flat)
 
 
 def pairs_from_posts(posts: Sequence[LabeledPost], task: Task) -> list[Pair]:
@@ -150,8 +195,12 @@ def pairs_from_posts(posts: Sequence[LabeledPost], task: Task) -> list[Pair]:
     return pairs
 
 
-def _encode_pairs(base: ToyTransformer, pairs: Sequence[Pair]) -> list[EncodedPair]:
-    """Tokenize each pair's text once, cut to the network's ``max_len``."""
+def _encode_pairs(base: ToyTransformer, pairs: Sequence[Pair], task: Task) -> list[EncodedPair]:
+    """Tokenize each pair's text once, cut to the network's ``max_len``,
+    after checking its class index against the task's classes."""
+    n_classes = len(labels_in_order(task))
+    for _, y in pairs:
+        _check_class_index(y, n_classes)
     max_len = base.config.max_len
     return [(base.tokenizer.encode(text)[:max_len], y) for text, y in pairs]
 
@@ -161,10 +210,11 @@ def _branch(
     adapters: AdapterState,
     head: TaskHead,
     batch: Sequence[EncodedPair],
-    names: Sequence[str],
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and gradients of one task branch, keyed by the branch's
-    ``tuned_arrays`` names."""
+    d_adapters: AdapterState,
+    d_head: TaskHead,
+) -> float:
+    """Loss of one task branch; its gradients go into ``d_adapters`` and
+    ``d_head``, shaped like ``adapters`` and ``head``."""
     if not batch:
         raise TuningError("empty batch")
     ids, mask = pad_ids([encoded for encoded, _ in batch])
@@ -173,10 +223,13 @@ def _branch(
     pooled, cache = base.forward_pooled(
         ids, mask, overrides=adapters.effective_weights(base.params)
     )
-    loss, d_logits = cross_entropy(head.logits(pooled), targets)
-    grads = adapters.factor_grads(base.backward(cache, d_logits @ head.weight, adapters.factors))
-    grads += (d_logits.T @ pooled, d_logits.sum(axis=0))
-    return loss, dict(zip(names, grads, strict=True))
+    loss, d_logits = _cross_entropy(head.logits(pooled), targets)
+    adapters.factor_grads(
+        base.backward(cache, d_logits @ head.weight, adapters.factors), out=d_adapters
+    )
+    np.matmul(d_logits.T, pooled, out=d_head.weight)
+    np.sum(d_logits, axis=0, out=d_head.bias)
+    return loss
 
 
 def predict_logits(
@@ -207,8 +260,10 @@ class _Tuner:
     """The step core of both trainers: task-keyed adapters and zero heads on
     a frozen base, all tuned by one ``Adam`` over ``tuned_arrays``.
 
-    A step runs one branch per task, in task order, then one optimizer step
-    on their gradients, and returns the per-task losses.
+    Every tuned array is a view into one flat vector, and every gradient a
+    view into a twin of it, so one ``Adam.step`` updates them all. A step
+    runs one branch per task, in task order, then one optimizer step on
+    their gradients, and returns the per-task losses.
     """
 
     def __init__(
@@ -217,33 +272,39 @@ class _Tuner:
         self.base = base
         self.config = config
         self._adapters = adapters
-        self._heads = {task: TaskHead.zeros(task, base.config.d_model) for task in adapters}
-        # each branch's gradient names, built once rather than on every step
-        self._names = {
-            task: list(tuned_arrays({task: adapters[task]}, {task: self._heads[task]}))
-            for task in adapters
-        }
-        self.optimizer = Adam(tuned_arrays(adapters, self._heads), config.learning_rate)
+        d_model = base.config.d_model
+        self._heads = {task: TaskHead.zeros(task, d_model) for task in adapters}
+        self._d_adapters = {task: state.zeros_like() for task, state in adapters.items()}
+        self._d_heads = {task: TaskHead.zeros(task, d_model) for task in adapters}
+        self._grads = _one_buffer(self._d_adapters, self._d_heads)
+        self.optimizer = Adam(_one_buffer(adapters, self._heads), config.learning_rate)
+
+    def _losses(self, batches: Sequence[Sequence[EncodedPair]]) -> list[float]:
+        """Each task branch's loss; the gradients land in ``_grads``."""
+        return [
+            _branch(
+                self.base, self._adapters[task], self._heads[task], batch,
+                self._d_adapters[task], self._d_heads[task],
+            )
+            for task, batch in zip(self._adapters, batches, strict=True)
+        ]
 
     def _losses_and_grads(
         self, batches: Sequence[Sequence[EncodedPair]]
     ) -> tuple[list[float], dict[str, np.ndarray]]:
-        losses, grads = [], {}
-        for task, batch in zip(self._adapters, batches, strict=True):
-            loss, branch_grads = _branch(
-                self.base, self._adapters[task], self._heads[task], batch, self._names[task]
-            )
-            losses.append(loss)
-            grads.update(branch_grads)
-        return losses, grads
+        losses = self._losses(batches)
+        return losses, {name: grad.copy() for name, grad in self._grads.items()}
 
     def _step(self, batches: Sequence[Sequence[EncodedPair]]) -> list[float]:
-        losses, grads = self._losses_and_grads(batches)
-        self.optimizer.step(grads)
+        losses = self._losses(batches)
+        self.optimizer.step(self._grads)
         return losses
 
     def _encoded(self, *pair_lists: Sequence[Pair]) -> list[list[EncodedPair]]:
-        return [_encode_pairs(self.base, pairs) for pairs in pair_lists]
+        return [
+            _encode_pairs(self.base, pairs, task)
+            for task, pairs in zip(self._adapters, pair_lists, strict=True)
+        ]
 
 
 class SftTrainer(_Tuner):
@@ -278,7 +339,7 @@ class SftTrainer(_Tuner):
         """Epoch loop with seeded shuffling over contiguous batches, the last
         one short; one metrics record per step. Each post is tokenized once
         per call."""
-        pairs = _encode_pairs(self.base, pairs_from_posts(posts, self.task))
+        pairs = _encode_pairs(self.base, pairs_from_posts(posts, self.task), self.task)
         rng = random.Random(self.config.seed)
         records = []
         size, task = self.config.batch_size, self.task.value
@@ -329,8 +390,9 @@ class MtlTrainer(_Tuner):
         """Per-task mini-batches summed inside every step: ``_wrap_slice``
         windows over as many batches as the larger pool needs, so the
         smaller pool repeats. Each post is tokenized once per call."""
-        pairs_agg = _encode_pairs(self.base, pairs_from_posts(posts_agg, Task.AGGRESSION))
-        pairs_cb = _encode_pairs(self.base, pairs_from_posts(posts_cb, Task.CYBERBULLYING))
+        agg, cb = Task.AGGRESSION, Task.CYBERBULLYING
+        pairs_agg = _encode_pairs(self.base, pairs_from_posts(posts_agg, agg), agg)
+        pairs_cb = _encode_pairs(self.base, pairs_from_posts(posts_cb, cb), cb)
         rng = random.Random(self.config.seed)
         records = []
         size = self.config.batch_size

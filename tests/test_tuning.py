@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -12,6 +13,7 @@ from scipy.special import erf
 from cbdetect import Task, synth_fixture
 from cbdetect.tuning import (
     Adam,
+    AdapterState,
     MtlTrainer,
     SftTrainer,
     ToyNetConfig,
@@ -27,6 +29,7 @@ from cbdetect.tuning import (
     pairs_from_posts,
     pool_embedding,
     predict_logits,
+    resolve_targets,
     save_checkpoint,
     write_metrics_log,
 )
@@ -312,6 +315,11 @@ class TestSftStep:
         with pytest.raises(TuningError, match="empty batch"):
             trainer.step([])
 
+    def test_class_index_out_of_range_rejected(self, base):
+        trainer = SftTrainer(base, Task.AGGRESSION, TuneConfig(seed=2))
+        with pytest.raises(TuningError, match="class index out of range for 3 classes"):
+            trainer.step([("a post", 1), ("another post", 3)])
+
 
 class TestMtlStep:
     def test_joint_loss_at_step_zero(self, base, agg_pairs, cb_pairs):
@@ -329,17 +337,20 @@ class TestMtlStep:
 
         from cbdetect.tuning.training import _branch, _encode_pairs
 
-        _, solo = _branch(
-            base,
-            trainer.adapters[Task.AGGRESSION],
-            trainer.heads[Task.AGGRESSION],
-            _encode_pairs(base, agg_pairs),
-            trainer._names[Task.AGGRESSION],
+        # the aggression branch alone gives every aggression gradient of the
+        # joint loss; the cyberbullying head gets its own
+        agg = Task.AGGRESSION
+        d_adapters = trainer.adapters[agg].zeros_like()
+        d_head = training.TaskHead.zeros(agg, base.config.d_model)
+        _branch(
+            base, trainer.adapters[agg], trainer.heads[agg], _encode_pairs(base, agg_pairs, agg),
+            d_adapters, d_head,
         )
-        key = "head.aggression.weight"
-        assert np.array_equal(joint_grads[key], solo[key])
-        key = "head.cyberbullying.weight"
-        assert key in joint_grads and key not in solo
+        solo = training.tuned_arrays({agg: d_adapters}, {agg: d_head})
+        for key, grad in solo.items():
+            assert np.array_equal(joint_grads[key], grad), key
+        assert "head.cyberbullying.weight" in joint_grads
+        assert "head.cyberbullying.weight" not in solo
 
     def test_both_adapter_sets_move(self, base, agg_pairs, cb_pairs):
         trainer = MtlTrainer(base, TuneConfig(learning_rate=1e-2, seed=2))
@@ -355,9 +366,10 @@ class TestMtlStep:
             trainer.step(agg_pairs, [])
 
 
-def _worst_gradient_error(net_config: ToyNetConfig, tune_config: TuneConfig) -> float:
-    """Worst relative gap between analytic and central-difference gradients
-    of the joint MTL loss, over every trainable parameter."""
+def _worst_gradient_error(net_config: ToyNetConfig, tune_config: TuneConfig) -> tuple[float, float]:
+    """Worst relative and worst absolute gap between analytic and
+    central-difference gradients of the joint MTL loss, over every trainable
+    parameter."""
     base = ToyTransformer(net_config)
     trainer = MtlTrainer(base, tune_config)
     rng = np.random.default_rng(99)
@@ -371,7 +383,7 @@ def _worst_gradient_error(net_config: ToyNetConfig, tune_config: TuneConfig) -> 
     _, _, _, grads = trainer.joint_loss_and_grads(pairs_a, pairs_c)
 
     step = 1e-5
-    worst = 0.0
+    worst_rel = worst_abs = 0.0
     for key, arr in trainer.optimizer.params.items():
         for idx in np.ndindex(arr.shape):
             original = arr[idx]
@@ -382,15 +394,21 @@ def _worst_gradient_error(net_config: ToyNetConfig, tune_config: TuneConfig) -> 
             arr[idx] = original
             finite = (plus - minus) / (2 * step)
             analytic = grads[key][idx]
-            rel = abs(analytic - finite) / max(abs(analytic), abs(finite), 1e-8)
-            worst = max(worst, rel)
-    return worst
+            gap = abs(analytic - finite)
+            worst_rel = max(worst_rel, gap / max(abs(analytic), abs(finite), 1e-8))
+            worst_abs = max(worst_abs, gap)
+    return worst_rel, worst_abs
 
 
 class TestGradientCheck:
+    # The relative bound alone would pass an absolute error of 3e-5 on the
+    # largest gradients (about 0.3); the central differences themselves are
+    # off by about 6e-11.
     def test_analytic_matches_central_differences(self):
         tune = TuneConfig(rank_r=2, learning_rate=1e-3, seed=7)
-        assert _worst_gradient_error(SMALL, tune) <= 1e-4
+        worst_rel, worst_abs = _worst_gradient_error(SMALL, tune)
+        assert worst_rel <= 1e-4
+        assert worst_abs <= 1e-9
 
     # Two layers, so gradients cross a layer boundary. "layers." matches every
     # attachable weight. On the one-layer net that selector meets a 4e-8
@@ -400,7 +418,9 @@ class TestGradientCheck:
     def test_targeted_weights_match_central_differences(self, selector):
         net = ToyNetConfig(vocab_size=32, d_model=8, n_layers=2, d_ff=16, seed=11)
         tune = TuneConfig(rank_r=2, learning_rate=1e-3, target_layers=selector, seed=7)
-        assert _worst_gradient_error(net, tune) <= 1e-4
+        worst_rel, worst_abs = _worst_gradient_error(net, tune)
+        assert worst_rel <= 1e-4
+        assert worst_abs <= 1e-9
 
     @pytest.mark.parametrize(
         "selector, pooled",
@@ -526,23 +546,35 @@ def _reference_backward(self, cache, d_hidden, targets=None):
     return grads
 
 
+def _flat_arrays(arrays, order):
+    """``arrays`` copied into one ``FlatArrays``, laid out in ``order``."""
+    flat, views = training.flat_views([arrays[key] for key in order])
+    return training.FlatArrays(dict(zip(order, views)), flat)
+
+
 class TestStepMatchesReference:
     def test_flat_adam_is_bitwise_equal_to_per_array_adam(self):
         rng = np.random.default_rng(4)
         shapes = {
             "vector": (3,), "matrix": (4, 5), "cube": (2, 3, 2), "scalar": (), "wide": (16, 8),
         }
-        flat_params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
-        ref_params = {key: value.copy() for key, value in flat_params.items()}
+        values = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+        flat_params = _flat_arrays(values, shapes)
+        ref_params = {key: value.copy() for key, value in values.items()}
         flat = Adam(flat_params, 1e-2)
         ref = _ReferenceAdam(ref_params, 1e-2)
         for _ in range(60):
-            # gradients named in another order than the parameters
+            # the reference reads gradients by name, here in another order
+            # than the parameters; Adam reads them in the parameters' layout
             grads = {key: rng.normal(size=shapes[key]) for key in reversed(shapes)}
-            flat.step(grads)
+            flat.step(_flat_arrays(grads, shapes))
             ref.step(grads)
         for key in shapes:
             assert np.array_equal(flat_params[key], ref_params[key])
+
+    def test_adam_takes_only_flat_arrays(self):
+        with pytest.raises(TypeError, match="Adam tunes a FlatArrays, got dict"):
+            Adam({"w": np.zeros(3)}, 1e-2)
 
     def test_gelu_from_cached_cdf_is_bitwise_the_erf_formula(self, base):
         ids, mask = base.tokenizer.batch_encode(["several words in here", "tiny", "x " * 40])
@@ -860,6 +892,78 @@ def _varied_posts(task, n_per_class, seed):
         dataclasses.replace(post, text=post.text + " filler" * (i * 7 % 41))
         for i, post in enumerate(synth_fixture(n_per_class, task, seed=seed))
     ]
+
+
+class TestTunedBuffer:
+    def test_given_adapters_are_the_ones_trained(self, base, agg_pairs):
+        config = TuneConfig(rank_r=4, learning_rate=1e-2, seed=5)
+        state = init_adapter_state(base, config)
+        down = {name: f.down.copy() for name, f in state.factors.items()}
+        trainer = SftTrainer(base, Task.AGGRESSION, config, adapters=state)
+        assert trainer.adapters is state
+        params = trainer.optimizer.params
+        for name, f in state.factors.items():
+            assert np.array_equal(f.down, down[name])  # moved into the buffer, values kept
+            assert f.down is params[f"adapter.aggression.{name}.down"]
+            assert f.up is params[f"adapter.aggression.{name}.up"]
+        for _ in range(3):  # the zero head passes no gradient back on the first step
+            trainer.step(agg_pairs)
+        assert all(state.update_norms().values())  # every Up moved off zero
+
+    @pytest.mark.parametrize("selector", ["attn", "layers.", "mlp.w2"])
+    def test_optimizer_tunes_the_tuned_arrays_in_order(self, base, selector):
+        config = TuneConfig(rank_r=2, target_layers=selector, seed=5)
+        targets = resolve_targets(base, selector)
+        sft = SftTrainer(base, Task.AGGRESSION, config)
+        mtl = MtlTrainer(base, config)
+        for trainer, tasks, named in (
+            (sft, ["aggression"],
+             training.tuned_arrays({Task.AGGRESSION: sft.adapters}, {Task.AGGRESSION: sft.head})),
+            (mtl, ["aggression", "cyberbullying"], training.tuned_arrays(mtl.adapters, mtl.heads)),
+        ):
+            params = trainer.optimizer.params
+            assert list(params) == [
+                f"adapter.{task}.{target}.{factor}"
+                for task in tasks for target in targets for factor in ("down", "up")
+            ] + [f"head.{task}.{part}" for task in tasks for part in ("weight", "bias")]
+            for key, array in params.items():
+                assert array is named[key]
+            # the arrays cover the one flat vector exactly, each element once
+            params.flat[:] = np.arange(params.flat.size)
+            covered = np.sort(np.concatenate([array.ravel() for array in params.values()]))
+            assert np.array_equal(covered, np.arange(params.flat.size))
+
+
+class TestWorkPerStep:
+    """What one training step runs, counted: one effective-weight build and
+    one backward pass per task branch, one optimizer step per step."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        for owner, name in (
+            (AdapterState, "effective_weights"), (ToyTransformer, "backward"), (Adam, "step"),
+        ):
+            original = getattr(owner, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("selector", ["attn", "layers.", "layers.1.mlp"])
+    def test_calls_per_step(self, calls, selector):
+        base = ToyTransformer(ToyNetConfig(seed=0))
+        config = TuneConfig(batch_size=4, epochs=2, target_layers=selector, seed=3)
+        agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
+        cb = _varied_posts(Task.CYBERBULLYING, 2, seed=2)
+        steps = len(SftTrainer(base, Task.CYBERBULLYING, config).train(cb))
+        assert calls == {"effective_weights": steps, "backward": steps, "step": steps}
+        calls.clear()
+        steps = len(MtlTrainer(base, config).train(agg, cb))
+        assert calls == {"effective_weights": 2 * steps, "backward": 2 * steps, "step": steps}
 
 
 class TestTokenizeOnce:
