@@ -96,7 +96,8 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.n
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
-    loss = -(np.add.reduce(log_probs[rows, targets]) / len(targets))  # the mean, bitwise
+    # the mean as ndarray.mean computes it (sum, then divide), without its wrapper
+    loss = -(np.add.reduce(log_probs[rows, targets]) / len(targets))
     grad = np.exp(log_probs)
     grad[rows, targets] -= 1.0
     return float(loss), grad / len(targets)
