@@ -122,11 +122,17 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 class FlatArrays(dict):
     """Named arrays that are views into one contiguous vector, ``flat``,
     which they cover exactly: an elementwise op on ``flat`` acts on every
-    array at once."""
+    array at once. ``layout`` holds each array's (name, offset into
+    ``flat``, shape), in key order."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray], flat: np.ndarray):
         super().__init__(arrays)
         self.flat = flat
+        start = flat.__array_interface__["data"][0]
+        self.layout = tuple(
+            (name, (a.__array_interface__["data"][0] - start) // flat.itemsize, a.shape)
+            for name, a in self.items()
+        )
 
 
 def flat_views(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -140,25 +146,42 @@ def flat_views(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
 
 
 class Adam:
-    """Plain adaptive-moment optimizer over a ``FlatArrays`` (in place).
+    """Plain adaptive-moment optimizer over a named array dict (in place).
 
-    The moments are flat vectors of the parameters' layout, and ``step``
-    reads its gradients from the ``flat`` vector of a ``FlatArrays`` of the
-    same layout, so a step is one set of vector ops over every parameter.
+    The moments live in one flat vector each, so a step runs the moment
+    update once over every parameter. ``step`` needs a gradient for every
+    parameter and matches them by name. Over a ``FlatArrays`` the update is
+    one subtract on its flat vector, and gradients in a ``FlatArrays`` of
+    the parameters' layout are read as their flat vector, with no copy.
     """
 
-    def __init__(self, params: FlatArrays, learning_rate: float):
-        if not isinstance(params, FlatArrays):
-            raise TypeError(f"Adam tunes a FlatArrays, got {type(params).__name__}")
-        self.params = params
+    def __init__(self, params: Mapping[str, np.ndarray], learning_rate: float):
+        if isinstance(params, FlatArrays):
+            self.params = params
+            self._layout = params.layout
+            size = params.flat.size
+            # the arrays a step subtracts from, with their [start, stop) in the moments
+            self._writes = [(params.flat, 0, size)]
+        else:
+            self.params = dict(params)
+            bounds = np.cumsum([0] + [p.size for p in self.params.values()]).tolist()
+            shapes = [p.shape for p in self.params.values()]
+            self._layout = tuple(zip(self.params, bounds, shapes))
+            self._writes = list(zip(self.params.values(), bounds, bounds[1:]))
+            size = bounds[-1]
+        # the parameter names in the moments' order
+        self._order = [name for name, _, _ in sorted(self._layout, key=lambda entry: entry[1])]
         self.lr = learning_rate
-        self.m = np.zeros(params.flat.size)
-        self.v = np.zeros(params.flat.size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, grads: FlatArrays) -> None:
+    def step(self, grads: Mapping[str, np.ndarray]) -> None:
         self.t += 1
-        grad = grads.flat
+        if isinstance(grads, FlatArrays) and grads.layout == self._layout:
+            grad = grads.flat
+        else:
+            grad = np.concatenate([grads[name].ravel() for name in self._order])
         m, v = self.m, self.v
         m *= _BETA1
         m += (1.0 - _BETA1) * grad
@@ -166,7 +189,9 @@ class Adam:
         v += (1.0 - _BETA2) * grad * grad
         m_hat = m / (1.0 - _BETA1**self.t)
         v_hat = v / (1.0 - _BETA2**self.t)
-        self.params.flat -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        for param, start, stop in self._writes:
+            param -= update[start:stop].reshape(param.shape)
 
 
 def _one_buffer(adapters: Mapping[Task, AdapterState], heads: Mapping[Task, TaskHead]) -> FlatArrays:

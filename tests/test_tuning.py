@@ -546,35 +546,55 @@ def _reference_backward(self, cache, d_hidden, targets=None):
     return grads
 
 
-def _flat_arrays(arrays, order):
-    """``arrays`` copied into one ``FlatArrays``, laid out in ``order``."""
-    flat, views = training.flat_views([arrays[key] for key in order])
-    return training.FlatArrays(dict(zip(order, views)), flat)
+def _flat_arrays(arrays, flat_order):
+    """``arrays`` copied into one ``FlatArrays``, keyed in their own order
+    and laid out in ``flat_order``."""
+    flat, views = training.flat_views([arrays[key] for key in flat_order])
+    views = dict(zip(flat_order, views))
+    return training.FlatArrays({key: views[key] for key in arrays}, flat)
+
+
+_ADAM_SHAPES = {"vector": (3,), "matrix": (4, 5), "cube": (2, 3, 2), "scalar": (), "wide": (16, 8)}
 
 
 class TestStepMatchesReference:
     def test_flat_adam_is_bitwise_equal_to_per_array_adam(self):
         rng = np.random.default_rng(4)
-        shapes = {
-            "vector": (3,), "matrix": (4, 5), "cube": (2, 3, 2), "scalar": (), "wide": (16, 8),
-        }
-        values = {key: rng.normal(size=shape) for key, shape in shapes.items()}
-        flat_params = _flat_arrays(values, shapes)
-        ref_params = {key: value.copy() for key, value in values.items()}
+        shapes = _ADAM_SHAPES
+        flat_params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+        ref_params = {key: value.copy() for key, value in flat_params.items()}
         flat = Adam(flat_params, 1e-2)
         ref = _ReferenceAdam(ref_params, 1e-2)
         for _ in range(60):
-            # the reference reads gradients by name, here in another order
-            # than the parameters; Adam reads them in the parameters' layout
+            # gradients named in another order than the parameters
             grads = {key: rng.normal(size=shapes[key]) for key in reversed(shapes)}
-            flat.step(_flat_arrays(grads, shapes))
+            flat.step(grads)
             ref.step(grads)
         for key in shapes:
             assert np.array_equal(flat_params[key], ref_params[key])
 
-    def test_adam_takes_only_flat_arrays(self):
-        with pytest.raises(TypeError, match="Adam tunes a FlatArrays, got dict"):
-            Adam({"w": np.zeros(3)}, 1e-2)
+    def test_adam_over_flat_arrays_matches_gradients_by_name(self):
+        """Parameters laid out in another order than their names, as the
+        trainers' buffer is; gradients come in the parameters' layout, in
+        other layouts and as a plain dict, and each reaches its own array."""
+        rng = np.random.default_rng(5)
+        shapes = _ADAM_SHAPES
+        values = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+        own = ["wide", "scalar", "vector", "cube", "matrix"]
+        params = _flat_arrays(values, own)
+        ref_params = {key: value.copy() for key, value in values.items()}
+        flat, ref = Adam(params, 1e-2), _ReferenceAdam(ref_params, 1e-2)
+        layouts = [own, list(shapes), list(reversed(shapes)), None]
+        for i in range(60):
+            grads = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+            layout = layouts[i % len(layouts)]
+            if layout is not None:
+                grads = _flat_arrays(grads, layout)
+                assert (grads.layout == params.layout) == (layout is own)
+            flat.step(grads)
+            ref.step(grads)
+        for key in shapes:
+            assert np.array_equal(params[key], ref_params[key])
 
     def test_gelu_from_cached_cdf_is_bitwise_the_erf_formula(self, base):
         ids, mask = base.tokenizer.batch_encode(["several words in here", "tiny", "x " * 40])
@@ -928,6 +948,8 @@ class TestTunedBuffer:
             ] + [f"head.{task}.{part}" for task in tasks for part in ("weight", "bias")]
             for key, array in params.items():
                 assert array is named[key]
+            # the gradients come in the parameters' layout, read with no copy
+            assert trainer._grads.layout == params.layout
             # the arrays cover the one flat vector exactly, each element once
             params.flat[:] = np.arange(params.flat.size)
             covered = np.sort(np.concatenate([array.ravel() for array in params.values()]))
