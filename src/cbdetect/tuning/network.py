@@ -163,21 +163,20 @@ def _layer(
     w: Mapping[str, np.ndarray],
     scale: float,
     pooled_at: tuple[np.ndarray, np.ndarray] | None = None,
-    fuse_qkv: bool = False,
 ) -> tuple[np.ndarray, dict]:
     """One causal attention + GELU-MLP block run at the query rows.
 
     Keys and values come from every position of ``x`` (B, T, d); queries
     and the attention mix run only at ``query`` (B, Q, d), whose ``allowed``
-    (B, Q, T) marks the keys each query may see. With ``fuse_qkv``, where
-    ``query`` must be ``x``, one product with ``wq``, ``wk`` and ``wv``
-    stacked gives q, k and v. With ``pooled_at``, the (rows, positions) of
+    (B, Q, T) marks the keys each query may see. Where ``query`` is ``x``,
+    one product with ``wq``, ``wk`` and ``wv`` stacked gives q, k and v,
+    bitwise as three would. With ``pooled_at``, the (rows, positions) of
     one query per row, the softmax runs only at those queries, the other
     rows of the attention matrix staying zero, and the residual ``wo``
     projection and the MLP run only at those rows, on a (B, d) matrix.
     Returns the block's output and the activations ``backward`` reads.
     """
-    if fuse_qkv:
+    if query is x:
         d = x.shape[-1]
         qkv = x @ np.concatenate((w["wq"], w["wk"], w["wv"])).T
         q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
@@ -295,9 +294,7 @@ class ToyTransformer:
         scale = self.config.d_model**-0.5
         layer_caches = []
         for i, (names, w) in enumerate(zip(self._layer_names, layer_weights)):
-            x, activations = _layer(
-                x, x, allowed, w, scale, pooled_at if i == top else None, fuse_qkv=True
-            )
+            x, activations = _layer(x, x, allowed, w, scale, pooled_at if i == top else None)
             layer_caches.append({**activations, "names": names, "w": w})
         return x, {"layers": layer_caches, "scale": scale}
 
@@ -314,8 +311,6 @@ class ToyTransformer:
         x, allowed, (*lower, top) = self._start(ids, mask, overrides)
         rows, last = np.arange(x.shape[0]), last_unmasked_index(mask)
         scale = self.config.d_model**-0.5
-        # q, k and v as three products: on inference's 32-row chunks the
-        # fused (B, T, 3d) product measured slower, not faster
         for w in lower:
             x, _ = _layer(x, x, allowed, w, scale)
         # the last unmasked token sees every unmasked key, so its row of
