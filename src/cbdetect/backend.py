@@ -98,6 +98,10 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff: tuple[float, ...] = (0.5, 1.0, 2.0)
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise BackendError("max_attempts must be >= 1")
+
     def delay_before(self, attempt_number: int) -> float:
         # attempt_number is 1-based; no delay before the first attempt
         if attempt_number <= 1 or not self.backoff:

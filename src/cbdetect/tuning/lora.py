@@ -49,6 +49,8 @@ class TuneConfig:
             raise TuningError("batch_size must be >= 1")
         if self.epochs < 1:
             raise TuningError("epochs must be >= 1")
+        if self.seed < 0:
+            raise TuningError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

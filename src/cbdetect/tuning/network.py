@@ -119,6 +119,8 @@ class ToyNetConfig:
         for name in ("d_model", "n_layers", "d_ff", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

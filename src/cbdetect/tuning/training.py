@@ -146,52 +146,34 @@ def flat_views(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
 
 
 class Adam:
-    """Plain adaptive-moment optimizer over a named array dict (in place).
+    """Plain adaptive-moment optimizer over a ``FlatArrays`` (in place).
 
-    The moments live in one flat vector each, so a step runs the moment
-    update once over every parameter. ``step`` needs a gradient for every
-    parameter and matches them by name. Over a ``FlatArrays`` the update is
-    one subtract on its flat vector, and gradients in a ``FlatArrays`` of
-    the parameters' layout are read as their flat vector, with no copy.
+    The moments are flat vectors like ``params.flat``, so a step is one
+    elementwise pass and one subtract. ``step`` takes gradients only as a
+    ``FlatArrays`` of the parameters' layout; anything else raises first.
     """
 
-    def __init__(self, params: Mapping[str, np.ndarray], learning_rate: float):
-        if isinstance(params, FlatArrays):
-            self.params = params
-            self._layout = params.layout
-            size = params.flat.size
-            # the arrays a step subtracts from, with their [start, stop) in the moments
-            self._writes = [(params.flat, 0, size)]
-        else:
-            self.params = dict(params)
-            bounds = np.cumsum([0] + [p.size for p in self.params.values()]).tolist()
-            shapes = [p.shape for p in self.params.values()]
-            self._layout = tuple(zip(self.params, bounds, shapes))
-            self._writes = list(zip(self.params.values(), bounds, bounds[1:]))
-            size = bounds[-1]
-        # the parameter names in the moments' order
-        self._order = [name for name, _, _ in sorted(self._layout, key=lambda entry: entry[1])]
+    def __init__(self, params: FlatArrays, learning_rate: float):
+        if not hasattr(params, "layout"):
+            raise TuningError("Adam tunes a FlatArrays, not a plain mapping")
+        self.params = params
         self.lr = learning_rate
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(params.flat.size)
+        self.v = np.zeros(params.flat.size)
         self.t = 0
 
-    def step(self, grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, grads: FlatArrays) -> None:
+        if getattr(grads, "layout", None) != self.params.layout:
+            raise TuningError("gradients are not in the parameters' FlatArrays layout")
         self.t += 1
-        if isinstance(grads, FlatArrays) and grads.layout == self._layout:
-            grad = grads.flat
-        else:
-            grad = np.concatenate([grads[name].ravel() for name in self._order])
-        m, v = self.m, self.v
+        m, v, grad = self.m, self.v, grads.flat
         m *= _BETA1
         m += (1.0 - _BETA1) * grad
         v *= _BETA2
         v += (1.0 - _BETA2) * grad * grad
         m_hat = m / (1.0 - _BETA1**self.t)
         v_hat = v / (1.0 - _BETA2**self.t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
-        for param, start, stop in self._writes:
-            param -= update[start:stop].reshape(param.shape)
+        self.params.flat -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def _one_buffer(adapters: Mapping[Task, AdapterState], heads: Mapping[Task, TaskHead]) -> FlatArrays:
@@ -332,6 +314,13 @@ class _Tuner:
             for task, pairs in zip(self._adapters, pair_lists, strict=True)
         ]
 
+    def _pools(self, *post_lists: Sequence[LabeledPost]) -> list[list[EncodedPair]]:
+        """Each task's training posts as encoded pairs; an empty pool is refused."""
+        for task, posts in zip(self._adapters, post_lists, strict=True):
+            if not posts:
+                raise TuningError(f"no {task.value} posts to train on")
+        return self._encoded(*map(pairs_from_posts, post_lists, self._adapters))
+
 
 class SftTrainer(_Tuner):
     """Independent single-task adapter tuning on a frozen base network.
@@ -365,7 +354,7 @@ class SftTrainer(_Tuner):
         """Epoch loop with seeded shuffling over contiguous batches, the last
         one short; one metrics record per step. Each post is tokenized once
         per call."""
-        pairs = _encode_pairs(self.base, pairs_from_posts(posts, self.task), self.task)
+        (pairs,) = self._pools(posts)
         rng = random.Random(self.config.seed)
         records = []
         size, task = self.config.batch_size, self.task.value
@@ -416,20 +405,15 @@ class MtlTrainer(_Tuner):
         """Per-task mini-batches summed inside every step: ``_wrap_slice``
         windows over as many batches as the larger pool needs, so the
         smaller pool repeats. Each post is tokenized once per call."""
-        agg, cb = Task.AGGRESSION, Task.CYBERBULLYING
-        pairs_agg = _encode_pairs(self.base, pairs_from_posts(posts_agg, agg), agg)
-        pairs_cb = _encode_pairs(self.base, pairs_from_posts(posts_cb, cb), cb)
+        pairs_agg, pairs_cb = self._pools(posts_agg, posts_cb)
         rng = random.Random(self.config.seed)
         records = []
         size = self.config.batch_size
+        n_batches = -(-max(len(pairs_agg), len(pairs_cb)) // size)
         for epoch in range(self.config.epochs):
-            order_agg = list(pairs_agg)
-            order_cb = list(pairs_cb)
+            order_agg, order_cb = list(pairs_agg), list(pairs_cb)
             rng.shuffle(order_agg)
             rng.shuffle(order_cb)
-            n_batches = max(
-                (len(order_agg) + size - 1) // size, (len(order_cb) + size - 1) // size
-            )
             for b in range(n_batches):
                 loss_agg, loss_cb = self._step(
                     [_wrap_slice(order_agg, b * size, size), _wrap_slice(order_cb, b * size, size)]
@@ -448,8 +432,6 @@ class MtlTrainer(_Tuner):
 
 def _wrap_slice(items: list, start: int, size: int) -> list:
     """Cyclic batch window so the shorter task pool keeps contributing."""
-    if not items:
-        raise TuningError("empty batch")
     count = min(size, len(items))
     return [items[(start + i) % len(items)] for i in range(count)]
 

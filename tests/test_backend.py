@@ -601,6 +601,10 @@ class TestDescriptor:
         with pytest.raises(BackendError, match="timeout must be > 0"):
             BackendDescriptor(backend_id="x", kind=BackendKind.LIVE_ENDPOINT, timeout=float("nan"))
 
+    def test_retry_attempts_validated(self):
+        with pytest.raises(BackendError, match="max_attempts must be >= 1"):
+            RetryPolicy(max_attempts=0)
+
     def test_round_trip_through_dict(self):
         stub = make_stub([("a", "b")], default_response="d", fail_patterns=["f"])
         assert BackendDescriptor.from_dict(stub.to_dict()) == stub

@@ -518,6 +518,10 @@ MALFORMED = {
     "run-retry_policy": (
         "run", _put("backends", 0, "retry_policy", value="x"), 2, "backends[0]: RetryPolicy"
     ),
+    "run-max_attempts-zero": (
+        "run", _put("backends", 0, "retry_policy", value={"max_attempts": 0}), 2,
+        "backends[0]: max_attempts",
+    ),
     "run-timeout": ("run", _put("backends", 0, "timeout", value=None), 2, "backends[0]: timeout"),
     "run-unknown-key": ("run", _put("backends", 0, "timeoutt", value=1.0), 2, "timeoutt"),
     "run-timeout-nan-string": (
@@ -548,6 +552,13 @@ MALFORMED = {
     "train-misspelled-key": ("train", _put("modle", value={}), 2, "unknown config keys: ['modle']"),
     "train-vocab_size": ("train", _put("model", "vocab_size", value=2), 2, "model: vocab_size"),
     "train-d_model": ("train", _put("model", "d_model", value=0), 2, "model: d_model"),
+    "train-tune-seed-negative": ("train", _put("tune", "seed", value=-1), 2, "tune: seed"),
+    "train-model-seed-negative": ("train", _put("model", "seed", value=-1), 2, "model: seed"),
+    # the test's empty "blocker" file as the record file
+    "train-empty-pool": (
+        "train", _put("corpus", "train", value="blocker"), 1,
+        "Error: no aggression posts to train on",
+    ),
     "train-task": ("train", _put("task", value="nope"), 2, "task: 'nope'"),
     "train-not-object": ("train", lambda config, tmp_path: 5, 2, "JSON object"),
     "train-out_dir": ("train", _below_file("out_dir"), 1, "Not a directory"),

@@ -315,6 +315,12 @@ class TestSftStep:
         with pytest.raises(TuningError, match="empty batch"):
             trainer.step([])
 
+    def test_empty_pool_refused_before_any_step(self, base):
+        trainer = SftTrainer(base, Task.AGGRESSION, TuneConfig(seed=2))
+        with pytest.raises(TuningError, match="no aggression posts to train on"):
+            trainer.train([])
+        assert trainer.optimizer.t == 0
+
     def test_class_index_out_of_range_rejected(self, base):
         trainer = SftTrainer(base, Task.AGGRESSION, TuneConfig(seed=2))
         with pytest.raises(TuningError, match="class index out of range for 3 classes"):
@@ -364,6 +370,19 @@ class TestMtlStep:
         trainer = MtlTrainer(base, TuneConfig(seed=2))
         with pytest.raises(TuningError, match="empty batch"):
             trainer.step(agg_pairs, [])
+
+    @pytest.mark.parametrize(
+        "agg, cb, task",
+        [(0, 3, "aggression"), (3, 0, "cyberbullying"), (0, 0, "aggression")],
+        ids=["aggression", "cyberbullying", "both"],
+    )
+    def test_empty_pool_refused_before_any_step(self, base, agg, cb, task):
+        trainer = MtlTrainer(base, TuneConfig(seed=2))
+        posts_agg = synth_fixture(1, Task.AGGRESSION, seed=1)[:agg]
+        posts_cb = synth_fixture(1, Task.CYBERBULLYING, seed=2)[:cb]
+        with pytest.raises(TuningError, match=f"no {task} posts to train on"):
+            trainer.train(posts_agg, posts_cb)
+        assert trainer.optimizer.t == 0
 
 
 def _worst_gradient_error(net_config: ToyNetConfig, tune_config: TuneConfig) -> tuple[float, float]:
@@ -555,46 +574,53 @@ def _flat_arrays(arrays, flat_order):
 
 
 _ADAM_SHAPES = {"vector": (3,), "matrix": (4, 5), "cube": (2, 3, 2), "scalar": (), "wide": (16, 8)}
+# the flat order of the Adam tests' parameters, not their name order
+_ADAM_LAYOUT = ["wide", "scalar", "vector", "cube", "matrix"]
 
 
 class TestStepMatchesReference:
     def test_flat_adam_is_bitwise_equal_to_per_array_adam(self):
+        """Parameters laid out in another order than their names, as the
+        trainers' buffer is, and gradients in the same layout."""
         rng = np.random.default_rng(4)
         shapes = _ADAM_SHAPES
-        flat_params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
-        ref_params = {key: value.copy() for key, value in flat_params.items()}
-        flat = Adam(flat_params, 1e-2)
-        ref = _ReferenceAdam(ref_params, 1e-2)
-        for _ in range(60):
-            # gradients named in another order than the parameters
-            grads = {key: rng.normal(size=shapes[key]) for key in reversed(shapes)}
-            flat.step(grads)
-            ref.step(grads)
-        for key in shapes:
-            assert np.array_equal(flat_params[key], ref_params[key])
-
-    def test_adam_over_flat_arrays_matches_gradients_by_name(self):
-        """Parameters laid out in another order than their names, as the
-        trainers' buffer is; gradients come in the parameters' layout, in
-        other layouts and as a plain dict, and each reaches its own array."""
-        rng = np.random.default_rng(5)
-        shapes = _ADAM_SHAPES
         values = {key: rng.normal(size=shape) for key, shape in shapes.items()}
-        own = ["wide", "scalar", "vector", "cube", "matrix"]
-        params = _flat_arrays(values, own)
+        params = _flat_arrays(values, _ADAM_LAYOUT)
         ref_params = {key: value.copy() for key, value in values.items()}
         flat, ref = Adam(params, 1e-2), _ReferenceAdam(ref_params, 1e-2)
-        layouts = [own, list(shapes), list(reversed(shapes)), None]
-        for i in range(60):
+        for _ in range(60):
             grads = {key: rng.normal(size=shape) for key, shape in shapes.items()}
-            layout = layouts[i % len(layouts)]
-            if layout is not None:
-                grads = _flat_arrays(grads, layout)
-                assert (grads.layout == params.layout) == (layout is own)
+            grads = _flat_arrays(grads, _ADAM_LAYOUT)
             flat.step(grads)
             ref.step(grads)
         for key in shapes:
             assert np.array_equal(params[key], ref_params[key])
+
+    def test_adam_refuses_anything_but_its_own_layout(self):
+        """A plain dict of parameters, and gradients as a plain dict or in
+        another layout, raise before any parameter or moment moves."""
+        rng = np.random.default_rng(5)
+        values = {key: rng.normal(size=shape) for key, shape in _ADAM_SHAPES.items()}
+        kept = {key: value.copy() for key, value in values.items()}
+        with pytest.raises(TuningError, match="FlatArrays"):
+            Adam(values, 1e-2)
+        for key, value in values.items():
+            assert np.array_equal(value, kept[key])
+
+        params = _flat_arrays(values, _ADAM_LAYOUT)
+        optimizer = Adam(params, 1e-2)
+        optimizer.step(_flat_arrays(values, _ADAM_LAYOUT))
+        before = [params.flat.copy(), optimizer.m.copy(), optimizer.v.copy()]
+        for grads in (
+            dict(values),
+            _flat_arrays(values, list(_ADAM_SHAPES)),
+            _flat_arrays(values, list(reversed(_ADAM_LAYOUT))),
+        ):
+            with pytest.raises(TuningError, match="layout"):
+                optimizer.step(grads)
+            assert optimizer.t == 1
+            for now, then in zip((params.flat, optimizer.m, optimizer.v), before, strict=True):
+                assert np.array_equal(now, then)
 
     def test_gelu_from_cached_cdf_is_bitwise_the_erf_formula(self, base):
         ids, mask = base.tokenizer.batch_encode(["several words in here", "tiny", "x " * 40])
@@ -675,6 +701,38 @@ class TestStepMatchesReference:
                 assert np.array_equal(value, ref.optimizer.params[key]), key
             assert np.array_equal(new.optimizer.m, ref.optimizer.m)
             assert np.array_equal(new.optimizer.v, ref.optimizer.v)
+
+    def test_one_row_batches_match_the_full_forward_run(self, monkeypatch):
+        """A batch of one row is close to the full ``forward`` run, not
+        bitwise: the pooled last layer's (1, d) products take numpy's
+        matrix-vector route, which sums in another order. SFT steps 9 posts
+        in batches of 4, the last of one row; MTL's windows wrap, so its
+        cyberbullying pool is one post and every branch of it is one row."""
+        base = ToyTransformer(ToyNetConfig(seed=0))
+        config = TuneConfig(learning_rate=1e-2, batch_size=4, epochs=2, seed=3)
+        agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
+        cb = _varied_posts(Task.CYBERBULLYING, 1, seed=2)[:1]
+
+        def train():
+            sft = SftTrainer(base, Task.AGGRESSION, config)
+            mtl = MtlTrainer(base, config)
+            return [(sft, sft.train(agg)), (mtl, mtl.train(agg, cb))]
+
+        runs = train()
+        forward_pooled, backward = _through_full_forward(ToyTransformer.backward)
+        with monkeypatch.context() as patch:
+            patch.setattr(ToyTransformer, "forward_pooled", forward_pooled)
+            patch.setattr(ToyTransformer, "backward", backward)
+            ref_runs = train()
+
+        for (new, log), (ref, ref_log) in zip(runs, ref_runs, strict=True):
+            assert len(agg) == 9 and len(log) == 6
+            for new_record, ref_record in zip(log, ref_log, strict=True):
+                for key, value in new_record.items():
+                    assert value == pytest.approx(ref_record[key], rel=1e-10)
+            assert list(new.optimizer.params) == list(ref.optimizer.params)
+            for key, value in new.optimizer.params.items():
+                np.testing.assert_allclose(value, ref.optimizer.params[key], rtol=1e-10, atol=0)
 
 
 class TestCheckpoint:
