@@ -192,7 +192,9 @@ def _one_buffer(adapters: Mapping[Task, AdapterState], heads: Mapping[Task, Task
 
 
 def pairs_from_posts(posts: Sequence[LabeledPost], task: Task) -> list[Pair]:
-    """(text, class index) pairs; refuses mixed-task batches."""
+    """(text, class index) pairs; refuses an empty pool and mixed-task posts."""
+    if not posts:
+        raise TuningError(f"no {task.value} posts to train on")
     pairs = []
     for post in posts:
         if post.task is not task:
@@ -314,13 +316,6 @@ class _Tuner:
             for task, pairs in zip(self._adapters, pair_lists, strict=True)
         ]
 
-    def _pools(self, *post_lists: Sequence[LabeledPost]) -> list[list[EncodedPair]]:
-        """Each task's training posts as encoded pairs; an empty pool is refused."""
-        for task, posts in zip(self._adapters, post_lists, strict=True):
-            if not posts:
-                raise TuningError(f"no {task.value} posts to train on")
-        return self._encoded(*map(pairs_from_posts, post_lists, self._adapters))
-
 
 class SftTrainer(_Tuner):
     """Independent single-task adapter tuning on a frozen base network.
@@ -354,7 +349,7 @@ class SftTrainer(_Tuner):
         """Epoch loop with seeded shuffling over contiguous batches, the last
         one short; one metrics record per step. Each post is tokenized once
         per call."""
-        (pairs,) = self._pools(posts)
+        pairs = _encode_pairs(self.base, pairs_from_posts(posts, self.task), self.task)
         rng = random.Random(self.config.seed)
         records = []
         size, task = self.config.batch_size, self.task.value
@@ -405,15 +400,20 @@ class MtlTrainer(_Tuner):
         """Per-task mini-batches summed inside every step: ``_wrap_slice``
         windows over as many batches as the larger pool needs, so the
         smaller pool repeats. Each post is tokenized once per call."""
-        pairs_agg, pairs_cb = self._pools(posts_agg, posts_cb)
+        agg, cb = Task.AGGRESSION, Task.CYBERBULLYING
+        pairs_agg = _encode_pairs(self.base, pairs_from_posts(posts_agg, agg), agg)
+        pairs_cb = _encode_pairs(self.base, pairs_from_posts(posts_cb, cb), cb)
         rng = random.Random(self.config.seed)
         records = []
         size = self.config.batch_size
-        n_batches = -(-max(len(pairs_agg), len(pairs_cb)) // size)
         for epoch in range(self.config.epochs):
-            order_agg, order_cb = list(pairs_agg), list(pairs_cb)
+            order_agg = list(pairs_agg)
+            order_cb = list(pairs_cb)
             rng.shuffle(order_agg)
             rng.shuffle(order_cb)
+            n_batches = max(
+                (len(order_agg) + size - 1) // size, (len(order_cb) + size - 1) // size
+            )
             for b in range(n_batches):
                 loss_agg, loss_cb = self._step(
                     [_wrap_slice(order_agg, b * size, size), _wrap_slice(order_cb, b * size, size)]
