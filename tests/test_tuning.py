@@ -1,14 +1,18 @@
 import collections
+import ctypes
 import dataclasses
 import hashlib
 import json
 import math
 import random
 import re
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from cbdetect import Task, synth_fixture
 from cbdetect.tuning import (
@@ -36,6 +40,30 @@ from cbdetect.tuning import (
 from cbdetect.tuning import network, training
 
 SMALL = ToyNetConfig(vocab_size=32, d_model=8, n_layers=1, d_ff=16, seed=11)
+
+# The OpenBLAS kernel the tuned-bit pins were recorded on. A pin holds the
+# bytes one kernel's summation order gives; another kernel may move them.
+PINNED_KERNEL = "SkylakeX"
+
+
+def _blas_kernel() -> str:
+    """The OpenBLAS core numpy runs, read from numpy's bundled
+    ``libscipy_openblas64_*.so``, or "unknown" where it cannot be read."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"
+    )):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = ()
+        corename.restype = ctypes.c_char_p
+        return corename().decode("ascii")
+    return "unknown"
+
+
+def _kernels() -> str:
+    return f"pinned on the {PINNED_KERNEL} BLAS kernel, run on {_blas_kernel()}"
 
 
 @pytest.fixture
@@ -243,7 +271,7 @@ class TestPooledPass:
         logits = predict_logits(base, _random_adapters(base, seed=3), head, texts)
         assert hashlib.sha256(logits.tobytes()).hexdigest() == (
             "1250eb2e873d604258264526081ba1e5bb65b96ef68e02670cda2b4e2777791d"
-        )
+        ), _kernels()
 
 
 class TestLosses:
@@ -528,8 +556,11 @@ class _ReferenceAdam:
 
 
 def _reference_gelu_grad(x):
-    inv_sqrt_2pi = 1.0 / np.sqrt(2.0 * np.pi)
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) * inv_sqrt_2pi
+    """d/dx of x * 0.5 * (1 + tanh(u)), u = c * (x + a * x**3), through
+    tanh' = 1 - tanh**2, with no use of the forward cache."""
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    t = np.tanh(c * (x + a * x**3))
+    return 0.5 * (1.0 + t) + x * 0.5 * (1.0 - t * t) * c * (1.0 + 3.0 * a * x**2)
 
 
 def _reference_backward(self, cache, d_hidden, targets=None):
@@ -623,12 +654,24 @@ class TestStepMatchesReference:
             for now, then in zip((params.flat, optimizer.m, optimizer.v), before, strict=True):
                 assert np.array_equal(now, then)
 
-    def test_gelu_from_cached_cdf_is_bitwise_the_erf_formula(self, base):
+    def test_gelu_from_cached_gate_is_bitwise_the_tanh_formula(self, base):
         ids, mask = base.tokenizer.batch_encode(["several words in here", "tiny", "x " * 40])
         _, cache = base.forward(ids, mask)
+        c = np.sqrt(2.0 / np.pi)
         for layer in cache["layers"]:
             x = layer["h_pre"]
-            assert np.array_equal(layer["h"], 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+            gate = 0.5 * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+            assert np.array_equal(layer["h"], x * gate)
+
+    def test_tanh_gelu_stays_near_the_erf_gelu(self):
+        """The tanh form approximates x * Phi(x) to within 5e-4 everywhere;
+        its largest gap, about 4.73e-4, sits near |x| = 2.70."""
+        grid = np.linspace(-10.0, 10.0, 200_001)
+        tanh_form = grid * network._gelu_gate(grid)
+        erf_form = [x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in grid.tolist()]
+        gap = np.abs(tanh_form - np.array(erf_form))
+        assert gap.max() <= 5e-4
+        assert 2.6 < abs(grid[gap.argmax()]) < 2.8
 
     def test_sft_and_mtl_training_match_reference(self, monkeypatch):
         base = ToyTransformer(ToyNetConfig(seed=0))
@@ -887,7 +930,7 @@ class TestCheckpoint:
         assert _trained_checkpoint_digests(tmp_path, SMALL, config, agg, cb) == {
             "sft": "79ccd58fb5771f190f05b04231a76854cefaa8569b4078e9b1f5c4a51c866311",
             "mtl": "ebd0070ad57b95eac0e44c12bc13b3239f00fe9ed29d23bc9dd1366a9af985e8",
-        }
+        }, _kernels()
 
     @pytest.mark.parametrize(
         "selector, rank, batch_size, digests",
@@ -917,7 +960,8 @@ class TestCheckpoint:
         agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
         cb = _varied_posts(Task.CYBERBULLYING, 3, seed=2)
         net = ToyNetConfig(seed=0)
-        assert _trained_checkpoint_digests(tmp_path, net, config, agg, cb) == digests
+        digested = _trained_checkpoint_digests(tmp_path, net, config, agg, cb)
+        assert digested == digests, _kernels()
 
     def test_rebuilt_base_matches(self, tmp_path, base):
         rebuilt = ToyTransformer(base.config)
@@ -1104,3 +1148,30 @@ class TestTokenizeOnce:
         for new, ref in ((sft, ref_sft), (mtl, ref_mtl)):
             for key, value in new.optimizer.params.items():
                 assert np.array_equal(value, ref.optimizer.params[key]), key
+
+
+class TestPureNumpy:
+    def test_importing_the_cli_loads_no_scipy(self):
+        # a fresh interpreter, so modules this test run imported do not count
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = f"import sys; sys.path.insert(0, {str(src)!r}); import cbdetect.cli; " + (
+            "sys.exit('scipy' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-2000:] or "importing cbdetect.cli loaded scipy"
+
+    def test_heap_helper_calls_mallopt_only_where_libc_has_it(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        network._keep_freed_heap()
+        assert calls == [(-1, network._TRIM_THRESHOLD_BYTES)]  # M_TRIM_THRESHOLD
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        network._keep_freed_heap()
+        assert len(calls) == 1
