@@ -270,7 +270,7 @@ class TestPooledPass:
         assert len(texts) > training.PREDICT_CHUNK_ROWS
         logits = predict_logits(base, _random_adapters(base, seed=3), head, texts)
         assert hashlib.sha256(logits.tobytes()).hexdigest() == (
-            "1250eb2e873d604258264526081ba1e5bb65b96ef68e02670cda2b4e2777791d"
+            "e59d6c42ededd4fbc4d41e07550c545b0204d73c4d003a48961276738c6fb381"
         ), _kernels()
 
 
@@ -928,8 +928,8 @@ class TestCheckpoint:
         agg = synth_fixture(2, Task.AGGRESSION, seed=1)
         cb = synth_fixture(2, Task.CYBERBULLYING, seed=2)
         assert _trained_checkpoint_digests(tmp_path, SMALL, config, agg, cb) == {
-            "sft": "79ccd58fb5771f190f05b04231a76854cefaa8569b4078e9b1f5c4a51c866311",
-            "mtl": "ebd0070ad57b95eac0e44c12bc13b3239f00fe9ed29d23bc9dd1366a9af985e8",
+            "sft": "1b0607a33c0712a14493c547b72a477cc973e904f95e4fc3d733d2d3065159ac",
+            "mtl": "cc99697c63a3390457c9ab060b507a79c9af073c1773fc274af419b479abec06",
         }, _kernels()
 
     @pytest.mark.parametrize(
@@ -937,13 +937,13 @@ class TestCheckpoint:
         [
             # the benchmark's shape: the default net, rank 8, batches of 8
             ("attn", 8, 8, {
-                "sft": "937ea7cf112d61419b043db95aa073cf7a74ab0a80dd1b0530a93308c25dcc6f",
-                "mtl": "e4dc22f0b5e89e80a937f994113170437fe586f451f945b6b8796d7b07006e8d",
+                "sft": "1c0fec10314ff874cabee0a0cf5d65e34bac999ada766a87ef9cff9171e21d23",
+                "mtl": "95de211701f411f6e2b82b388d2783ba24d5e0f5eab7129f96b05287660f9754",
             }),
             # every weight of both layers: square projections, 32x16 w1 and 16x32 w2
             ("layers.", 4, 4, {
-                "sft": "9ca97f4aa1ec81f3098ba99799f5ded0f123d1510fd7d4d18726b0c06c247871",
-                "mtl": "a3c9f17e91f01ab499d4207eb1c99fb3ce7c3de0bac6193a376c66fbcda5652b",
+                "sft": "2149d93457a7e79bc84eb8ce1f0173ac9be0695cc9a94c0587bbeec893e04597",
+                "mtl": "78c63de0ec6e6cba2a3dd8c6efea15c86d8c8fc16122a36ed1487d89aca7b668",
             }),
         ],
         ids=["attn", "layers."],
