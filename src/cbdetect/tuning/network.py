@@ -16,7 +16,7 @@ within 5e-4 of the exact ``x * Phi(x)``. The forward cache keeps ``g``, and
 ``backward`` takes this form's exact derivative from it,
 ``g + x * 2g(1 - g) * sqrt(2/pi) * (1 + 3 * 0.044715 * x**2)``.
 
-Importing this module raises glibc's heap trim threshold once (see
+Importing this module sets glibc's heap thresholds once (see
 ``_keep_freed_heap``), so the temporaries each step frees stay with the
 process instead of going back to the kernel.
 """
@@ -69,30 +69,35 @@ def _gelu_slope(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return slope
 
 
-# glibc's mallopt parameter number (malloc.h)
+# glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
-# Far above the ~1 MB of temporaries a training step or an inference chunk
-# frees; it is also the threshold glibc's dynamic rule sets after one 8 MB
-# block is freed.
+_M_MMAP_THRESHOLD = -3
+# Blocks below 8 MB come from the heap, and up to 16 MB of freed heap top
+# stays with the process: far above the ~1 MB of temporaries a training
+# step or an inference chunk frees. glibc's dynamic rule sets the same pair
+# after one 8 MB block is freed.
+_MMAP_THRESHOLD_BYTES = 8 << 20
 _TRIM_THRESHOLD_BYTES = 16 << 20
 
 
 def _keep_freed_heap() -> None:
-    """Raise glibc's trim threshold to ``_TRIM_THRESHOLD_BYTES``; a no-op
+    """Set glibc's mmap and trim thresholds to the values above; a no-op
     where the C library has no ``mallopt``.
 
-    Under glibc's default 128 KB threshold, each step's frees hand the heap
-    top back to the kernel, and the next step faults it in again. scipy's
-    import used to prevent that by accident: it frees one large block
-    early, and glibc then raises the threshold by its dynamic rule. Without
-    scipy and without this call, on a shared 2-vCPU machine (fastest of 60
-    calls, three processes each), one SFT step of 8 posts took 0.63-0.66 ms
+    Under thresholds of a few hundred KB, each step's frees hand memory
+    back to the kernel, and the next step faults it in again. scipy's
+    import used to prevent that by accident: glibc's dynamic rule raises
+    both thresholds whenever a block larger than the mmap threshold is
+    freed, and scipy's import and use left them higher. Without scipy and
+    without this call, on a shared 2-vCPU machine (fastest of 60 calls,
+    three processes each), one SFT step of 8 posts took 0.63-0.66 ms
     against 0.55-0.58 ms with scipy, although the GELU itself ran 2.6x
     faster; with this call it took 0.49-0.50 ms, and ``predict_logits``
-    over 240 posts 4.5-4.6 ms against 5.8-6.0 ms without it. Setting the
-    threshold also stops glibc's dynamic rule, so blocks of 128 KB and more
-    stay mmap-backed; raising ``M_MMAP_THRESHOLD`` as well made no
-    difference in four benchmark runs.
+    over 240 posts 4.5-4.6 ms against 5.8-6.0 ms without it. Setting
+    either threshold stops the dynamic rule, so both are set: with the trim
+    threshold alone, blocks above about 0.3 MB stayed mmap-backed, and each
+    stub benchmark round's CSV ingest took about 1,850 page faults (0 with
+    both set).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -100,6 +105,7 @@ def _keep_freed_heap() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 

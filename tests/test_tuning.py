@@ -1154,7 +1154,8 @@ class TestPureNumpy:
     def test_importing_the_cli_loads_no_scipy(self):
         # a fresh interpreter, so modules this test run imported do not count
         src = Path(__file__).resolve().parent.parent / "src"
-        code = f"import sys; sys.path.insert(0, {str(src)!r}); import cbdetect.cli; " + (
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import cbdetect.cli; "
             "sys.exit('scipy' in sys.modules)"
         )
         done = subprocess.run(
@@ -1171,7 +1172,8 @@ class TestPureNumpy:
 
         monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
         network._keep_freed_heap()
-        assert calls == [(-1, network._TRIM_THRESHOLD_BYTES)]  # M_TRIM_THRESHOLD
+        # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+        assert calls == [(-3, 8 << 20), (-1, 16 << 20)]
         monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
         network._keep_freed_heap()
-        assert len(calls) == 1
+        assert len(calls) == 2
