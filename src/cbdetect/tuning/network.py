@@ -87,17 +87,16 @@ def _keep_freed_heap() -> None:
     Under thresholds of a few hundred KB, each step's frees hand memory
     back to the kernel, and the next step faults it in again. scipy's
     import used to prevent that by accident: glibc's dynamic rule raises
-    both thresholds whenever a block larger than the mmap threshold is
-    freed, and scipy's import and use left them higher. Without scipy and
-    without this call, on a shared 2-vCPU machine (fastest of 60 calls,
-    three processes each), one SFT step of 8 posts took 0.63-0.66 ms
-    against 0.55-0.58 ms with scipy, although the GELU itself ran 2.6x
-    faster; with this call it took 0.49-0.50 ms, and ``predict_logits``
-    over 240 posts 4.5-4.6 ms against 5.8-6.0 ms without it. Setting
-    either threshold stops the dynamic rule, so both are set: with the trim
-    threshold alone, blocks above about 0.3 MB stayed mmap-backed, and each
-    stub benchmark round's CSV ingest took about 1,850 page faults (0 with
-    both set).
+    both thresholds whenever a block above the mmap threshold is freed,
+    and scipy's import and use left them higher. On a shared 2-vCPU
+    machine (fastest of 60 calls, in four processes each), one SFT step of
+    8 posts took 0.54-0.57 ms with scipy, 0.65-0.67 ms without scipy or
+    this call, although the GELU itself ran 2.6x faster, and 0.46-0.49 ms
+    with this call; ``predict_logits`` over 240 posts took 5.8-6.0,
+    6.0-6.1 and 4.4-4.6 ms. Setting either threshold stops the dynamic
+    rule, so both are set: with the trim threshold alone, blocks above
+    about 0.3 MB stayed mmap-backed, and each stub benchmark round's CSV
+    ingest took about 1,850 page faults (0 with both set).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

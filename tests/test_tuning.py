@@ -1150,7 +1150,7 @@ class TestTokenizeOnce:
                 assert np.array_equal(value, ref.optimizer.params[key]), key
 
 
-class TestPureNumpy:
+class TestImport:
     def test_importing_the_cli_loads_no_scipy(self):
         # a fresh interpreter, so modules this test run imported do not count
         src = Path(__file__).resolve().parent.parent / "src"
