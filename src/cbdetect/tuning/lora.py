@@ -139,9 +139,6 @@ class AdapterState:
     def delta(self, name: str) -> np.ndarray:
         return self.factors[name].delta()
 
-    def parameter_count(self) -> int:
-        return sum(s.down.size + s.up.size for s in self.stacks)
-
     def effective_weights(self, base_params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """W + Up @ Down for every target; base arrays are left untouched."""
         weights = {}

@@ -235,24 +235,16 @@ def _causal_mask(seq: int) -> np.ndarray:
 
 
 def _layer(
-    x: np.ndarray,
-    query: np.ndarray,
-    allowed: np.ndarray,
-    w: Mapping[str, np.ndarray],
-    scale: float,
-    pooled_at: tuple[np.ndarray, np.ndarray] | None = None,
+    x: np.ndarray, query: np.ndarray, allowed: np.ndarray, w: Mapping[str, np.ndarray], scale: float
 ) -> tuple[np.ndarray, dict]:
     """One causal attention + GELU-MLP block run at the query rows.
 
-    Keys and values come from every position of ``x`` (B, T, d); queries
-    and the attention mix run only at ``query`` (B, Q, d), whose ``allowed``
-    (B, Q, T) marks the keys each query may see. Where ``query`` is ``x``,
-    one product with ``wq``, ``wk`` and ``wv`` stacked gives q, k and v,
-    bitwise as three would. With ``pooled_at``, the (rows, positions) of
-    one query per row, the softmax runs only at those queries, the other
-    rows of the attention matrix staying zero, and the residual ``wo``
-    projection and the MLP run only at those rows, on a (B, d) matrix.
-    Returns the block's output and the activations ``backward`` reads.
+    Keys and values come from every position of ``x`` (B, T, d); queries,
+    the attention mix, the residual ``wo`` projection and the MLP run only
+    at ``query`` (B, Q, d), whose ``allowed`` (B, Q, T) marks the keys each
+    query may see. Where ``query`` is ``x``, one product with ``wq``, ``wk``
+    and ``wv`` stacked gives q, k and v, bitwise as three would. Returns
+    the output (B, Q, d) and the activations ``backward`` reads.
     """
     if query is x:
         d = x.shape[-1]
@@ -262,25 +254,18 @@ def _layer(
         q = query @ w["wq"].T
         k = x @ w["wk"].T
         v = x @ w["wv"].T
-    scores = (q @ k.transpose(0, 2, 1)) * scale
-    if pooled_at is None:
-        attn = _masked_softmax(scores, allowed)
-    else:
-        attn = np.zeros(scores.shape)
-        attn[pooled_at] = _masked_softmax(scores[pooled_at], allowed[pooled_at])
+    attn = _masked_softmax((q @ k.transpose(0, 2, 1)) * scale, allowed)
     mixed = attn @ v
-    activations = {"x": x, "q": q, "k": k, "v": v, "attn": attn, "mixed": mixed}
-    if pooled_at is not None:
-        query, mixed = query[pooled_at], mixed[pooled_at]
-        activations["pooled_at"] = pooled_at
     x_attn = query + mixed @ w["wo"].T
 
     h_pre = x_attn @ w["w1"].T
     gate = _gelu_gate(h_pre)
     h = h_pre * gate
     x_out = x_attn + h @ w["w2"].T
-    activations.update(x_attn=x_attn, h_pre=h_pre, gate=gate, h=h)
-    return x_out, activations
+    return x_out, {
+        "x": x, "query": query, "q": q, "k": k, "v": v, "attn": attn, "mixed": mixed,
+        "x_attn": x_attn, "h_pre": h_pre, "gate": gate, "h": h,
+    }
 
 
 class ToyTransformer:
@@ -301,6 +286,7 @@ class ToyTransformer:
             params[f"layers.{i}.mlp.w2"] = rng.normal(0.0, f**-0.5, (d, f))
         self.params = params
         self.tokenizer = ToyTokenizer(config.vocab_size)
+        self._scale = d**-0.5  # attention's score scale
         self._layer_names = [
             {
                 "wq": f"layers.{i}.attn.wq",
@@ -339,7 +325,9 @@ class ToyTransformer:
         overrides: Mapping[str, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, dict]:
         """Final-layer hidden states (B, T, d) plus the backward cache."""
-        return self._cached_pass(ids, mask, overrides, pool=False)
+        x, allowed, layer_weights = self._start(ids, mask, overrides)
+        x, layers = self._full_layers(x, allowed, layer_weights)
+        return x, {"layers": layers, "scale": self._scale}
 
     def forward_pooled(
         self,
@@ -347,54 +335,36 @@ class ToyTransformer:
         mask: np.ndarray,
         overrides: Mapping[str, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, dict]:
-        """Training's pass: ``pool_embedding(forward(...))``, (B, d), plus
-        its backward cache, whose ``backward`` takes a (B, d) gradient.
+        """The one pooled pass, of training and inference: each row's final
+        hidden vector at its last unmasked token, (B, d), plus its backward
+        cache, whose ``backward`` takes a (B, d) gradient.
 
-        The last layer computes its attention scores and its attention mix
-        in full (B, T, T) shape, as ``forward`` does, but its softmax, its
-        ``wo`` projection and its MLP only at each row's last unmasked token.
-        On batches of two or more rows its output and the gradients taken
-        through it equal those of ``forward`` bitwise (a gradient entry that
-        is zero may differ in sign), as the tests pin.
+        Every layer but the last runs as in ``forward``. The last runs its
+        keys and values at every position, and its query, attention mix,
+        ``wo`` projection and MLP only at the pooled tokens. Its (B, 1, .)
+        products may sum in another order than ``forward``'s (B, T, .) ones,
+        so this is ``pool_embedding(forward(...))`` up to the last bits.
         """
-        return self._cached_pass(ids, mask, overrides, pool=True)
-
-    def _cached_pass(
-        self,
-        ids: np.ndarray,
-        mask: np.ndarray,
-        overrides: Mapping[str, np.ndarray] | None,
-        pool: bool,
-    ) -> tuple[np.ndarray, dict]:
-        x, allowed, layer_weights = self._start(ids, mask, overrides)
-        pooled_at = (np.arange(x.shape[0]), last_unmasked_index(mask)) if pool else None
-        top = len(layer_weights) - 1
-        scale = self.config.d_model**-0.5
-        layer_caches = []
-        for i, (names, w) in enumerate(zip(self._layer_names, layer_weights)):
-            x, activations = _layer(x, x, allowed, w, scale, pooled_at if i == top else None)
-            layer_caches.append({**activations, "names": names, "w": w})
-        return x, {"layers": layer_caches, "scale": scale}
-
-    def pooled(
-        self,
-        ids: np.ndarray,
-        mask: np.ndarray,
-        overrides: Mapping[str, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Inference-only ``pool_embedding(forward(...))``: each row's final
-        hidden vector at its last unmasked token, (B, d), with no backward
-        cache. The last layer runs its keys and values at every position but
-        its query, attention mix and MLP only at the pooled tokens."""
         x, allowed, (*lower, top) = self._start(ids, mask, overrides)
-        rows, last = np.arange(x.shape[0]), last_unmasked_index(mask)
-        scale = self.config.d_model**-0.5
-        for w in lower:
-            x, _ = _layer(x, x, allowed, w, scale)
+        last = last_unmasked_index(mask)
+        x, layers = self._full_layers(x, allowed, lower)
         # the last unmasked token sees every unmasked key, so its row of
         # ``allowed`` is the mask itself
-        pooled, _ = _layer(x, x[rows, last][:, None, :], mask[:, None, :], top, scale)
-        return pooled[:, 0]
+        query = x[np.arange(x.shape[0]), last][:, None, :]
+        pooled, activations = _layer(x, query, mask[:, None, :], top, self._scale)
+        layers.append({**activations, "names": self._layer_names[-1], "w": top, "last": last})
+        return pooled[:, 0], {"layers": layers, "scale": self._scale}
+
+    def _full_layers(
+        self, x: np.ndarray, allowed: np.ndarray, layer_weights: list[dict[str, np.ndarray]]
+    ) -> tuple[np.ndarray, list[dict]]:
+        """The lowest ``len(layer_weights)`` layers, run at every position:
+        their output (B, T, d) and each one's backward cache."""
+        layers = []
+        for names, w in zip(self._layer_names, layer_weights):
+            x, activations = _layer(x, x, allowed, w, self._scale)
+            layers.append({**activations, "names": names, "w": w})
+        return x, layers
 
     def backward(
         self, cache: dict, d_hidden: np.ndarray, targets: Collection[str]
@@ -405,7 +375,9 @@ class ToyTransformer:
         backpropagate through their effective weights, not the base ones.
         Weights outside ``targets`` get no gradient, and the pass stops at
         the lowest layer that holds a target. ``d_hidden`` is (B, T, d) for
-        a ``forward`` cache and (B, d) for a ``forward_pooled`` one.
+        a ``forward`` cache and (B, d) for a ``forward_pooled`` one, read as
+        (B, 1, d); the query gradient of that one's last layer goes back to
+        the pooled tokens only.
         """
         layers = cache["layers"]
         lowest = next(
@@ -416,7 +388,7 @@ class ToyTransformer:
         if lowest is None:
             return {}
         scale = cache["scale"]
-        dx = d_hidden
+        dx = d_hidden if d_hidden.ndim == 3 else d_hidden[:, None, :]
         grads: dict[str, np.ndarray] = {}
 
         def grad(name: str, d_out: np.ndarray, x_in: np.ndarray) -> None:
@@ -433,32 +405,28 @@ class ToyTransformer:
             dh_pre *= dh
             grad(names["w1"], dh_pre, layer["x_attn"])
             dx_attn = dx + dh_pre @ w["w1"]
-            if "pooled_at" in layer:  # the MLP ran at the pooled tokens only
-                scattered = np.zeros(layer["x"].shape)
-                scattered[layer["pooled_at"]] = dx_attn
-                dx_attn = scattered
 
-            # attention: x_attn = x + (softmax(qk^T * scale) @ v) @ wo.T
+            # attention: x_attn = query + (softmax(qk^T * scale) @ v) @ wo.T
             d_mixed = dx_attn @ w["wo"]
             grad(names["wo"], dx_attn, layer["mixed"])
             attn = layer["attn"]
             d_attn = d_mixed @ layer["v"].transpose(0, 2, 1)
             dv = attn.transpose(0, 2, 1) @ d_mixed
-            if "pooled_at" in layer:  # the softmax ran at the pooled queries only
-                at = layer["pooled_at"]
-                d_scores = np.zeros(attn.shape)
-                d_scores[at] = _softmax_backward(attn[at], d_attn[at], scale)
-            else:
-                d_scores = _softmax_backward(attn, d_attn, scale)
+            d_scores = _softmax_backward(attn, d_attn, scale)
             dq = d_scores @ layer["k"]
             dk = d_scores.transpose(0, 2, 1) @ layer["q"]
 
-            x_in = layer["x"]
-            grad(names["wq"], dq, x_in)
+            x_in, query = layer["x"], layer["query"]
+            grad(names["wq"], dq, query)
             grad(names["wk"], dk, x_in)
             grad(names["wv"], dv, x_in)
-            if i > lowest:
+            if i == lowest:
+                break
+            if query is x_in:
                 dx = dx_attn + dq @ w["wq"] + dk @ w["wk"] + dv @ w["wv"]
+            else:  # the query was each row's last unmasked token
+                dx = dk @ w["wk"] + dv @ w["wv"]
+                dx[np.arange(dx.shape[0]), layer["last"]] += (dx_attn + dq @ w["wq"])[:, 0]
         return grads
 
 

@@ -250,7 +250,7 @@ def predict_logits(
     The adapted weights W + Up @ Down are formed once per call and the texts
     tokenized once. Rows run in chunks of ``PREDICT_CHUNK_ROWS`` in a stable
     token-length order, each chunk cut to its longest row, through the
-    network's pooled-only inference pass.
+    network's one pooled pass, ``forward_pooled``, as training runs it.
     """
     logits = np.empty((len(texts), head.bias.size))
     if not texts:
@@ -262,7 +262,8 @@ def predict_logits(
     for start in range(0, len(texts), PREDICT_CHUNK_ROWS):
         rows = order[start : start + PREDICT_CHUNK_ROWS]
         width = lengths[rows[-1]]
-        logits[rows] = head.logits(base.pooled(ids[rows, :width], mask[rows, :width], weights))
+        pooled, _ = base.forward_pooled(ids[rows, :width], mask[rows, :width], weights)
+        logits[rows] = head.logits(pooled)
     return logits
 
 

@@ -457,25 +457,23 @@ class TestToyBackend:
             assert {o.latency for o in group} == {group[0].latency} and group[0].latency > 0
             assert {o.backend_id for o in group} == {"toy"}
 
-        calls = {"pooled": 0, "effective_weights": 0}
-        pooled, effective = ToyTransformer.pooled, AdapterState.effective_weights
+        calls = {"forward_pooled": 0, "effective_weights": 0}
+        pooled, effective = ToyTransformer.forward_pooled, AdapterState.effective_weights
 
         def counting_pooled(self, *args, **kwargs):
-            calls["pooled"] += 1
+            calls["forward_pooled"] += 1
             return pooled(self, *args, **kwargs)
 
         def counting_effective(self, *args, **kwargs):
             calls["effective_weights"] += 1
             return effective(self, *args, **kwargs)
 
-        monkeypatch.setattr(ToyTransformer, "pooled", counting_pooled)
+        monkeypatch.setattr(ToyTransformer, "forward_pooled", counting_pooled)
         monkeypatch.setattr(AdapterState, "effective_weights", counting_effective)
         got = [o.text for o in classify_batch(prompts, toy_descriptor(path))]
         assert got == expected
-        assert calls == {
-            "pooled": math.ceil(40 / PREDICT_CHUNK_ROWS) + math.ceil(70 / PREDICT_CHUNK_ROWS),
-            "effective_weights": 2,
-        }
+        n_chunks = math.ceil(40 / PREDICT_CHUNK_ROWS) + math.ceil(70 / PREDICT_CHUNK_ROWS)
+        assert calls == {"forward_pooled": n_chunks, "effective_weights": 2}
 
     def test_rewritten_checkpoint_serves_new_weights(self, tmp_path):
         path = tmp_path / "cb.npz"

@@ -143,13 +143,10 @@ class TestAdapters:
             assert singular[0] > 0
             assert (singular[8:] <= 1e-8 * singular[0]).all()
 
-    def test_parameter_count_single_target(self):
-        base = ToyTransformer(SMALL)
+    def test_selector_matching_one_weight(self):
         config = TuneConfig(rank_r=2, target_layers="layers.0.attn.wq", seed=0)
-        state = init_adapter_state(base, config)
-        d_out, d_in = base.params["layers.0.attn.wq"].shape
+        state = init_adapter_state(ToyTransformer(SMALL), config)
         assert state.targets == ["layers.0.attn.wq"]
-        assert state.parameter_count() == config.rank_r * (d_in + d_out)
 
     def test_selector_matching_nothing(self, base):
         with pytest.raises(TuningError, match="matches no attachable weight"):
@@ -227,7 +224,7 @@ class TestPooledPass:
         for overrides in (None, _random_adapters(base, seed=2).effective_weights(base.params)):
             hidden, _ = base.forward(ids, mask, overrides)
             expected = pool_embedding(hidden, mask)
-            got = base.pooled(ids, mask, overrides)
+            got, _ = base.forward_pooled(ids, mask, overrides)
             assert got.shape == (len(texts), base.config.d_model)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -238,7 +235,7 @@ class TestPooledPass:
         with pytest.raises(ValueError, match="fully masked") as from_forward:
             pool_embedding(hidden, mask)
         with pytest.raises(ValueError, match="fully masked") as from_pooled:
-            base.pooled(ids, mask)
+            base.forward_pooled(ids, mask)
         assert str(from_pooled.value) == str(from_forward.value)
 
     def test_predict_logits_keeps_input_order(self, base):
@@ -478,26 +475,11 @@ class TestGradientCheck:
         ],
     )
     def test_backward_returns_only_targeted_gradients(self, base, agg_pairs, selector, pooled):
-        state = init_adapter_state(base, TuneConfig(target_layers=selector))
-        rng = np.random.default_rng(1)
-        for f in state.factors.values():
-            f.up[:] = rng.normal(0.0, 0.1, f.up.shape)  # a non-zero delta
-        ids, mask = base.tokenizer.batch_encode([text for text, _ in agg_pairs])
-        overrides = state.effective_weights(base.params)
-        hidden, cache = base.forward(ids, mask, overrides=overrides)
         if pooled:
-            # a (B, d) gradient through the pooled cache gives bitwise the
-            # gradients of the full cache fed it at the pooled tokens
-            d_pooled = np.random.default_rng(2).normal(size=(len(ids), base.config.d_model))
-            full = base.backward(cache, _scattered_to_pooled_tokens(d_pooled, mask), state.factors)
-            pooled_hidden, cache = base.forward_pooled(ids, mask, overrides=overrides)
-            assert np.array_equal(pooled_hidden, pool_embedding(hidden, mask))
-            grads = base.backward(cache, d_pooled, state.factors)
-            assert sorted(grads) == sorted(state.targets)
-            for name, grad in grads.items():
-                assert np.array_equal(grad, full[name])
-            assert base.backward(cache, d_pooled, ()) == {}
+            _check_pooled_gradients(base, agg_pairs, selector)
             return
+        state, ids, mask, overrides = _adapted_batch(base, agg_pairs, selector)
+        hidden, cache = base.forward(ids, mask, overrides=overrides)
         d_hidden = np.random.default_rng(2).normal(size=hidden.shape)
         grads = base.backward(cache, d_hidden, state.factors)
         assert sorted(grads) == sorted(state.targets)
@@ -505,6 +487,37 @@ class TestGradientCheck:
         for name, grad in grads.items():
             np.testing.assert_allclose(grad, reference[name], rtol=1e-10, atol=1e-14)
         assert base.backward(cache, d_hidden, ()) == {}
+
+
+def _adapted_batch(base, pairs, selector):
+    """Adapters on the ``selector`` weights with a non-zero delta, the
+    batch of ``pairs``' texts, and the effective weights."""
+    state = init_adapter_state(base, TuneConfig(target_layers=selector))
+    rng = np.random.default_rng(1)
+    for f in state.factors.values():
+        f.up[:] = rng.normal(0.0, 0.1, f.up.shape)
+    ids, mask = base.tokenizer.batch_encode([text for text, _ in pairs])
+    return state, ids, mask, state.effective_weights(base.params)
+
+
+def _check_pooled_gradients(base, pairs, selector):
+    """``forward_pooled`` gives ``pool_embedding(forward(...))``, and a (B, d)
+    gradient through its cache gives the gradients of the full cache fed it
+    at the pooled tokens, each within a relative 1e-10: the two passes sum
+    in different orders. The gradients are exactly the targeted weights'."""
+    state, ids, mask, overrides = _adapted_batch(base, pairs, selector)
+    hidden, cache = base.forward(ids, mask, overrides=overrides)
+    d_pooled = np.random.default_rng(2).normal(size=(len(ids), base.config.d_model))
+    full = base.backward(cache, _scattered_to_pooled_tokens(d_pooled, mask), state.factors)
+    pooled_hidden, cache = base.forward_pooled(ids, mask, overrides=overrides)
+    np.testing.assert_allclose(
+        pooled_hidden, pool_embedding(hidden, mask), rtol=1e-10, atol=1e-14
+    )
+    grads = base.backward(cache, d_pooled, state.factors)
+    assert sorted(grads) == sorted(state.targets)
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, full[name], rtol=1e-10, atol=1e-14, err_msg=name)
+    assert base.backward(cache, d_pooled, ()) == {}
 
 
 def _scattered_to_pooled_tokens(d_pooled, mask):
@@ -714,70 +727,60 @@ class TestStepMatchesReference:
             np.testing.assert_allclose(new, ref, rtol=1e-10, atol=0)
             assert np.array_equal(new.argmax(axis=1), ref.argmax(axis=1))
 
-    @pytest.mark.parametrize("selector", ["attn", "layers."])
-    def test_two_layer_training_is_bitwise_the_full_forward_run(self, monkeypatch, selector):
-        """The pooled training pass changes no bit of what a two-layer SFT or
-        MTL run tunes or logs, against the full ``forward`` and ``backward``."""
-        base = ToyTransformer(ToyNetConfig(seed=0))
-        config = TuneConfig(
-            learning_rate=1e-2, batch_size=4, epochs=2, target_layers=selector, seed=3
-        )
-        agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
-        cb = _varied_posts(Task.CYBERBULLYING, 2, seed=2)
+    @pytest.mark.parametrize(
+        "selector, fixture",
+        [("attn", "varied"), ("layers.", "varied"), ("attn", "one-row")],
+        ids=["attn", "layers.", "one-row"],
+    )
+    def test_training_matches_the_full_forward_run(self, selector, fixture):
+        _check_training_run(selector, fixture)
 
-        def train():
-            sft = SftTrainer(base, Task.CYBERBULLYING, config)
-            mtl = MtlTrainer(base, config)
-            return [(sft, sft.train(cb)), (mtl, mtl.train(agg, cb))]
 
-        runs = train()
-        forward_pooled, backward = _through_full_forward(ToyTransformer.backward)
-        with monkeypatch.context() as patch:
-            patch.setattr(ToyTransformer, "forward_pooled", forward_pooled)
-            patch.setattr(ToyTransformer, "backward", backward)
-            ref_runs = train()
+def _check_training_run(selector, fixture):
+    """A two-layer SFT and MTL run through ``forward_pooled`` logs and tunes
+    what the same runs through the full ``forward`` and ``backward`` do,
+    within a relative 1e-10: the two passes sum in different orders.
 
-        for (new, log), (ref, ref_log), steps in zip(runs, ref_runs, (4, 6), strict=True):
-            assert len(log) == steps
-            assert log == ref_log
-            assert list(new.optimizer.params) == list(ref.optimizer.params)
-            for key, value in new.optimizer.params.items():
-                assert np.array_equal(value, ref.optimizer.params[key]), key
-            assert np.array_equal(new.optimizer.m, ref.optimizer.m)
-            assert np.array_equal(new.optimizer.v, ref.optimizer.v)
-
-    def test_one_row_batches_match_the_full_forward_run(self, monkeypatch):
-        """A batch of one row is close to the full ``forward`` run, not
-        bitwise: the pooled last layer's (1, d) products take numpy's
-        matrix-vector route, which sums in another order. SFT steps 9 posts
-        in batches of 4, the last of one row; MTL's windows wrap, so its
-        cyberbullying pool is one post and every branch of it is one row."""
-        base = ToyTransformer(ToyNetConfig(seed=0))
-        config = TuneConfig(learning_rate=1e-2, batch_size=4, epochs=2, seed=3)
-        agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
+    "varied": SFT on 8 cyberbullying posts and MTL on 9 aggression and 8
+    cyberbullying posts, in batches of 4. "one-row": SFT steps 9 posts in
+    batches of 4, the last of one row; MTL's windows wrap, so its
+    cyberbullying pool is one post and every branch of it is one row."""
+    base = ToyTransformer(ToyNetConfig(seed=0))
+    config = TuneConfig(
+        learning_rate=1e-2, batch_size=4, epochs=2, target_layers=selector, seed=3
+    )
+    agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
+    if fixture == "one-row":
         cb = _varied_posts(Task.CYBERBULLYING, 1, seed=2)[:1]
+        sft_task, sft_posts, steps = Task.AGGRESSION, agg, (6, 6)
+    else:
+        cb = _varied_posts(Task.CYBERBULLYING, 2, seed=2)
+        sft_task, sft_posts, steps = Task.CYBERBULLYING, cb, (4, 6)
 
-        def train():
-            sft = SftTrainer(base, Task.AGGRESSION, config)
-            mtl = MtlTrainer(base, config)
-            return [(sft, sft.train(agg)), (mtl, mtl.train(agg, cb))]
+    def train():
+        sft = SftTrainer(base, sft_task, config)
+        mtl = MtlTrainer(base, config)
+        return [(sft, sft.train(sft_posts)), (mtl, mtl.train(agg, cb))]
 
-        runs = train()
-        forward_pooled, backward = _through_full_forward(ToyTransformer.backward)
-        with monkeypatch.context() as patch:
-            patch.setattr(ToyTransformer, "forward_pooled", forward_pooled)
-            patch.setattr(ToyTransformer, "backward", backward)
-            ref_runs = train()
+    runs = train()
+    forward_pooled, backward = _through_full_forward(ToyTransformer.backward)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ToyTransformer, "forward_pooled", forward_pooled)
+        patch.setattr(ToyTransformer, "backward", backward)
+        ref_runs = train()
 
-        assert len(agg) == 9
-        for (new, log), (ref, ref_log) in zip(runs, ref_runs, strict=True):
-            assert len(log) == 6
-            for new_record, ref_record in zip(log, ref_log, strict=True):
-                for key, value in new_record.items():
-                    assert value == pytest.approx(ref_record[key], rel=1e-10)
-            assert list(new.optimizer.params) == list(ref.optimizer.params)
-            for key, value in new.optimizer.params.items():
-                np.testing.assert_allclose(value, ref.optimizer.params[key], rtol=1e-10, atol=0)
+    assert len(agg) == 9
+    for (new, log), (ref, ref_log), n_steps in zip(runs, ref_runs, steps, strict=True):
+        assert len(log) == n_steps
+        for new_record, ref_record in zip(log, ref_log, strict=True):
+            assert list(new_record) == list(ref_record)
+            for key, value in new_record.items():
+                assert value == pytest.approx(ref_record[key], rel=1e-10)
+        assert list(new.optimizer.params) == list(ref.optimizer.params)
+        for key, value in new.optimizer.params.items():
+            np.testing.assert_allclose(value, ref.optimizer.params[key], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(new.optimizer.m, ref.optimizer.m, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(new.optimizer.v, ref.optimizer.v, rtol=1e-10, atol=0)
 
 
 class TestCheckpoint:
