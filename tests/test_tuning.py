@@ -931,8 +931,8 @@ class TestCheckpoint:
         agg = synth_fixture(2, Task.AGGRESSION, seed=1)
         cb = synth_fixture(2, Task.CYBERBULLYING, seed=2)
         assert _trained_checkpoint_digests(tmp_path, SMALL, config, agg, cb) == {
-            "sft": "1b0607a33c0712a14493c547b72a477cc973e904f95e4fc3d733d2d3065159ac",
-            "mtl": "cc99697c63a3390457c9ab060b507a79c9af073c1773fc274af419b479abec06",
+            "sft": "2074353e1f88bb2d7da6f1548091c3b9362c69d4979587b928a4364553325221",
+            "mtl": "d23cc6ece484eaa2d00943d77e87ef65ac410e75516533b96a8f1e71d5c74479",
         }, _kernels()
 
     @pytest.mark.parametrize(
@@ -940,13 +940,13 @@ class TestCheckpoint:
         [
             # the benchmark's shape: the default net, rank 8, batches of 8
             ("attn", 8, 8, {
-                "sft": "1c0fec10314ff874cabee0a0cf5d65e34bac999ada766a87ef9cff9171e21d23",
-                "mtl": "95de211701f411f6e2b82b388d2783ba24d5e0f5eab7129f96b05287660f9754",
+                "sft": "8cd8ebb44c040ca68389e3995bd7cf49690d10101a9f6ae11d61b9c90f2a2f66",
+                "mtl": "db82c9c451d4e925c48bb60dade1306a70e0a7938637fe08c2b5922b43e69be2",
             }),
             # every weight of both layers: square projections, 32x16 w1 and 16x32 w2
             ("layers.", 4, 4, {
-                "sft": "2149d93457a7e79bc84eb8ce1f0173ac9be0695cc9a94c0587bbeec893e04597",
-                "mtl": "78c63de0ec6e6cba2a3dd8c6efea15c86d8c8fc16122a36ed1487d89aca7b668",
+                "sft": "5f0f670105d4516f743f0a0f2ea4f5297e3f6ed6497736521487db14afe000dc",
+                "mtl": "17ac37f021cab4538f1a0abf539d430bdf1b2fb0023001514e604f9592e77feb",
             }),
         ],
         ids=["attn", "layers."],
