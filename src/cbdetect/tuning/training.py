@@ -262,7 +262,8 @@ def predict_logits(
     for start in range(0, len(texts), PREDICT_CHUNK_ROWS):
         rows = order[start : start + PREDICT_CHUNK_ROWS]
         width = lengths[rows[-1]]
-        pooled, _ = base.forward_pooled(ids[rows, :width], mask[rows, :width], weights)
+        # [0] only: the backward cache is freed before the next chunk runs
+        pooled = base.forward_pooled(ids[rows, :width], mask[rows, :width], weights)[0]
         logits[rows] = head.logits(pooled)
     return logits
 

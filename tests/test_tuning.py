@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
 import random
 import re
 import subprocess
@@ -781,6 +783,66 @@ def _check_training_run(selector, fixture):
             np.testing.assert_allclose(value, ref.optimizer.params[key], rtol=1e-10, atol=0)
         np.testing.assert_allclose(new.optimizer.m, ref.optimizer.m, rtol=1e-10, atol=0)
         np.testing.assert_allclose(new.optimizer.v, ref.optimizer.v, rtol=1e-10, atol=0)
+
+
+# OpenBLAS kernels that other x86-64 CPUs pick, each with the CPU flag it
+# needs as /proc/cpuinfo names it (SSE3 is "pni"); OPENBLAS_CORETYPE forces
+# one when the library loads
+_OTHER_KERNELS = {"Haswell": "avx2", "SandyBridge": "avx", "Prescott": "pni"}
+
+
+def _pooled_vs_full_checks():
+    """Every tolerance check between ``forward_pooled`` and ``forward`` in
+    this module, on the fixtures their tests use."""
+    base = ToyTransformer(ToyNetConfig(seed=3))
+    pairs = pairs_from_posts(synth_fixture(4, Task.AGGRESSION, seed=1), Task.AGGRESSION)
+    for selector in ("attn", "mlp", "layers.1.", "layers.0.attn.wv"):
+        _check_pooled_gradients(base, pairs, selector)
+    for selector, fixture in (("attn", "varied"), ("layers.", "varied"), ("attn", "one-row")):
+        _check_training_run(selector, fixture)
+
+
+class TestOtherBlasKernels:
+    def test_pooled_pass_matches_the_full_forward_on_each_kernel(self):
+        """The pooled-vs-full tolerance checks, run in a child process per
+        kernel of ``_OTHER_KERNELS`` that this CPU can run, all at once.
+        Each kernel sums in its own order, so a bitwise claim can hold on
+        one and fail on another; these claims hold on every one."""
+        cpuinfo = Path("/proc/cpuinfo")
+        if platform.machine() not in ("x86_64", "AMD64") or _blas_kernel() == "unknown":
+            pytest.skip("the kernels are forced through numpy's x86-64 OpenBLAS")
+        flags = set()
+        if cpuinfo.exists():
+            for line in cpuinfo.read_text().splitlines():
+                if line.startswith("flags"):
+                    flags.update(line.partition(":")[2].split())
+        kernels = [kernel for kernel, flag in _OTHER_KERNELS.items() if flag in flags]
+        if not kernels:
+            pytest.skip("this CPU runs none of the kernels")
+        here = Path(__file__).resolve().parent
+        code = (
+            f"import sys; sys.path[:0] = [{str(here.parent / 'src')!r}, {str(here)!r}]; "
+            "import test_tuning; test_tuning._pooled_vs_full_checks(); "
+            "print(test_tuning._blas_kernel())"
+        )
+        children = {
+            kernel: subprocess.Popen(
+                [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+            )
+            for kernel in kernels
+        }
+        ran = {}
+        try:
+            for kernel, child in children.items():
+                out, err = child.communicate(timeout=120)
+                assert child.returncode == 0, f"{kernel} kernel: {err[-2000:]}"
+                ran[kernel] = out.strip()
+        finally:  # a failed or timed-out child leaves none running
+            for child in children.values():
+                child.kill()
+        # each child ran its own kernel (OpenBLAS reports Prescott's as Katmai)
+        assert len(set(ran.values())) == len(ran), ran
 
 
 class TestCheckpoint:
