@@ -446,6 +446,13 @@ def _worst_gradient_error(net_config: ToyNetConfig, tune_config: TuneConfig) -> 
     return worst_rel, worst_abs
 
 
+# Where the checks of forward_pooled against forward run: the adapter
+# selectors of the gradient check, and the (selector, fixture) of each
+# training run
+_GRADIENT_SELECTORS = ("attn", "mlp", "layers.1.", "layers.0.attn.wv")
+_TRAINING_RUNS = (("attn", "varied"), ("layers.", "varied"), ("attn", "one-row"))
+
+
 class TestGradientCheck:
     # The relative bound alone would pass an absolute error of 3e-5 on the
     # largest gradients (about 0.3); the central differences themselves are
@@ -473,7 +480,7 @@ class TestGradientCheck:
         [
             pytest.param(selector, pooled, id=f"{selector}-forward_pooled" if pooled else selector)
             for pooled in (False, True)
-            for selector in ("attn", "mlp", "layers.1.", "layers.0.attn.wv")
+            for selector in _GRADIENT_SELECTORS
         ],
     )
     def test_backward_returns_only_targeted_gradients(self, base, agg_pairs, selector, pooled):
@@ -512,9 +519,7 @@ def _check_pooled_gradients(base, pairs, selector):
     d_pooled = np.random.default_rng(2).normal(size=(len(ids), base.config.d_model))
     full = base.backward(cache, _scattered_to_pooled_tokens(d_pooled, mask), state.factors)
     pooled_hidden, cache = base.forward_pooled(ids, mask, overrides=overrides)
-    np.testing.assert_allclose(
-        pooled_hidden, pool_embedding(hidden, mask), rtol=1e-10, atol=1e-14
-    )
+    np.testing.assert_allclose(pooled_hidden, pool_embedding(hidden, mask), rtol=1e-10, atol=1e-14)
     grads = base.backward(cache, d_pooled, state.factors)
     assert sorted(grads) == sorted(state.targets)
     for name, grad in grads.items():
@@ -731,7 +736,7 @@ class TestStepMatchesReference:
 
     @pytest.mark.parametrize(
         "selector, fixture",
-        [("attn", "varied"), ("layers.", "varied"), ("attn", "one-row")],
+        _TRAINING_RUNS,
         ids=["attn", "layers.", "one-row"],
     )
     def test_training_matches_the_full_forward_run(self, selector, fixture):
@@ -796,9 +801,9 @@ def _pooled_vs_full_checks():
     this module, on the fixtures their tests use."""
     base = ToyTransformer(ToyNetConfig(seed=3))
     pairs = pairs_from_posts(synth_fixture(4, Task.AGGRESSION, seed=1), Task.AGGRESSION)
-    for selector in ("attn", "mlp", "layers.1.", "layers.0.attn.wv"):
+    for selector in _GRADIENT_SELECTORS:
         _check_pooled_gradients(base, pairs, selector)
-    for selector, fixture in (("attn", "varied"), ("layers.", "varied"), ("attn", "one-row")):
+    for selector, fixture in _TRAINING_RUNS:
         _check_training_run(selector, fixture)
 
 
@@ -808,9 +813,9 @@ class TestOtherBlasKernels:
         kernel of ``_OTHER_KERNELS`` that this CPU can run, all at once.
         Each kernel sums in its own order, so a bitwise claim can hold on
         one and fail on another; these claims hold on every one."""
-        cpuinfo = Path("/proc/cpuinfo")
         if platform.machine() not in ("x86_64", "AMD64") or _blas_kernel() == "unknown":
             pytest.skip("the kernels are forced through numpy's x86-64 OpenBLAS")
+        cpuinfo = Path("/proc/cpuinfo")
         flags = set()
         if cpuinfo.exists():
             for line in cpuinfo.read_text().splitlines():
@@ -838,9 +843,10 @@ class TestOtherBlasKernels:
                 out, err = child.communicate(timeout=120)
                 assert child.returncode == 0, f"{kernel} kernel: {err[-2000:]}"
                 ran[kernel] = out.strip()
-        finally:  # a failed or timed-out child leaves none running
+        finally:  # a failed or timed-out child leaves none running, no pipe open
             for child in children.values():
                 child.kill()
+                child.communicate()
         # each child ran its own kernel (OpenBLAS reports Prescott's as Katmai)
         assert len(set(ran.values())) == len(ran), ran
 
