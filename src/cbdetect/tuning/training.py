@@ -1,13 +1,13 @@
 """Adapter training: independent single-task tuning and joint multi-task.
 
-Both trainers run on one step core: one branch per task, in task order,
-then one optimizer step over every tuned array, each keyed by its
-``tuned_arrays`` name. Independent tuning is the one-task case. The joint
-objective is the plain sum of the two per-task cross-entropies, one per
-classification head. Because each head and each adapter set only feeds
-its own term, the joint-loss gradient w.r.t. a head equals that task's own
-cross-entropy gradient. Heads start at zero so step-0 logits are uniform:
-ln(3) for aggression, ln(4) for cyberbullying.
+Both trainers run one epoch loop on one step core: one branch per task,
+in task order, then one optimizer step over every tuned array, each keyed
+by its ``tuned_arrays`` name. Independent tuning is the one-task case. The
+joint objective is the plain sum of the two per-task cross-entropies, one
+per classification head. Because each head and each adapter set only
+feeds its own term, the joint-loss gradient w.r.t. a head equals that
+task's own cross-entropy gradient. Heads start at zero so step-0 logits
+are uniform: ln(3) for aggression, ln(4) for cyberbullying.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -269,8 +269,9 @@ def predict_logits(
 
 
 class _Tuner:
-    """The step core of both trainers: task-keyed adapters and zero heads on
-    a frozen base, all tuned by one ``Adam`` over ``tuned_arrays``.
+    """The step core and epoch loop of both trainers: task-keyed adapters
+    and zero heads on a frozen base, all tuned by one ``Adam`` over
+    ``tuned_arrays``.
 
     Every tuned array is a view into one flat vector, and every gradient a
     view into a twin of it, so one ``Adam.step`` updates them all. A step
@@ -301,10 +302,12 @@ class _Tuner:
             for task, batch in zip(self._adapters, batches, strict=True)
         ]
 
-    def _losses_and_grads(
-        self, batches: Sequence[Sequence[EncodedPair]]
+    def losses_and_grads(
+        self, *pair_lists: Sequence[Pair]
     ) -> tuple[list[float], dict[str, np.ndarray]]:
-        losses = self._losses(batches)
+        """Each task's loss on its pairs, in task order, and a copy of every
+        gradient by ``tuned_arrays`` name; no optimizer step."""
+        losses = self._losses(self._encoded(*pair_lists))
         return losses, {name: grad.copy() for name, grad in self._grads.items()}
 
     def _step(self, batches: Sequence[Sequence[EncodedPair]]) -> list[float]:
@@ -317,6 +320,27 @@ class _Tuner:
             _encode_pairs(self.base, pairs, task)
             for task, pairs in zip(self._adapters, pair_lists, strict=True)
         ]
+
+    def _train(self, *post_lists: Sequence[LabeledPost]) -> Iterator[tuple[int, list[float]]]:
+        """(epoch, per-task losses) of each step. Each pool is checked and
+        tokenized once, before any step. Each epoch shuffles each pool, in
+        task order, with one seeded ``Random`` and cuts it into contiguous
+        batches, the last one short. It runs as many steps as the largest
+        pool has batches; a pool with fewer starts its own batches over."""
+        pools = [
+            _encode_pairs(self.base, pairs_from_posts(posts, task), task)
+            for task, posts in zip(self._adapters, post_lists, strict=True)
+        ]
+        rng = random.Random(self.config.seed)
+        size = self.config.batch_size
+        for epoch in range(1, self.config.epochs + 1):
+            schedule = []
+            for pool in pools:
+                order = list(pool)
+                rng.shuffle(order)
+                schedule.append([order[i : i + size] for i in range(0, len(order), size)])
+            for b in range(max(map(len, schedule))):
+                yield epoch, self._step([own[b % len(own)] for own in schedule])
 
 
 class SftTrainer(_Tuner):
@@ -340,30 +364,16 @@ class SftTrainer(_Tuner):
         self.adapters = adapters
         self.head = self._heads[task]
 
-    def loss_and_grads(self, pairs: Sequence[Pair]) -> tuple[float, dict[str, np.ndarray]]:
-        (loss,), grads = self._losses_and_grads(self._encoded(pairs))
-        return loss, grads
-
     def step(self, pairs: Sequence[Pair]) -> float:
         return self._step(self._encoded(pairs))[0]
 
     def train(self, posts: Sequence[LabeledPost]) -> list[dict]:
-        """Epoch loop with seeded shuffling over contiguous batches, the last
-        one short; one metrics record per step. Each post is tokenized once
-        per call."""
-        pairs = _encode_pairs(self.base, pairs_from_posts(posts, self.task), self.task)
-        rng = random.Random(self.config.seed)
-        records = []
-        size, task = self.config.batch_size, self.task.value
-        for epoch in range(self.config.epochs):
-            order = list(pairs)
-            rng.shuffle(order)
-            for start in range(0, len(order), size):
-                (loss,) = self._step([order[start : start + size]])
-                records.append(
-                    {"step": len(records) + 1, "epoch": epoch + 1, "task": task, "loss": loss}
-                )
-        return records
+        """One metrics record per step of the epoch loop over ``posts``."""
+        task = self.task.value
+        return [
+            {"step": step, "epoch": epoch, "task": task, "loss": loss}
+            for step, (epoch, (loss,)) in enumerate(self._train(posts), start=1)
+        ]
 
 
 class MtlTrainer(_Tuner):
@@ -384,12 +394,6 @@ class MtlTrainer(_Tuner):
         self.adapters = self._adapters
         self.heads = self._heads
 
-    def joint_loss_and_grads(
-        self, pairs_agg: Sequence[Pair], pairs_cb: Sequence[Pair]
-    ) -> tuple[float, float, float, dict[str, np.ndarray]]:
-        (loss_agg, loss_cb), grads = self._losses_and_grads(self._encoded(pairs_agg, pairs_cb))
-        return loss_agg + loss_cb, loss_agg, loss_cb, grads
-
     def step(
         self, pairs_agg: Sequence[Pair], pairs_cb: Sequence[Pair]
     ) -> tuple[float, float, float]:
@@ -399,43 +403,17 @@ class MtlTrainer(_Tuner):
     def train(
         self, posts_agg: Sequence[LabeledPost], posts_cb: Sequence[LabeledPost]
     ) -> list[dict]:
-        """Per-task mini-batches summed inside every step: ``_wrap_slice``
-        windows over as many batches as the larger pool needs, so the
-        smaller pool repeats. Each post is tokenized once per call."""
-        agg, cb = Task.AGGRESSION, Task.CYBERBULLYING
-        pairs_agg = _encode_pairs(self.base, pairs_from_posts(posts_agg, agg), agg)
-        pairs_cb = _encode_pairs(self.base, pairs_from_posts(posts_cb, cb), cb)
-        rng = random.Random(self.config.seed)
-        records = []
-        size = self.config.batch_size
-        for epoch in range(self.config.epochs):
-            order_agg = list(pairs_agg)
-            order_cb = list(pairs_cb)
-            rng.shuffle(order_agg)
-            rng.shuffle(order_cb)
-            n_batches = max(
-                (len(order_agg) + size - 1) // size, (len(order_cb) + size - 1) // size
+        """One metrics record per step of the epoch loop over both pools,
+        each step's joint loss the sum of its two task losses."""
+        return [
+            {
+                "step": step, "epoch": epoch, "loss_aggression": loss_agg,
+                "loss_cyberbullying": loss_cb, "joint_loss": loss_agg + loss_cb,
+            }
+            for step, (epoch, (loss_agg, loss_cb)) in enumerate(
+                self._train(posts_agg, posts_cb), start=1
             )
-            for b in range(n_batches):
-                loss_agg, loss_cb = self._step(
-                    [_wrap_slice(order_agg, b * size, size), _wrap_slice(order_cb, b * size, size)]
-                )
-                records.append(
-                    {
-                        "step": len(records) + 1,
-                        "epoch": epoch + 1,
-                        "loss_aggression": loss_agg,
-                        "loss_cyberbullying": loss_cb,
-                        "joint_loss": loss_agg + loss_cb,
-                    }
-                )
-        return records
-
-
-def _wrap_slice(items: list, start: int, size: int) -> list:
-    """Cyclic batch window so the shorter task pool keeps contributing."""
-    count = min(size, len(items))
-    return [items[(start + i) % len(items)] for i in range(count)]
+        ]
 
 
 def write_metrics_log(records: Iterable[dict], path: Union[str, Path]) -> Path:

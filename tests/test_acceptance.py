@@ -284,16 +284,16 @@ def test_criterion_4_tuning_invariants():
         arr += noise.normal(0, 0.05, arr.shape)
     pairs_a = pairs_from_posts(synth_fixture(2, Task.AGGRESSION, seed=1), Task.AGGRESSION)
     pairs_c = pairs_from_posts(synth_fixture(2, Task.CYBERBULLYING, seed=2), Task.CYBERBULLYING)
-    _, _, _, grads = mtl.joint_loss_and_grads(pairs_a, pairs_c)
+    _, grads = mtl.losses_and_grads(pairs_a, pairs_c)
     step = 1e-5
     worst_grad = 0.0
     for key, arr in mtl.optimizer.params.items():
         for idx in np.ndindex(arr.shape):
             original = arr[idx]
             arr[idx] = original + step
-            plus = mtl.joint_loss_and_grads(pairs_a, pairs_c)[0]
+            plus = sum(mtl.losses_and_grads(pairs_a, pairs_c)[0])
             arr[idx] = original - step
-            minus = mtl.joint_loss_and_grads(pairs_a, pairs_c)[0]
+            minus = sum(mtl.losses_and_grads(pairs_a, pairs_c)[0])
             arr[idx] = original
             finite = (plus - minus) / (2 * step)
             rel = abs(grads[key][idx] - finite) / max(abs(grads[key][idx]), abs(finite), 1e-8)
@@ -314,14 +314,14 @@ def test_criterion_5_toy_learnability():
     trainer = SftTrainer(
         base, Task.AGGRESSION, TuneConfig(rank_r=8, learning_rate=1e-2, seed=2)
     )
-    initial = trainer.loss_and_grads(pairs)[0]
+    (initial,), _ = trainer.losses_and_grads(pairs)
     assert abs(initial - math.log(3)) <= 1e-3
     losses = [trainer.step(pairs) for _ in range(200)]
     assert min(losses) < 0.5
 
     pairs_cb = pairs_from_posts(synth_fixture(10, Task.CYBERBULLYING, seed=5), Task.CYBERBULLYING)
     mtl = MtlTrainer(ToyTransformer(ToyNetConfig(seed=0)), TuneConfig(rank_r=8, learning_rate=1e-2, seed=2))
-    joint_initial = mtl.joint_loss_and_grads(pairs, pairs_cb)[0]
+    joint_initial = sum(mtl.losses_and_grads(pairs, pairs_cb)[0])
     assert abs(joint_initial - (math.log(3) + math.log(4))) <= 1e-3
     joint_losses = [mtl.step(pairs, pairs_cb)[0] for _ in range(200)]
     assert min(joint_losses) < 1.5
