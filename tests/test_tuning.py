@@ -1001,7 +1001,7 @@ class TestCheckpoint:
         cb = synth_fixture(2, Task.CYBERBULLYING, seed=2)
         assert _trained_checkpoint_digests(tmp_path, SMALL, config, agg, cb) == {
             "sft": "2074353e1f88bb2d7da6f1548091c3b9362c69d4979587b928a4364553325221",
-            "mtl": "d23cc6ece484eaa2d00943d77e87ef65ac410e75516533b96a8f1e71d5c74479",
+            "mtl": "6c064b42f1159e167bb027a7c98459c6fd4778b5c6618024fc06b3a6051afe37",
         }, _kernels()
 
     @pytest.mark.parametrize(
@@ -1010,12 +1010,12 @@ class TestCheckpoint:
             # the benchmark's shape: the default net, rank 8, batches of 8
             ("attn", 8, 8, {
                 "sft": "8cd8ebb44c040ca68389e3995bd7cf49690d10101a9f6ae11d61b9c90f2a2f66",
-                "mtl": "db82c9c451d4e925c48bb60dade1306a70e0a7938637fe08c2b5922b43e69be2",
+                "mtl": "dd31969aacdff6a580d901a8a00f89fd5ffe526e60bc83a205bf90872ed0d0d4",
             }),
             # every weight of both layers: square projections, 32x16 w1 and 16x32 w2
             ("layers.", 4, 4, {
                 "sft": "5f0f670105d4516f743f0a0f2ea4f5297e3f6ed6497736521487db14afe000dc",
-                "mtl": "17ac37f021cab4538f1a0abf539d430bdf1b2fb0023001514e604f9592e77feb",
+                "mtl": "04985c1f4716d41ee8434f8f2ecb438a0dc968d3edf391fe94597570e4a069ce",
             }),
         ],
         ids=["attn", "layers."],
