@@ -1165,6 +1165,48 @@ class TestWorkPerStep:
         assert calls == {"effective_weights": 2 * steps, "backward": 2 * steps, "step": steps}
 
 
+class TestBatchSchedule:
+    def test_sft_and_mtl_run_one_schedule(self, monkeypatch):
+        """Batches of 4 over 2 epochs: each pool in contiguous batches, the
+        last one short, as many steps as the largest pool has batches, and
+        a pool with fewer batches starts its own over. Each epoch feeds
+        every post of the largest pool exactly once."""
+        base = ToyTransformer(ToyNetConfig(seed=0))
+        config = TuneConfig(batch_size=4, epochs=2, seed=3)
+        agg = synth_fixture(3, Task.AGGRESSION, seed=1)
+        cb = synth_fixture(2, Task.CYBERBULLYING, seed=2)[:5]
+        assert (len(agg), len(cb)) == (9, 5)
+        fed = []  # (task, the token ids of each row) per branch
+        original = training._branch
+
+        def recording(base, adapters, head, batch, *grads):
+            fed.append((head.task, [tuple(ids) for ids, _ in batch]))
+            return original(base, adapters, head, batch, *grads)
+
+        monkeypatch.setattr(training, "_branch", recording)
+        max_len = base.config.max_len
+        post_of = {tuple(base.tokenizer.encode(p.text)[:max_len]): p.id for p in agg}
+        assert len(post_of) == len(agg)
+
+        def batches(task):
+            return [rows for fed_task, rows in fed if fed_task is task]
+
+        def check_aggression():
+            assert [len(rows) for rows in batches(Task.AGGRESSION)] == [4, 4, 1] * 2
+            for epoch in (batches(Task.AGGRESSION)[:3], batches(Task.AGGRESSION)[3:]):
+                ids = [post_of[row] for rows in epoch for row in rows]
+                assert sorted(ids) == sorted(post.id for post in agg)
+
+        SftTrainer(base, Task.AGGRESSION, config).train(agg)
+        check_aggression()
+        fed.clear()
+        MtlTrainer(base, config).train(agg, cb)
+        check_aggression()
+        cb_batches = batches(Task.CYBERBULLYING)
+        assert [len(rows) for rows in cb_batches] == [4, 1, 4] * 2
+        assert cb_batches[2] == cb_batches[0] and cb_batches[5] == cb_batches[3]
+
+
 class TestTokenizeOnce:
     def test_one_encode_per_post_per_train_call(self, monkeypatch):
         agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
