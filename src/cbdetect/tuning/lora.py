@@ -159,10 +159,6 @@ class AdapterState:
             np.matmul(s.up.transpose(0, 2, 1), d_weff, out=d.down)
             np.matmul(d_weff, s.down.transpose(0, 2, 1), out=d.up)
 
-    def update_norms(self) -> dict[str, float]:
-        """Frobenius norm of each effective delta (zero until trained)."""
-        return {name: float(np.linalg.norm(f.delta())) for name, f in self.factors.items()}
-
 
 def resolve_targets(base: ToyTransformer, selector: str) -> list[str]:
     """Attachable weight names whose dotted path contains the selector."""
