@@ -177,6 +177,8 @@ def cmd_train(config_path: str) -> None:
     method = _require(config, "method", str)
     if method not in ("lora_sft", "mtl"):
         raise click.UsageError(f"method: must be lora_sft or mtl, got {method!r}")
+    if method == "mtl" and "task" in config:
+        raise click.UsageError("task: mtl tunes both tasks; drop the key")
     corpus_cfg = _require(config, "corpus", dict)
     out_dir = Path(_require(config, "out_dir", str))
     tune_config = _decode("tune", TuneConfig.from_dict, config.get("tune", {}))

@@ -168,10 +168,10 @@ class TestTrain:
         manifest = json.loads((tmp_path / "artifacts" / "train_manifest.json").read_text())
         assert manifest["tune"]["learning_rate"] == 1e-4
 
-    def test_mtl_epoch_warning(self, runner, tmp_path):
+    def _mtl_config(self, tmp_path, **extra):
         agg = save_records(synth_fixture(2, Task.AGGRESSION, seed=1), tmp_path / "agg.jsonl")
         cb = save_records(synth_fixture(2, Task.CYBERBULLYING, seed=1), tmp_path / "cb.jsonl")
-        config = write_json(
+        return write_json(
             tmp_path / "mtl.json",
             {
                 "method": "mtl",
@@ -179,13 +179,23 @@ class TestTrain:
                 "tune": {"epochs": 1, "seed": 3},
                 "model": {"d_model": 8, "n_layers": 1, "d_ff": 16},
                 "out_dir": str(tmp_path / "artifacts"),
+                **extra,
             },
         )
-        result = runner.invoke(main, ["train", "--config", str(config)])
+
+    def test_mtl_epoch_warning(self, runner, tmp_path):
+        result = runner.invoke(main, ["train", "--config", str(self._mtl_config(tmp_path))])
         assert result.exit_code == 0, result.output
         assert "outside the conventional" in result.output
         manifest = json.loads((tmp_path / "artifacts" / "train_manifest.json").read_text())
         assert manifest["epochs_warning"] is True
+
+    def test_mtl_refuses_a_task_key(self, runner, tmp_path):
+        config = self._mtl_config(tmp_path, task="aggression")
+        result = runner.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert "task: mtl tunes both tasks" in result.output
+        assert not (tmp_path / "artifacts").exists()
 
     def test_bad_method_is_usage_error(self, runner, tmp_path):
         config = write_json(tmp_path / "bad.json", {"method": "full_finetune"})
