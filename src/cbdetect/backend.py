@@ -35,7 +35,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -109,11 +109,23 @@ class RetryPolicy:
         return self.backoff[min(attempt_number - 2, len(self.backoff) - 1)]
 
 
-# The Prompt text each input mode hands a stub.
+# The Prompt text each input mode hands a backend.
 _INPUT_TEXT = {
     "post_text": operator.attrgetter("post_text"),
     "rendered_text": operator.attrgetter("rendered_text"),
 }
+
+# The descriptor fields only some kinds hold; every other field is every kind's.
+_KIND_FIELDS = {
+    BackendKind.LIVE_ENDPOINT: ("endpoint_address",),
+    BackendKind.STUB: ("stub_rules", "default_response", "fail_patterns", "input_mode"),
+    BackendKind.TOY_CHECKPOINT: ("checkpoint_path", "input_mode"),
+}
+
+
+def _foreign_fields(kind: BackendKind) -> set[str]:
+    """The fields only kinds other than ``kind`` hold."""
+    return {name for names in _KIND_FIELDS.values() for name in names} - set(_KIND_FIELDS[kind])
 
 
 @dataclass(frozen=True)
@@ -156,36 +168,20 @@ class BackendDescriptor:
             object.__setattr__(self, "input_mode", "rendered_text")
 
     def to_dict(self) -> dict:
-        out = {
-            "backend_id": self.backend_id,
-            "kind": self.kind.value,
-            "model_name": self.model_name,
-            "max_parallel_requests": self.max_parallel_requests,
-            "timeout": self.timeout,
-            "retry_policy": {
-                "max_attempts": self.retry_policy.max_attempts,
-                "backoff": list(self.retry_policy.backoff),
-            },
-            "temperature": self.temperature,
-            "max_output_tokens": self.max_output_tokens,
-        }
-        if self.kind is BackendKind.LIVE_ENDPOINT:
-            out["endpoint_address"] = self.endpoint_address
-        if self.kind is BackendKind.STUB:
-            out["stub_rules"] = [list(rule) for rule in self.stub_rules]
-            out["default_response"] = self.default_response
-            out["fail_patterns"] = list(self.fail_patterns)
-        if self.kind is BackendKind.TOY_CHECKPOINT:
-            out["checkpoint_path"] = self.checkpoint_path
-        if self.kind is not BackendKind.LIVE_ENDPOINT:
-            out["input_mode"] = self.input_mode
-        return out
+        """The fields as JSON values, the kind as its value and tuples as
+        arrays, without the fields only other kinds hold."""
+        data = json.loads(json.dumps(asdict(self), default=operator.attrgetter("value")))
+        foreign = _foreign_fields(self.kind)
+        return {name: value for name, value in data.items() if name not in foreign}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BackendDescriptor":
         if not isinstance(data, Mapping):
             raise BackendError(f"expected a JSON object, got {type(data).__name__}")
         kind = BackendKind(data["kind"])
+        foreign = sorted(_foreign_fields(kind) & set(data))
+        if foreign:
+            raise BackendError(f"{foreign[0]}: a {kind.value} backend holds no such field")
         return from_fields(
             cls,
             data,
@@ -273,18 +269,18 @@ def classify_batch(
     """
     if not prompts:
         return []
+    text_of = _INPUT_TEXT[descriptor.input_mode]
     if descriptor.kind is BackendKind.STUB:
-        text_of = _INPUT_TEXT[descriptor.input_mode]
         fails = tuple((pattern.lower(), pattern) for pattern in descriptor.fail_patterns)
         rules = tuple(
             (pattern.lower(), RawResponse(response, 0.0, descriptor.backend_id))
             for pattern, response in descriptor.stub_rules
         )
         default = RawResponse(descriptor.default_response, 0.0, descriptor.backend_id)
-        return [_outcome(_classify_stub, text_of(p), fails, rules, default) for p in prompts]
+        return [_classify_stub(text_of(p), fails, rules, default) for p in prompts]
     if descriptor.kind is BackendKind.TOY_CHECKPOINT:
-        return _classify_toy(prompts, descriptor)
-    return _classify_live(prompts, descriptor)
+        return _classify_toy(prompts, text_of, descriptor)
+    return _classify_live(prompts, text_of, descriptor)
 
 
 def classify(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
@@ -295,34 +291,28 @@ def classify(prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
     return outcome
 
 
-def _outcome(send, *args) -> RawResponse | TransportError:
-    """Run one send; a transport failure becomes the record's outcome."""
-    try:
-        return send(*args)
-    except TransportError as exc:
-        return exc
-
-
 def _classify_stub(
     text: str, fail_patterns: tuple, rules: tuple, default: RawResponse
-) -> RawResponse:
-    """The stub's answer to ``text``. Built once per batch: the fail
+) -> RawResponse | TransportError:
+    """The stub's outcome for ``text``. Built once per batch: the fail
     patterns as (lower-cased, original) pairs, the rules as (lower-cased
     pattern, answer) pairs, and the default answer; records that get the
-    same answer share one ``RawResponse``. An injected failure is a new
-    ``TransportError`` per record."""
+    same answer share one ``RawResponse``. An injected failure is returned,
+    a new ``TransportError`` per record."""
     lowered = text.lower()
     for pattern, original in fail_patterns:
         if pattern in lowered:
             attempt = AttemptRecord(number=1, error=f"injected failure on {original!r}", elapsed=0.0)
-            raise TransportError("stub injected transport failure", (attempt,))
+            return TransportError("stub injected transport failure", (attempt,))
     for pattern, response in rules:
         if pattern in lowered:
             return response
     return default
 
 
-def _classify_toy(prompts: Sequence[Prompt], descriptor: BackendDescriptor) -> list[RawResponse]:
+def _classify_toy(
+    prompts: Sequence[Prompt], text_of, descriptor: BackendDescriptor
+) -> list[RawResponse]:
     """Read the checkpoint, then one ``predict_batch`` per task.
 
     The checkpoint is read on every call, never cached, so a file rewritten
@@ -339,7 +329,7 @@ def _classify_toy(prompts: Sequence[Prompt], descriptor: BackendDescriptor) -> l
 
     responses: dict[int, RawResponse] = {}
     for task, rows in rows_by_task.items():
-        texts = [prompts[row].post_text for row in rows]
+        texts = [text_of(prompts[row]) for row in rows]
         started = time.perf_counter()
         labels = classifier.predict_batch(texts, task)
         latency = (time.perf_counter() - started) / len(rows)
@@ -409,7 +399,7 @@ def _retry_after(exc: Exception, cap: float) -> float:
 
 
 def _classify_live(
-    prompts: Sequence[Prompt], descriptor: BackendDescriptor
+    prompts: Sequence[Prompt], text_of, descriptor: BackendDescriptor
 ) -> list[RawResponse | TransportError]:
     """Fan the prompts out over up to ``max_parallel_requests`` threads;
     ``map`` yields in submission order, so outcomes keep input order."""
@@ -425,20 +415,20 @@ def _classify_live(
         headers["Authorization"] = f"Bearer {api_key}"
 
     def one(prompt: Prompt) -> RawResponse | TransportError:
-        return _outcome(_send_live, url, headers, prompt, descriptor)
+        try:
+            return _send_live(url, headers, text_of(prompt), descriptor)
+        except TransportError as exc:
+            return exc
 
-    workers = min(descriptor.max_parallel_requests, len(prompts))
-    if workers <= 1:
-        return [one(prompt) for prompt in prompts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(descriptor.max_parallel_requests, len(prompts))) as pool:
         return list(pool.map(one, prompts))
 
 
-def _send_live(url: str, headers: dict, prompt: Prompt, descriptor: BackendDescriptor) -> RawResponse:
-    """One prompt with bounded retries; non-retryable failures stop at once."""
+def _send_live(url: str, headers: dict, text: str, descriptor: BackendDescriptor) -> RawResponse:
+    """One text with bounded retries; non-retryable failures stop at once."""
     payload = {
         "model": descriptor.model_name,
-        "messages": [{"role": "user", "content": prompt.rendered_text}],
+        "messages": [{"role": "user", "content": text}],
         "temperature": descriptor.temperature,
         "max_tokens": descriptor.max_output_tokens,
     }

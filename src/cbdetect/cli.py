@@ -72,6 +72,8 @@ _DEFAULT_SPLITS = {
 # The top-level keys of a train and a run config; any other key exits 2.
 _TRAIN_KEYS = ("method", "task", "corpus", "tune", "model", "out_dir")
 _RUN_KEYS = ("method", "task", "backends", "templates", "exemplar_k", "seed", "corpus", "out_dir")
+# The corpus keys each train method reads.
+_TRAIN_CORPUS = {"lora_sft": ("train",), "mtl": ("aggression_train", "cyberbullying_train")}
 
 
 def _parse_split_spec(text: str, seed: int) -> SplitSpec:
@@ -111,6 +113,16 @@ def _require(config: dict, key: str, kind: type, path: str = "") -> object:
     if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
         raise click.UsageError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _corpus_paths(config: dict, method: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """The record-file path under ``corpus`` of each of ``keys``, the keys
+    ``method`` reads; any other key there is a usage error."""
+    corpus = _require(config, "corpus", dict)
+    unread = sorted(set(corpus) - set(keys))
+    if unread:
+        raise click.UsageError(f"corpus.{unread[0]}: method {method} does not read this key")
+    return {key: _require(corpus, key, str, path="corpus") for key in keys}
 
 
 def _decode(where: str, build, *args, **kwargs):
@@ -175,11 +187,11 @@ def cmd_train(config_path: str) -> None:
     """Tune adapters on a prepared corpus; writes checkpoint and metrics log."""
     config = _read_config(config_path, _TRAIN_KEYS)
     method = _require(config, "method", str)
-    if method not in ("lora_sft", "mtl"):
+    if method not in _TRAIN_CORPUS:
         raise click.UsageError(f"method: must be lora_sft or mtl, got {method!r}")
     if method == "mtl" and "task" in config:
         raise click.UsageError("task: mtl tunes both tasks; drop the key")
-    corpus_cfg = _require(config, "corpus", dict)
+    paths = _corpus_paths(config, method, _TRAIN_CORPUS[method])
     out_dir = Path(_require(config, "out_dir", str))
     tune_config = _decode("tune", TuneConfig.from_dict, config.get("tune", {}))
     model_config = _decode("model", ToyNetConfig.from_dict, config.get("model", {}))
@@ -200,23 +212,20 @@ def cmd_train(config_path: str) -> None:
         "method": method,
         "tune": tune_config.to_dict(),
         "model": model_config.to_dict(),
-        "corpus": corpus_cfg,
+        "corpus": paths,
     }
 
     if method == "lora_sft":
         task = _decode("task", Task, _require(config, "task", str))
-        train_path = _require(corpus_cfg, "train", str, path="corpus")
-        posts = load_records(train_path)
+        posts = load_records(paths["train"])
         trainer = SftTrainer(base, task, tune_config)
         records = trainer.train(posts)
         adapters = {task: trainer.adapters}
         heads = {task: trainer.head}
         manifest["task"] = task.value
     else:
-        agg_path = _require(corpus_cfg, "aggression_train", str, path="corpus")
-        cb_path = _require(corpus_cfg, "cyberbullying_train", str, path="corpus")
-        posts_agg = load_records(agg_path)
-        posts_cb = load_records(cb_path)
+        posts_agg = load_records(paths["aggression_train"])
+        posts_cb = load_records(paths["cyberbullying_train"])
         trainer = MtlTrainer(base, tune_config)
         records = trainer.train(posts_agg, posts_cb)
         adapters = trainer.adapters
@@ -256,16 +265,12 @@ def cmd_run(config_path: str) -> None:
     """Execute an experiment; writes a content-addressed run directory."""
     config = _read_config(config_path, _RUN_KEYS)
     spec = _experiment_spec_from(config)
-    corpus_cfg = _require(config, "corpus", dict)
-    eval_path = _require(corpus_cfg, "eval", str, path="corpus")
+    keys = ("eval", "train") if spec.method is Method.FEW_SHOT else ("eval",)
+    paths = _corpus_paths(config, spec.method.value, keys)
     out_dir = _require(config, "out_dir", str)
 
-    train_path = None
-    if spec.method is Method.FEW_SHOT:
-        train_path = _require(corpus_cfg, "train", str, path="corpus")
-
-    train_posts = None if train_path is None else load_records(train_path)
-    posts = load_records(eval_path)
+    train_posts = load_records(paths["train"]) if "train" in paths else None
+    posts = load_records(paths["eval"])
     result = run_experiment(posts, spec, train_posts=train_posts, out_dir=out_dir)
 
     n_failures = sum(1 for p in result.predictions if p.failure)

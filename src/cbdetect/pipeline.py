@@ -213,7 +213,7 @@ def _prediction(
     parsed: ParsedLabel | None,
     response_text: str | None,
     failure: str | None,
-    cue: tuple | None = None,
+    cue: tuple = (None, False, None, None),
 ) -> Prediction:
     """A record's ``Prediction``. ``cue`` is an EPP stage-2 record's
     (aggression label, fallback flag, stage-1 response, stage-1 mode). The
@@ -222,12 +222,9 @@ def _prediction(
     ``stage1_mode``; what every record shares is in the manifest."""
     provenance = {} if parsed is None else {"match_kind": parsed.match_kind._value_}
     predicted = None if parsed is None else parsed.label
-    if cue is None:
-        return Prediction(
-            post.id, post.label, predicted, failure, provenance=provenance, response_text=response_text
-        )
     annotation, fallback, stage1_text, stage1_mode = cue
-    provenance["stage1_mode"] = stage1_mode
+    if stage1_mode is not None:
+        provenance["stage1_mode"] = stage1_mode
     return Prediction(
         post.id, post.label, predicted, failure, annotation, fallback, provenance, response_text, stage1_text
     )

@@ -216,10 +216,8 @@ def select_exemplars(train: Sequence[LabeledPost], k: int, seed: int) -> Exempla
 
 
 def _check_template_task(template: PromptTemplate, task: Task) -> None:
-    # by identity first: label_space(task) hashes the Task in Python
-    if _SPACE_TASKS.get(template.label_space) is task:
-        return
-    if template.label_space is not label_space(task):
+    # by identity: label_space(task) would hash the Task in Python
+    if _SPACE_TASKS.get(template.label_space) is not task:
         raise PromptError(
             f"template {template.template_id!r} is bound to "
             f"{template.label_space.__name__}, post task is {task.value}"

@@ -645,6 +645,52 @@ class TestDescriptor:
             assert descriptor.input_mode == "rendered_text"
         assert BackendDescriptor.from_dict(data) == descriptor
 
+    # the exact JSON each kind writes: a new descriptor field would change
+    # every manifest and run id, so it must show here
+    COMMON = {
+        "model_name": "", "max_parallel_requests": 1, "timeout": 30.0,
+        "retry_policy": {"max_attempts": 3, "backoff": [0.5, 1.0, 2.0]},
+        "temperature": 0.0, "max_output_tokens": 64,
+    }
+    WRITTEN = {
+        BackendKind.STUB: {
+            "backend_id": "stub", "kind": "stub", **COMMON, "model_name": "rule-stub",
+            "stub_rules": [["a", "b"]], "default_response": "", "fail_patterns": [],
+            "input_mode": "post_text",
+        },
+        BackendKind.TOY_CHECKPOINT: {
+            "backend_id": "toy", "kind": "toy_checkpoint", **COMMON,
+            "checkpoint_path": "c.npz", "input_mode": "post_text",
+        },
+        BackendKind.LIVE_ENDPOINT: {
+            "backend_id": "live", "kind": "live_endpoint", **COMMON,
+            "endpoint_address": "http://h/v1",
+        },
+    }
+
+    @pytest.mark.parametrize("kind", list(BackendKind))
+    def test_to_dict_writes_exactly_the_kind_s_fields(self, kind):
+        data = self.DESCRIPTORS[kind].to_dict()
+        assert data == self.WRITTEN[kind]
+        # and the same text, where 30 and 30.0 differ
+        assert json.dumps(data, sort_keys=True) == json.dumps(self.WRITTEN[kind], sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            (BackendKind.STUB, "checkpoint_path", "c.npz"),
+            (BackendKind.STUB, "endpoint_address", "http://h/v1"),
+            (BackendKind.TOY_CHECKPOINT, "stub_rules", [["a", "b"]]),
+            (BackendKind.TOY_CHECKPOINT, "fail_patterns", []),
+            (BackendKind.LIVE_ENDPOINT, "input_mode", "rendered_text"),
+            (BackendKind.LIVE_ENDPOINT, "default_response", ""),
+        ],
+    )
+    def test_from_dict_refuses_another_kind_s_field(self, kind, key, value):
+        data = {**self.DESCRIPTORS[kind].to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"^{key}: a {kind.value} backend holds no such field$"):
+            BackendDescriptor.from_dict(data)
+
     def test_toy_rendered_text_refused_from_dict(self):
         data = self.DESCRIPTORS[BackendKind.TOY_CHECKPOINT].to_dict()
         data["input_mode"] = "rendered_text"
@@ -924,7 +970,8 @@ class TestLiveClient:
             backend_mod._post_json(endpoint.url, {}, {}, 1.0)
         assert info.value.status == 401
 
-    def test_batch_fans_out_and_keeps_order(self, monkeypatch, cyberbullying_fixture):
+    @pytest.mark.parametrize("parallel", [1, 3])
+    def test_batch_fans_out_and_keeps_order(self, monkeypatch, cyberbullying_fixture, parallel):
         template = load_template("zero_shot_v1", Task.CYBERBULLYING)
         prompts = [render_zero_shot(post, template) for post in cyberbullying_fixture[:6]]
         position = {p.rendered_text: i for i, p in enumerate(prompts)}
@@ -945,7 +992,7 @@ class TestLiveClient:
             return {"choices": [{"message": {"content": content[-12:]}, "finish_reason": "stop"}]}
 
         monkeypatch.setattr(backend_mod, "_post_json", echo)
-        descriptor = dataclasses.replace(self._descriptor(), max_parallel_requests=3)
+        descriptor = dataclasses.replace(self._descriptor(), max_parallel_requests=parallel)
         outcomes = classify_batch(prompts, descriptor)
         assert len(outcomes) == len(prompts)
         for i, (prompt, outcome) in enumerate(zip(prompts, outcomes)):
@@ -953,7 +1000,7 @@ class TestLiveClient:
                 assert isinstance(outcome, TransportError) and len(outcome.attempts) == 1
             else:
                 assert outcome.text == prompt.rendered_text[-12:]
-        assert peak[0] > 1
+        assert (peak[0] == 1) if parallel == 1 else (peak[0] > 1)
 
     def test_missing_endpoint_is_an_error(self, monkeypatch, cyberbullying_fixture):
         monkeypatch.delenv(backend_mod.ENDPOINT_ENV_VAR, raising=False)

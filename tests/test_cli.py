@@ -197,6 +197,15 @@ class TestTrain:
         assert "task: mtl tunes both tasks" in result.output
         assert not (tmp_path / "artifacts").exists()
 
+    def test_mtl_refuses_a_corpus_key_it_does_not_read(self, runner, tmp_path):
+        path = self._mtl_config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config["corpus"]["train"] = "nope.jsonl"
+        result = runner.invoke(main, ["train", "--config", str(write_json(path, config))])
+        assert result.exit_code == 2, result.output
+        assert "corpus.train: method mtl does not read this key" in result.output
+        assert not (tmp_path / "artifacts").exists()
+
     def test_bad_method_is_usage_error(self, runner, tmp_path):
         config = write_json(tmp_path / "bad.json", {"method": "full_finetune"})
         result = runner.invoke(main, ["train", "--config", str(config)])
@@ -521,6 +530,14 @@ MALFORMED = {
         "backends[0]: a toy checkpoint reads the post text it was tuned on",
     ),
     "run-misspelled-key": ("run", _put("seeed", value=3), 2, "unknown config keys: ['seeed']"),
+    "run-corpus-train": (
+        "run", _put("corpus", "train", value="train.jsonl"), 2,
+        "corpus.train: method zero_shot does not read this key",
+    ),
+    "run-stub-checkpoint_path": (
+        "run", _put("backends", 0, "checkpoint_path", value="c.npz"), 2,
+        "backends[0]: checkpoint_path: a stub backend holds no such field",
+    ),
     "run-stub_rules": ("run", _put("backends", 0, "stub_rules", value=5), 2, "backends[0]"),
     "run-stub_rules-pair": (
         "run", _put("backends", 0, "stub_rules", value=["ab"]), 2, "backends[0]: stub_rules"
@@ -570,6 +587,10 @@ MALFORMED = {
         "Error: no aggression posts to train on",
     ),
     "train-task": ("train", _put("task", value="nope"), 2, "task: 'nope'"),
+    "train-corpus-cyberbullying_train": (
+        "train", _put("corpus", "cyberbullying_train", value="cb.jsonl"), 2,
+        "corpus.cyberbullying_train: method lora_sft does not read this key",
+    ),
     "train-not-object": ("train", lambda config, tmp_path: 5, 2, "JSON object"),
     "train-out_dir": ("train", _below_file("out_dir"), 1, "Not a directory"),
     "train-corpus-dir": ("train", _put("corpus", "train", value="."), 1, "Is a directory"),
