@@ -992,6 +992,31 @@ class TestCheckpoint:
             )
         assert not path.exists()
 
+    def test_failed_write_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        """A write that fails part-way leaves the file at the path as it
+        was, and no temporary file beside it."""
+        tune = TuneConfig(rank_r=2, seed=6)
+        state = init_adapter_state(ToyTransformer(SMALL), tune)
+        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        head.bias[:] = [1.0, 2.0, 3.0]
+        path = save_checkpoint(
+            tmp_path / "c.npz", SMALL, tune, {Task.AGGRESSION: state}, {Task.AGGRESSION: head}
+        )
+        before = path.read_bytes()
+
+        def failing_savez(file, **arrays):
+            file.write(b"PK\x03\x04 part of an archive")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(np, "savez", failing_savez)
+        head.bias[:] = 0.0
+        with pytest.raises(OSError, match="No space left on device"):
+            save_checkpoint(path, SMALL, tune, {Task.AGGRESSION: state}, {Task.AGGRESSION: head})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.npz"]
+        loaded = load_classifier(path)
+        assert loaded.heads[Task.AGGRESSION].bias.tolist() == [1.0, 2.0, 3.0]
+
     def test_trained_checkpoint_contents(self, tmp_path):
         """Pins what a fixed SFT run and a fixed MTL run write: the header,
         then each array's name, dtype, shape and bytes in file order. The
