@@ -17,6 +17,7 @@ listed task's arrays raises ``TuningError("<path>: <reason>")``.
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,8 +54,15 @@ def save_checkpoint(
     arrays = tuned_arrays(adapters, heads)
     decode_json(lambda meta: _classifier(meta, arrays), header.encode("utf-8"), TuningError, path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as handle:
-        np.savez(handle, __meta__=np.array(header), **arrays)
+    # written whole beside the target, then renamed over it: a write that
+    # fails part-way leaves the earlier file at the path as it was
+    temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with temporary.open("xb") as handle:
+            np.savez(handle, __meta__=np.array(header), **arrays)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
     return path
 
 
