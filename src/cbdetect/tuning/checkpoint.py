@@ -1,17 +1,21 @@
 """Versioned checkpoint files for adapters and heads.
 
-Layout: one ``.npz`` archive holding a JSON header under ``__meta__``
-(format version, network config, tuning config, task list) followed by the
-tuned arrays under their ``training.tuned_arrays`` names:
-
-    adapter.<task>.<target>.down / .up
-    head.<task>.weight / .bias
+Format 2: one ``.npz`` archive of two members. ``__meta__`` is a JSON
+header (format version, network config, tuning config, task list, the
+tasks sorted). ``tuned`` is one 1-D float64 vector of every tuned array,
+back to back, laid out as the trainer holds them (``training._one_buffer``)
+for the classifier the header describes: each task in header order, its
+factor stacks' Down then Up, then each task's head weight and bias.
 
 The frozen base network is not stored; it is rebuilt exactly from the
-network config's seed. ``load_classifier`` is the one loader: it rebuilds
-the adapters and heads the header describes and fills each array by its
-name, so a file that is not an npz archive, lacks the header or lacks a
-listed task's arrays raises ``TuningError("<path>: <reason>")``.
+network config's seed. One builder, ``_skeleton``, turns a header into that
+classifier and its flat vector, and both sides use it. ``save_checkpoint``
+fills the vector by ``training.tuned_arrays`` name, so the order in which
+a caller passes tasks or targets cannot misplace a value. ``load_classifier``
+reads the file once and fills the vector with one copy. A file that is not
+an npz archive, lacks the header, names another format version, holds
+other members or holds a ``tuned`` of another dtype or shape raises
+``TuningError("<path>: <reason>")``.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .._config import decode_json
 from ..labels import Label, Task, labels_in_order
 from .lora import AdapterState, TuneConfig, TuningError, init_adapter_state
 from .network import ToyNetConfig, ToyTransformer
-from .training import TaskHead, predict_logits, tuned_arrays
+from .training import FlatArrays, TaskHead, _one_buffer, predict_logits, tuned_arrays
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(
@@ -52,14 +56,14 @@ def save_checkpoint(
     }
     header = json.dumps(meta, sort_keys=True)
     arrays = tuned_arrays(adapters, heads)
-    decode_json(lambda meta: _classifier(meta, arrays), header.encode("utf-8"), TuningError, path)
+    tuned = decode_json(lambda meta: _filled(meta, arrays), header.encode("utf-8"), TuningError, path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # written whole beside the target, then renamed over it: a write that
     # fails part-way leaves the earlier file at the path as it was
     temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with temporary.open("xb") as handle:
-            np.savez(handle, __meta__=np.array(header), **arrays)
+            np.savez(handle, __meta__=np.array(header), tuned=tuned)
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)
@@ -110,12 +114,12 @@ def load_classifier(path: Union[str, Path]) -> ToyClassifier:
     if "__meta__" not in arrays:
         raise TuningError(f"{path}: no __meta__ header")
     header = str(arrays.pop("__meta__")).encode("utf-8")
-    return decode_json(lambda meta: _classifier(meta, arrays), header, TuningError, path)
+    return decode_json(lambda meta: _loaded(meta, arrays), header, TuningError, path)
 
 
-def _classifier(meta: dict, arrays: Mapping[str, np.ndarray]) -> ToyClassifier:
-    """The classifier a checkpoint header describes, each of its tuned
-    arrays filled from ``arrays`` by name."""
+def _skeleton(meta: dict) -> tuple[ToyClassifier, FlatArrays]:
+    """The classifier a checkpoint header describes, and its tuned arrays
+    as views into one flat vector in the file's layout."""
     if meta.get("format_version") != FORMAT_VERSION:
         raise TuningError(f"unsupported checkpoint format: {meta.get('format_version')}")
     base = ToyTransformer(ToyNetConfig.from_dict(meta["model"]))
@@ -123,7 +127,13 @@ def _classifier(meta: dict, arrays: Mapping[str, np.ndarray]) -> ToyClassifier:
     tasks = [Task(value) for value in meta["tasks"]]
     adapters = {task: init_adapter_state(base, tune_config) for task in tasks}
     heads = {task: TaskHead.zeros(task, base.config.d_model) for task in tasks}
-    named = tuned_arrays(adapters, heads)
+    return ToyClassifier(base, tune_config, adapters, heads), _one_buffer(adapters, heads)
+
+
+def _filled(meta: dict, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The flat vector of the header's classifier, each of its tuned arrays
+    filled from ``arrays`` by name."""
+    named = _skeleton(meta)[1]
     unexpected = sorted(set(arrays) - set(named))
     if unexpected:
         raise TuningError(f"arrays the header does not describe: {unexpected}")
@@ -132,4 +142,19 @@ def _classifier(meta: dict, arrays: Mapping[str, np.ndarray]) -> ToyClassifier:
         if stored.shape != array.shape:
             raise TuningError(f"{name}: shape {stored.shape}, expected {array.shape}")
         array[...] = stored
-    return ToyClassifier(base, tune_config, adapters, heads)
+    return named.flat
+
+
+def _loaded(meta: dict, arrays: Mapping[str, np.ndarray]) -> ToyClassifier:
+    """The header's classifier with its flat vector copied from the one
+    array ``tuned``."""
+    classifier, named = _skeleton(meta)
+    if set(arrays) != {"tuned"}:
+        raise TuningError(f"arrays {sorted(arrays)}, expected ['tuned']")
+    tuned, flat = arrays["tuned"], named.flat
+    if tuned.dtype != flat.dtype or tuned.shape != flat.shape:
+        raise TuningError(
+            f"tuned: {tuned.dtype} of shape {tuned.shape}, expected {flat.dtype} of shape {flat.shape}"
+        )
+    flat[...] = tuned
+    return classifier

@@ -10,7 +10,10 @@ from click.testing import CliRunner
 
 from cbdetect import Task, save_records, synth_fixture
 from cbdetect.cli import main
-from cbdetect.tuning import load_classifier
+from cbdetect.tuning import (
+    TaskHead, ToyNetConfig, ToyTransformer, TuneConfig, init_adapter_state, load_classifier,
+)
+from cbdetect.tuning.training import tuned_arrays
 
 
 @pytest.fixture
@@ -511,6 +514,22 @@ _BAD_CHECKPOINTS = {
 }
 
 
+def _format_1_checkpoint(path):
+    """A checkpoint as format 1 wrote it: the header, then each tuned array
+    under its own name."""
+    net, tune, task = ToyNetConfig(), TuneConfig(), Task.CYBERBULLYING
+    state = init_adapter_state(ToyTransformer(net), tune)
+    head = TaskHead.zeros(task, net.d_model)
+    meta = {
+        "format_version": 1, "model": net.to_dict(), "tune": tune.to_dict(),
+        "tasks": [task.value],
+    }
+    np.savez(
+        path, __meta__=np.array(json.dumps(meta, sort_keys=True)),
+        **tuned_arrays({task: state}, {task: head}),
+    )
+
+
 # (command, config edit, exit code, text the message must hold)
 MALFORMED = {
     "run-exemplar_k": ("run", _put("exemplar_k", value="x"), 2, "exemplar_k"),
@@ -605,6 +624,10 @@ MALFORMED = {
         f"run-checkpoint-{fault}": ("run", _bad_checkpoint(write), 1, "Error: checkpoint.npz: ")
         for fault, write in _BAD_CHECKPOINTS.items()
     },
+    "run-checkpoint-format-1": (
+        "run", _bad_checkpoint(_format_1_checkpoint), 1,
+        "Error: checkpoint.npz: unsupported checkpoint format: 1",
+    ),
 }
 
 

@@ -852,6 +852,11 @@ class TestOtherBlasKernels:
         assert len(set(ran.values())) == len(ran), ran
 
 
+# one stack of square attention weights; stacks of three shapes; one stack
+# of non-square weights
+_SAVED_SELECTORS = ["attn", "layers.", "mlp.w2"]
+
+
 class TestCheckpoint:
     def test_round_trip_identical(self, tmp_path, base, agg_pairs):
         trainer = SftTrainer(
@@ -874,6 +879,46 @@ class TestCheckpoint:
             assert np.array_equal(loaded.factors[name].down, factors.down)
             assert np.array_equal(loaded.factors[name].up, factors.up)
         assert np.array_equal(bundle.heads[Task.AGGRESSION].weight, trainer.head.weight)
+
+    @pytest.mark.parametrize("selector", _SAVED_SELECTORS)
+    def test_round_trip_is_bitwise_by_name(self, tmp_path, selector):
+        """Each tuned array comes back with the trainer's bytes under its
+        own name, whatever order the tasks were passed in, and the loaded
+        classifier computes the trainer's logits bit for bit."""
+        base, saved = _saved_runs(tmp_path, selector)
+        texts = [post.text for post in _varied_posts(Task.CYBERBULLYING, 2, seed=3)]
+        for run, (path, adapters, heads) in saved.items():
+            loaded = load_classifier(path)
+            trained = training.tuned_arrays(adapters, heads)
+            reloaded = training.tuned_arrays(loaded.adapters, loaded.heads)
+            assert sorted(reloaded) == sorted(trained), run
+            for name, array in trained.items():
+                assert reloaded[name].dtype == array.dtype, name
+                assert reloaded[name].shape == array.shape, name
+                assert reloaded[name].tobytes() == array.tobytes(), name
+            for task in adapters:
+                logits = predict_logits(base, adapters[task], heads[task], texts)
+                assert predict_logits(
+                    loaded.base, loaded.adapters[task], loaded.heads[task], texts
+                ).tobytes() == logits.tobytes(), (run, task)
+
+    @pytest.mark.parametrize("selector", _SAVED_SELECTORS)
+    def test_load_reads_two_arrays(self, tmp_path, monkeypatch, selector):
+        """A load reads the header and the one flat vector, whatever the
+        number of tasks and targets."""
+        saved = _saved_runs(tmp_path, selector)[1]
+        reads = []
+        original = np.lib.format.read_array
+
+        def counting(*args, **kwargs):
+            reads.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "read_array", counting)
+        for run, (path, _, _) in saved.items():
+            reads.clear()
+            load_classifier(path)
+            assert len(reads) == 2, run
 
     def test_config_dicts_round_trip(self):
         tune = TuneConfig(
@@ -939,18 +984,30 @@ class TestCheckpoint:
             ),
             (
                 lambda meta, arrays: ({**meta, "tasks": ["aggression", "cyberbullying"]}, arrays),
-                "missing key 'adapter.cyberbullying.layers.0.attn.wq.down'",
+                "tuned: float64 of shape (155,), expected float64 of shape (319,)",
             ),
             (
-                lambda meta, arrays: (meta, {**arrays, "head.aggression.bias": np.zeros(2)}),
-                "head.aggression.bias: shape (2,), expected (3,)",
+                lambda meta, arrays: (meta, {"tuned": arrays["tuned"][:-1]}),
+                "tuned: float64 of shape (154,), expected float64 of shape (155,)",
+            ),
+            (
+                lambda meta, arrays: (meta, {"tuned": arrays["tuned"].reshape(5, 31)}),
+                "tuned: float64 of shape (5, 31), expected float64 of shape (155,)",
+            ),
+            (
+                lambda meta, arrays: (meta, {"tuned": arrays["tuned"].astype(np.float32)}),
+                "tuned: float32 of shape (155,), expected float64 of shape (155,)",
             ),
             (
                 lambda meta, arrays: (meta, {**arrays, "head.cyberbullying.bias": np.zeros(4)}),
-                "arrays the header does not describe: ['head.cyberbullying.bias']",
+                "arrays ['head.cyberbullying.bias', 'tuned'], expected ['tuned']",
             ),
+            (lambda meta, arrays: (meta, {}), "arrays [], expected ['tuned']"),
         ],
-        ids=["header-array", "unknown-key", "task-missing", "shape", "unexpected-array"],
+        ids=[
+            "header-array", "unknown-key", "task-missing", "one-float-short", "shape",
+            "float32", "unexpected-array", "tuned-missing",
+        ],
     )
     def test_checkpoint_that_does_not_decode(self, tmp_path, edit, reason):
         tune = TuneConfig(rank_r=2, seed=6)
@@ -966,6 +1023,25 @@ class TestCheckpoint:
         np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(TuningError, match=re.escape(f"{path}: {reason}")):
             load_classifier(path)
+
+    def test_format_1_checkpoint_is_refused(self, tmp_path):
+        """A file of format 1, which stored each tuned array under its own
+        name, is refused by its version before its arrays are read."""
+        tune = TuneConfig(rank_r=2, seed=6)
+        state = init_adapter_state(ToyTransformer(SMALL), tune)
+        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        meta = {
+            "format_version": 1, "model": SMALL.to_dict(), "tune": tune.to_dict(),
+            "tasks": ["aggression"],
+        }
+        path = tmp_path / "v1.npz"
+        np.savez(
+            path, __meta__=np.array(json.dumps(meta, sort_keys=True)),
+            **training.tuned_arrays({Task.AGGRESSION: state}, {Task.AGGRESSION: head}),
+        )
+        with pytest.raises(TuningError) as refused:
+            load_classifier(path)
+        assert str(refused.value) == f"{path}: unsupported checkpoint format: 1"
 
     def test_writer_refuses_a_task_without_its_head(self, tmp_path):
         tune = TuneConfig(rank_r=2, seed=6)
@@ -1105,6 +1181,31 @@ def _trained_checkpoint_digests(tmp_path, net_config, tune_config, agg, cb):
                 digest.update(array.tobytes())
         digests[run] = digest.hexdigest()
     return digests
+
+
+def _saved_runs(tmp_path, selector):
+    """The default net, and an SFT and an MTL run on it saved with their
+    tasks passed in reversed order: (path, adapters, heads) per run."""
+    base = ToyTransformer(ToyNetConfig(seed=0))
+    config = TuneConfig(
+        rank_r=2, learning_rate=1e-2, batch_size=4, target_layers=selector, seed=5
+    )
+    agg = _varied_posts(Task.AGGRESSION, 2, seed=1)
+    cb = _varied_posts(Task.CYBERBULLYING, 2, seed=2)
+    sft = SftTrainer(base, Task.CYBERBULLYING, config)
+    sft.train(cb)
+    mtl = MtlTrainer(base, config)
+    mtl.train(agg, cb)
+    runs = {
+        "sft": ({Task.CYBERBULLYING: sft.adapters}, {Task.CYBERBULLYING: sft.head}),
+        "mtl": (mtl.adapters, mtl.heads),
+    }
+    saved = {}
+    for run, (adapters, heads) in runs.items():
+        adapters, heads = dict(reversed(adapters.items())), dict(reversed(heads.items()))
+        path = save_checkpoint(tmp_path / f"{run}.npz", base.config, config, adapters, heads)
+        saved[run] = (path, adapters, heads)
+    return base, saved
 
 
 def _varied_posts(task, n_per_class, seed):
