@@ -968,7 +968,7 @@ class TestCheckpoint:
         with np.load(path) as archive:
             meta = str(archive["__meta__"])
         assert meta == (
-            '{"format_version": 1, "model": {"d_ff": 16, "d_model": 8, "max_len": 32, '
+            '{"format_version": 2, "model": {"d_ff": 16, "d_model": 8, "max_len": 32, '
             '"n_layers": 1, "seed": 11, "vocab_size": 32}, "tasks": ["aggression"], '
             '"tune": {"batch_size": 3, "epochs": 4, "learning_rate": 0.5, "rank_r": 2, '
             '"seed": 6, "target_layers": "attn"}}'
@@ -1101,8 +1101,8 @@ class TestCheckpoint:
         agg = synth_fixture(2, Task.AGGRESSION, seed=1)
         cb = synth_fixture(2, Task.CYBERBULLYING, seed=2)
         assert _trained_checkpoint_digests(tmp_path, SMALL, config, agg, cb) == {
-            "sft": "2074353e1f88bb2d7da6f1548091c3b9362c69d4979587b928a4364553325221",
-            "mtl": "6c064b42f1159e167bb027a7c98459c6fd4778b5c6618024fc06b3a6051afe37",
+            "sft": "737d62e1790becb47fb121e687c74bf38536d7500440ae45bc84a6abcb405587",
+            "mtl": "d31446e88b91ac1bc1bd83b683d6cb7067e2f0c53fe538fa607df2b03e4bf7f2",
         }, _kernels()
 
     @pytest.mark.parametrize(
@@ -1110,13 +1110,13 @@ class TestCheckpoint:
         [
             # the benchmark's shape: the default net, rank 8, batches of 8
             ("attn", 8, 8, {
-                "sft": "8cd8ebb44c040ca68389e3995bd7cf49690d10101a9f6ae11d61b9c90f2a2f66",
-                "mtl": "dd31969aacdff6a580d901a8a00f89fd5ffe526e60bc83a205bf90872ed0d0d4",
+                "sft": "6cba9cc0796b64bc88f512689d8512eaeeffdafcb7d8e89ca603625552dc8a32",
+                "mtl": "70a4e9d3c346b0b2e8f0e4d2395263d81e9ff155e1983686ad9ca344e18ae052",
             }),
             # every weight of both layers: square projections, 32x16 w1 and 16x32 w2
             ("layers.", 4, 4, {
-                "sft": "5f0f670105d4516f743f0a0f2ea4f5297e3f6ed6497736521487db14afe000dc",
-                "mtl": "04985c1f4716d41ee8434f8f2ecb438a0dc968d3edf391fe94597570e4a069ce",
+                "sft": "4ca773d9e5f6aaaae0ac8576767f70341a45db7009c9eee44dd9bfd63bf77cd5",
+                "mtl": "81807b68124825713b481daebb18afcc4d02212c795e1817f91d65b4832c822c",
             }),
         ],
         ids=["attn", "layers."],
