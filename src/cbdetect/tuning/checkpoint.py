@@ -46,7 +46,8 @@ def save_checkpoint(
     heads: Mapping[Task, TaskHead],
 ) -> Path:
     """Write the checkpoint, after the loader's own check of its header and
-    arrays: a file ``load_classifier`` would refuse is never written."""
+    a by-name check of its arrays: a file ``load_classifier`` would refuse
+    is never written."""
     path = Path(path)
     meta = {
         "format_version": FORMAT_VERSION,
@@ -56,7 +57,9 @@ def save_checkpoint(
     }
     header = json.dumps(meta, sort_keys=True)
     arrays = tuned_arrays(adapters, heads)
-    tuned = decode_json(lambda meta: _filled(meta, arrays), header.encode("utf-8"), TuningError, path)
+    tuned = decode_json(
+        lambda meta: _filled(meta, arrays), header.encode("utf-8"), TuningError, path
+    )
     path.parent.mkdir(parents=True, exist_ok=True)
     # written whole beside the target, then renamed over it: a write that
     # fails part-way leaves the earlier file at the path as it was
@@ -154,7 +157,8 @@ def _loaded(meta: dict, arrays: Mapping[str, np.ndarray]) -> ToyClassifier:
     tuned, flat = arrays["tuned"], named.flat
     if tuned.dtype != flat.dtype or tuned.shape != flat.shape:
         raise TuningError(
-            f"tuned: {tuned.dtype} of shape {tuned.shape}, expected {flat.dtype} of shape {flat.shape}"
+            f"tuned: {tuned.dtype} of shape {tuned.shape}, "
+            f"expected {flat.dtype} of shape {flat.shape}"
         )
     flat[...] = tuned
     return classifier
