@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -46,6 +47,7 @@ from .pipeline import (
     run_experiment,
 )
 from .prompting import PromptError
+from .rundir import _same_bytes
 from .tuning import (
     MtlTrainer,
     SftTrainer,
@@ -74,6 +76,8 @@ _TRAIN_KEYS = ("method", "task", "corpus", "tune", "model", "out_dir")
 _RUN_KEYS = ("method", "task", "backends", "templates", "exemplar_k", "seed", "corpus", "out_dir")
 # The corpus keys each train method reads.
 _TRAIN_CORPUS = {"lora_sft": ("train",), "mtl": ("aggression_train", "cyberbullying_train")}
+# The files a train run writes into its out_dir.
+_TRAIN_FILES = ("checkpoint.npz", "metrics.jsonl", "train_manifest.json")
 
 
 def _parse_split_spec(text: str, seed: int) -> SplitSpec:
@@ -196,16 +200,14 @@ def cmd_train(config_path: str) -> None:
     tune_config = _decode("tune", TuneConfig.from_dict, config.get("tune", {}))
     model_config = _decode("model", ToyNetConfig.from_dict, config.get("model", {}))
 
-    epochs_warning = False
-    if method == "mtl":
-        low, high = TuneConfig.MTL_EPOCH_RANGE
-        if not low <= tune_config.epochs <= high:
-            epochs_warning = True
-            click.echo(
-                f"warning: mtl epochs={tune_config.epochs} is outside the "
-                f"conventional [{low}, {high}] range",
-                err=True,
-            )
+    low, high = TuneConfig.MTL_EPOCH_RANGE
+    epochs_warning = method == "mtl" and not low <= tune_config.epochs <= high
+    if epochs_warning:
+        click.echo(
+            f"warning: mtl epochs={tune_config.epochs} is outside the "
+            f"conventional [{low}, {high}] range",
+            err=True,
+        )
 
     base = ToyTransformer(model_config)
     manifest: dict = {
@@ -233,19 +235,26 @@ def cmd_train(config_path: str) -> None:
         manifest["tasks"] = [Task.AGGRESSION.value, Task.CYBERBULLYING.value]
         manifest["epochs_warning"] = epochs_warning
 
-    checkpoint_path = save_checkpoint(
-        out_dir / "checkpoint.npz", model_config, tune_config, adapters, heads
-    )
-    metrics_path = write_metrics_log(records, out_dir / "metrics.jsonl")
     manifest["steps"] = len(records)
-    manifest["checkpoint"] = str(checkpoint_path)
-    manifest_path = out_dir / "train_manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
-    )
-    click.echo(f"checkpoint: {checkpoint_path}")
-    click.echo(f"metrics ({len(records)} steps): {metrics_path}")
-    click.echo(f"manifest: {manifest_path}")
+    manifest["checkpoint"] = str(out_dir / "checkpoint.npz")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # each file is written whole into a staging directory and moved in only
+    # if no file of another run would be replaced: persist_run's rule
+    with tempfile.TemporaryDirectory(prefix=".train.", dir=out_dir) as staging:
+        staged = Path(staging)
+        save_checkpoint(staged / "checkpoint.npz", model_config, tune_config, adapters, heads)
+        write_metrics_log(records, staged / "metrics.jsonl")
+        (staged / "train_manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
+        )
+        held = [name for name in _TRAIN_FILES if (out_dir / name).exists()]
+        if not all(_same_bytes(staged / name, out_dir / name) for name in held):
+            raise PipelineError(f"{out_dir}: holds another training run's files; not overwritten")
+        for name in _TRAIN_FILES:
+            (staged / name).replace(out_dir / name)
+    click.echo(f"checkpoint: {out_dir / 'checkpoint.npz'}")
+    click.echo(f"metrics ({len(records)} steps): {out_dir / 'metrics.jsonl'}")
+    click.echo(f"manifest: {out_dir / 'train_manifest.json'}")
 
 
 def _experiment_spec_from(config: dict) -> ExperimentSpec:

@@ -3,10 +3,8 @@
 from .checkpoint import ToyClassifier, load_classifier, save_checkpoint
 from .lora import (
     AdapterState,
-    LoraFactors,
     TuneConfig,
     TuningError,
-    init_adapter_state,
     resolve_targets,
 )
 from .network import (
@@ -22,6 +20,7 @@ from .training import (
     SftTrainer,
     TaskHead,
     cross_entropy,
+    init_adapter_state,
     mtl_joint_loss,
     pairs_from_posts,
     predict_logits,
@@ -31,7 +30,6 @@ from .training import (
 __all__ = [
     "Adam",
     "AdapterState",
-    "LoraFactors",
     "MtlTrainer",
     "SftTrainer",
     "TaskHead",

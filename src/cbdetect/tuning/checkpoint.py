@@ -3,13 +3,14 @@
 Format 2: one ``.npz`` archive of two members. ``__meta__`` is a JSON
 header (format version, network config, tuning config, task list, the
 tasks sorted). ``tuned`` is one 1-D float64 vector of every tuned array,
-back to back, laid out as the trainer holds them (``training._one_buffer``)
+back to back, laid out as the trainer holds them (``training._tuned_state``)
 for the classifier the header describes: each task in header order, its
 factor stacks' Down then Up, then each task's head weight and bias.
 
 The frozen base network is not stored; it is rebuilt exactly from the
 network config's seed. One builder, ``_skeleton``, turns a header into that
-classifier and its flat vector, and both sides use it. ``save_checkpoint``
+classifier and its zero flat vector, drawing no random numbers, and both
+sides use it. ``save_checkpoint``
 fills the vector by ``training.tuned_arrays`` name, so the order in which
 a caller passes tasks or targets cannot misplace a value. ``load_classifier``
 reads the file once and fills the vector with one copy. A file that is not
@@ -31,9 +32,9 @@ import numpy as np
 
 from .._config import decode_json
 from ..labels import Label, Task, labels_in_order
-from .lora import AdapterState, TuneConfig, TuningError, init_adapter_state
+from .lora import AdapterState, TuneConfig, TuningError
 from .network import ToyNetConfig, ToyTransformer
-from .training import FlatArrays, TaskHead, _one_buffer, predict_logits, tuned_arrays
+from .training import FlatArrays, TaskHead, _tuned_state, predict_logits, tuned_arrays
 
 FORMAT_VERSION = 2
 
@@ -121,16 +122,14 @@ def load_classifier(path: Union[str, Path]) -> ToyClassifier:
 
 
 def _skeleton(meta: dict) -> tuple[ToyClassifier, FlatArrays]:
-    """The classifier a checkpoint header describes, and its tuned arrays
-    as views into one flat vector in the file's layout."""
+    """The classifier a checkpoint header describes, and its tuned arrays,
+    all zero, as views into one flat vector in the file's layout."""
     if meta.get("format_version") != FORMAT_VERSION:
         raise TuningError(f"unsupported checkpoint format: {meta.get('format_version')}")
     base = ToyTransformer(ToyNetConfig.from_dict(meta["model"]))
     tune_config = TuneConfig.from_dict(meta["tune"])
-    tasks = [Task(value) for value in meta["tasks"]]
-    adapters = {task: init_adapter_state(base, tune_config) for task in tasks}
-    heads = {task: TaskHead.zeros(task, base.config.d_model) for task in tasks}
-    return ToyClassifier(base, tune_config, adapters, heads), _one_buffer(adapters, heads)
+    named, adapters, heads = _tuned_state(base, tune_config, [Task(v) for v in meta["tasks"]])
+    return ToyClassifier(base, tune_config, adapters, heads), named
 
 
 def _filled(meta: dict, arrays: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -10,7 +10,7 @@ never written; the optimizer sees only factors and heads.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterator, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -93,44 +93,14 @@ class AdapterState:
     target order, to its (Down, Up) views into its stack.
     """
 
-    def __init__(self, factors: Mapping[str, LoraFactors]):
-        by_shape: dict[tuple, list[str]] = {}
-        for name, f in factors.items():
-            by_shape.setdefault((f.down.shape, f.up.shape), []).append(name)
-        self._order = list(factors)
-        self._hold(
-            [
-                FactorStack(
-                    tuple(names),
-                    np.stack([factors[name].down for name in names]),
-                    np.stack([factors[name].up for name in names]),
-                )
-                for names in by_shape.values()
-            ]
-        )
-
-    def _hold(self, stacks: list[FactorStack]) -> None:
+    def __init__(self, stacks: list[FactorStack], targets: Sequence[str]):
         self.stacks = stacks
         views = {
             name: LoraFactors(stack.down[i], stack.up[i])
             for stack in stacks
             for i, name in enumerate(stack.names)
         }
-        self.factors = {name: views[name] for name in self._order}
-
-    def restack(self, arrays: Iterator[np.ndarray]) -> None:
-        """Hold the next arrays of ``arrays``, each stack's Down then its Up,
-        as the stacks from now on. They must have the stacks' shapes."""
-        self._hold([FactorStack(s.names, next(arrays), next(arrays)) for s in self.stacks])
-
-    def zeros_like(self) -> "AdapterState":
-        """A state of the same targets and shapes with all-zero factors."""
-        return AdapterState(
-            {
-                name: LoraFactors(np.zeros_like(f.down), np.zeros_like(f.up))
-                for name, f in self.factors.items()
-            }
-        )
+        self.factors = {name: views[name] for name in targets}
 
     @property
     def targets(self) -> list[str]:
@@ -169,17 +139,3 @@ def resolve_targets(base: ToyTransformer, selector: str) -> list[str]:
             f"(candidates: {base.attachable_names})"
         )
     return matches
-
-
-def init_adapter_state(base: ToyTransformer, config: TuneConfig, seed_offset: int = 0) -> AdapterState:
-    """Seeded factors: Down small random, Up exactly zero, so the adapted
-    forward pass starts bit-identical to the base one."""
-    rng = np.random.default_rng(config.seed + seed_offset)
-    factors = {}
-    for name in resolve_targets(base, config.target_layers):
-        d_out, d_in = base.params[name].shape
-        factors[name] = LoraFactors(
-            down=rng.normal(0.0, 0.01, (config.rank_r, d_in)),
-            up=np.zeros((d_out, config.rank_r)),
-        )
-    return AdapterState(factors)

@@ -13,6 +13,7 @@ are uniform: ln(3) for aggression, ln(4) for cyberbullying.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 from .._config import write_lines
 from ..corpus import LabeledPost
 from ..labels import Task, labels_in_order
-from .lora import AdapterState, TuneConfig, TuningError, init_adapter_state
+from .lora import AdapterState, FactorStack, TuneConfig, TuningError, resolve_targets
 from .network import ToyTransformer, pad_ids
 
 Pair = tuple[str, int]
@@ -135,13 +136,12 @@ class FlatArrays(dict):
         )
 
 
-def flat_views(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One contiguous copy of ``arrays``, back to back, and a view of it
-    shaped like each array."""
-    flat = np.concatenate([a.ravel() for a in arrays])
-    bounds = np.cumsum([0] + [a.size for a in arrays]).tolist()
+def flat_views(shapes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One zero vector and a view of it of each shape, back to back."""
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    flat = np.zeros(bounds[-1])
     return flat, [
-        flat[start:stop].reshape(a.shape) for a, start, stop in zip(arrays, bounds, bounds[1:])
+        flat[start:stop].reshape(shape) for shape, start, stop in zip(shapes, bounds, bounds[1:])
     ]
 
 
@@ -176,19 +176,54 @@ class Adam:
         self.params.flat -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
-def _one_buffer(adapters: Mapping[Task, AdapterState], heads: Mapping[Task, TaskHead]) -> FlatArrays:
-    """Move every array of ``adapters`` and ``heads`` into one flat vector,
-    values kept: each factor stack, then each head. The mapping names them
-    as ``tuned_arrays`` does."""
-    arrays = [a for state in adapters.values() for s in state.stacks for a in (s.down, s.up)]
-    arrays += [a for head in heads.values() for a in (head.weight, head.bias)]
-    flat, views = flat_views(arrays)
+def _tuned_state(
+    base: ToyTransformer, config: TuneConfig, tasks: Sequence[Task]
+) -> tuple[FlatArrays, dict[Task, AdapterState], dict[Task, TaskHead]]:
+    """Zero adapters and heads for ``tasks``, every array a view into one
+    flat vector laid out as a checkpoint stores it: each task's factor
+    stacks, Down then Up, then each task's head weight and bias. A stack
+    holds the targets of one weight shape, in target order. The
+    ``FlatArrays`` names the arrays as ``tuned_arrays`` does."""
+    targets = resolve_targets(base, config.target_layers)
+    groups: dict[tuple[int, ...], list[str]] = {}
+    for name in targets:
+        groups.setdefault(base.params[name].shape, []).append(name)
+    r, shapes = config.rank_r, []
+    for _ in tasks:
+        for (d_out, d_in), names in groups.items():
+            shapes += [(len(names), r, d_in), (len(names), d_out, r)]
+    for task in tasks:
+        n = len(labels_in_order(task))
+        shapes += [(n, base.config.d_model), (n,)]
+    flat, views = flat_views(shapes)
     views = iter(views)
-    for state in adapters.values():
-        state.restack(views)
-    for head in heads.values():
-        head.weight, head.bias = next(views), next(views)
-    return FlatArrays(tuned_arrays(adapters, heads), flat)
+    adapters = {
+        task: AdapterState(
+            [FactorStack(tuple(names), next(views), next(views)) for names in groups.values()],
+            targets,
+        )
+        for task in tasks
+    }
+    heads = {task: TaskHead(task, next(views), next(views)) for task in tasks}
+    return FlatArrays(tuned_arrays(adapters, heads), flat), adapters, heads
+
+
+def _seed_down(adapters: Mapping[Task, AdapterState], seed: int) -> None:
+    """Draw the i-th task's Down factors small random, in target order, from
+    one generator seeded with ``seed + i``, so the tasks' inits differ."""
+    for offset, state in enumerate(adapters.values()):
+        rng = np.random.default_rng(seed + offset)
+        for factors in state.factors.values():
+            factors.down[...] = rng.normal(0.0, 0.01, factors.down.shape)
+
+
+def init_adapter_state(base: ToyTransformer, config: TuneConfig) -> AdapterState:
+    """One task's factors as a trainer starts them: Down small random from
+    ``config.seed``, Up exactly zero, so the adapted forward pass starts
+    bit-identical to the base one. (Factor shapes do not depend on the task.)"""
+    adapters = _tuned_state(base, config, [Task.AGGRESSION])[1]
+    _seed_down(adapters, config.seed)
+    return adapters[Task.AGGRESSION]
 
 
 def pairs_from_posts(posts: Sequence[LabeledPost], task: Task) -> list[Pair]:
@@ -270,27 +305,22 @@ def predict_logits(
 
 class _Tuner:
     """The step core and epoch loop of both trainers: task-keyed adapters
-    and zero heads on a frozen base, all tuned by one ``Adam`` over
-    ``tuned_arrays``.
+    (Down seeded by ``_seed_down``) and zero heads on a frozen base, all
+    tuned by one ``Adam`` over ``tuned_arrays``.
 
     Every tuned array is a view into one flat vector, and every gradient a
-    view into a twin of it, so one ``Adam.step`` updates them all. A step
-    runs one branch per task, in task order, then one optimizer step on
-    their gradients, and returns the per-task losses.
+    view into a twin of it, both built by ``_tuned_state``, so one
+    ``Adam.step`` updates them all. A step runs one branch per task, in
+    task order, then one optimizer step, and returns the per-task losses.
     """
 
-    def __init__(
-        self, base: ToyTransformer, config: TuneConfig, adapters: dict[Task, AdapterState]
-    ):
+    def __init__(self, base: ToyTransformer, config: TuneConfig, tasks: Sequence[Task]):
         self.base = base
         self.config = config
-        self._adapters = adapters
-        d_model = base.config.d_model
-        self._heads = {task: TaskHead.zeros(task, d_model) for task in adapters}
-        self._d_adapters = {task: state.zeros_like() for task, state in adapters.items()}
-        self._d_heads = {task: TaskHead.zeros(task, d_model) for task in adapters}
-        self._grads = _one_buffer(self._d_adapters, self._d_heads)
-        self.optimizer = Adam(_one_buffer(adapters, self._heads), config.learning_rate)
+        params, self._adapters, self._heads = _tuned_state(base, config, tasks)
+        _seed_down(self._adapters, config.seed)
+        self._grads, self._d_adapters, self._d_heads = _tuned_state(base, config, tasks)
+        self.optimizer = Adam(params, config.learning_rate)
 
     def _losses(self, batches: Sequence[Sequence[EncodedPair]]) -> list[float]:
         """Each task branch's loss; the gradients land in ``_grads``."""
@@ -350,18 +380,10 @@ class SftTrainer(_Tuner):
     the mean batch cross-entropy is returned.
     """
 
-    def __init__(
-        self,
-        base: ToyTransformer,
-        task: Task,
-        config: TuneConfig,
-        adapters: AdapterState | None = None,
-    ):
-        if adapters is None:
-            adapters = init_adapter_state(base, config)
-        super().__init__(base, config, {task: adapters})
+    def __init__(self, base: ToyTransformer, task: Task, config: TuneConfig):
+        super().__init__(base, config, [task])
         self.task = task
-        self.adapters = adapters
+        self.adapters = self._adapters[task]
         self.head = self._heads[task]
 
     def step(self, pairs: Sequence[Pair]) -> float:
@@ -384,13 +406,7 @@ class MtlTrainer(_Tuner):
     """
 
     def __init__(self, base: ToyTransformer, config: TuneConfig):
-        tasks = (Task.AGGRESSION, Task.CYBERBULLYING)
-        # distinct seeds so the two Down inits differ
-        adapters = {
-            task: init_adapter_state(base, config, seed_offset=offset)
-            for offset, task in enumerate(tasks)
-        }
-        super().__init__(base, config, adapters)
+        super().__init__(base, config, (Task.AGGRESSION, Task.CYBERBULLYING))
         self.adapters = self._adapters
         self.heads = self._heads
 

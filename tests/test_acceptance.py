@@ -49,7 +49,6 @@ from cbdetect.tuning import (
     ToyTransformer,
     TuneConfig,
     cross_entropy,
-    init_adapter_state,
     mtl_joint_loss,
     pairs_from_posts,
 )
@@ -243,7 +242,10 @@ def test_criterion_4_tuning_invariants():
         ["a post with a number of tokens", "short one", "and a third"]
     )
     before, _ = base.forward(ids, mask)
-    state = init_adapter_state(base, TuneConfig(rank_r=8, seed=5))
+    trainer = SftTrainer(
+        base, Task.AGGRESSION, TuneConfig(rank_r=8, learning_rate=1e-2, seed=5)
+    )
+    state = trainer.adapters
     after, _ = base.forward(ids, mask, overrides=state.effective_weights(base.params))
     identity_dev = float(np.abs(after - before).max())
     assert identity_dev <= 1e-6
@@ -251,10 +253,6 @@ def test_criterion_4_tuning_invariants():
     # train, then check rank bound and frozen base
     snapshot = {k: v.copy() for k, v in base.params.items()}
     pairs = pairs_from_posts(synth_fixture(4, Task.AGGRESSION, seed=1), Task.AGGRESSION)
-    trainer = SftTrainer(
-        base, Task.AGGRESSION,
-        TuneConfig(rank_r=8, learning_rate=1e-2, seed=5), adapters=state,
-    )
     for _ in range(100):
         trainer.step(pairs)
     for name in state.targets:

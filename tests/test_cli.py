@@ -171,6 +171,30 @@ class TestTrain:
         manifest = json.loads((tmp_path / "artifacts" / "train_manifest.json").read_text())
         assert manifest["tune"]["learning_rate"] == 1e-4
 
+    def test_never_replaces_another_run(self, runner, tmp_path):
+        """A second run on other posts into the same out_dir exits 1, names
+        the directory and leaves the first run's files; the first run again
+        exits 0."""
+        config_a = self._sft_config(tmp_path)
+        config = json.loads(config_a.read_text(encoding="utf-8"))
+        posts_b = save_records(synth_fixture(4, Task.AGGRESSION, seed=2), tmp_path / "b.jsonl")
+        config["corpus"]["train"] = str(posts_b)
+        config_b = write_json(tmp_path / "train_config_b.json", config)
+        out = tmp_path / "artifacts"
+        names = ("checkpoint.npz", "metrics.jsonl", "train_manifest.json")
+
+        result = runner.invoke(main, ["train", "--config", str(config_a)])
+        assert result.exit_code == 0, result.output
+        first = {name: (out / name).read_bytes() for name in names}
+        result = runner.invoke(main, ["train", "--config", str(config_b)])
+        assert result.exit_code == 1, result.output
+        assert str(out) in result.output
+        assert {name: (out / name).read_bytes() for name in names} == first
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        result = runner.invoke(main, ["train", "--config", str(config_a)])
+        assert result.exit_code == 0, result.output
+        assert {name: (out / name).read_bytes() for name in names} == first
+
     def _mtl_config(self, tmp_path, **extra):
         agg = save_records(synth_fixture(2, Task.AGGRESSION, seed=1), tmp_path / "agg.jsonl")
         cb = save_records(synth_fixture(2, Task.CYBERBULLYING, seed=1), tmp_path / "cb.jsonl")

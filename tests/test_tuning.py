@@ -43,9 +43,76 @@ from cbdetect.tuning import network, training
 
 SMALL = ToyNetConfig(vocab_size=32, d_model=8, n_layers=1, d_ff=16, seed=11)
 
-# The OpenBLAS kernel the tuned-bit pins were recorded on. A pin holds the
-# bytes one kernel's summation order gives; another kernel may move them.
-PINNED_KERNEL = "SkylakeX"
+# The sha256 pins of tuned bits, by the OpenBLAS kernel that gives them:
+# each kernel sums in its own order, so one kernel's bytes need not be
+# another's. All were recorded on one AVX-512 CPU: SkylakeX's as it runs,
+# the others with OPENBLAS_CORETYPE set in the recording process only (this
+# OpenBLAS runs Katmai when asked for Prescott). ``TestOtherBlasKernels``
+# checks the others wherever the CPU can run them.
+_BIT_PINS = {
+    "predict_logits": {
+        "SkylakeX": "e59d6c42ededd4fbc4d41e07550c545b0204d73c4d003a48961276738c6fb381",
+        "Haswell": "d518970481df1b3320afb05f71436b964981b4ef4492c08a82aad5aebe6b9a27",
+        "Sandybridge": "916718706b7cf56e9579e9f25c15f603697941cbe7b8b5bf0d9a599dd98c4567",
+        "Katmai": "676ebc8160d9598ee9bad320a2c3f758a5b081e97f34a365494840791bdebb7d",
+    },
+    # checkpoints of a fixed SFT and MTL run on the small net
+    "small": {
+        "SkylakeX": {
+            "sft": "737d62e1790becb47fb121e687c74bf38536d7500440ae45bc84a6abcb405587",
+            "mtl": "d31446e88b91ac1bc1bd83b683d6cb7067e2f0c53fe538fa607df2b03e4bf7f2",
+        },
+        "Haswell": {
+            "sft": "abc3c6361f7cb78e9699ca30d6fb40967ee3ec43ac827b5c876657044f8483c2",
+            "mtl": "05f9c7f31dcfea4efcff6e30d86604d0168085bc1fa0e2afaa97da7786f7d9d6",
+        },
+        "Sandybridge": {
+            "sft": "795c0cc34495ff506256e4e93f120b81df1e88ccf4e4c4a241dc7aa2adb8d533",
+            "mtl": "a91645f7aef39dd2b1f03f3767b45168d85a3ee5d00ec3576736377f276dc167",
+        },
+        "Katmai": {
+            "sft": "889f746836f02e92d28349753c2d8056c13107355b665bbc084f22b97adef3a0",
+            "mtl": "862834e8ff8c3ae43b1b14f059446e8cd2d8e2d1baf7db9afae5c7ac7c18eed3",
+        },
+    },
+    # the same on the default net, by target selector
+    "attn": {
+        "SkylakeX": {
+            "sft": "6cba9cc0796b64bc88f512689d8512eaeeffdafcb7d8e89ca603625552dc8a32",
+            "mtl": "70a4e9d3c346b0b2e8f0e4d2395263d81e9ff155e1983686ad9ca344e18ae052",
+        },
+        "Haswell": {
+            "sft": "8ebb9bb5cb3d434beba0322f52bb75f993878eddd5ec2c09c7dbdc370c86fdbb",
+            "mtl": "fe38618ec905393b9775fedcf6b0710a8fa2750b19bb5c895033a5c4fad44ad2",
+        },
+        "Sandybridge": {
+            "sft": "43053ca00d0ef18ed3d5531bdacdbf809ef996869aa1033c998ab64a8da2facc",
+            "mtl": "b120c95560ae97b8d42513d3f4ca1ec25286d067e0e095eeea31017b53881ad4",
+        },
+        "Katmai": {
+            "sft": "da45e4047e238b20f06562d4509b4599206405e7492923236dc5e1641dd5e261",
+            "mtl": "b201caab7632fe23dbc35b4992b562421cabb7a8f3fcf1bec6fd79c994b7455f",
+        },
+    },
+    "layers.": {
+        "SkylakeX": {
+            "sft": "4ca773d9e5f6aaaae0ac8576767f70341a45db7009c9eee44dd9bfd63bf77cd5",
+            "mtl": "81807b68124825713b481daebb18afcc4d02212c795e1817f91d65b4832c822c",
+        },
+        "Haswell": {
+            "sft": "18c14a45f6e56b802717f4e47e3b6e95d88d36babd27798640cae5ed84adb1fb",
+            "mtl": "8fb8fb44ec93febfce83f96aac290403fc59b815f0959d963dda173eb2707d18",
+        },
+        "Sandybridge": {
+            "sft": "01a957841866062fc1d24d6fc94221125fcf2010dcbf99f865f9f9413b0f97e6",
+            "mtl": "813f90776a9a7b75f47d4d0a87a29eceb0e778a0f498a2b6323f018917e3bf31",
+        },
+        "Katmai": {
+            "sft": "01a957841866062fc1d24d6fc94221125fcf2010dcbf99f865f9f9413b0f97e6",
+            "mtl": "813f90776a9a7b75f47d4d0a87a29eceb0e778a0f498a2b6323f018917e3bf31",
+        },
+    },
+}
 
 
 def _blas_kernel() -> str:
@@ -64,8 +131,13 @@ def _blas_kernel() -> str:
     return "unknown"
 
 
-def _kernels() -> str:
-    return f"pinned on the {PINNED_KERNEL} BLAS kernel, run on {_blas_kernel()}"
+def _pin(name: str):
+    """The ``_BIT_PINS`` entry of ``name`` for the kernel this process runs;
+    a kernel with none recorded fails, naming itself."""
+    kernel, pins = _blas_kernel(), _BIT_PINS[name]
+    if kernel not in pins:
+        pytest.fail(f"no {name} pin for the {kernel} BLAS kernel (pinned: {sorted(pins)})")
+    return pins[kernel]
 
 
 @pytest.fixture
@@ -206,6 +278,19 @@ def _mixed_length_texts(max_len, n=24, seed=0):
     return [extras[i // 5 % len(extras)] if i % 5 == 0 else p.text for i, p in enumerate(posts)]
 
 
+def _predict_logits_digest():
+    """sha256 of the logits the inference pass gives with adapters on every
+    weight, over more rows than one chunk."""
+    base = ToyTransformer(ToyNetConfig(seed=3))
+    head = training.TaskHead(
+        Task.CYBERBULLYING, np.random.default_rng(1).normal(size=(4, 16)), np.zeros(4)
+    )
+    texts = _mixed_length_texts(base.config.max_len, n=12, seed=4)
+    assert len(texts) > training.PREDICT_CHUNK_ROWS
+    logits = predict_logits(base, _random_adapters(base, seed=3), head, texts)
+    return hashlib.sha256(logits.tobytes()).hexdigest()
+
+
 def _random_adapters(base, seed):
     """Adapters whose Up factors are random, so the effective weights differ
     from the base ones."""
@@ -259,18 +344,8 @@ class TestPooledPass:
         logits = predict_logits(base, init_adapter_state(base, TuneConfig()), head, [])
         assert logits.shape == (0, 3)
 
-    def test_predict_logits_bits(self, base):
-        """Pins the bytes the inference pass gives with adapters on every
-        weight, over more rows than one chunk."""
-        head = training.TaskHead(
-            Task.CYBERBULLYING, np.random.default_rng(1).normal(size=(4, 16)), np.zeros(4)
-        )
-        texts = _mixed_length_texts(base.config.max_len, n=12, seed=4)
-        assert len(texts) > training.PREDICT_CHUNK_ROWS
-        logits = predict_logits(base, _random_adapters(base, seed=3), head, texts)
-        assert hashlib.sha256(logits.tobytes()).hexdigest() == (
-            "e59d6c42ededd4fbc4d41e07550c545b0204d73c4d003a48961276738c6fb381"
-        ), _kernels()
+    def test_predict_logits_bits(self):
+        assert _predict_logits_digest() == _pin("predict_logits"), _blas_kernel()
 
 
 class TestLosses:
@@ -374,8 +449,8 @@ class TestMtlStep:
         # the aggression branch alone gives every aggression gradient of the
         # joint loss; the cyberbullying head gets its own
         agg = Task.AGGRESSION
-        d_adapters = trainer.adapters[agg].zeros_like()
-        d_head = training.TaskHead.zeros(agg, base.config.d_model)
+        _, d_adapters, d_heads = training._tuned_state(base, trainer.config, [agg])
+        d_adapters, d_head = d_adapters[agg], d_heads[agg]
         _branch(
             base, trainer.adapters[agg], trainer.heads[agg], _encode_pairs(base, agg_pairs, agg),
             d_adapters, d_head,
@@ -620,8 +695,10 @@ def _reference_backward(self, cache, d_hidden, targets=None):
 def _flat_arrays(arrays, flat_order):
     """``arrays`` copied into one ``FlatArrays``, keyed in their own order
     and laid out in ``flat_order``."""
-    flat, views = training.flat_views([arrays[key] for key in flat_order])
+    flat, views = training.flat_views([arrays[key].shape for key in flat_order])
     views = dict(zip(flat_order, views))
+    for key, view in views.items():
+        view[...] = arrays[key]
     return training.FlatArrays({key: views[key] for key in arrays}, flat)
 
 
@@ -809,11 +886,12 @@ def _pooled_vs_full_checks():
 
 
 class TestOtherBlasKernels:
-    def test_pooled_pass_matches_the_full_forward_on_each_kernel(self):
+    def test_pooled_pass_matches_the_full_forward_on_each_kernel(self, tmp_path):
         """The pooled-vs-full tolerance checks, run in a child process per
         kernel of ``_OTHER_KERNELS`` that this CPU can run, all at once.
         Each kernel sums in its own order, so a bitwise claim can hold on
-        one and fail on another; these claims hold on every one."""
+        one and fail on another; these claims hold on every one. Each child
+        also checks the kernel's own ``_BIT_PINS``."""
         if platform.machine() not in ("x86_64", "AMD64") or _blas_kernel() == "unknown":
             pytest.skip("the kernels are forced through numpy's x86-64 OpenBLAS")
         cpuinfo = Path("/proc/cpuinfo")
@@ -828,12 +906,15 @@ class TestOtherBlasKernels:
         here = Path(__file__).resolve().parent
         code = (
             f"import sys; sys.path[:0] = [{str(here.parent / 'src')!r}, {str(here)!r}]; "
-            "import test_tuning; test_tuning._pooled_vs_full_checks(); "
+            "from pathlib import Path; import test_tuning; "
+            "test_tuning._pooled_vs_full_checks(); "
+            "test_tuning._pinned_bits_checks(Path(sys.argv[1])); "
             "print(test_tuning._blas_kernel())"
         )
         children = {
             kernel: subprocess.Popen(
-                [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                [sys.executable, "-c", code, str(tmp_path / kernel)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 text=True, env={**os.environ, "OPENBLAS_CORETYPE": kernel},
             )
             for kernel in kernels
@@ -855,6 +936,10 @@ class TestOtherBlasKernels:
 # one stack of square attention weights; stacks of three shapes; one stack
 # of non-square weights
 _SAVED_SELECTORS = ["attn", "layers.", "mlp.w2"]
+# (rank, batch size) of the pinned default-net runs, by target selector:
+# the benchmark's shape (rank 8, batches of 8), and every weight of both
+# layers (square projections, 32x16 w1 and 16x32 w2)
+_DEFAULT_NET_RUNS = {"attn": (8, 8), "layers.": (4, 4)}
 
 
 class TestCheckpoint:
@@ -919,6 +1004,28 @@ class TestCheckpoint:
             reads.clear()
             load_classifier(path)
             assert len(reads) == 2, run
+
+    @pytest.mark.parametrize("selector", _SAVED_SELECTORS)
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, selector):
+        """Apart from rebuilding the base network from its seed, writing and
+        loading a checkpoint draw nothing: every tuned float comes from
+        the caller's arrays or the file."""
+        base, saved = _saved_runs(tmp_path, selector)
+        seeded = np.random.default_rng
+
+        def refusing(*args, **kwargs):
+            if sys._getframe(1).f_code is not network.ToyTransformer.__init__.__code__:
+                raise AssertionError("drew random numbers outside the base network")
+            return seeded(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", refusing)
+        for run, (path, adapters, heads) in saved.items():
+            tune = load_classifier(path).tune_config
+            again = save_checkpoint(tmp_path / "again.npz", base.config, tune, adapters, heads)
+            for loaded in (load_classifier(path), load_classifier(again)):
+                assert _digests_by_name(loaded.adapters, loaded.heads) == _digests_by_name(
+                    adapters, heads
+                ), run
 
     def test_config_dicts_round_trip(self):
         tune = TuneConfig(
@@ -1097,44 +1204,13 @@ class TestCheckpoint:
         """Pins what a fixed SFT run and a fixed MTL run write: the header,
         then each array's name, dtype, shape and bytes in file order. The
         zip container itself is not hashed, so numpy's writer can change."""
-        config = TuneConfig(rank_r=2, learning_rate=1e-2, batch_size=3, epochs=2, seed=4)
-        agg = synth_fixture(2, Task.AGGRESSION, seed=1)
-        cb = synth_fixture(2, Task.CYBERBULLYING, seed=2)
-        assert _trained_checkpoint_digests(tmp_path, SMALL, config, agg, cb) == {
-            "sft": "737d62e1790becb47fb121e687c74bf38536d7500440ae45bc84a6abcb405587",
-            "mtl": "d31446e88b91ac1bc1bd83b683d6cb7067e2f0c53fe538fa607df2b03e4bf7f2",
-        }, _kernels()
+        assert _small_net_digests(tmp_path) == _pin("small"), _blas_kernel()
 
-    @pytest.mark.parametrize(
-        "selector, rank, batch_size, digests",
-        [
-            # the benchmark's shape: the default net, rank 8, batches of 8
-            ("attn", 8, 8, {
-                "sft": "6cba9cc0796b64bc88f512689d8512eaeeffdafcb7d8e89ca603625552dc8a32",
-                "mtl": "70a4e9d3c346b0b2e8f0e4d2395263d81e9ff155e1983686ad9ca344e18ae052",
-            }),
-            # every weight of both layers: square projections, 32x16 w1 and 16x32 w2
-            ("layers.", 4, 4, {
-                "sft": "4ca773d9e5f6aaaae0ac8576767f70341a45db7009c9eee44dd9bfd63bf77cd5",
-                "mtl": "81807b68124825713b481daebb18afcc4d02212c795e1817f91d65b4832c822c",
-            }),
-        ],
-        ids=["attn", "layers."],
-    )
-    def test_trained_default_net_checkpoint_contents(
-        self, tmp_path, selector, rank, batch_size, digests
-    ):
+    @pytest.mark.parametrize("selector", _DEFAULT_NET_RUNS)
+    def test_trained_default_net_checkpoint_contents(self, tmp_path, selector):
         """The same pin on the default two-layer net, over posts of varied
         length, some cut at ``max_len``."""
-        config = TuneConfig(
-            rank_r=rank, learning_rate=1e-2, batch_size=batch_size, epochs=2,
-            target_layers=selector, seed=5,
-        )
-        agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
-        cb = _varied_posts(Task.CYBERBULLYING, 3, seed=2)
-        net = ToyNetConfig(seed=0)
-        digested = _trained_checkpoint_digests(tmp_path, net, config, agg, cb)
-        assert digested == digests, _kernels()
+        assert _default_net_digests(tmp_path, selector) == _pin(selector), _blas_kernel()
 
     def test_rebuilt_base_matches(self, tmp_path, base):
         rebuilt = ToyTransformer(base.config)
@@ -1149,6 +1225,34 @@ class TestCheckpoint:
         records = trainer.train(posts)
         path = write_metrics_log(records, tmp_path / "metrics.jsonl")
         assert len(path.read_text().splitlines()) == len(records) == 9
+
+
+def _small_net_digests(tmp_path):
+    config = TuneConfig(rank_r=2, learning_rate=1e-2, batch_size=3, epochs=2, seed=4)
+    agg = synth_fixture(2, Task.AGGRESSION, seed=1)
+    cb = synth_fixture(2, Task.CYBERBULLYING, seed=2)
+    return _trained_checkpoint_digests(tmp_path, SMALL, config, agg, cb)
+
+
+def _default_net_digests(tmp_path, selector):
+    rank, batch_size = _DEFAULT_NET_RUNS[selector]
+    config = TuneConfig(
+        rank_r=rank, learning_rate=1e-2, batch_size=batch_size, epochs=2,
+        target_layers=selector, seed=5,
+    )
+    agg = _varied_posts(Task.AGGRESSION, 3, seed=1)
+    cb = _varied_posts(Task.CYBERBULLYING, 3, seed=2)
+    return _trained_checkpoint_digests(tmp_path, ToyNetConfig(seed=0), config, agg, cb)
+
+
+def _pinned_bits_checks(tmp_path):
+    """Every tuned-bit pin of this module, against the running kernel's."""
+    kernel = _blas_kernel()
+    assert _predict_logits_digest() == _pin("predict_logits"), f"predict_logits on {kernel}"
+    assert _small_net_digests(tmp_path) == _pin("small"), f"small on {kernel}"
+    for selector in _DEFAULT_NET_RUNS:
+        digests = _default_net_digests(tmp_path, selector)
+        assert digests == _pin(selector), f"{selector} on {kernel}"
 
 
 def _trained_checkpoint_digests(tmp_path, net_config, tune_config, agg, cb):
@@ -1208,6 +1312,13 @@ def _saved_runs(tmp_path, selector):
     return base, saved
 
 
+def _digests_by_name(adapters, heads):
+    return {
+        name: hashlib.sha256(array.tobytes()).hexdigest()
+        for name, array in training.tuned_arrays(adapters, heads).items()
+    }
+
+
 def _varied_posts(task, n_per_class, seed):
     """Fixture posts padded to varied lengths, some beyond max_len."""
     return [
@@ -1219,13 +1330,12 @@ def _varied_posts(task, n_per_class, seed):
 class TestTunedBuffer:
     def test_given_adapters_are_the_ones_trained(self, base, agg_pairs):
         config = TuneConfig(rank_r=4, learning_rate=1e-2, seed=5)
-        state = init_adapter_state(base, config)
-        down = {name: f.down.copy() for name, f in state.factors.items()}
-        trainer = SftTrainer(base, Task.AGGRESSION, config, adapters=state)
-        assert trainer.adapters is state
+        down = {name: f.down for name, f in init_adapter_state(base, config).factors.items()}
+        trainer = SftTrainer(base, Task.AGGRESSION, config)
+        state = trainer.adapters
         params = trainer.optimizer.params
         for name, f in state.factors.items():
-            assert np.array_equal(f.down, down[name])  # moved into the buffer, values kept
+            assert np.array_equal(f.down, down[name])  # seeded in the buffer as on its own
             assert f.down is params[f"adapter.aggression.{name}.down"]
             assert f.up is params[f"adapter.aggression.{name}.up"]
         for _ in range(3):  # the zero head passes no gradient back on the first step
