@@ -171,15 +171,19 @@ class TestTrain:
         manifest = json.loads((tmp_path / "artifacts" / "train_manifest.json").read_text())
         assert manifest["tune"]["learning_rate"] == 1e-4
 
+    def _other_posts_config(self, tmp_path):
+        """The SFT config on other posts, into the same out_dir."""
+        config = json.loads(self._sft_config(tmp_path).read_text(encoding="utf-8"))
+        posts_b = save_records(synth_fixture(4, Task.AGGRESSION, seed=2), tmp_path / "b.jsonl")
+        config["corpus"]["train"] = str(posts_b)
+        return write_json(tmp_path / "train_config_b.json", config)
+
     def test_never_replaces_another_run(self, runner, tmp_path):
         """A second run on other posts into the same out_dir exits 1, names
         the directory and leaves the first run's files; the first run again
         exits 0."""
         config_a = self._sft_config(tmp_path)
-        config = json.loads(config_a.read_text(encoding="utf-8"))
-        posts_b = save_records(synth_fixture(4, Task.AGGRESSION, seed=2), tmp_path / "b.jsonl")
-        config["corpus"]["train"] = str(posts_b)
-        config_b = write_json(tmp_path / "train_config_b.json", config)
+        config_b = self._other_posts_config(tmp_path)
         out = tmp_path / "artifacts"
         names = ("checkpoint.npz", "metrics.jsonl", "train_manifest.json")
 
@@ -194,6 +198,35 @@ class TestTrain:
         result = runner.invoke(main, ["train", "--config", str(config_a)])
         assert result.exit_code == 0, result.output
         assert {name: (out / name).read_bytes() for name in names} == first
+
+    def test_never_replaces_a_run_that_lands_first(self, runner, tmp_path, monkeypatch):
+        """Run B, on other posts into the same out_dir, finishes while run A
+        moves its files in: A exits 1 naming out_dir, B's files keep their
+        bytes, and no staging directory stays beside out_dir."""
+        config_a = self._sft_config(tmp_path)
+        config_b = self._other_posts_config(tmp_path)
+        out = tmp_path / "artifacts"
+        names = ("checkpoint.npz", "metrics.jsonl", "train_manifest.json")
+        first = iter([True])
+        run_b = {}
+
+        def hooked(move):
+            def hook(path, target):
+                if next(first, False):  # run B to completion, then make A's first move
+                    run_b["result"] = CliRunner().invoke(main, ["train", "--config", str(config_b)])
+                    run_b["files"] = {name: (out / name).read_bytes() for name in names}
+                return move(path, target)
+
+            return hook
+
+        for name in ("rename", "replace"):
+            monkeypatch.setattr(Path, name, hooked(getattr(Path, name)))
+        result = runner.invoke(main, ["train", "--config", str(config_a)])
+        assert run_b["result"].exit_code == 0, run_b["result"].output
+        assert result.exit_code == 1, result.output
+        assert str(out) in result.output
+        assert {name: (out / name).read_bytes() for name in names} == run_b["files"]
+        assert not list(tmp_path.glob(".artifacts.*"))
 
     def _mtl_config(self, tmp_path, **extra):
         agg = save_records(synth_fixture(2, Task.AGGRESSION, seed=1), tmp_path / "agg.jsonl")
