@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 import click
@@ -47,7 +46,7 @@ from .pipeline import (
     run_experiment,
 )
 from .prompting import PromptError
-from .rundir import _same_bytes
+from .rundir import publish
 from .tuning import (
     MtlTrainer,
     SftTrainer,
@@ -237,21 +236,16 @@ def cmd_train(config_path: str) -> None:
 
     manifest["steps"] = len(records)
     manifest["checkpoint"] = str(out_dir / "checkpoint.npz")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # each file is written whole into a staging directory and moved in only
-    # if no file of another run would be replaced: persist_run's rule
-    with tempfile.TemporaryDirectory(prefix=".train.", dir=out_dir) as staging:
-        staged = Path(staging)
-        save_checkpoint(staged / "checkpoint.npz", model_config, tune_config, adapters, heads)
-        write_metrics_log(records, staged / "metrics.jsonl")
-        (staged / "train_manifest.json").write_text(
+
+    def write(staging: Path) -> None:
+        save_checkpoint(staging / "checkpoint.npz", model_config, tune_config, adapters, heads)
+        write_metrics_log(records, staging / "metrics.jsonl")
+        (staging / "train_manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
         )
-        held = [name for name in _TRAIN_FILES if (out_dir / name).exists()]
-        if not all(_same_bytes(staged / name, out_dir / name) for name in held):
-            raise PipelineError(f"{out_dir}: holds another training run's files; not overwritten")
-        for name in _TRAIN_FILES:
-            (staged / name).replace(out_dir / name)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    publish(out_dir, write, _TRAIN_FILES)
     click.echo(f"checkpoint: {out_dir / 'checkpoint.npz'}")
     click.echo(f"metrics ({len(records)} steps): {out_dir / 'metrics.jsonl'}")
     click.echo(f"manifest: {out_dir / 'train_manifest.json'}")

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 from ._config import read_lines, write_lines
 from .backend import MatchKind
@@ -181,32 +182,43 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
     """Write manifest, predictions, and the raw-response audit log.
 
     The directory name is the run id, a hash of the manifest content, so
-    identical runs land in identical locations.
-
-    The files are written into a temporary sibling directory, which is
-    then renamed into place. Where a run directory already exists, its
-    files must hold the same bytes; different bytes raise PipelineError
-    and leave it as it was.
+    identical runs land in identical locations; ``publish`` keeps a run
+    directory that holds other files.
     """
     out_dir = Path(out_dir)
-    run_dir = out_dir / result.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{result.run_id}.", dir=out_dir))
+    result.run_dir = publish(out_dir / result.run_id, partial(_write_run_files, result), _RUN_FILES)
+    return result.run_dir
+
+
+def publish(target: Path, write: Callable[[Path], None], names: Iterable[str]) -> Path:
+    """Publish the files ``write`` makes in a new directory beside ``target``.
+
+    Where ``target`` is absent or empty, one rename moves that directory in.
+    Otherwise each of ``names`` that ``target`` holds must have the same
+    bytes, and only the missing files are linked in; any other file raises
+    PipelineError and ``target`` keeps its files. The staging directory
+    never stays.
+    """
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
     try:
-        _write_run_files(result, staging)
+        write(staging)
         try:
-            staging.rename(run_dir)
+            staging.rename(target)
         except OSError:
-            if not run_dir.is_dir():
+            if not target.is_dir():
                 raise
-            if not all(_same_bytes(staging / name, run_dir / name) for name in _RUN_FILES):
-                raise PipelineError(
-                    f"{run_dir}: holds different files under this run id; not overwritten"
-                ) from None
+            # the held files are compared first; a link, unlike a rename,
+            # never replaces a file that appeared since
+            for name in sorted(names, key=lambda name: not (target / name).exists()):
+                try:
+                    os.link(staging / name, target / name)
+                except FileExistsError:
+                    if (target / name).read_bytes() != (staging / name).read_bytes():
+                        raise PipelineError(f"{target}: holds other files; not overwritten") from None
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    result.run_dir = run_dir
-    return run_dir
+    return target
 
 
 def _write_run_files(result: RunResult, run_dir: Path) -> None:
@@ -217,10 +229,6 @@ def _write_run_files(result: RunResult, run_dir: Path) -> None:
     )
     write_lines(run_dir / "predictions.jsonl", result.predictions, _prediction_line)
     write_lines(run_dir / "responses.jsonl", result.audit, _audit_line)
-
-
-def _same_bytes(path: Path, other: Path) -> bool:
-    return other.is_file() and other.read_bytes() == path.read_bytes()
 
 
 def load_predictions(path: Union[str, Path], task: Task) -> list[Prediction]:
