@@ -20,7 +20,6 @@ from .training import (
     SftTrainer,
     TaskHead,
     cross_entropy,
-    init_adapter_state,
     mtl_joint_loss,
     pairs_from_posts,
     predict_logits,
@@ -40,7 +39,6 @@ __all__ = [
     "TuneConfig",
     "TuningError",
     "cross_entropy",
-    "init_adapter_state",
     "last_unmasked_index",
     "load_classifier",
     "mtl_joint_loss",

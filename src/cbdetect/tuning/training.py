@@ -44,11 +44,6 @@ class TaskHead:
     weight: np.ndarray  # (n_classes, d_model)
     bias: np.ndarray  # (n_classes,)
 
-    @classmethod
-    def zeros(cls, task: Task, d_model: int) -> "TaskHead":
-        n = len(labels_in_order(task))
-        return cls(task=task, weight=np.zeros((n, d_model)), bias=np.zeros(n))
-
     def logits(self, pooled: np.ndarray) -> np.ndarray:
         return pooled @ self.weight.T + self.bias
 
@@ -215,15 +210,6 @@ def _seed_down(adapters: Mapping[Task, AdapterState], seed: int) -> None:
         rng = np.random.default_rng(seed + offset)
         for factors in state.factors.values():
             factors.down[...] = rng.normal(0.0, 0.01, factors.down.shape)
-
-
-def init_adapter_state(base: ToyTransformer, config: TuneConfig) -> AdapterState:
-    """One task's factors as a trainer starts them: Down small random from
-    ``config.seed``, Up exactly zero, so the adapted forward pass starts
-    bit-identical to the base one. (Factor shapes do not depend on the task.)"""
-    adapters = _tuned_state(base, config, [Task.AGGRESSION])[1]
-    _seed_down(adapters, config.seed)
-    return adapters[Task.AGGRESSION]
 
 
 def pairs_from_posts(posts: Sequence[LabeledPost], task: Task) -> list[Pair]:

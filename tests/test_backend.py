@@ -52,11 +52,11 @@ from cbdetect import (
 import cbdetect.backend as backend_mod
 from cbdetect.tuning import (
     AdapterState,
+    SftTrainer,
     TaskHead,
     ToyNetConfig,
     ToyTransformer,
     TuneConfig,
-    init_adapter_state,
     load_classifier,
     save_checkpoint,
 )
@@ -377,7 +377,7 @@ def save_toy(path, tasks, seed=0, head_bias_class=None):
     rng = np.random.default_rng(seed)
     adapters, heads = {}, {}
     for offset, task in enumerate(tasks):
-        state = init_adapter_state(base, TuneConfig(seed=seed + offset))
+        state = SftTrainer(base, task, TuneConfig(seed=seed + offset)).adapters
         for factors in state.factors.values():
             factors.up[...] = rng.normal(0.0, 0.3, factors.up.shape)
         n = len(labels_in_order(task))

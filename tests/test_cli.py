@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from cbdetect import Task, save_records, synth_fixture
 from cbdetect.cli import main
 from cbdetect.tuning import (
-    TaskHead, ToyNetConfig, ToyTransformer, TuneConfig, init_adapter_state, load_classifier,
+    SftTrainer, ToyNetConfig, ToyTransformer, TuneConfig, load_classifier,
 )
 from cbdetect.tuning.training import tuned_arrays
 
@@ -575,8 +575,8 @@ def _format_1_checkpoint(path):
     """A checkpoint as format 1 wrote it: the header, then each tuned array
     under its own name."""
     net, tune, task = ToyNetConfig(), TuneConfig(), Task.CYBERBULLYING
-    state = init_adapter_state(ToyTransformer(net), tune)
-    head = TaskHead.zeros(task, net.d_model)
+    trainer = SftTrainer(ToyTransformer(net), task, tune)
+    state, head = trainer.adapters, trainer.head
     meta = {
         "format_version": 1, "model": net.to_dict(), "tune": tune.to_dict(),
         "tasks": [task.value],

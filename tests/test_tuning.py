@@ -28,7 +28,6 @@ from cbdetect.tuning import (
     TuneConfig,
     TuningError,
     cross_entropy,
-    init_adapter_state,
     last_unmasked_index,
     load_classifier,
     mtl_joint_loss,
@@ -201,7 +200,7 @@ class TestAdapters:
     def test_zero_init_identity(self, base):
         ids, mask = base.tokenizer.batch_encode(["several words in here", "tiny"])
         before, _ = base.forward(ids, mask)
-        state = init_adapter_state(base, TuneConfig(rank_r=8, seed=5))
+        state, _ = _untrained(base, TuneConfig(rank_r=8, seed=5))
         after, _ = base.forward(ids, mask, overrides=state.effective_weights(base.params))
         assert np.abs(after - before).max() <= 1e-6
 
@@ -219,12 +218,12 @@ class TestAdapters:
 
     def test_selector_matching_one_weight(self):
         config = TuneConfig(rank_r=2, target_layers="layers.0.attn.wq", seed=0)
-        state = init_adapter_state(ToyTransformer(SMALL), config)
+        state, _ = _untrained(ToyTransformer(SMALL), config)
         assert state.targets == ["layers.0.attn.wq"]
 
     def test_selector_matching_nothing(self, base):
         with pytest.raises(TuningError, match="matches no attachable weight"):
-            init_adapter_state(base, TuneConfig(target_layers="conv"))
+            _untrained(base, TuneConfig(target_layers="conv"))
 
     def test_frozen_base_bitwise_after_100_steps(self, base, agg_pairs):
         snapshot = {k: v.copy() for k, v in base.params.items()}
@@ -265,6 +264,12 @@ class TestPooling:
         assert np.allclose(pooled_batch[1], pooled_single[0], rtol=0.0, atol=1e-12)
 
 
+def _untrained(base, config, task=Task.AGGRESSION):
+    """A trainer's adapters and head before its first step."""
+    trainer = SftTrainer(base, task, config)
+    return trainer.adapters, trainer.head
+
+
 def _mixed_length_texts(max_len, n=24, seed=0):
     """Fixture texts mixed with ones longer than ``max_len``, emoji-only
     ones and one-word ones."""
@@ -294,7 +299,7 @@ def _predict_logits_digest():
 def _random_adapters(base, seed):
     """Adapters whose Up factors are random, so the effective weights differ
     from the base ones."""
-    state = init_adapter_state(base, TuneConfig(target_layers="layers", seed=seed))
+    state, _ = _untrained(base, TuneConfig(target_layers="layers", seed=seed))
     rng = np.random.default_rng(seed)
     for factors in state.factors.values():
         factors.up[...] = rng.normal(0.0, 0.3, factors.up.shape)
@@ -340,8 +345,8 @@ class TestPooledPass:
         assert len(np.unique(logits.argmax(axis=1))) > 1  # the check is not vacuous
 
     def test_predict_logits_of_no_texts(self, base):
-        head = training.TaskHead.zeros(Task.AGGRESSION, base.config.d_model)
-        logits = predict_logits(base, init_adapter_state(base, TuneConfig()), head, [])
+        adapters, head = _untrained(base, TuneConfig())
+        logits = predict_logits(base, adapters, head, [])
         assert logits.shape == (0, 3)
 
     def test_predict_logits_bits(self):
@@ -577,7 +582,7 @@ class TestGradientCheck:
 def _adapted_batch(base, pairs, selector):
     """Adapters on the ``selector`` weights with a non-zero delta, the
     batch of ``pairs``' texts, and the effective weights."""
-    state = init_adapter_state(base, TuneConfig(target_layers=selector))
+    state, _ = _untrained(base, TuneConfig(target_layers=selector))
     rng = np.random.default_rng(1)
     for f in state.factors.values():
         f.up[:] = rng.normal(0.0, 0.1, f.up.shape)
@@ -1067,8 +1072,7 @@ class TestCheckpoint:
 
     def test_checkpoint_header_bytes(self, tmp_path):
         tune = TuneConfig(rank_r=2, learning_rate=0.5, batch_size=3, epochs=4, seed=6)
-        state = init_adapter_state(ToyTransformer(SMALL), tune)
-        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        state, head = _untrained(ToyTransformer(SMALL), tune)
         path = save_checkpoint(
             tmp_path / "c.npz", SMALL, tune, {Task.AGGRESSION: state}, {Task.AGGRESSION: head}
         )
@@ -1118,8 +1122,7 @@ class TestCheckpoint:
     )
     def test_checkpoint_that_does_not_decode(self, tmp_path, edit, reason):
         tune = TuneConfig(rank_r=2, seed=6)
-        state = init_adapter_state(ToyTransformer(SMALL), tune)
-        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        state, head = _untrained(ToyTransformer(SMALL), tune)
         good = save_checkpoint(
             tmp_path / "good.npz", SMALL, tune, {Task.AGGRESSION: state}, {Task.AGGRESSION: head}
         )
@@ -1135,8 +1138,7 @@ class TestCheckpoint:
         """A file of format 1, which stored each tuned array under its own
         name, is refused by its version before its arrays are read."""
         tune = TuneConfig(rank_r=2, seed=6)
-        state = init_adapter_state(ToyTransformer(SMALL), tune)
-        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        state, head = _untrained(ToyTransformer(SMALL), tune)
         meta = {
             "format_version": 1, "model": SMALL.to_dict(), "tune": tune.to_dict(),
             "tasks": ["aggression"],
@@ -1152,7 +1154,7 @@ class TestCheckpoint:
 
     def test_writer_refuses_a_task_without_its_head(self, tmp_path):
         tune = TuneConfig(rank_r=2, seed=6)
-        state = init_adapter_state(ToyTransformer(SMALL), tune)
+        state, _ = _untrained(ToyTransformer(SMALL), tune)
         path = tmp_path / "headless.npz"
         with pytest.raises(
             TuningError, match=re.escape(f"{path}: missing key 'head.aggression.weight'")
@@ -1162,8 +1164,7 @@ class TestCheckpoint:
 
     def test_writer_refuses_adapters_of_another_rank(self, tmp_path):
         base = ToyTransformer(SMALL)
-        state = init_adapter_state(base, TuneConfig(rank_r=4, seed=6))
-        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        state, head = _untrained(base, TuneConfig(rank_r=4, seed=6))
         path = tmp_path / "rank.npz"
         with pytest.raises(
             TuningError,
@@ -1179,8 +1180,7 @@ class TestCheckpoint:
         """A write that fails part-way leaves the file at the path as it
         was, and no temporary file beside it."""
         tune = TuneConfig(rank_r=2, seed=6)
-        state = init_adapter_state(ToyTransformer(SMALL), tune)
-        head = training.TaskHead.zeros(Task.AGGRESSION, SMALL.d_model)
+        state, head = _untrained(ToyTransformer(SMALL), tune)
         head.bias[:] = [1.0, 2.0, 3.0]
         path = save_checkpoint(
             tmp_path / "c.npz", SMALL, tune, {Task.AGGRESSION: state}, {Task.AGGRESSION: head}
@@ -1330,9 +1330,10 @@ def _varied_posts(task, n_per_class, seed):
 class TestTunedBuffer:
     def test_given_adapters_are_the_ones_trained(self, base, agg_pairs):
         config = TuneConfig(rank_r=4, learning_rate=1e-2, seed=5)
-        down = {name: f.down for name, f in init_adapter_state(base, config).factors.items()}
         trainer = SftTrainer(base, Task.AGGRESSION, config)
         state = trainer.adapters
+        rng = np.random.default_rng(config.seed)  # the first task draws from the seed itself
+        down = {name: rng.normal(0.0, 0.01, f.down.shape) for name, f in state.factors.items()}
         params = trainer.optimizer.params
         for name, f in state.factors.items():
             assert np.array_equal(f.down, down[name])  # seeded in the buffer as on its own
