@@ -3,11 +3,12 @@
 ``persist_run`` writes ``manifest.json``, ``predictions.jsonl`` and the
 raw-response audit log ``responses.jsonl`` into a directory named by the
 run id (an audit entry holds the rendered prompt only where its backend
-read it); ``load_predictions`` reads a predictions file back. Each fact is
-written once: what the whole run shares (method, templates, backends,
-exemplars, overrides) in the manifest, and on a prediction line only what
-belongs to its record, with a provenance of ``match_kind`` and, on EPP,
-``stage1_mode``.
+read it) through ``publish``, the one rule by which neither a run nor
+``cbdetect train`` replaces another's files; ``load_predictions`` reads a
+predictions file back. Each fact is written once: what the whole run
+shares (method, templates, backends, exemplars, overrides) in the
+manifest, and on a prediction line only what belongs to its record, with
+a provenance of ``match_kind`` and, on EPP, ``stage1_mode``.
 """
 
 from __future__ import annotations
@@ -179,12 +180,9 @@ _RUN_FILES = ("manifest.json", "predictions.jsonl", "responses.jsonl")
 
 
 def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
-    """Write manifest, predictions, and the raw-response audit log.
-
-    The directory name is the run id, a hash of the manifest content, so
-    identical runs land in identical locations; ``publish`` keeps a run
-    directory that holds other files.
-    """
+    """Write manifest, predictions, and the raw-response audit log, and
+    ``publish`` them as a directory named by the run id, a hash of the
+    manifest content, so identical runs land in identical locations."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.run_dir = publish(out_dir / result.run_id, partial(_write_run_files, result), _RUN_FILES)
@@ -192,14 +190,12 @@ def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
 
 
 def publish(target: Path, write: Callable[[Path], None], names: Iterable[str]) -> Path:
-    """Publish the files ``write`` makes in a new directory beside ``target``.
-
-    Where ``target`` is absent or empty, one rename moves that directory in.
-    Otherwise each of ``names`` that ``target`` holds must have the same
-    bytes, and only the missing files are linked in; any other file raises
-    PipelineError and ``target`` keeps its files. The staging directory
-    never stays.
-    """
+    """Move the files ``write`` makes in a new directory beside ``target``
+    into it, replacing none. Where ``target`` is absent or empty, one rename
+    moves the directory in. Otherwise each of ``names`` that it holds must
+    have the same bytes, or PipelineError leaves it as it was, and then the
+    missing ones are linked in: a link, unlike a rename, never replaces a
+    file that appeared since. The staging directory never stays."""
     staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
     try:
         write(staging)
@@ -208,14 +204,13 @@ def publish(target: Path, write: Callable[[Path], None], names: Iterable[str]) -
         except OSError:
             if not target.is_dir():
                 raise
-            # the held files are compared first; a link, unlike a rename,
-            # never replaces a file that appeared since
             for name in sorted(names, key=lambda name: not (target / name).exists()):
                 try:
                     os.link(staging / name, target / name)
                 except FileExistsError:
                     if (target / name).read_bytes() != (staging / name).read_bytes():
-                        raise PipelineError(f"{target}: holds other files; not overwritten") from None
+                        message = f"{target}: holds other files; not overwritten"
+                        raise PipelineError(message) from None
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return target

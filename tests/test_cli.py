@@ -32,6 +32,14 @@ def write_json(path, data):
     return path
 
 
+TRAIN_FILES = ("checkpoint.npz", "metrics.jsonl", "train_manifest.json")
+
+
+def held_files(out_dir):
+    """The bytes of each training file that ``out_dir`` holds."""
+    return {n: (out_dir / n).read_bytes() for n in TRAIN_FILES if (out_dir / n).exists()}
+
+
 def stub_backend_dict(task):
     from cbdetect import class_name_stub
 
@@ -206,7 +214,6 @@ class TestTrain:
         config_a = self._sft_config(tmp_path)
         config_b = self._other_posts_config(tmp_path)
         out = tmp_path / "artifacts"
-        names = ("checkpoint.npz", "metrics.jsonl", "train_manifest.json")
         first = iter([True])
         run_b = {}
 
@@ -214,7 +221,7 @@ class TestTrain:
             def hook(path, target):
                 if next(first, False):  # run B to completion, then make A's first move
                     run_b["result"] = CliRunner().invoke(main, ["train", "--config", str(config_b)])
-                    run_b["files"] = {name: (out / name).read_bytes() for name in names}
+                    run_b["files"] = held_files(out)
                 return move(path, target)
 
             return hook
@@ -225,8 +232,56 @@ class TestTrain:
         assert run_b["result"].exit_code == 0, run_b["result"].output
         assert result.exit_code == 1, result.output
         assert str(out) in result.output
-        assert {name: (out / name).read_bytes() for name in names} == run_b["files"]
+        assert held_files(out) == run_b["files"]
         assert not list(tmp_path.glob(".artifacts.*"))
+
+    @pytest.mark.parametrize("first_run", [False, True], ids=["empty", "holding-a-run"])
+    def test_a_failed_write_leaves_out_dir_as_it_was(
+        self, runner, tmp_path, monkeypatch, first_run
+    ):
+        """A run whose metrics log fails after its checkpoint is staged
+        exits 1, leaves out_dir's files as they were and no staging directory."""
+        out = tmp_path / "artifacts"
+        if first_run:
+            result = runner.invoke(main, ["train", "--config", str(self._sft_config(tmp_path))])
+            assert result.exit_code == 0, result.output
+        before = held_files(out)
+        staged = []
+
+        def failing_log(records, path):
+            staged.append(Path(path).with_name("checkpoint.npz").is_file())
+            raise OSError("metrics log: no space left")
+
+        monkeypatch.setattr("cbdetect.cli.write_metrics_log", failing_log)
+        result = runner.invoke(main, ["train", "--config", str(self._other_posts_config(tmp_path))])
+        assert result.exit_code == 1, result.output
+        assert "no space left" in result.output
+        assert staged == [True]
+        assert held_files(out) == before
+        assert sorted(path.name for path in out.iterdir()) == sorted(before)
+        assert not list(tmp_path.glob(".artifacts.*"))
+
+    @pytest.mark.parametrize("out_dir", ["artifacts", "."])
+    def test_into_an_existing_out_dir_a_rerun_rewrites_nothing(
+        self, runner, tmp_path, monkeypatch, out_dir
+    ):
+        """out_dir as an existing empty directory, or as the working
+        directory, gets the three files; a rerun exits 0 and rewrites none."""
+        work = tmp_path / "work"
+        out = work / out_dir
+        out.mkdir(parents=True)
+        monkeypatch.chdir(work)
+        config = json.loads(self._sft_config(tmp_path).read_text(encoding="utf-8"))
+        path = write_json(tmp_path / "train_config.json", {**config, "out_dir": out_dir})
+        stats = []
+        for _ in range(2):
+            result = runner.invoke(main, ["train", "--config", str(path)])
+            assert result.exit_code == 0, result.output
+            assert sorted(p.name for p in out.iterdir()) == sorted(TRAIN_FILES)
+            assert not list(work.glob(".*"))
+            stats.append([(out / name).stat() for name in TRAIN_FILES])
+        for first, rerun in zip(*stats):
+            assert (rerun.st_ino, rerun.st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
 
     def _mtl_config(self, tmp_path, **extra):
         agg = save_records(synth_fixture(2, Task.AGGRESSION, seed=1), tmp_path / "agg.jsonl")
