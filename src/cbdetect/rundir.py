@@ -204,6 +204,7 @@ def publish(target: Path, write: Callable[[Path], None], names: Iterable[str]) -
         except OSError:
             if not target.is_dir():
                 raise
+            # the held files first, so that a refusal links nothing in
             for name in sorted(names, key=lambda name: not (target / name).exists()):
                 try:
                     os.link(staging / name, target / name)

@@ -193,19 +193,18 @@ class TestTrain:
         config_a = self._sft_config(tmp_path)
         config_b = self._other_posts_config(tmp_path)
         out = tmp_path / "artifacts"
-        names = ("checkpoint.npz", "metrics.jsonl", "train_manifest.json")
 
         result = runner.invoke(main, ["train", "--config", str(config_a)])
         assert result.exit_code == 0, result.output
-        first = {name: (out / name).read_bytes() for name in names}
+        first = {name: (out / name).read_bytes() for name in TRAIN_FILES}
         result = runner.invoke(main, ["train", "--config", str(config_b)])
         assert result.exit_code == 1, result.output
         assert str(out) in result.output
-        assert {name: (out / name).read_bytes() for name in names} == first
-        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        assert {name: (out / name).read_bytes() for name in TRAIN_FILES} == first
+        assert sorted(path.name for path in out.iterdir()) == sorted(TRAIN_FILES)
         result = runner.invoke(main, ["train", "--config", str(config_a)])
         assert result.exit_code == 0, result.output
-        assert {name: (out / name).read_bytes() for name in names} == first
+        assert {name: (out / name).read_bytes() for name in TRAIN_FILES} == first
 
     def test_never_replaces_a_run_that_lands_first(self, runner, tmp_path, monkeypatch):
         """Run B, on other posts into the same out_dir, finishes while run A
