@@ -75,8 +75,6 @@ _TRAIN_KEYS = ("method", "task", "corpus", "tune", "model", "out_dir")
 _RUN_KEYS = ("method", "task", "backends", "templates", "exemplar_k", "seed", "corpus", "out_dir")
 # The corpus keys each train method reads.
 _TRAIN_CORPUS = {"lora_sft": ("train",), "mtl": ("aggression_train", "cyberbullying_train")}
-# The files a train run writes into its out_dir.
-_TRAIN_FILES = ("checkpoint.npz", "metrics.jsonl", "train_manifest.json")
 
 
 def _parse_split_spec(text: str, seed: int) -> SplitSpec:
@@ -244,8 +242,7 @@ def cmd_train(config_path: str) -> None:
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
         )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    publish(out_dir, write, _TRAIN_FILES)
+    publish(out_dir, write)
     click.echo(f"checkpoint: {out_dir / 'checkpoint.npz'}")
     click.echo(f"metrics ({len(records)} steps): {out_dir / 'metrics.jsonl'}")
     click.echo(f"manifest: {out_dir / 'train_manifest.json'}")

@@ -17,11 +17,10 @@ import hashlib
 import json
 import os
 import shutil
-import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from ._config import read_lines, write_lines
 from .backend import MatchKind
@@ -176,42 +175,44 @@ def _audit_fields(entry: dict) -> tuple[str, str, str, str]:
     )
 
 
-_RUN_FILES = ("manifest.json", "predictions.jsonl", "responses.jsonl")
-
-
 def persist_run(result: RunResult, out_dir: Union[str, Path]) -> Path:
     """Write manifest, predictions, and the raw-response audit log, and
     ``publish`` them as a directory named by the run id, a hash of the
     manifest content, so identical runs land in identical locations."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result.run_dir = publish(out_dir / result.run_id, partial(_write_run_files, result), _RUN_FILES)
+    result.run_dir = publish(Path(out_dir) / result.run_id, partial(_write_run_files, result))
     return result.run_dir
 
 
-def publish(target: Path, write: Callable[[Path], None], names: Iterable[str]) -> Path:
-    """Move the files ``write`` makes in a new directory beside ``target``
-    into it, replacing none. Where ``target`` is absent or empty, one rename
-    moves the directory in. Otherwise each of ``names`` that it holds must
-    have the same bytes, or PipelineError leaves it as it was, and then the
-    missing ones are linked in: a link, unlike a rename, never replaces a
-    file that appeared since. The staging directory never stays."""
-    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+def publish(target: Path, write: Callable[[Path], None]) -> Path:
+    """Move the files ``write`` makes in a new staging directory into
+    ``target``, replacing none. Where ``target`` is absent, the staging
+    directory is made beside it, with a plain mkdir's mode and any missing
+    parents, and one rename moves it in. Otherwise it is
+    made inside ``target``, so that every move stays on its filesystem; each
+    staged file that ``target`` holds must have the same bytes, or
+    PipelineError leaves it as it was, and then the missing ones are linked
+    in: a link, unlike a rename, never replaces a file that appeared since.
+    The staging directory never stays."""
+    absent = not target.exists()
+    staging = (target.parent if absent else target) / f".{target.name}.{os.urandom(4).hex()}"
+    staging.mkdir(parents=True)
     try:
         write(staging)
-        try:
-            staging.rename(target)
-        except OSError:
-            if not target.is_dir():
-                raise
-            # the held files first, so that a refusal links nothing in
-            for name in sorted(names, key=lambda name: not (target / name).exists()):
-                try:
-                    os.link(staging / name, target / name)
-                except FileExistsError:
-                    if (target / name).read_bytes() != (staging / name).read_bytes():
-                        message = f"{target}: holds other files; not overwritten"
-                        raise PipelineError(message) from None
+        if absent:
+            try:
+                staging.rename(target)
+                return target
+            except OSError:  # a directory that appeared since is published into
+                if not target.is_dir():
+                    raise
+        # the held files first, so that a refusal links nothing in
+        for name in sorted(os.listdir(staging), key=lambda name: not (target / name).exists()):
+            try:
+                os.link(staging / name, target / name)
+            except FileExistsError:
+                if (target / name).read_bytes() != (staging / name).read_bytes():
+                    message = f"{target}: holds other files; not overwritten"
+                    raise PipelineError(message) from None
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return target

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -38,6 +39,27 @@ TRAIN_FILES = ("checkpoint.npz", "metrics.jsonl", "train_manifest.json")
 def held_files(out_dir):
     """The bytes of each training file that ``out_dir`` holds."""
     return {n: (out_dir / n).read_bytes() for n in TRAIN_FILES if (out_dir / n).exists()}
+
+
+def as_mount_point(monkeypatch, mount):
+    """Make the directory ``mount`` act as a mount point: a rename onto it
+    fails with EBUSY, and a rename or link between a path inside it and one
+    outside it fails with EXDEV."""
+    mount = Path(os.path.abspath(mount))
+
+    def guard(call):
+        def guarded(src, dst, *args, **kwargs):
+            src, dst = Path(os.path.abspath(src)), Path(os.path.abspath(dst))
+            if dst == mount:
+                raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), str(dst))
+            if (mount in src.parents) != (mount in dst.parents):
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), str(src), None, str(dst))
+            return call(src, dst, *args, **kwargs)
+
+        return guarded
+
+    for name in ("rename", "replace", "link"):
+        monkeypatch.setattr(os, name, guard(getattr(os, name)))
 
 
 def stub_backend_dict(task):
@@ -234,12 +256,13 @@ class TestTrain:
         assert held_files(out) == run_b["files"]
         assert not list(tmp_path.glob(".artifacts.*"))
 
-    @pytest.mark.parametrize("first_run", [False, True], ids=["empty", "holding-a-run"])
+    @pytest.mark.parametrize("first_run", [False, True], ids=["absent", "holding-a-run"])
     def test_a_failed_write_leaves_out_dir_as_it_was(
         self, runner, tmp_path, monkeypatch, first_run
     ):
         """A run whose metrics log fails after its checkpoint is staged
-        exits 1, leaves out_dir's files as they were and no staging directory."""
+        exits 1, leaves an absent out_dir absent and a held one's files as
+        they were, and no staging directory."""
         out = tmp_path / "artifacts"
         if first_run:
             result = runner.invoke(main, ["train", "--config", str(self._sft_config(tmp_path))])
@@ -257,30 +280,63 @@ class TestTrain:
         assert "no space left" in result.output
         assert staged == [True]
         assert held_files(out) == before
-        assert sorted(path.name for path in out.iterdir()) == sorted(before)
+        if first_run:
+            assert sorted(path.name for path in out.iterdir()) == sorted(before)
+        else:
+            assert not out.exists()
         assert not list(tmp_path.glob(".artifacts.*"))
 
+    @pytest.mark.parametrize("mounted", [False, True], ids=["one-filesystem", "mount-point"])
     @pytest.mark.parametrize("out_dir", ["artifacts", "."])
     def test_into_an_existing_out_dir_a_rerun_rewrites_nothing(
-        self, runner, tmp_path, monkeypatch, out_dir
+        self, runner, tmp_path, monkeypatch, out_dir, mounted
     ):
         """out_dir as an existing empty directory, or as the working
-        directory, gets the three files; a rerun exits 0 and rewrites none."""
+        directory, on the filesystem of its parent or as a mount point, gets
+        the three files and stays the same directory; a rerun exits 0 and
+        rewrites none."""
         work = tmp_path / "work"
         out = work / out_dir
         out.mkdir(parents=True)
         monkeypatch.chdir(work)
         config = json.loads(self._sft_config(tmp_path).read_text(encoding="utf-8"))
         path = write_json(tmp_path / "train_config.json", {**config, "out_dir": out_dir})
+        if mounted:
+            as_mount_point(monkeypatch, out)
+        inode = out.stat().st_ino
         stats = []
         for _ in range(2):
             result = runner.invoke(main, ["train", "--config", str(path)])
             assert result.exit_code == 0, result.output
             assert sorted(p.name for p in out.iterdir()) == sorted(TRAIN_FILES)
             assert not list(work.glob(".*"))
+            assert out.stat().st_ino == inode
             stats.append([(out / name).stat() for name in TRAIN_FILES])
         for first, rerun in zip(*stats):
             assert (rerun.st_ino, rerun.st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
+
+    def test_a_mounted_out_dir_holding_a_run_is_kept(self, runner, tmp_path, monkeypatch):
+        """A run on other posts into an out_dir that is a mount point
+        holding a run exits 1 naming it, and the held files stay."""
+        out = tmp_path / "artifacts"
+        result = runner.invoke(main, ["train", "--config", str(self._sft_config(tmp_path))])
+        assert result.exit_code == 0, result.output
+        before = held_files(out)
+        as_mount_point(monkeypatch, out)
+        result = runner.invoke(main, ["train", "--config", str(self._other_posts_config(tmp_path))])
+        assert result.exit_code == 1, result.output
+        assert f"{out}: holds other files" in result.output
+        assert held_files(out) == before
+        assert sorted(path.name for path in out.iterdir()) == sorted(TRAIN_FILES)
+
+    def test_a_new_out_dir_is_made_as_mkdir_makes_one(self, runner, tmp_path):
+        """An absent out_dir is made with the mode of a plain mkdir, not a
+        staging directory's 0700."""
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        result = runner.invoke(main, ["train", "--config", str(self._sft_config(tmp_path))])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "artifacts").stat().st_mode == plain.stat().st_mode
 
     def _mtl_config(self, tmp_path, **extra):
         agg = save_records(synth_fixture(2, Task.AGGRESSION, seed=1), tmp_path / "agg.jsonl")
