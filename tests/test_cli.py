@@ -151,6 +151,45 @@ class TestPrepareData:
         assert result.exit_code == 0, result.output
         assert len((out / "d1_train.jsonl").read_text().splitlines()) == 6
 
+    def test_never_replaces_other_prepared_records(self, runner, tmp_path):
+        """A second D1 CSV into the same --out exits 1 naming it and leaves
+        the first one's four files; the first CSV again exits 0 and rewrites
+        none, and a D6 CSV there leaves the D1 files alone."""
+        out = tmp_path / "out"
+        d1_files = [out / f"d1_{name}.jsonl" for name in ("train", "validation", "test", "rejects")]
+        csv_a = write_d1_csv(tmp_path / "a.csv", [(f"first words {i}", i % 3) for i in range(30)])
+        csv_b = write_d1_csv(tmp_path / "b.csv", [(f"other words {i}", i % 3) for i in range(30)])
+        csv_d6 = tmp_path / "d6.csv"
+        csv_d6.write_text(
+            "tweet_text,cyberbullying_type\nfirst post,religion\nsecond post,gender\n",
+            encoding="utf-8",
+        )
+
+        def prepare(src, schema="D1", *spec):
+            args = ["prepare-data", "--input", str(src), "--schema", schema, "--out", str(out)]
+            return runner.invoke(main, args + list(spec))
+
+        result = prepare(csv_a)
+        assert result.exit_code == 0, result.output
+        for path in d1_files:
+            assert f"-> {path}" in result.output
+        first = {path: path.read_bytes() for path in d1_files}
+        stats = [path.stat() for path in d1_files]
+        result = prepare(csv_b)
+        assert result.exit_code == 1, result.output
+        assert f"{out}: holds other files; not overwritten" in result.output
+        assert {path: path.read_bytes() for path in d1_files} == first
+        assert sorted(out.iterdir()) == sorted(d1_files)
+        result = prepare(csv_a)
+        assert result.exit_code == 0, result.output
+        for path, stat in zip(d1_files, stats):
+            assert (path.stat().st_ino, path.stat().st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+        result = prepare(csv_d6, "D6", "--split-spec", "0.5/0.5/0")
+        assert result.exit_code == 0, result.output
+        assert {path: path.read_bytes() for path in d1_files} == first
+        assert (out / "d6_train.jsonl").is_file()
+        assert not list(out.glob(".*")) and not list(tmp_path.glob(".out.*"))
+
 
 class TestTrain:
     def _sft_config(self, tmp_path, **tune):

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import types
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,15 @@ class TestAdapters:
         config = TuneConfig(rank_r=2, target_layers="layers.0.attn.wq", seed=0)
         state, _ = _untrained(ToyTransformer(SMALL), config)
         assert state.targets == ["layers.0.attn.wq"]
+
+    def test_layer_names_stop_at_the_layer_index(self):
+        """Layer 1's names and selector ``layers.1.`` take none of layer 10's."""
+        config = ToyNetConfig(n_layers=11)
+        layer_1 = [
+            f"layers.1.{w}" for w in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2")
+        ]
+        assert list(ToyTransformer(config)._layer_names[1].values()) == layer_1
+        assert resolve_targets(config, "layers.1.") == layer_1
 
     def test_selector_matching_nothing(self, base):
         with pytest.raises(TuningError, match="matches no attachable weight"):
@@ -1032,6 +1042,22 @@ class TestCheckpoint:
                     adapters, heads
                 ), run
 
+    @pytest.mark.parametrize("selector", _SAVED_SELECTORS)
+    def test_save_builds_no_network(self, tmp_path, monkeypatch, selector):
+        """Writing a checkpoint needs only its configs and arrays: with the
+        network's constructor refusing, each save writes the members an
+        unrefused save wrote."""
+        base, saved = _saved_runs(tmp_path, selector)
+        tune = {run: load_classifier(path).tune_config for run, (path, _, _) in saved.items()}
+
+        def refusing(self, config):
+            raise AssertionError("network built")
+
+        monkeypatch.setattr(network.ToyTransformer, "__init__", refusing)
+        for run, (path, adapters, heads) in saved.items():
+            again = save_checkpoint(tmp_path / "again.npz", base.config, tune[run], adapters, heads)
+            assert _archive_members(again) == _archive_members(path), run
+
     def test_config_dicts_round_trip(self):
         tune = TuneConfig(
             rank_r=3, learning_rate=0.25, batch_size=5, epochs=4,
@@ -1310,6 +1336,12 @@ def _saved_runs(tmp_path, selector):
         path = save_checkpoint(tmp_path / f"{run}.npz", base.config, config, adapters, heads)
         saved[run] = (path, adapters, heads)
     return base, saved
+
+
+def _archive_members(path):
+    """Each member's bytes by name; a zip entry's timestamp is left out."""
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
 
 
 def _digests_by_name(adapters, heads):
