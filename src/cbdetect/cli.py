@@ -21,7 +21,6 @@ from .backend import BackendDescriptor, BackendError
 from .corpus import (
     CorpusError,
     DatasetId,
-    Split,
     SplitSpec,
     load_dataset,
     load_records,
@@ -174,12 +173,18 @@ def cmd_prepare_data(input_path: str, schema: str, out_dir: str, split_text: str
 
     splits = split_corpus(result.accepted, spec)
     out = Path(out_dir)
-    prefix = schema.lower()
-    for split in (Split.TRAIN, Split.VALIDATION, Split.TEST):
-        path = save_records(splits[split], out / f"{prefix}_{split.value}.jsonl")
-        click.echo(f"{split.value}: {len(splits[split])} records -> {path}")
-    rejects_path = save_rejects(result.rejects, out / f"{prefix}_rejects.jsonl")
-    click.echo(f"rejected: {len(result.rejects)} rows -> {rejects_path}")
+    names = {split: f"{schema.lower()}_{split.value}.jsonl" for split in splits}
+    rejects_name = f"{schema.lower()}_rejects.jsonl"
+
+    def write(staging: Path) -> None:
+        for split, posts in splits.items():
+            save_records(posts, staging / names[split])
+        save_rejects(result.rejects, staging / rejects_name)
+
+    publish(out, write)
+    for split, posts in splits.items():
+        click.echo(f"{split.value}: {len(posts)} records -> {out / names[split]}")
+    click.echo(f"rejected: {len(result.rejects)} rows -> {out / rejects_name}")
 
 
 @main.command("train")

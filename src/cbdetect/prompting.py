@@ -27,7 +27,6 @@ from .labels import (
     AggressionLabel,
     Label,
     Task,
-    display_names,
     label_space,
     labels_in_order,
 )
@@ -110,24 +109,21 @@ def load_template(template_id: str, task: Task) -> PromptTemplate:
 class Prompt:
     """A model input plus its target label space: what a backend reads.
 
-    Built from a post, a template, the task whose class list it names and
-    ``values`` for the template's mode-specific placeholders. Building
+    Built from a post, a template, whose label space gives the class list,
+    and ``values`` for the template's mode-specific placeholders. Building
     raises PromptError for a template those leave a placeholder unbound in,
     or one without ``{post_text}``, so reading the text never fails.
     ``rendered_text`` is substituted the first time it is read, then kept,
     so a stage whose backend reads only ``post_text`` renders nothing.
     """
 
-    __slots__ = ("label_space", "post_text", "_template", "_task", "_values", "_text")
+    __slots__ = ("label_space", "post_text", "_template", "_values", "_text")
 
-    def __init__(
-        self, post: LabeledPost, template: PromptTemplate, task: Task, values: dict[str, str]
-    ) -> None:
+    def __init__(self, post: LabeledPost, template: PromptTemplate, values: dict[str, str]) -> None:
         _check_placeholders(template.instruction_text, tuple(values))
         self.label_space = template.label_space
         self.post_text = post.text
         self._template = template
-        self._task = task
         self._values = values
         self._text = None
 
@@ -136,7 +132,8 @@ class Prompt:
         text = self._text
         if text is None:
             values = {
-                "class_list": _class_list(self._task), "post_text": self.post_text, **self._values
+                "class_list": _class_list(self.label_space), "post_text": self.post_text,
+                **self._values,
             }
             text = self._text = _substitute(self._template.instruction_text, values)
         return text
@@ -225,8 +222,8 @@ def _check_template_task(template: PromptTemplate, task: Task) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _class_list(task: Task) -> str:
-    return ", ".join(display_names(task))
+def _class_list(space: type) -> str:
+    return ", ".join(label.display_name for label in space)
 
 
 def render_zero_shot(
@@ -240,7 +237,7 @@ def render_zero_shot(
     """
     task = post.task if task is None else task
     _check_template_task(template, task)
-    return Prompt(post, template, task, {})
+    return Prompt(post, template, {})
 
 
 def render_few_shot(
@@ -252,7 +249,7 @@ def render_few_shot(
         raise PromptError("exemplar set task does not match the post task")
     if post.id in exemplars.source_ids:
         raise PromptError(f"exemplar leakage: post {post.id!r} is in the exemplar set")
-    return Prompt(post, template, post.task, {"exemplars": exemplars.block})
+    return Prompt(post, template, {"exemplars": exemplars.block})
 
 
 def render_enriched(
@@ -269,4 +266,4 @@ def render_enriched(
     if not isinstance(predicted, AggressionLabel):
         raise PromptError(f"predicted must be an aggression label, got {predicted!r}")
     _check_template_task(template, post.task)
-    return Prompt(post, template, post.task, {"aggression_label": predicted.display_name})
+    return Prompt(post, template, {"aggression_label": predicted.display_name})

@@ -3,12 +3,12 @@
 ``persist_run`` writes ``manifest.json``, ``predictions.jsonl`` and the
 raw-response audit log ``responses.jsonl`` into a directory named by the
 run id (an audit entry holds the rendered prompt only where its backend
-read it) through ``publish``, the one rule by which neither a run nor
-``cbdetect train`` replaces another's files; ``load_predictions`` reads a
-predictions file back. Each fact is written once: what the whole run
-shares (method, templates, backends, exemplars, overrides) in the
-manifest, and on a prediction line only what belongs to its record, with
-a provenance of ``match_kind`` and, on EPP, ``stage1_mode``.
+read it) through ``publish``, the one rule by which no run, ``cbdetect
+train`` or ``cbdetect prepare-data`` replaces another's files;
+``load_predictions`` reads a predictions file back. Each fact is written
+once: what the whole run shares (method, templates, backends, exemplars,
+overrides) in the manifest, and on a prediction line only what belongs to
+its record, with a provenance of ``match_kind`` and, on EPP, ``stage1_mode``.
 """
 
 from __future__ import annotations

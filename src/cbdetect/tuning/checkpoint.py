@@ -7,13 +7,13 @@ back to back, laid out as the trainer holds them (``training._tuned_state``)
 for the classifier the header describes: each task in header order, its
 factor stacks' Down then Up, then each task's head weight and bias.
 
-The frozen base network is not stored; it is rebuilt exactly from the
-network config's seed. One builder, ``_skeleton``, turns a header into that
-classifier and its zero flat vector, drawing no random numbers, and both
-sides use it. ``save_checkpoint``
+The frozen base network is not stored. One builder, ``_skeleton``, decodes
+a header into its configs and their zero tuned state, building no network
+and drawing no random numbers, and both sides use it. ``save_checkpoint``
 fills the vector by ``training.tuned_arrays`` name, so the order in which
 a caller passes tasks or targets cannot misplace a value. ``load_classifier``
-reads the file once and fills the vector with one copy. A file that is not
+reads the file once, fills the vector with one copy and rebuilds from the
+network config's seed the one base it serves. A file that is not
 an npz archive, lacks the header, names another format version, holds
 other members or holds a ``tuned`` of another dtype or shape raises
 ``TuningError("<path>: <reason>")``.
@@ -121,21 +121,21 @@ def load_classifier(path: Union[str, Path]) -> ToyClassifier:
     return decode_json(lambda meta: _loaded(meta, arrays), header, TuningError, path)
 
 
-def _skeleton(meta: dict) -> tuple[ToyClassifier, FlatArrays]:
-    """The classifier a checkpoint header describes, and its tuned arrays,
-    all zero, as views into one flat vector in the file's layout."""
+def _skeleton(meta: dict) -> tuple[ToyNetConfig, TuneConfig, tuple[FlatArrays, dict, dict]]:
+    """The configs a checkpoint header names and their zero tuned state
+    (``training._tuned_state``): views into one flat vector in the file's layout."""
     if meta.get("format_version") != FORMAT_VERSION:
         raise TuningError(f"unsupported checkpoint format: {meta.get('format_version')}")
-    base = ToyTransformer(ToyNetConfig.from_dict(meta["model"]))
+    net_config = ToyNetConfig.from_dict(meta["model"])
     tune_config = TuneConfig.from_dict(meta["tune"])
-    named, adapters, heads = _tuned_state(base, tune_config, [Task(v) for v in meta["tasks"]])
-    return ToyClassifier(base, tune_config, adapters, heads), named
+    tasks = [Task(v) for v in meta["tasks"]]
+    return net_config, tune_config, _tuned_state(net_config, tune_config, tasks)
 
 
 def _filled(meta: dict, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
     """The flat vector of the header's classifier, each of its tuned arrays
     filled from ``arrays`` by name."""
-    named = _skeleton(meta)[1]
+    _, _, (named, _, _) = _skeleton(meta)
     unexpected = sorted(set(arrays) - set(named))
     if unexpected:
         raise TuningError(f"arrays the header does not describe: {unexpected}")
@@ -148,9 +148,9 @@ def _filled(meta: dict, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
 
 
 def _loaded(meta: dict, arrays: Mapping[str, np.ndarray]) -> ToyClassifier:
-    """The header's classifier with its flat vector copied from the one
-    array ``tuned``."""
-    classifier, named = _skeleton(meta)
+    """The header's classifier, over the base rebuilt from its network
+    config, with its flat vector copied from the one array ``tuned``."""
+    net_config, tune_config, (named, adapters, heads) = _skeleton(meta)
     if set(arrays) != {"tuned"}:
         raise TuningError(f"arrays {sorted(arrays)}, expected ['tuned']")
     tuned, flat = arrays["tuned"], named.flat
@@ -160,4 +160,4 @@ def _loaded(meta: dict, arrays: Mapping[str, np.ndarray]) -> ToyClassifier:
             f"expected {flat.dtype} of shape {flat.shape}"
         )
     flat[...] = tuned
-    return classifier
+    return ToyClassifier(ToyTransformer(net_config), tune_config, adapters, heads)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .._config import from_fields
-from .network import ToyTransformer
+from .network import ToyNetConfig
 
 
 class TuningError(ValueError):
@@ -130,12 +130,13 @@ class AdapterState:
             np.matmul(d_weff, s.down.transpose(0, 2, 1), out=d.up)
 
 
-def resolve_targets(base: ToyTransformer, selector: str) -> list[str]:
-    """Attachable weight names whose dotted path contains the selector."""
-    matches = [n for n in base.attachable_names if selector in n]
+def resolve_targets(net_config: ToyNetConfig, selector: str) -> list[str]:
+    """Attachable weight names (all but ``embed``) whose dotted path contains the selector."""
+    candidates = [n for n in net_config.weight_shapes() if n != "embed"]
+    matches = [n for n in candidates if selector in n]
     if not matches:
         raise TuningError(
             f"target selector {selector!r} matches no attachable weight "
-            f"(candidates: {base.attachable_names})"
+            f"(candidates: {candidates})"
         )
     return matches

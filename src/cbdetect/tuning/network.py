@@ -205,6 +205,17 @@ class ToyNetConfig:
     def from_dict(cls, data: Mapping) -> "ToyNetConfig":
         return from_fields(cls, data)
 
+    def weight_shapes(self) -> dict[str, tuple[int, int]]:
+        """Each base weight's shape by name, in draw order: the embedding,
+        then each layer's attention and MLP projections, as (d_out, d_in)."""
+        d, f = self.d_model, self.d_ff
+        layer = {"attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d), "attn.wo": (d, d)}
+        layer.update({"mlp.w1": (f, d), "mlp.w2": (d, f)})
+        shapes = {"embed": (self.vocab_size, d)}
+        for i in range(self.n_layers):
+            shapes.update({f"layers.{i}.{name}": shape for name, shape in layer.items()})
+        return shapes
+
 
 def _masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Row softmax over the keys ``allowed`` marks; all-masked rows -> 0.
@@ -275,34 +286,16 @@ class ToyTransformer:
     def __init__(self, config: ToyNetConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        d, f = config.d_model, config.d_ff
-        params: dict[str, np.ndarray] = {
-            "embed": rng.normal(0.0, 1.0, (config.vocab_size, d))
+        self.params = {
+            name: rng.normal(0.0, 1.0 if name == "embed" else shape[1] ** -0.5, shape)
+            for name, shape in config.weight_shapes().items()
         }
-        for i in range(config.n_layers):
-            for proj in ("wq", "wk", "wv", "wo"):
-                params[f"layers.{i}.attn.{proj}"] = rng.normal(0.0, d**-0.5, (d, d))
-            params[f"layers.{i}.mlp.w1"] = rng.normal(0.0, d**-0.5, (f, d))
-            params[f"layers.{i}.mlp.w2"] = rng.normal(0.0, f**-0.5, (d, f))
-        self.params = params
         self.tokenizer = ToyTokenizer(config.vocab_size)
-        self._scale = d**-0.5  # attention's score scale
+        self._scale = config.d_model**-0.5  # attention's score scale
         self._layer_names = [
-            {
-                "wq": f"layers.{i}.attn.wq",
-                "wk": f"layers.{i}.attn.wk",
-                "wv": f"layers.{i}.attn.wv",
-                "wo": f"layers.{i}.attn.wo",
-                "w1": f"layers.{i}.mlp.w1",
-                "w2": f"layers.{i}.mlp.w2",
-            }
+            {n.rsplit(".", 1)[1]: n for n in self.params if n.startswith(f"layers.{i}.")}
             for i in range(config.n_layers)
         ]
-
-    @property
-    def attachable_names(self) -> list[str]:
-        """Weight matrices that can host a low-rank adapter."""
-        return [n for n in self.params if n != "embed"]
 
     def _start(
         self, ids: np.ndarray, mask: np.ndarray, overrides: Mapping[str, np.ndarray] | None

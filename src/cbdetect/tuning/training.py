@@ -25,7 +25,7 @@ from .._config import write_lines
 from ..corpus import LabeledPost
 from ..labels import Task, labels_in_order
 from .lora import AdapterState, FactorStack, TuneConfig, TuningError, resolve_targets
-from .network import ToyTransformer, pad_ids
+from .network import ToyNetConfig, ToyTransformer, pad_ids
 
 Pair = tuple[str, int]
 # (token ids cut to the network's max_len, class index)
@@ -172,24 +172,24 @@ class Adam:
 
 
 def _tuned_state(
-    base: ToyTransformer, config: TuneConfig, tasks: Sequence[Task]
+    net_config: ToyNetConfig, tune_config: TuneConfig, tasks: Sequence[Task]
 ) -> tuple[FlatArrays, dict[Task, AdapterState], dict[Task, TaskHead]]:
     """Zero adapters and heads for ``tasks``, every array a view into one
     flat vector laid out as a checkpoint stores it: each task's factor
     stacks, Down then Up, then each task's head weight and bias. A stack
     holds the targets of one weight shape, in target order. The
     ``FlatArrays`` names the arrays as ``tuned_arrays`` does."""
-    targets = resolve_targets(base, config.target_layers)
-    groups: dict[tuple[int, ...], list[str]] = {}
+    weight_shapes = net_config.weight_shapes()
+    targets = resolve_targets(net_config, tune_config.target_layers)
+    groups: dict[tuple[int, int], list[str]] = {}
     for name in targets:
-        groups.setdefault(base.params[name].shape, []).append(name)
-    r, shapes = config.rank_r, []
+        groups.setdefault(weight_shapes[name], []).append(name)
+    r, shapes = tune_config.rank_r, []
     for _ in tasks:
         for (d_out, d_in), names in groups.items():
             shapes += [(len(names), r, d_in), (len(names), d_out, r)]
-    for task in tasks:
-        n = len(labels_in_order(task))
-        shapes += [(n, base.config.d_model), (n,)]
+    for n in [len(labels_in_order(task)) for task in tasks]:
+        shapes += [(n, net_config.d_model), (n,)]
     flat, views = flat_views(shapes)
     views = iter(views)
     adapters = {
@@ -303,9 +303,9 @@ class _Tuner:
     def __init__(self, base: ToyTransformer, config: TuneConfig, tasks: Sequence[Task]):
         self.base = base
         self.config = config
-        params, self._adapters, self._heads = _tuned_state(base, config, tasks)
+        params, self._adapters, self._heads = _tuned_state(base.config, config, tasks)
         _seed_down(self._adapters, config.seed)
-        self._grads, self._d_adapters, self._d_heads = _tuned_state(base, config, tasks)
+        self._grads, self._d_adapters, self._d_heads = _tuned_state(base.config, config, tasks)
         self.optimizer = Adam(params, config.learning_rate)
 
     def _losses(self, batches: Sequence[Sequence[EncodedPair]]) -> list[float]:

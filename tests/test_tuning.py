@@ -464,7 +464,7 @@ class TestMtlStep:
         # the aggression branch alone gives every aggression gradient of the
         # joint loss; the cyberbullying head gets its own
         agg = Task.AGGRESSION
-        _, d_adapters, d_heads = training._tuned_state(base, trainer.config, [agg])
+        _, d_adapters, d_heads = training._tuned_state(base.config, trainer.config, [agg])
         d_adapters, d_head = d_adapters[agg], d_heads[agg]
         _branch(
             base, trainer.adapters[agg], trainer.heads[agg], _encode_pairs(base, agg_pairs, agg),
@@ -1022,9 +1022,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("selector", _SAVED_SELECTORS)
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, selector):
-        """Apart from rebuilding the base network from its seed, writing and
-        loading a checkpoint draw nothing: every tuned float comes from
-        the caller's arrays or the file."""
+        """Apart from the loader's rebuild of the base network from its seed,
+        writing and loading a checkpoint draw nothing: every tuned float
+        comes from the caller's arrays or the file."""
         base, saved = _saved_runs(tmp_path, selector)
         seeded = np.random.default_rng
 
@@ -1379,7 +1379,7 @@ class TestTunedBuffer:
     @pytest.mark.parametrize("selector", ["attn", "layers.", "mlp.w2"])
     def test_optimizer_tunes_the_tuned_arrays_in_order(self, base, selector):
         config = TuneConfig(rank_r=2, target_layers=selector, seed=5)
-        targets = resolve_targets(base, selector)
+        targets = resolve_targets(base.config, selector)
         sft = SftTrainer(base, Task.AGGRESSION, config)
         mtl = MtlTrainer(base, config)
         for trainer, tasks, named in (
