@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from cbdetect import Task, save_records, synth_fixture
 from cbdetect.cli import main
 from cbdetect.tuning import (
-    SftTrainer, ToyNetConfig, ToyTransformer, TuneConfig, load_classifier,
+    SftTrainer, ToyNetConfig, ToyTransformer, TuneConfig, load_classifier, save_checkpoint,
 )
 from cbdetect.tuning.training import tuned_arrays
 
@@ -685,6 +685,7 @@ _BAD_RECORD_LINES = {
     "label": json.dumps({**_RECORD, "label": 7}),
     "array": '["x"]',
     "id": json.dumps({**_RECORD, "id": 5}),
+    "nested": "[" * 100000,
 }
 
 
@@ -713,10 +714,45 @@ def _bad_checkpoint(write):
     return edit
 
 
+def _damaged(damage):
+    """A writer of a saved checkpoint whose bytes ``damage`` edits; the
+    file still passes ``zipfile.is_zipfile``."""
+
+    def write(path):
+        net, tune, task = ToyNetConfig(), TuneConfig(), Task.CYBERBULLYING
+        trainer = SftTrainer(ToyTransformer(net), task, tune)
+        save_checkpoint(path, net, tune, {task: trainer.adapters}, {task: trainer.head})
+        path.write_bytes(damage(path.read_bytes()))
+
+    return write
+
+
+def _last_entry(offset, edit):
+    """Damage that edits the 2-byte field at ``offset`` of the archive's
+    last central-directory entry."""
+
+    def damage(data):
+        at = data.rfind(b"PK\x01\x02") + offset
+        value = edit(int.from_bytes(data[at : at + 2], "little"))
+        return data[:at] + value.to_bytes(2, "little") + data[at + 2 :]
+
+    return damage
+
+
+def _unclosed_shape(data):
+    """``tuned.npy``'s header with the ``)`` that closes its shape made a ``(``."""
+    at = data.index(b")", data.index(b"'shape': (", data.index(b"tuned.npy")))
+    return data[:at] + b"(" + data[at + 1 :]
+
+
 _BAD_CHECKPOINTS = {
     "text": lambda path: path.write_text("not an archive\n", encoding="utf-8"),
     "no-meta": lambda path: np.savez(path, head=np.zeros(3)),
     "meta-not-json": lambda path: np.savez(path, __meta__=np.array("{not json")),
+    "encrypted": _damaged(_last_entry(8, lambda flags: flags | 0x01)),
+    "patched-data": _damaged(_last_entry(8, lambda flags: flags | 0x20)),
+    "compression-99": _damaged(_last_entry(10, lambda method: 99)),
+    "unclosed-shape": _damaged(_unclosed_shape),
 }
 
 
@@ -857,8 +893,12 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command", ["run", "train"])
     @pytest.mark.parametrize(
         "data, message",
-        [(b'{"method": "\xff"}', "'utf-8' codec"), (b"{", "Expecting")],
-        ids=["bad-utf8", "bad-json"],
+        [
+            (b'{"method": "\xff"}', "'utf-8' codec"),
+            (b"{", "Expecting"),
+            (b"[" * 100000, "maximum recursion depth"),
+        ],
+        ids=["bad-utf8", "bad-json", "nested"],
     )
     def test_config_that_does_not_decode(self, runner, tmp_path, command, data, message):
         path = tmp_path / "config.json"

@@ -888,6 +888,12 @@ class TestPredictionsFile:
         assert "\u2028" in path.read_text(encoding="utf-8")
         assert load_predictions(path, Task.CYBERBULLYING) == result.predictions
 
+    def test_deeply_nested_line_names_its_line(self, tmp_path):
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("[" * 100000 + "\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"{path}:1: maximum recursion depth")):
+            load_predictions(path, Task.CYBERBULLYING)
+
     @pytest.mark.parametrize("name", ["zero_shot", "few_shot", "epp", "epp_override"])
     def test_older_run_dir_still_reports(self, tmp_path, name):
         older = SHARED_PROVENANCE_RUNS / name

@@ -280,6 +280,17 @@ def _untrained(base, config, task=Task.AGGRESSION):
     return trainer.adapters, trainer.head
 
 
+def _edit_at(data, at, replacement):
+    return data[:at] + replacement + data[at + len(replacement) :]
+
+
+def _edit_last_entry(data, offset, edit):
+    """``data``, a zip archive, with ``edit`` applied to the 2-byte field at
+    ``offset`` of its last central-directory entry."""
+    at = data.rfind(b"PK\x01\x02") + offset
+    return _edit_at(data, at, edit(int.from_bytes(data[at : at + 2], "little")).to_bytes(2, "little"))
+
+
 def _mixed_length_texts(max_len, n=24, seed=0):
     """Fixture texts mixed with ones longer than ``max_len``, emoji-only
     ones and one-word ones."""
@@ -1177,6 +1188,33 @@ class TestCheckpoint:
         with pytest.raises(TuningError) as refused:
             load_classifier(path)
         assert str(refused.value) == f"{path}: unsupported checkpoint format: 1"
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: _edit_last_entry(data, 8, lambda flags: flags | 0x01),
+            lambda data: _edit_last_entry(data, 8, lambda flags: flags | 0x20),
+            lambda data: _edit_last_entry(data, 10, lambda method: 99),
+            lambda data: _edit_at(
+                data, data.index(b")", data.index(b"'shape': (", data.index(b"tuned.npy"))), b"("
+            ),
+        ],
+        ids=["encrypted", "patched-data", "compression-99", "unclosed-shape"],
+    )
+    def test_archive_that_does_not_read_is_refused(self, tmp_path, damage):
+        """A file that is still a zip archive but whose members do not read
+        raises TuningError, whatever the archive reader raised."""
+        # the default net's ``tuned.npy`` outgrows zipfile's first 4 KiB
+        # read, so its header is parsed before its CRC is checked
+        net, tune = ToyNetConfig(), TuneConfig(rank_r=2, seed=6)
+        state, head = _untrained(ToyTransformer(net), tune)
+        path = save_checkpoint(
+            tmp_path / "c.npz", net, tune, {Task.AGGRESSION: state}, {Task.AGGRESSION: head}
+        )
+        path.write_bytes(damage(path.read_bytes()))
+        assert zipfile.is_zipfile(path)
+        with pytest.raises(TuningError, match=f"^{re.escape(str(path))}: "):
+            load_classifier(path)
 
     def test_writer_refuses_a_task_without_its_head(self, tmp_path):
         tune = TuneConfig(rank_r=2, seed=6)
