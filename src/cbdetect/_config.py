@@ -92,7 +92,7 @@ def read_lines(path, build: Callable[[dict], object], error: type[Exception]) ->
                 block += handle.readline()
                 built += _build_each(block.decode("utf-8"), build)
         return built
-    except (StopIteration, ValueError, TypeError, KeyError, AttributeError):
+    except (StopIteration, ValueError, TypeError, KeyError, AttributeError, RecursionError):
         with open(path, "rb") as handle:
             return [
                 decode_json(build, line, error, path, number)
@@ -145,7 +145,7 @@ def decode_json(build, data: bytes, error, path, line=None):
         if type(record) is not dict:
             raise TypeError(f"expected a JSON object, got {type(record).__name__}")
         return build(record)
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         where = path if line is None else f"{path}:{line}"
         reason = f"missing key {exc}" if type(exc) is KeyError else exc
         raise error(f"{where}: {reason}") from None

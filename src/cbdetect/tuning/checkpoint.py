@@ -14,7 +14,7 @@ fills the vector by ``training.tuned_arrays`` name, so the order in which
 a caller passes tasks or targets cannot misplace a value. ``load_classifier``
 reads the file once, fills the vector with one copy and rebuilds from the
 network config's seed the one base it serves. A file that is not
-an npz archive, lacks the header, names another format version, holds
+an npz archive, has members that do not read, lacks the header, names another format version, holds
 other members or holds a ``tuned`` of another dtype or shape raises
 ``TuningError("<path>: <reason>")``.
 """
@@ -113,7 +113,9 @@ def load_classifier(path: Union[str, Path]) -> ToyClassifier:
     try:
         with np.load(path, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except Exception as exc:
+        # a damaged archive fails in zipfile, zlib or numpy's header parser
+        # with whatever each raises, not only OSError or ValueError
         raise TuningError(f"{path}: {exc}") from None
     if "__meta__" not in arrays:
         raise TuningError(f"{path}: no __meta__ header")
