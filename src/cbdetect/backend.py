@@ -530,8 +530,6 @@ def parse_label(raw: RawResponse, space: type) -> ParsedLabel:
       3. earliest display-name occurrence as a substring.
     """
     names = _display_index(space)
-    if not names:
-        raise BackendError("empty label space")
     text = raw.text
     exact = names.get(text.strip().lower())
     if exact is not None:

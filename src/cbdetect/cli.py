@@ -57,17 +57,11 @@ from .tuning import (
     write_metrics_log,
 )
 
-# Table-driven split defaults: the five aggression sources use 80/10/10,
-# the cyberbullying source holds out 25% with a fixed 2,000-record
-# validation slice carved from it.
-_DEFAULT_SPLITS = {
-    "D1": ("0.8/0.1/0.1"),
-    "D2": ("0.8/0.1/0.1"),
-    "D3": ("0.8/0.1/0.1"),
-    "D4": ("0.8/0.1/0.1"),
-    "D5": ("0.8/0.1/0.1"),
-    "D6": ("0.75/2000/0.25"),
-}
+# Split defaults: the five aggression sources use 80/10/10, the
+# cyberbullying source holds out 25% with a fixed 2,000-record validation
+# slice carved from it.
+_DEFAULT_SPLIT = "0.8/0.1/0.1"
+_DEFAULT_SPLITS = {"D6": "0.75/2000/0.25"}
 
 # The top-level keys of a train and a run config; any other key exits 2.
 _TRAIN_KEYS = ("method", "task", "corpus", "tune", "model", "out_dir")
@@ -166,7 +160,7 @@ def main() -> None:
 def cmd_prepare_data(input_path: str, schema: str, out_dir: str, split_text: str | None, seed: int) -> None:
     """Normalize a raw dataset into per-split record files plus a rejects report."""
     schema = schema.upper()
-    spec = _parse_split_spec(split_text or _DEFAULT_SPLITS[schema], seed)
+    spec = _parse_split_spec(split_text or _DEFAULT_SPLITS.get(schema, _DEFAULT_SPLIT), seed)
     result = load_dataset(input_path, schema)
     if not result.accepted:
         raise click.ClickException(f"no usable rows in {input_path} ({len(result.rejects)} rejected)")

@@ -23,7 +23,6 @@ from typing import Iterable, Sequence, Union
 
 from ._config import read_lines, write_lines
 from .labels import (
-    JSON_LABEL_NAMES,
     Label,
     Task,
     label_from_name,
@@ -100,7 +99,7 @@ class LabeledPost:
         return _RECORD_LINE % (
             _encode(self.dataset_id._value_),
             _encode(self.id),
-            JSON_LABEL_NAMES[type(self.label)][self.label],
+            self.label.json_name,
             _encode(self.language_tag),
             _encode(self.split._value_),
             _encode(self.task._value_),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Union
 
 
@@ -18,44 +18,38 @@ class Task(enum.Enum):
     CYBERBULLYING = "cyberbullying"
 
 
-class AggressionLabel(enum.IntEnum):
+class _Label(enum.IntEnum):
+    """A label space's base: each member is declared as its code and its
+    display name, and its value is the code."""
+
+    def __new__(cls, code: int, display_name: str):
+        label = int.__new__(cls, code)
+        label._value_ = code
+        label.display_name = display_name
+        return label
+
+    @cached_property
+    def json_name(self) -> str:
+        """The serialized name as a JSON string, for the line writers."""
+        return json.encoder.encode_basestring(label_to_name(self))
+
+
+class AggressionLabel(_Label):
     """Three-way aggression scale. Codes 0/1/2 are stable."""
 
-    NAG = 0
-    CAG = 1
-    OAG = 2
-
-    @property
-    def display_name(self) -> str:
-        return _AGGRESSION_DISPLAY[self]
+    NAG = 0, "Not-Aggressive"
+    CAG = 1, "Covertly Aggressive"
+    OAG = 2, "Overtly Aggressive"
 
 
-_AGGRESSION_DISPLAY = {
-    AggressionLabel.NAG: "Not-Aggressive",
-    AggressionLabel.CAG: "Covertly Aggressive",
-    AggressionLabel.OAG: "Overtly Aggressive",
-}
-
-
-class CyberbullyingLabel(enum.IntEnum):
+class CyberbullyingLabel(_Label):
     """Four-way cyberbullying taxonomy."""
 
-    ETHNICITY_RACE = 0
-    RELIGION = 1
-    GENDER_SEXUAL = 2
-    NOT_CYBERBULLYING = 3
+    ETHNICITY_RACE = 0, "Ethnicity/Race"
+    RELIGION = 1, "Religion"
+    GENDER_SEXUAL = 2, "Gender/Sexual"
+    NOT_CYBERBULLYING = 3, "Not Cyberbullying"
 
-    @property
-    def display_name(self) -> str:
-        return _CYBERBULLYING_DISPLAY[self]
-
-
-_CYBERBULLYING_DISPLAY = {
-    CyberbullyingLabel.ETHNICITY_RACE: "Ethnicity/Race",
-    CyberbullyingLabel.RELIGION: "Religion",
-    CyberbullyingLabel.GENDER_SEXUAL: "Gender/Sexual",
-    CyberbullyingLabel.NOT_CYBERBULLYING: "Not Cyberbullying",
-}
 
 Label = Union[AggressionLabel, CyberbullyingLabel]
 
@@ -96,14 +90,6 @@ def label_to_name(label: Label) -> str:
     if isinstance(label, AggressionLabel):
         return label.name
     return label.name.lower()
-
-
-# Each label's serialized name as a JSON string, for the line writers; keyed
-# by label space, as the two spaces' integer codes compare equal across spaces.
-JSON_LABEL_NAMES = {
-    space: {lab: json.encoder.encode_basestring(label_to_name(lab)) for lab in space}
-    for space in _TASK_LABELS.values()
-}
 
 
 def label_from_name(task: Task, name: str) -> Label:

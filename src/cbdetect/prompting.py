@@ -185,30 +185,22 @@ def select_exemplars(train: Sequence[LabeledPost], k: int, seed: int) -> Exempla
     if any(p.task is not task for p in train):
         raise PromptError("exemplar pool mixes tasks")
 
-    by_class: dict[Label, list[LabeledPost]] = {lab: [] for lab in labels_in_order(task)}
-    for post in train:
-        by_class[post.label].append(post)
-
     rng = random.Random(seed)
-    chosen_per_class: dict[Label, list[LabeledPost]] = {}
+    chosen = []
     for lab in labels_in_order(task):
-        candidates = sorted(by_class[lab], key=lambda p: p.id)
+        candidates = sorted((p for p in train if p.label is lab), key=lambda p: p.id)
         if len(candidates) < k:
             raise PromptError(
                 f"class {lab.display_name!r} has only {len(candidates)} training "
                 f"records, cannot select k={k}"
             )
-        chosen_per_class[lab] = rng.sample(candidates, k)
+        chosen.append(rng.sample(candidates, k))
 
-    exemplars: list[tuple[str, Label]] = []
-    source_ids: list[str] = []
-    for round_idx in range(k):
-        for lab in labels_in_order(task):
-            post = chosen_per_class[lab][round_idx]
-            exemplars.append((post.text, post.label))
-            source_ids.append(post.id)
+    # class-interleaved: round by round, each class's next pick in class order
+    picks = [post for round_posts in zip(*chosen) for post in round_posts]
     return ExemplarSet(
-        task=task, k=k, exemplars=tuple(exemplars), source_ids=tuple(source_ids), seed=seed
+        task=task, k=k, exemplars=tuple((p.text, p.label) for p in picks),
+        source_ids=tuple(p.id for p in picks), seed=seed,
     )
 
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Union
 
 from ._config import read_lines, write_lines
 from .backend import MatchKind
-from .labels import JSON_LABEL_NAMES, AggressionLabel, Label, Task, label_reader
+from .labels import AggressionLabel, Label, Task, label_reader
 
 if TYPE_CHECKING:
     from .pipeline import ExperimentSpec
@@ -127,9 +127,9 @@ def _prediction_line(p: Prediction) -> str:
     record with an aggression annotation."""
     fields = (
         "null" if p.failure is None else _encode(p.failure),
-        JSON_LABEL_NAMES[type(p.gold)][p.gold],
+        p.gold.json_name,
         _encode(p.post_id),
-        "null" if p.predicted is None else JSON_LABEL_NAMES[type(p.predicted)][p.predicted],
+        "null" if p.predicted is None else p.predicted.json_name,
         _provenance_json(p.provenance),
         "null" if p.response_text is None else _encode(p.response_text),
     )
@@ -137,7 +137,7 @@ def _prediction_line(p: Prediction) -> str:
     if annotation is None:
         return _PREDICTION_LINE % fields
     return _EPP_PREDICTION_LINE % (
-        JSON_LABEL_NAMES[type(annotation)][annotation],
+        annotation.json_name,
         *fields,
         "true" if p.stage1_fallback else "false",
         "null" if p.stage1_response_text is None else _encode(p.stage1_response_text),
