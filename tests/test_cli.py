@@ -89,6 +89,39 @@ class TestPrepareData:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "split_text, message",
+        [
+            ("0.8/0.2", "Error: --split-spec must be TRAIN/VALIDATION/TEST, got '0.8/0.2'"),
+            ("0.8/x/0.1", "Error: invalid --split-spec '0.8/x/0.1': "),
+        ],
+        ids=["two-parts", "not-a-number"],
+    )
+    def test_malformed_split_spec_is_usage_error(self, runner, tmp_path, split_text, message):
+        src = write_d1_csv(tmp_path / "raw.csv", [("hello there", 0)])
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            [
+                "prepare-data", "--input", str(src), "--schema", "D1",
+                "--out", str(out), "--split-spec", split_text,
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_no_usable_rows_exits_one(self, runner, tmp_path):
+        src = write_d1_csv(tmp_path / "raw.csv", [("bad row", 9), ("", 0)])
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["prepare-data", "--input", str(src), "--schema", "D1", "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: no usable rows in {src} (2 rejected)" in result.output
+        assert not out.exists()
+
     def test_malformed_rows_exit_zero_with_rejects(self, runner, tmp_path):
         rows = [(f"record number {i}", i % 3) for i in range(19)] + [("bad row", 9)]
         src = write_d1_csv(tmp_path / "raw.csv", rows)
@@ -827,6 +860,14 @@ MALFORMED = {
     ),
     "run-not-object": ("run", lambda config, tmp_path: 5, 2, "JSON object"),
     "run-array": ("run", lambda config, tmp_path: [], 2, "JSON object"),
+    "run-no-method": (
+        "run", lambda config, tmp_path: {k: v for k, v in config.items() if k != "method"}, 2,
+        "missing config key: method",
+    ),
+    "run-method-type": ("run", _put("method", value=5), 2, "method: expected str, got int"),
+    "run-backend-not-object": (
+        "run", _put("backends", value=[5]), 2, "backends[0]: expected a JSON object, got int"
+    ),
     "run-out_dir": ("run", _below_file("out_dir"), 1, "Not a directory"),
     "train-rank_r": ("train", _put("tune", "rank_r", value=None), 2, "tune: rank_r"),
     "train-rank_r-fraction": ("train", _put("tune", "rank_r", value=2.7), 2, "tune: rank_r"),
@@ -907,6 +948,14 @@ class TestMalformedInput:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {path}: {message}" in result.output
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_config_file_not_found(self, runner, tmp_path, command):
+        path = tmp_path / "absent.json"
+        result = runner.invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: config file not found: {path}" in result.output
 
     def test_prepare_data_out_below_a_file(self, runner, tmp_path):
         src = write_d1_csv(tmp_path / "raw.csv", [(f"record {i} words", i % 3) for i in range(9)])

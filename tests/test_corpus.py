@@ -216,6 +216,21 @@ class TestSplits:
         with pytest.raises(CorpusError, match="sum to 1"):
             SplitSpec(0.8, 0.3, 0.1, seed=0)
 
+    @pytest.mark.parametrize(
+        "train, validation, test, message",
+        [
+            (1.0, 0.0, 0.0, "train_fraction must be in (0,1), got 1.0"),
+            (0.8, True, 0.2, "validation must be a fraction or a count"),
+            (0.75, -1, 0.25, "validation count must be >= 0"),
+            (0.75, 2000, 0.2, "train and test fractions must cover the corpus"),
+            (0.8, -0.1, 0.3, "fractions must be >= 0"),
+        ],
+        ids=["train-fraction", "bool", "negative-count", "count-uncovered", "negative-fraction"],
+    )
+    def test_spec_refusals(self, train, validation, test, message):
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            SplitSpec(train, validation, test, seed=0)
+
     def test_empty_corpus(self):
         with pytest.raises(CorpusError, match="empty"):
             split_corpus([], SplitSpec(0.8, 0.1, 0.1, seed=0))

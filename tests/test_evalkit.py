@@ -98,6 +98,11 @@ class TestBuildConfusion:
         with pytest.raises(EvalError, match="share one task"):
             build_confusion(pairs, CyberbullyingLabel)
 
+    def test_predicted_label_of_another_space_rejected(self):
+        pairs = [(CyberbullyingLabel.RELIGION, AggressionLabel.NAG)]
+        with pytest.raises(EvalError, match="predicted label .* is not a CyberbullyingLabel"):
+            build_confusion(pairs, CyberbullyingLabel)
+
     def test_empty_matrix_rejected(self):
         cm = ConfusionMatrix(
             label_space=AB, counts=np.zeros((2, 2), dtype=int), failures_by_gold=np.zeros(2, dtype=int)

@@ -290,6 +290,11 @@ class TestRunBaseline:
         with pytest.raises(PipelineError, match="run_epp"):
             run_baseline(cyberbullying_fixture, epp_spec())
 
+    @pytest.mark.parametrize("train_posts", [None, ()], ids=["none", "empty"])
+    def test_few_shot_without_a_pool_rejected(self, cyberbullying_fixture, train_posts):
+        with pytest.raises(PipelineError, match="few_shot requires a training pool"):
+            run_baseline(cyberbullying_fixture, cb_spec(Method.FEW_SHOT), train_posts=train_posts)
+
     def test_run_dir_layout(self, tmp_path, cyberbullying_fixture):
         result = run_baseline(cyberbullying_fixture, cb_spec(), out_dir=tmp_path)
         assert result.run_dir is not None
@@ -305,6 +310,14 @@ class TestRunEpp:
         assert len(result.predictions) == 12
         assert all(p.aggression_annotation is not None for p in result.predictions)
         assert all(not p.stage1_fallback for p in result.predictions)
+
+    def test_non_epp_spec_rejected(self, cyberbullying_fixture):
+        with pytest.raises(PipelineError, match="run_epp requires an epp experiment spec"):
+            run_epp(cyberbullying_fixture, cb_spec())
+
+    def test_empty_split_rejected(self):
+        with pytest.raises(PipelineError, match="empty evaluation split"):
+            run_epp([], epp_spec())
 
     def test_stage2_prompts_start_with_stage1_prediction(self, cyberbullying_fixture):
         result = run_epp(

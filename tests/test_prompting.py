@@ -8,6 +8,7 @@ import pytest
 
 from cbdetect import (
     AggressionLabel,
+    CyberbullyingLabel,
     PromptError,
     Task,
     display_names,
@@ -100,6 +101,27 @@ class TestSelectExemplars:
             select_exemplars(pool, k=1, seed=0)
 
 
+    def test_k_below_one_is_refused(self, aggression_fixture):
+        with pytest.raises(PromptError, match="k must be >= 1"):
+            select_exemplars(aggression_fixture, 0, seed=0)
+
+    def test_empty_pool_is_refused(self):
+        with pytest.raises(PromptError, match="empty training pool"):
+            select_exemplars([], 1, seed=0)
+
+    def test_exemplar_set_of_another_size_is_refused(self):
+        exemplars = (("a", AggressionLabel.NAG), ("b", AggressionLabel.CAG))
+        with pytest.raises(PromptError, match=re.escape("k*|classes| = 3 examples, got 2")):
+            prompting.ExemplarSet(Task.AGGRESSION, 1, exemplars, ("a", "b"), seed=0)
+
+    def test_exemplar_set_with_a_class_short_is_refused(self):
+        nag, cag = AggressionLabel.NAG, AggressionLabel.CAG
+        exemplars = (("a", nag), ("b", nag), ("c", cag))
+        message = "class 'Not-Aggressive' has 2 exemplars, expected 1"
+        with pytest.raises(PromptError, match=re.escape(message)):
+            prompting.ExemplarSet(Task.AGGRESSION, 1, exemplars, ("a", "b", "c"), seed=0)
+
+
 class TestFewShot:
     def test_exemplar_label_line_count(self, cyberbullying_fixture):
         pool = synth_fixture(4, Task.CYBERBULLYING, seed=42)
@@ -117,6 +139,12 @@ class TestFewShot:
         assert victim.id in exemplars.source_ids
         with pytest.raises(PromptError, match="leakage"):
             render_few_shot(victim, few_shot_template(Task.CYBERBULLYING), exemplars)
+
+    def test_exemplars_of_another_task_are_refused(self, aggression_fixture, cyberbullying_fixture):
+        exemplars = select_exemplars(aggression_fixture, 1, seed=0)
+        template = few_shot_template(Task.CYBERBULLYING)
+        with pytest.raises(PromptError, match="exemplar set task does not match the post task"):
+            render_few_shot(cyberbullying_fixture[0], template, exemplars)
 
     def test_template_check_precedes_leakage_check(self, cyberbullying_fixture):
         exemplars = select_exemplars(cyberbullying_fixture, k=3, seed=1)
@@ -200,6 +228,12 @@ class TestEnriched:
     def test_wrong_task(self, aggression_fixture):
         with pytest.raises(PromptError, match="cyberbullying task"):
             render_enriched(aggression_fixture[0], AggressionLabel.NAG, enriched_template())
+
+    def test_cue_that_is_not_an_aggression_label(self, cyberbullying_fixture):
+        with pytest.raises(PromptError, match="predicted must be an aggression label"):
+            render_enriched(
+                cyberbullying_fixture[0], CyberbullyingLabel.RELIGION, enriched_template()
+            )
 
     def test_task_check_precedes_cue_check(self, aggression_fixture):
         from cbdetect import CyberbullyingLabel

@@ -160,3 +160,16 @@ def test_non_object_refused_by_a_build_that_takes_anything(tmp_path, line):
     path.write_bytes(b'{"a":1}\n' + line + b"\n")
     with pytest.raises(ValueError, match=rf"^{path}:2: expected a JSON object, got "):
         _config.read_lines(path, lambda record: record, ValueError)
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_last_line_without_a_newline_loads_in_one_pass(tmp_path, monkeypatch, loader):
+    path, load, _ = LOADERS[loader](tmp_path, False)
+    written = load()
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+
+    def refuse(*args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(_config, "decode_json", refuse)
+    assert load() == written

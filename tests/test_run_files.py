@@ -25,6 +25,7 @@ from cbdetect import (
 )
 from cbdetect._config import write_lines
 from cbdetect.pipeline import Prediction, load_predictions
+from cbdetect.rundir import publish
 
 # characters the JSON string escaping treats differently, and %-format markers
 PIECES = [
@@ -212,3 +213,18 @@ def test_audit_lines_are_canonical(tmp_path, seed):
 def test_write_lines_writes_newline_on_a_crlf_platform(tmp_path, crlf_platform):
     path = write_lines(tmp_path / "x.jsonl", [{"a": 1}, {"b": "\r"}], canonical)
     assert path.read_bytes() == b'{"a":1}\n{"b":"\\r"}\n'
+
+
+def test_publish_leaves_a_file_the_write_made_at_the_target(tmp_path):
+    """A ``write`` that also makes ``target`` a file: the rename onto it
+    fails, the file keeps its bytes and the staging directory goes."""
+    target = tmp_path / "run"
+
+    def write(staging):
+        (staging / "a.txt").write_text("a", encoding="utf-8")
+        target.write_bytes(b"held")
+
+    with pytest.raises(NotADirectoryError):
+        publish(target, write)
+    assert target.read_bytes() == b"held"
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]

@@ -257,6 +257,18 @@ class TestPooling:
         with pytest.raises(ValueError, match="batch, seq, d_model"):
             pool_embedding(np.zeros((4, 3)), np.array([True, True, False, False]))
 
+    @pytest.mark.parametrize(
+        "ids, mask",
+        [
+            (np.zeros((1, 4), dtype=int), np.ones((1, 3), dtype=bool)),
+            (np.zeros(4, dtype=int), np.ones(4, dtype=bool)),
+        ],
+        ids=["mask-shorter", "unbatched"],
+    )
+    def test_ids_and_mask_of_other_shapes_are_an_error(self, base, ids, mask):
+        with pytest.raises(ValueError, match=re.escape("ids and mask must both be (batch, seq)")):
+            base.forward(ids, mask)
+
     def test_fully_masked_is_an_error(self):
         hidden = np.zeros((1, 3, 2))
         with pytest.raises(ValueError, match="fully masked"):
@@ -405,6 +417,11 @@ class TestLosses:
     def test_index_out_of_range(self):
         with pytest.raises(TuningError, match="out of range"):
             mtl_joint_loss(np.zeros(3), 5, np.zeros(4), 0)
+
+    def test_targets_that_do_not_match_the_logits(self):
+        message = "targets shape (3,) does not match logits (2, 4)"
+        with pytest.raises(TuningError, match=re.escape(message)):
+            cross_entropy(np.zeros((2, 4)), np.array([0, 1, 2]))
 
 
 class TestSftStep:
@@ -1098,6 +1115,12 @@ class TestCheckpoint:
         with pytest.raises(TuningError, match="learning_rate must be >= 0"):
             TuneConfig(learning_rate=float("nan"))
 
+    @pytest.mark.parametrize("field", ["rank_r", "batch_size", "epochs"])
+    def test_tune_config_rejects_degenerate_sizes(self, field):
+        with pytest.raises(TuningError, match=f"{field} must be >= 1"):
+            TuneConfig(**{field: 0})
+        TuneConfig(**{field: 1})  # the bound itself is valid
+
     @pytest.mark.parametrize(
         "field, value",
         [("vocab_size", 2), ("d_model", 0), ("n_layers", 0), ("d_ff", 0), ("max_len", 0)],
@@ -1225,6 +1248,37 @@ class TestCheckpoint:
         ):
             save_checkpoint(path, SMALL, tune, {Task.AGGRESSION: state}, {})
         assert not path.exists()
+
+    def test_writer_refuses_a_head_without_its_adapters(self, tmp_path):
+        tune = TuneConfig(rank_r=2, seed=6)
+        state, head = _untrained(ToyTransformer(SMALL), tune)
+        _, cb_head = _untrained(ToyTransformer(SMALL), tune, Task.CYBERBULLYING)
+        path = tmp_path / "extra.npz"
+        message = (
+            f"{path}: arrays the header does not describe: "
+            "['head.cyberbullying.bias', 'head.cyberbullying.weight']"
+        )
+        with pytest.raises(TuningError, match=re.escape(message)):
+            save_checkpoint(
+                path, SMALL, tune, {Task.AGGRESSION: state},
+                {Task.AGGRESSION: head, Task.CYBERBULLYING: cb_head},
+            )
+        assert not path.exists()
+
+    def test_missing_checkpoint_is_refused(self, tmp_path):
+        path = tmp_path / "absent.npz"
+        with pytest.raises(TuningError, match=re.escape(f"checkpoint not found: {path}")):
+            load_classifier(path)
+
+    def test_task_the_checkpoint_lacks_is_refused(self, tmp_path):
+        tune = TuneConfig(rank_r=2, seed=6)
+        state, head = _untrained(ToyTransformer(SMALL), tune)
+        path = save_checkpoint(
+            tmp_path / "c.npz", SMALL, tune, {Task.AGGRESSION: state}, {Task.AGGRESSION: head}
+        )
+        message = "checkpoint holds no cyberbullying adapters (tasks: ['aggression'])"
+        with pytest.raises(TuningError, match=re.escape(message)):
+            load_classifier(path).predict_batch(["a post"], Task.CYBERBULLYING)
 
     def test_writer_refuses_adapters_of_another_rank(self, tmp_path):
         base = ToyTransformer(SMALL)
