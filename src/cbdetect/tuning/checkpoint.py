@@ -14,9 +14,9 @@ fills the vector by ``training.tuned_arrays`` name, so the order in which
 a caller passes tasks or targets cannot misplace a value. ``load_classifier``
 reads the file once, fills the vector with one copy and rebuilds from the
 network config's seed the one base it serves. A file that is not
-an npz archive, has members that do not read, lacks the header, names another format version, holds
-other members or holds a ``tuned`` of another dtype or shape raises
-``TuningError("<path>: <reason>")``.
+an npz archive, has members that do not read, lacks the header, names
+another format version, holds other members or holds a ``tuned`` of
+another dtype or shape raises ``TuningError("<path>: <reason>")``.
 """
 
 from __future__ import annotations
